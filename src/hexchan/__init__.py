@@ -12,6 +12,7 @@ from .coloring import (
     brute_force_chromatic,
     chromatic_coloring,
     clique_lower_bound,
+    data_graph_coloring,
     pattern_coloring,
     verify_coloring,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "clique_lower_bound",
     "compare_schemes",
     "cycle_structure",
+    "data_graph_coloring",
     "default_domain",
     "delay_decrease_percent",
     "distance",

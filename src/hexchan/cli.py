@@ -22,7 +22,6 @@ from pathlib import Path
 from .config import ScenarioConfig, load_config
 from .dynamic_alloc import (
     activity_csv,
-    activity_matrix,
     allocate_dynamic,
     allocation_csv,
     allocation_json_doc,
@@ -94,11 +93,12 @@ def cmd_dynamic(cfg: ScenarioConfig, out_dir: Path) -> None:
     configs = cfg.require_superframes()
     plan = cfg.plan()
     cycles = cycle_structure(configs)
-    act = activity_matrix(configs, cycles)
     alloc = allocate_dynamic(cfg.lattice, configs, plan)
+    act = alloc.activity
     _write(out_dir, "activity.csv", activity_csv(configs, act))
     _write(out_dir, "dynamic_allocation.csv", allocation_csv(configs, act, alloc))
     _write(out_dir, "dynamic_allocation.json", allocation_json_doc(configs, cycles, alloc))
+    active_pans = [sum(column) for column in zip(*act.active)]
     summary = {
         "bi_maj": cycles.bi_maj,
         "sd_min": cycles.sd_min,
@@ -106,7 +106,7 @@ def cmd_dynamic(cfg: ScenarioConfig, out_dir: Path) -> None:
         "per_cycle": [
             {
                 "cycle": t + 1,
-                "active_pans": sum(1 for row in act.active if row[t]),
+                "active_pans": active_pans[t],
                 "chi": alloc.per_cycle_chi[t],
                 "k": alloc.per_cycle_k[t],
             }

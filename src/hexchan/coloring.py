@@ -16,7 +16,7 @@ from typing import Mapping
 
 from . import _zykov_py
 from .errors import IncompleteColoringError, SizeLimitError
-from .interference import InterferenceGraph
+from .interference import InterferenceGraph, iter_bits
 from .lattice import CellIndex, Lattice
 
 try:
@@ -82,6 +82,12 @@ def clique_lower_bound(graph: InterferenceGraph) -> int:
     return _zykov_py.clique_bound(len(graph.vertices), graph.edge_index_pairs())
 
 
+def _pattern_label(c: CellIndex, kind: str) -> int:
+    a = c.i
+    b = (c.j - c.i) // 2
+    return (a - b) % 3 if kind == DATA else 2 * (a % 2) + (b % 2)
+
+
 def pattern_coloring(lattice: Lattice, kind: str) -> Coloring:
     """Closed-form periodic coloring, valid for any lattice size.
 
@@ -93,15 +99,32 @@ def pattern_coloring(lattice: Lattice, kind: str) -> Coloring:
     """
     if kind not in (CONTROL, DATA):
         raise ValueError(f"kind must be {CONTROL!r} or {DATA!r}")
-    labels = []
-    for c in lattice.cells:
-        a = c.i
-        b = (c.j - c.i) // 2
-        if kind == DATA:
-            labels.append((a - b) % 3)
-        else:
-            labels.append(2 * (a % 2) + (b % 2))
-    return _canonical(lattice.cells, labels)
+    return _canonical(lattice.cells, [_pattern_label(c, kind) for c in lattice.cells])
+
+
+def data_graph_coloring(graph: InterferenceGraph) -> Coloring:
+    """Minimum coloring of a metric-12 interference graph of any size, without search.
+
+    The data pattern bounds chi <= 3 on these graphs.  A bipartite graph
+    gets its canonical BFS 2-coloring (each component's first vertex takes
+    color 0, which fixes the rest); any other graph needs 3 colors and gets
+    the data pattern restricted to its cells.
+    """
+    rows = graph.rows
+    side = [-1] * len(rows)
+    for start in range(len(rows)):
+        if side[start] >= 0:
+            continue
+        side[start] = 0
+        queue = [start]
+        for p in queue:
+            for q in iter_bits(rows[p]):
+                if side[q] < 0:
+                    side[q] = 1 - side[p]
+                    queue.append(q)
+                elif side[q] == side[p]:
+                    return _canonical(graph.vertices, [_pattern_label(c, DATA) for c in graph.vertices])
+    return _canonical(graph.vertices, side)
 
 
 def verify_coloring(graph: InterferenceGraph, coloring: Coloring) -> bool:

@@ -5,8 +5,8 @@ a beacon interval BI = 2^BO (both counted in base superframe units, SO <=
 BO).  The network-wide schedule repeats with the major cycle, the largest
 BI; time is sliced into elementary cycles of the smallest SD.  Per
 elementary cycle, the PANs active in it induce a metric-12 interference
-graph; each connected component is colored exactly and every PAN in a
-component with chi colors receives a disjoint group of
+graph; each connected component is colored with the fewest colors and
+every PAN in a component with chi colors receives a disjoint group of
 |data channels| // chi channels for that cycle, so isolated PANs get the
 whole data set while busy cycles fall back to the static share.
 """
@@ -14,12 +14,14 @@ whole data set while busy cycles fall back to the static share.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
-from .coloring import DEFAULT_VERTEX_CAP, chromatic_coloring
+from .coloring import DEFAULT_VERTEX_CAP, chromatic_coloring, data_graph_coloring
 from .errors import InsufficientSpectrumError, InvalidSuperframeError
-from .interference import build_interference_graph, connected_components, subgraph_on
+from .interference import build_interference_graph, component_masks, iter_bits, subgraph_on
 from .lattice import DATA_REUSE_METRIC, CellIndex, Lattice
 from .spectrum import ChannelPlan, LogicalChannel, partition_channels
 
@@ -76,12 +78,18 @@ class AllocationMatrix:
 
     ``per_cycle_chi`` is the chromatic number of the cycle's active
     interference graph (max over its components; 0 when idle) and
-    ``per_cycle_k`` the largest channel grant in the cycle.
+    ``per_cycle_k`` the largest channel grant in the cycle.  ``activity`` is
+    the activity matrix the grants were computed from.
     """
 
     channels: tuple[tuple[tuple[LogicalChannel, ...], ...], ...]
     per_cycle_chi: tuple[int, ...]
     per_cycle_k: tuple[int, ...]
+    activity: ActivityMatrix
+
+
+# (chi, k, [(PAN index, grant)]) of one elementary cycle.
+_CycleResult = tuple[int, int, list[tuple[int, tuple[LogicalChannel, ...]]]]
 
 
 def cycle_structure(configs: Sequence[SuperframeConfig]) -> CycleStructure:
@@ -106,12 +114,18 @@ def is_active(config: SuperframeConfig, cycle: int, sd_min: int) -> bool:
 def activity_matrix(
     configs: Sequence[SuperframeConfig], cycles: CycleStructure, num_cycles: int | None = None
 ) -> ActivityMatrix:
-    """Activity of every PAN over ``num_cycles`` cycles (default one major cycle)."""
+    """Activity of every PAN over ``num_cycles`` cycles (default one major cycle).
+
+    Entry t of a row is ``is_active(cfg, t, cycles.sd_min)``, which repeats
+    every BI / gcd(BI, SD_min) cycles, so one period is computed and tiled.
+    """
     u = cycles.u_cycles if num_cycles is None else num_cycles
-    rows = tuple(
-        tuple(is_active(cfg, t, cycles.sd_min) for t in range(u)) for cfg in configs
-    )
-    return ActivityMatrix(active=rows)
+    sd_min = cycles.sd_min
+    rows = []
+    for cfg in configs:
+        period = [is_active(cfg, t, sd_min) for t in range(cfg.bi // math.gcd(cfg.bi, sd_min))]
+        rows.append(tuple((period * (u // len(period) + 1))[:u]))
+    return ActivityMatrix(active=tuple(rows))
 
 
 def allocate_dynamic(
@@ -124,10 +138,20 @@ def allocate_dynamic(
     """Per-PAN per-cycle channel groups over one major cycle.
 
     Within a cycle, each connected component of the active PANs' metric-12
-    graph is colored exactly; a PAN in a component needing chi colors gets
-    the group of |data| // chi channels matching its color.  PANs in
-    different components may share channels, they are out of range of each
-    other.
+    graph is colored with the fewest colors; a PAN in a component needing
+    chi colors gets the group of |data| // chi channels matching its color.
+    PANs in different components may share channels, they are out of range
+    of each other.  Components of at most ``vertex_cap`` PANs are colored
+    by the exact solver, larger ones by ``data_graph_coloring``.
+
+    The work runs in index space: one adjacency bitmask row per PAN
+    position, one bitmask of active positions per cycle.  Two memos live
+    for the call.  A cycle whose active mask occurred before reuses that
+    cycle's result.  A component is keyed by its size and its edges as
+    sorted local index pairs in lattice order.  Equal keys (e.g. translated
+    components) are the same labeled graph, so they share one coloring; the
+    exact solver's labels depend on nothing but the key, so the memo leaves
+    every grant unchanged.
     """
     cells = [c.pan_cell for c in configs]
     for cell in cells:
@@ -138,31 +162,68 @@ def allocate_dynamic(
     act = activity_matrix(configs, cycles, num_cycles)
     u = len(act.active[0]) if act.active else 0
     ordered_data = plan.ordered_data()
-    full_graph = build_interference_graph(lattice, cells, DATA_REUSE_METRIC)
-    pan_of_cell = {cfg.pan_cell: k for k, cfg in enumerate(configs)}
+    graph = build_interference_graph(lattice, cells, DATA_REUSE_METRIC)
+    rows = graph.rows
 
-    grants: list[list[tuple[LogicalChannel, ...]]] = [[() for _ in range(u)] for _ in configs]
-    per_cycle_chi = []
-    per_cycle_k = []
-    for t in range(u):
-        active_cells = [cfg.pan_cell for k, cfg in enumerate(configs) if act.active[k][t]]
+    pan_at = [0] * len(cells)  # graph position -> PAN index
+    cycle_masks = [0] * u
+    for k, (cell, active) in enumerate(zip(cells, act.active)):
+        p = graph.vertex_position(cell)
+        pan_at[p] = k
+        for t in compress(range(u), active):
+            cycle_masks[t] |= 1 << p
+
+    groups_by_chi: dict[int, list[tuple[LogicalChannel, ...]]] = {}
+    shape_memo: dict[tuple, tuple[int, tuple[int, ...]]] = {}
+    cycle_memo: dict[int, _CycleResult] = {}
+
+    def allocate_cycle(t: int, mask: int) -> _CycleResult:
+        """(chi, k, [(PAN, grant)]) of the cycle whose active positions are ``mask``."""
         chi_t = 0
         k_t = 0
-        if active_cells:
-            cycle_graph = subgraph_on(full_graph, active_cells)
-            for component in connected_components(cycle_graph):
-                coloring = chromatic_coloring(subgraph_on(cycle_graph, component), vertex_cap=vertex_cap)
-                chi = coloring.num_colors
-                group_size = len(ordered_data) // chi
-                if group_size == 0:
-                    raise InsufficientSpectrumError(
-                        f"cycle {t + 1}: need {chi} data channels, plan has {len(ordered_data)}"
-                    )
+        cycle_grants = []
+        for comp in component_masks(rows, mask):
+            positions = list(iter_bits(comp))
+            local = {p: r for r, p in enumerate(positions)}
+            pairs = []
+            for r, p in enumerate(positions):
+                later = rows[p] & comp & -(2 << p)  # neighbors above position p
+                pairs.extend((r, local[q]) for q in iter_bits(later))
+            key = (len(positions), tuple(pairs))
+            shape = shape_memo.get(key)
+            if shape is None:
+                sub = subgraph_on(graph, [graph.vertices[p] for p in positions])
+                if len(positions) <= vertex_cap:
+                    coloring = chromatic_coloring(sub, vertex_cap=vertex_cap)
+                else:
+                    coloring = data_graph_coloring(sub)
+                shape = (coloring.num_colors, tuple(coloring.assignment[v] for v in sub.vertices))
+                shape_memo[key] = shape
+            chi, labels = shape
+            group_size = len(ordered_data) // chi
+            if group_size == 0:
+                raise InsufficientSpectrumError(
+                    f"cycle {t + 1}: need {chi} data channels, plan has {len(ordered_data)}"
+                )
+            groups = groups_by_chi.get(chi)
+            if groups is None:
                 groups, _ = partition_channels(ordered_data, chi, group_size)
-                for cell in component:
-                    grants[pan_of_cell[cell]][t] = groups[coloring.assignment[cell]]
-                chi_t = max(chi_t, chi)
-                k_t = max(k_t, group_size)
+                groups_by_chi[chi] = groups
+            cycle_grants.extend((pan_at[p], groups[label]) for p, label in zip(positions, labels))
+            chi_t = max(chi_t, chi)
+            k_t = max(k_t, group_size)
+        return chi_t, k_t, cycle_grants
+
+    grants: list[list[tuple[LogicalChannel, ...]]] = [[()] * u for _ in configs]
+    per_cycle_chi = []
+    per_cycle_k = []
+    for t, mask in enumerate(cycle_masks):
+        result = cycle_memo.get(mask)
+        if result is None:
+            result = cycle_memo[mask] = allocate_cycle(t, mask)
+        chi_t, k_t, cycle_grants = result
+        for k, grant in cycle_grants:
+            grants[k][t] = grant
         per_cycle_chi.append(chi_t)
         per_cycle_k.append(k_t)
 
@@ -170,6 +231,7 @@ def allocate_dynamic(
         channels=tuple(tuple(row) for row in grants),
         per_cycle_chi=tuple(per_cycle_chi),
         per_cycle_k=tuple(per_cycle_k),
+        activity=act,
     )
 
 

@@ -13,15 +13,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import compress
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import OrderingError
-from .dynamic_alloc import (
-    SuperframeConfig,
-    activity_matrix,
-    allocate_dynamic,
-    cycle_structure,
-)
+from .dynamic_alloc import SuperframeConfig, allocate_dynamic
 from .lattice import CellIndex, Lattice
 from .spectrum import ChannelPlan
 from .static_alloc import allocate_static_data
@@ -35,6 +31,8 @@ SCHEMES = (SINGLE, STATIC, DYNAMIC)
 # evaluation; reported alongside computed values, never substituted for
 # them (the Japan figure disagrees with that table's own channel count).
 REFERENCE_DYNAMIC_PEAKS = {"US": 28, "Japan": 18, "Europe": 14}
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -106,8 +104,8 @@ def compare_schemes(
         raise ValueError(f"workload does not cover PAN ({cell.i}, {cell.j})")
     _, k_static = allocate_static_data(lattice, plan)
     dynamic = allocate_dynamic(lattice, configs, plan)
-    cycles = cycle_structure(configs)
-    act = activity_matrix(configs, cycles)
+    act = dynamic.activity
+    u = len(dynamic.per_cycle_chi)
 
     def channels_for(scheme: str, pan: int, cycle: int) -> int:
         if scheme == SINGLE:
@@ -121,19 +119,19 @@ def compare_schemes(
         makespans: dict[tuple[int, int], int] = {}
         channel_counts: dict[tuple[int, int], int] = {}
         delay: dict[tuple[int, int], float] = {}
-        max_channels = {pan: 0 for pan in range(len(configs))}
+        max_channels: dict[int, int] = {}
         for pan, cfg in enumerate(configs):
             requests = scenario.per_pan[cfg.pan_cell]
             baseline = makespan(requests, 1)
-            for t in range(cycles.u_cycles):
-                if not act.active[pan][t]:
-                    continue
+            outcomes: dict[int, tuple[int, float]] = {}  # channel count -> (slots, delay decrease)
+            for t in compress(range(u), act.active[pan]):
                 count = channels_for(scheme, pan, t)
-                slots = makespan(requests, count)
-                makespans[(pan, t)] = slots
+                if count not in outcomes:
+                    slots = makespan(requests, count)
+                    outcomes[count] = (slots, delay_decrease_percent(baseline, slots))
+                makespans[(pan, t)], delay[(pan, t)] = outcomes[count]
                 channel_counts[(pan, t)] = count
-                delay[(pan, t)] = delay_decrease_percent(baseline, slots)
-                max_channels[pan] = max(max_channels[pan], count)
+            max_channels[pan] = max(outcomes, default=0)
         reports.append(
             SchemeReport(
                 scheme=scheme,
@@ -160,6 +158,14 @@ def scheme_report_csv(configs: Sequence[SuperframeConfig], reports: Sequence[Sch
     return "\r\n".join(lines) + "\r\n"
 
 
+def _per_pan(values: Mapping[tuple[int, int], T], pick: Callable[[T, T], T]) -> dict[int, T]:
+    """Fold the (PAN, cycle) entries of one report into one value per PAN."""
+    folded: dict[int, T] = {}
+    for (pan, _), value in values.items():
+        folded[pan] = pick(folded[pan], value) if pan in folded else value
+    return folded
+
+
 def evaluation_summary_json(
     configs: Sequence[SuperframeConfig],
     plan: ChannelPlan,
@@ -171,6 +177,8 @@ def evaluation_summary_json(
     computed_peak = max(
         (count for r in reports for count in r.max_channels.values()), default=0
     )
+    best_makespan = {s: _per_pan(by_scheme[s].makespans, min) for s in SCHEMES}
+    max_decrease = {s: _per_pan(by_scheme[s].delay_decrease, max) for s in SCHEMES}
     doc: dict = {
         "domain": domain_name,
         "data_channels": len(plan.data_set),
@@ -179,20 +187,8 @@ def evaluation_summary_json(
                 "pan": pan + 1,
                 "cell": [cfg.pan_cell.i, cfg.pan_cell.j],
                 "max_channels": {s: by_scheme[s].max_channels[pan] for s in SCHEMES},
-                "best_makespan": {
-                    s: min(
-                        (v for (p, _), v in by_scheme[s].makespans.items() if p == pan),
-                        default=None,
-                    )
-                    for s in SCHEMES
-                },
-                "max_delay_decrease_percent": {
-                    s: max(
-                        (v for (p, _), v in by_scheme[s].delay_decrease.items() if p == pan),
-                        default=None,
-                    )
-                    for s in SCHEMES
-                },
+                "best_makespan": {s: best_makespan[s].get(pan) for s in SCHEMES},
+                "max_delay_decrease_percent": {s: max_decrease[s].get(pan) for s in SCHEMES},
             }
             for pan, cfg in enumerate(configs)
         ],

@@ -2,70 +2,122 @@
 
 Vertices are cells; an edge joins two cells whose integer lattice metric is
 strictly below the reuse threshold (cells exactly at the reuse distance may
-share a channel, so they are not adjacent).  Adjacency is computed by a
-pairwise metric scan, which is fine at the network sizes this targets.
+share a channel, so they are not adjacent).
+
+A graph stores one adjacency bitmask per vertex position: bit q of
+``rows[p]`` is set iff vertices p and q are adjacent.  Every other view
+(neighbors, edges, index pairs, subgraphs, components) is derived from those
+rows.  Lattice graphs are built by looking up the finite set of reuse
+offsets around each cell, so a build is linear in the number of cells.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Iterator
 
-from .lattice import CellIndex, Lattice, lattice_metric
+from .lattice import CellIndex, Lattice, interference_offsets
 
 
-@dataclass(frozen=True)
+def iter_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def component_masks(rows: tuple[int, ...], mask: int) -> list[int]:
+    """Connected components of the subgraph induced by ``mask``, as bitmasks,
+    ordered by their lowest position (bitmask flood fill)."""
+    components = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown = rows[low.bit_length() - 1] & mask & ~comp
+            comp |= grown
+            frontier |= grown
+        mask &= ~comp
+        components.append(comp)
+    return components
+
+
 class InterferenceGraph:
-    """Undirected simple graph on an ordered tuple of cells."""
+    """Undirected simple graph on an ordered tuple of cells.
 
-    vertices: tuple[CellIndex, ...]
-    edges: frozenset[tuple[CellIndex, CellIndex]]
+    Built from an edge collection; the graph itself keeps only the adjacency
+    rows.  Instances are treated as immutable.
+    """
 
-    def __post_init__(self) -> None:
-        index = {v: k for k, v in enumerate(self.vertices)}
-        if len(index) != len(self.vertices):
+    def __init__(self, vertices: Iterable[CellIndex], edges: Iterable[tuple[CellIndex, CellIndex]] = ()) -> None:
+        vertices = tuple(vertices)
+        index = {v: k for k, v in enumerate(vertices)}
+        if len(index) != len(vertices):
             raise ValueError("duplicate vertices")
-        adj: dict[CellIndex, set[CellIndex]] = {v: set() for v in self.vertices}
-        for a, b in self.edges:
+        rows = [0] * len(vertices)
+        for a, b in edges:
             if a == b:
                 raise ValueError("self-loop")
             if a not in index or b not in index:
                 raise ValueError("edge references unknown vertex")
-            adj[a].add(b)
-            adj[b].add(a)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_adj", {v: frozenset(ns) for v, ns in adj.items()})
+            pa, pb = index[a], index[b]
+            rows[pa] |= 1 << pb
+            rows[pb] |= 1 << pa
+        self._set(vertices, tuple(rows), index)
+
+    @classmethod
+    def from_rows(cls, vertices: tuple[CellIndex, ...], rows: tuple[int, ...]) -> "InterferenceGraph":
+        """Graph from symmetric adjacency rows over ``vertices``, unchecked."""
+        graph = cls.__new__(cls)
+        graph._set(vertices, rows, {v: k for k, v in enumerate(vertices)})
+        return graph
+
+    def _set(self, vertices: tuple[CellIndex, ...], rows: tuple[int, ...], index: dict[CellIndex, int]) -> None:
+        self.vertices = vertices
+        self.rows = rows
+        self._index = index
 
     def __len__(self) -> int:
         return len(self.vertices)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InterferenceGraph):
+            return NotImplemented
+        return self.vertices == other.vertices and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.rows))
+
+    def __repr__(self) -> str:
+        return f"InterferenceGraph(vertices={self.vertices!r}, edges={len(self.edges)})"
+
     def neighbors(self, v: CellIndex) -> frozenset[CellIndex]:
-        return self._adj[v]  # type: ignore[attr-defined]
+        vertices = self.vertices
+        return frozenset(vertices[q] for q in iter_bits(self.rows[self._index[v]]))
 
     def has_edge(self, a: CellIndex, b: CellIndex) -> bool:
-        return b in self._adj[a]  # type: ignore[attr-defined]
+        return bool(self.rows[self._index[a]] >> self._index[b] & 1)
 
     def vertex_position(self, v: CellIndex) -> int:
-        return self._index[v]  # type: ignore[attr-defined]
+        return self._index[v]
 
     def edge_index_pairs(self) -> list[tuple[int, int]]:
         """Edges as (lower, higher) vertex positions, sorted; solver input."""
-        index = self._index  # type: ignore[attr-defined]
-        pairs = []
-        for a, b in self.edges:
-            ia, ib = index[a], index[b]
-            pairs.append((ia, ib) if ia < ib else (ib, ia))
-        return sorted(pairs)
+        return [(p, q) for p, row in enumerate(self.rows) for q in iter_bits(row & -(2 << p))]
 
-
-def _normalized_edge(a: CellIndex, b: CellIndex, index: dict[CellIndex, int]) -> tuple[CellIndex, CellIndex]:
-    return (a, b) if index[a] < index[b] else (b, a)
+    @cached_property
+    def edges(self) -> frozenset[tuple[CellIndex, CellIndex]]:
+        """Edges as (lower, higher)-position cell pairs."""
+        vertices = self.vertices
+        return frozenset((vertices[p], vertices[q]) for p, q in self.edge_index_pairs())
 
 
 def build_interference_graph(
     lattice: Lattice, active_cells: Iterable[CellIndex] | None, metric_threshold: int
 ) -> InterferenceGraph:
-    """Graph on ``active_cells`` (default: every lattice cell).
+    """Graph on ``active_cells`` (default: every lattice cell), in lattice order.
 
     Edge iff metric(a, b) < metric_threshold; the strict comparison makes
     cells exactly at the reuse distance channel-compatible.
@@ -79,49 +131,46 @@ def build_interference_graph(
         for c in wanted:
             lattice.require(c)
         vertices = tuple(c for c in lattice.cells if c in wanted)
-    index = {v: k for k, v in enumerate(vertices)}
-    edges = set()
-    for p, a in enumerate(vertices):
-        for b in vertices[p + 1 :]:
-            if lattice_metric(a, b) < metric_threshold:
-                edges.add(_normalized_edge(a, b, index))
-    return InterferenceGraph(vertices=vertices, edges=frozenset(edges))
+    position = {(c.i, c.j): k for k, c in enumerate(vertices)}
+    offsets = interference_offsets(metric_threshold)
+    rows = []
+    for c in vertices:
+        i, j = c.i, c.j
+        row = 0
+        for di, dj in offsets:
+            q = position.get((i + di, j + dj))
+            if q is not None:
+                row |= 1 << q
+        rows.append(row)
+    return InterferenceGraph.from_rows(vertices, tuple(rows))
 
 
 def subgraph_on(graph: InterferenceGraph, keep: Iterable[CellIndex]) -> InterferenceGraph:
     """Induced subgraph, preserving the parent vertex order."""
+    index = graph._index
     keep_set = set(keep)
-    unknown = keep_set - set(graph.vertices)
+    unknown = [c for c in keep_set if c not in index]
     if unknown:
         raise ValueError(f"vertices not in graph: {sorted((c.i, c.j) for c in unknown)}")
-    vertices = tuple(v for v in graph.vertices if v in keep_set)
-    edges = frozenset((a, b) for a, b in graph.edges if a in keep_set and b in keep_set)
-    return InterferenceGraph(vertices=vertices, edges=edges)
+    kept = sorted(index[c] for c in keep_set)
+    local = {p: k for k, p in enumerate(kept)}
+    mask = sum(1 << p for p in kept)
+    rows = tuple(sum(1 << local[q] for q in iter_bits(graph.rows[p] & mask)) for p in kept)
+    return InterferenceGraph.from_rows(tuple(graph.vertices[p] for p in kept), rows)
 
 
 def connected_components(graph: InterferenceGraph) -> list[tuple[CellIndex, ...]]:
     """Components ordered by their first vertex, each in parent vertex order."""
-    seen: set[CellIndex] = set()
-    components = []
-    for start in graph.vertices:
-        if start in seen:
-            continue
-        stack = [start]
-        comp = set()
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(graph.neighbors(v) - comp)
-        seen |= comp
-        components.append(tuple(v for v in graph.vertices if v in comp))
-    return components
+    vertices = graph.vertices
+    full = (1 << len(vertices)) - 1
+    return [tuple(vertices[p] for p in iter_bits(comp)) for comp in component_masks(graph.rows, full)]
 
 
 def edge_list_text(graph: InterferenceGraph) -> str:
     """Plain-text edge list, one ``i1 j1 i2 j2`` line per edge."""
+    vertices = graph.vertices
     lines = []
-    for a, b in sorted(graph.edges, key=lambda e: (graph.vertex_position(e[0]), graph.vertex_position(e[1]))):
+    for p, q in graph.edge_index_pairs():
+        a, b = vertices[p], vertices[q]
         lines.append(f"{a.i} {a.j} {b.i} {b.j}")
     return "\n".join(lines) + ("\n" if lines else "")

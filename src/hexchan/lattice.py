@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import NotInLatticeError
 
@@ -178,16 +178,27 @@ def neighborhood_sets(lattice: Lattice, c: CellIndex, metric_threshold: int) -> 
     return NeighborhoodPartition(e_set=frozenset(e), f_set=frozenset(f), g_set=frozenset(g))
 
 
+def _window_offsets(metric_threshold: int) -> Iterator[tuple[int, int, int]]:
+    """Parity-valid (di, dj, metric) over the bounded integer window that
+    holds every displacement with metric <= ``metric_threshold``."""
+    bound = int(math.isqrt(metric_threshold)) + 1
+    for di in range(-bound, bound + 1):
+        for dj in range(-bound, bound + 1):
+            if (di + dj) % 2 == 0:
+                yield di, dj, 3 * di * di + dj * dj
+
+
 def boundary_f_offsets(metric_threshold: int) -> tuple[tuple[int, int], ...]:
     """All (di, dj) displacements at exactly the given metric.
 
     Solved by direct enumeration over the bounded integer window; at the
     thresholds 16 and 12 this yields the six-displacement reuse rings.
     """
-    sols = []
-    bound = int(math.isqrt(metric_threshold)) + 1
-    for di in range(-bound, bound + 1):
-        for dj in range(-bound, bound + 1):
-            if (di + dj) % 2 == 0 and 3 * di * di + dj * dj == metric_threshold:
-                sols.append((di, dj))
-    return tuple(sorted(sols))
+    return tuple(sorted((di, dj) for di, dj, m in _window_offsets(metric_threshold) if m == metric_threshold))
+
+
+def interference_offsets(metric_threshold: int) -> tuple[tuple[int, int], ...]:
+    """All nonzero (di, dj) displacements strictly inside the given metric:
+    the cells a cell interferes with, relative to it (12 for control, 6 for
+    data)."""
+    return tuple(sorted((di, dj) for di, dj, m in _window_offsets(metric_threshold) if 0 < m < metric_threshold))

@@ -54,12 +54,7 @@ def color_lattice_graph(lattice: Lattice, kind: str, vertex_cap: int = DEFAULT_V
     return pattern_coloring(lattice, kind)
 
 
-def allocate_control(
-    lattice: Lattice, plan: ChannelPlan, vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> dict[CellIndex, LogicalChannel]:
-    """Assign one control channel per cell; color class k gets the k-th
-    control channel in (phy, code) order."""
-    coloring = color_lattice_graph(lattice, CONTROL, vertex_cap)
+def _control_channels(coloring: Coloring, plan: ChannelPlan) -> dict[CellIndex, LogicalChannel]:
     channels = plan.ordered_control()
     if coloring.num_colors > len(channels):
         raise InsufficientSpectrumError(
@@ -68,11 +63,7 @@ def allocate_control(
     return {cell: channels[color] for cell, color in coloring.assignment.items()}
 
 
-def allocate_static_data(
-    lattice: Lattice, plan: ChannelPlan, vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> tuple[dict[CellIndex, tuple[LogicalChannel, ...]], int]:
-    """Per-cell data-channel groups and the uniform group size k_static."""
-    coloring = color_lattice_graph(lattice, DATA, vertex_cap)
+def _data_groups(coloring: Coloring, plan: ChannelPlan) -> tuple[dict[CellIndex, tuple[LogicalChannel, ...]], int]:
     ordered = plan.ordered_data()
     chi = coloring.num_colors
     if chi == 0:
@@ -82,6 +73,21 @@ def allocate_static_data(
         raise InsufficientSpectrumError(f"need at least {chi} data channels, plan has {len(ordered)}")
     groups, _ = partition_channels(ordered, chi, k_static)
     return {cell: groups[color] for cell, color in coloring.assignment.items()}, k_static
+
+
+def allocate_control(
+    lattice: Lattice, plan: ChannelPlan, vertex_cap: int = DEFAULT_VERTEX_CAP
+) -> dict[CellIndex, LogicalChannel]:
+    """Assign one control channel per cell; color class k gets the k-th
+    control channel in (phy, code) order."""
+    return _control_channels(color_lattice_graph(lattice, CONTROL, vertex_cap), plan)
+
+
+def allocate_static_data(
+    lattice: Lattice, plan: ChannelPlan, vertex_cap: int = DEFAULT_VERTEX_CAP
+) -> tuple[dict[CellIndex, tuple[LogicalChannel, ...]], int]:
+    """Per-cell data-channel groups and the uniform group size k_static."""
+    return _data_groups(color_lattice_graph(lattice, DATA, vertex_cap), plan)
 
 
 def allocate_static(
@@ -99,12 +105,12 @@ def allocate_static(
     control_coloring = color_lattice_graph(lattice, CONTROL, vertex_cap)
     data_coloring = color_lattice_graph(lattice, DATA, vertex_cap)
     try:
-        control = allocate_control(lattice, plan, vertex_cap)
+        control = _control_channels(control_coloring, plan)
     except InsufficientSpectrumError:
         if require_control:
             raise
         control = None
-    data_groups, k_static = allocate_static_data(lattice, plan, vertex_cap)
+    data_groups, k_static = _data_groups(data_coloring, plan)
     ordered = plan.ordered_data()
     unassigned = ordered[k_static * data_coloring.num_colors :] if data_coloring.num_colors else ordered
     return StaticAllocation(

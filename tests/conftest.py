@@ -1,9 +1,31 @@
+import random
 from pathlib import Path
 
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO_ROOT / "configs"
+TEST_CONFIG_DIR = Path(__file__).resolve().parent / "configs"
+
+
+def roadmap_config(n: int, bomax: int = 10, domain: str = "US") -> dict:
+    """Full index window N with one PAN per cell in row-major order, drawn
+    with ``random.Random(1)``: per cell bo = randint(2, bomax), so =
+    randint(0, bo), phase = randint(0, 3)."""
+    rng = random.Random(1)
+    superframes = []
+    for j in range(-n, n + 1):
+        for i in range(-n, n + 1):
+            if (i + j) % 2:
+                continue
+            bo = rng.randint(2, bomax)
+            so = rng.randint(0, bo)
+            superframes.append({"cell": [i, j], "SO": so, "BO": bo, "phase": rng.randint(0, 3)})
+    return {
+        "lattice": {"index_bound_N": n, "radius_R": 1.0, "origin": [0.0, 0.0]},
+        "domain": domain,
+        "superframes": superframes,
+    }
 
 
 @pytest.fixture(scope="session")

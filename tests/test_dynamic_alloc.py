@@ -1,8 +1,12 @@
+import csv
 import json
 import random
 
 import pytest
+from conftest import roadmap_config
 
+from hexchan.cli import main
+from hexchan.coloring import DEFAULT_VERTEX_CAP, chromatic_coloring, data_graph_coloring, verify_coloring
 from hexchan.config import load_config
 from hexchan.dynamic_alloc import (
     SuperframeConfig,
@@ -12,10 +16,11 @@ from hexchan.dynamic_alloc import (
     allocation_csv,
     allocation_json_doc,
     cycle_structure,
+    is_active,
 )
 from hexchan.errors import InvalidSuperframeError, NotInLatticeError
-from hexchan.interference import build_interference_graph
-from hexchan.lattice import DATA_REUSE_METRIC, CellIndex, build_lattice, lattice_metric
+from hexchan.interference import build_interference_graph, connected_components, subgraph_on
+from hexchan.lattice import DATA_REUSE_METRIC, CellIndex, build_lattice, lattice_from_cells, lattice_metric
 from hexchan.spectrum import EUROPE, channel_plan, default_domain
 from hexchan.static_alloc import allocate_static_data
 
@@ -88,6 +93,19 @@ def test_activity_row_sums():
     for k, cfg in enumerate(cfgs):
         expected = (cfg.sd // cs.sd_min) * (cs.bi_maj // cfg.bi)
         assert sum(act.active[k]) == expected
+
+
+def test_activity_matrix_matches_is_active():
+    # rows are tiled from one period; cover cycle counts that cut a period
+    rng = random.Random(5)
+    cfgs = []
+    for cell in build_lattice(2, 1.0).cells:
+        bo = rng.randint(0, 6)
+        cfgs.append(SF(pan_cell=cell, so=rng.randint(0, bo), bo=bo, phase=rng.randint(0, 70)))
+    cs = cycle_structure(cfgs)
+    for num_cycles in (0, 1, 37, cs.u_cycles, 2 * cs.u_cycles + 5):
+        act = activity_matrix(cfgs, cs, num_cycles)
+        assert act.active == tuple(tuple(is_active(cfg, t, cs.sd_min) for t in range(num_cycles)) for cfg in cfgs)
 
 
 def test_phase_shifts_activity():
@@ -236,3 +254,83 @@ def test_exports_parse(reference):
     assert doc["u_cycles"] == 32
     assert len(doc["pans"]) == 12
     assert len(doc["pans"][0]["channels_per_cycle"]) == 32
+
+
+def test_allocation_carries_its_activity_matrix(reference):
+    lattice, configs, plan = reference
+    alloc = allocate_dynamic(lattice, configs, plan)
+    assert alloc.activity == activity_matrix(configs, cycle_structure(configs))
+
+
+def all_on_n6_config():
+    doc = roadmap_config(6)
+    for sf in doc["superframes"]:
+        sf.update(SO=1, BO=2, phase=0)
+    return doc
+
+
+@pytest.mark.parametrize("make_doc", [lambda: roadmap_config(6), all_on_n6_config], ids=["roadmap-n6", "n6-so1-bo2"])
+def test_components_above_solver_cap(tmp_path, make_doc):
+    # N = 6 has 85 PANs; both configs have active components above the
+    # exact solver's 64-vertex cap
+    config = tmp_path / "n6.json"
+    config.write_text(json.dumps(make_doc()), encoding="utf-8")
+    for command in ("dynamic", "evaluate"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 0
+    grants: dict[int, dict[tuple[int, int], set[str]]] = {}
+    with (tmp_path / "dynamic" / "dynamic_allocation.csv").open(newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            if row["active"] == "1":
+                cell = (int(row["pan_i"]), int(row["pan_j"]))
+                grants.setdefault(int(row["cycle"]), {})[cell] = set(row["channels"].split())
+    largest = 0
+    for active in grants.values():
+        lat = lattice_from_cells([C(i, j) for i, j in active], 1.0)
+        for comp in connected_components(build_interference_graph(lat, None, DATA_REUSE_METRIC)):
+            largest = max(largest, len(comp))
+        for a, channels_a in active.items():
+            assert channels_a
+            for b, channels_b in active.items():
+                if a < b and lattice_metric(C(*a), C(*b)) < DATA_REUSE_METRIC:
+                    assert not channels_a & channels_b
+    assert largest > DEFAULT_VERTEX_CAP
+
+
+def window_graphs(n):
+    lat = build_lattice(n, 1.0)
+    rng = random.Random(n)
+    for keep in (lat.cells, rng.sample(lat.cells, len(lat) // 2)):
+        yield build_interference_graph(lat, keep, DATA_REUSE_METRIC)
+
+
+def line_graph(length):
+    # a straight line of cells is a path: bipartite, though the data pattern gives it 3 colors
+    lat = lattice_from_cells([C(0, 2 * k) for k in range(length)], 1.0)
+    return build_interference_graph(lat, None, DATA_REUSE_METRIC)
+
+
+@pytest.mark.parametrize(
+    "graphs",
+    [window_graphs(1), window_graphs(2), window_graphs(3), window_graphs(6), [line_graph(5)]],
+    ids=["n1", "n2", "n3", "n6", "line"],
+)
+def test_data_graph_coloring_is_minimal(graphs):
+    for graph in graphs:
+        for comp in connected_components(graph):
+            sub = subgraph_on(graph, comp)
+            fast = data_graph_coloring(sub)
+            assert verify_coloring(sub, fast)
+            if len(sub) <= DEFAULT_VERTEX_CAP:
+                exact = chromatic_coloring(sub)
+                assert fast.num_colors == exact.num_colors
+                if exact.num_colors <= 2:
+                    assert fast == exact  # a connected bipartite graph has one canonical 2-coloring
+            else:
+                assert fast.num_colors <= 3
+
+
+def test_data_graph_coloring_above_solver_cap():
+    line = line_graph(70)
+    assert data_graph_coloring(line).assignment == {cell: k % 2 for k, cell in enumerate(line.vertices)}
+    window = build_interference_graph(build_lattice(6, 1.0), None, DATA_REUSE_METRIC)
+    assert data_graph_coloring(window).num_colors == 3

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hexchan.errors import NotInLatticeError
@@ -119,3 +121,16 @@ def test_edge_list_text_format():
     for line in lines:
         i1, j1, i2, j2 = (int(tok) for tok in line.split())
         assert lattice_metric(C(i1, j1), C(i2, j2)) < DATA_REUSE_METRIC
+
+
+@pytest.mark.parametrize("threshold", [1, 4, 12, 16, 28, 49])
+def test_offset_build_matches_pair_scan(threshold):
+    rng = random.Random(threshold)
+    lat = build_lattice(5, 1.0)
+    cells = rng.sample(lat.cells, 40)
+    g = build_interference_graph(lat, cells, threshold)
+    scanned = {
+        frozenset((a, b)) for k, a in enumerate(cells) for b in cells[k + 1 :] if lattice_metric(a, b) < threshold
+    }
+    assert {frozenset(e) for e in g.edges} == scanned
+    assert g.vertices == tuple(c for c in lat.cells if c in set(cells))

@@ -1,5 +1,8 @@
 import pytest
 
+from hexchan import static_alloc
+from hexchan.coloring import chromatic_coloring
+from hexchan.config import load_config
 from hexchan.errors import InsufficientSpectrumError
 from hexchan.interference import build_interference_graph
 from hexchan.lattice import (
@@ -175,3 +178,17 @@ def test_static_csv_round_trip(europe_plan):
     for line in lines[1:]:
         fields = line.split(",")
         assert len(fields) == len(header)
+
+
+def test_allocate_static_solves_each_lattice_coloring_once(monkeypatch, reference_config_path):
+    cfg = load_config(reference_config_path)
+    solved = []
+
+    def counting(graph, *args, **kwargs):
+        solved.append(len(graph))
+        return chromatic_coloring(graph, *args, **kwargs)
+
+    monkeypatch.setattr(static_alloc, "chromatic_coloring", counting)
+    alloc = allocate_static(cfg.lattice, cfg.plan(), require_control=False)
+    assert solved == [12, 12]
+    assert (alloc.chi_control, alloc.chi_data) == (4, 3)
