@@ -8,7 +8,6 @@ single-channel vs. static vs. dynamic multi-channel operation.
 
 from .coloring import (
     Coloring,
-    backend_name,
     brute_force_chromatic,
     chromatic_coloring,
     clique_lower_bound,
@@ -82,7 +81,6 @@ __all__ = [
     "allocate_dynamic",
     "allocate_static",
     "allocate_static_data",
-    "backend_name",
     "brute_force_chromatic",
     "build_interference_graph",
     "build_lattice",

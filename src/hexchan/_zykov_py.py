@@ -1,7 +1,4 @@
-"""Pure-Python exact coloring kernel: Zykov branch and bound over bitsets.
-
-This is the fallback for the compiled kernel in ``_zykov``; both implement
-the identical deterministic search so their results are interchangeable.
+"""Exact coloring kernel: Zykov branch and bound over bitsets.
 
 The search state is the contracted graph: adjacency rows as arbitrary-size
 int bitmasks over "super-vertices", an active-vertex mask, and a map from

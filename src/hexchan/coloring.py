@@ -1,16 +1,13 @@
 """Vertex coloring: exact minimum coloring, closed-form periodic colorings,
 validity checks, and the brute-force oracle used by the tests.
 
-The exact solver runs on a compiled kernel when the extension built; set
-``HEXCHAN_PURE_PYTHON=1`` to force the pure-Python fallback.  Both kernels
-implement the identical deterministic search, so results do not depend on
-which one is active.
+The exact solver is the deterministic Zykov branch and bound in
+``_zykov_py``; it refuses graphs above ``DEFAULT_VERTEX_CAP`` vertices.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -19,24 +16,11 @@ from .errors import IncompleteColoringError, SizeLimitError
 from .interference import InterferenceGraph, iter_bits
 from .lattice import CellIndex, Lattice
 
-try:
-    from . import _zykov as _zykov_c  # compiled kernel, optional
-except ImportError:
-    _zykov_c = None
-
-_FORCE_PURE = bool(os.environ.get("HEXCHAN_PURE_PYTHON"))
-_kernel = _zykov_py if (_zykov_c is None or _FORCE_PURE) else _zykov_c
-
 # Zykov search is exponential; refuse huge graphs instead of hanging.
 DEFAULT_VERTEX_CAP = 64
 
 CONTROL = "control"
 DATA = "data"
-
-
-def backend_name() -> str:
-    """Which exact-solver kernel is active: ``compiled`` or ``python``."""
-    return "python" if _kernel is _zykov_py else "compiled"
 
 
 @dataclass(frozen=True)
@@ -73,8 +57,7 @@ def chromatic_coloring(graph: InterferenceGraph, vertex_cap: int = DEFAULT_VERTE
             f"{n} vertices exceeds the exact-solver cap of {vertex_cap}; "
             "use pattern_coloring or pass a larger vertex_cap"
         )
-    labels = _kernel.solve(n, graph.edge_index_pairs())
-    return _canonical(graph.vertices, list(labels))
+    return _canonical(graph.vertices, _zykov_py.solve(n, graph.edge_index_pairs()))
 
 
 def clique_lower_bound(graph: InterferenceGraph) -> int:

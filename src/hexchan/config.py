@@ -35,6 +35,9 @@ from .spectrum import (
     default_domain,
 )
 
+# Largest lattice a config may describe; the full window N = 70 has 9941 cells.
+MAX_CELLS = 10_000
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -96,6 +99,8 @@ def _parse_lattice(doc) -> Lattice:
         raw = _expect(section, "cells", list, "lattice.cells")
         if not raw:
             raise ConfigError("cell list must be non-empty", field="lattice.cells")
+        if len(raw) > MAX_CELLS:
+            raise ConfigError(f"{len(raw)} cells exceed the limit of {MAX_CELLS}", field="lattice.cells")
         cells = [_parse_cell(c, f"lattice.cells[{k}]") for k, c in enumerate(raw)]
         if len(set(cells)) != len(cells):
             raise ConfigError("duplicate cells", field="lattice.cells")
@@ -103,6 +108,11 @@ def _parse_lattice(doc) -> Lattice:
     bound = _expect(section, "index_bound_N", int, "lattice.index_bound_N")
     if bound < 0:
         raise ConfigError("must be non-negative", field="lattice.index_bound_N")
+    num_cells = 2 * bound * bound + 2 * bound + 1
+    if num_cells > MAX_CELLS:
+        raise ConfigError(
+            f"window of {num_cells} cells exceeds the limit of {MAX_CELLS}", field="lattice.index_bound_N"
+        )
     return build_lattice(bound, radius_r=float(radius), origin=origin)
 
 

@@ -26,12 +26,17 @@ from .lattice import DATA_REUSE_METRIC, CellIndex, Lattice
 from .spectrum import ChannelPlan, LogicalChannel, partition_channels
 
 
+# IEEE 802.15.4 beacon-enabled mode: 0 <= SO <= BO <= 14.
+MAX_BEACON_ORDER = 14
+
+
 @dataclass(frozen=True)
 class SuperframeConfig:
     """One PAN's duty cycle: cell, superframe order SO, beacon order BO.
 
-    ``phase`` shifts the start of the beacon interval, in elementary time
-    units; zero means all PANs start together (the worst case).
+    ``phase`` shifts the start of the beacon interval, in base superframe
+    units (the unit of SD and BI, not the elementary cycle); zero means all
+    PANs start together (the worst case).
     """
 
     pan_cell: CellIndex
@@ -42,6 +47,10 @@ class SuperframeConfig:
     def __post_init__(self) -> None:
         if self.so < 0 or self.bo < 0 or self.phase < 0:
             raise InvalidSuperframeError("SO, BO and phase must be non-negative")
+        if max(self.so, self.bo) > MAX_BEACON_ORDER:
+            raise InvalidSuperframeError(
+                f"SO={self.so}, BO={self.bo}: superframe and beacon orders are limited to 0..{MAX_BEACON_ORDER}"
+            )
         if self.so > self.bo:
             raise InvalidSuperframeError(
                 f"SO={self.so} exceeds BO={self.bo}: active period must fit in the beacon interval"
@@ -133,7 +142,6 @@ def allocate_dynamic(
     configs: Sequence[SuperframeConfig],
     plan: ChannelPlan,
     num_cycles: int | None = None,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> AllocationMatrix:
     """Per-PAN per-cycle channel groups over one major cycle.
 
@@ -141,8 +149,8 @@ def allocate_dynamic(
     graph is colored with the fewest colors; a PAN in a component needing
     chi colors gets the group of |data| // chi channels matching its color.
     PANs in different components may share channels, they are out of range
-    of each other.  Components of at most ``vertex_cap`` PANs are colored
-    by the exact solver, larger ones by ``data_graph_coloring``.
+    of each other.  Components of at most ``DEFAULT_VERTEX_CAP`` PANs are
+    colored by the exact solver, larger ones by ``data_graph_coloring``.
 
     The work runs in index space: one adjacency bitmask row per PAN
     position, one bitmask of active positions per cycle.  Two memos live
@@ -193,8 +201,8 @@ def allocate_dynamic(
             shape = shape_memo.get(key)
             if shape is None:
                 sub = subgraph_on(graph, [graph.vertices[p] for p in positions])
-                if len(positions) <= vertex_cap:
-                    coloring = chromatic_coloring(sub, vertex_cap=vertex_cap)
+                if len(positions) <= DEFAULT_VERTEX_CAP:
+                    coloring = chromatic_coloring(sub)
                 else:
                     coloring = data_graph_coloring(sub)
                 shape = (coloring.num_colors, tuple(coloring.assignment[v] for v in sub.vertices))

@@ -44,13 +44,12 @@ class StaticAllocation:
     unassigned: tuple[LogicalChannel, ...]
 
 
-def color_lattice_graph(lattice: Lattice, kind: str, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Coloring:
-    """Color the lattice's interference graph: exact when small enough,
-    the closed-form pattern otherwise."""
+def color_lattice_graph(lattice: Lattice, kind: str) -> Coloring:
+    """Color the lattice's interference graph: exact up to the solver's
+    vertex cap, the closed-form pattern above it."""
     threshold = CONTROL_REUSE_METRIC if kind == CONTROL else DATA_REUSE_METRIC
-    if len(lattice) <= vertex_cap:
-        graph = build_interference_graph(lattice, None, threshold)
-        return chromatic_coloring(graph, vertex_cap=vertex_cap)
+    if len(lattice) <= DEFAULT_VERTEX_CAP:
+        return chromatic_coloring(build_interference_graph(lattice, None, threshold))
     return pattern_coloring(lattice, kind)
 
 
@@ -75,35 +74,28 @@ def _data_groups(coloring: Coloring, plan: ChannelPlan) -> tuple[dict[CellIndex,
     return {cell: groups[color] for cell, color in coloring.assignment.items()}, k_static
 
 
-def allocate_control(
-    lattice: Lattice, plan: ChannelPlan, vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> dict[CellIndex, LogicalChannel]:
+def allocate_control(lattice: Lattice, plan: ChannelPlan) -> dict[CellIndex, LogicalChannel]:
     """Assign one control channel per cell; color class k gets the k-th
     control channel in (phy, code) order."""
-    return _control_channels(color_lattice_graph(lattice, CONTROL, vertex_cap), plan)
+    return _control_channels(color_lattice_graph(lattice, CONTROL), plan)
 
 
 def allocate_static_data(
-    lattice: Lattice, plan: ChannelPlan, vertex_cap: int = DEFAULT_VERTEX_CAP
+    lattice: Lattice, plan: ChannelPlan
 ) -> tuple[dict[CellIndex, tuple[LogicalChannel, ...]], int]:
     """Per-cell data-channel groups and the uniform group size k_static."""
-    return _data_groups(color_lattice_graph(lattice, DATA, vertex_cap), plan)
+    return _data_groups(color_lattice_graph(lattice, DATA), plan)
 
 
-def allocate_static(
-    lattice: Lattice,
-    plan: ChannelPlan,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-    require_control: bool = True,
-) -> StaticAllocation:
+def allocate_static(lattice: Lattice, plan: ChannelPlan, require_control: bool = True) -> StaticAllocation:
     """Control assignment and static data groups in one report-ready record.
 
     With ``require_control=False`` a control set smaller than the control
     chromatic number yields ``control=None`` instead of an error, so the
     data side can still be reported.
     """
-    control_coloring = color_lattice_graph(lattice, CONTROL, vertex_cap)
-    data_coloring = color_lattice_graph(lattice, DATA, vertex_cap)
+    control_coloring = color_lattice_graph(lattice, CONTROL)
+    data_coloring = color_lattice_graph(lattice, DATA)
     try:
         control = _control_channels(control_coloring, plan)
     except InsufficientSpectrumError:

@@ -1,10 +1,17 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import pytest
+
+import hexchan
 from hexchan.cli import main
+from hexchan.config import MAX_CELLS, load_config
+from hexchan.errors import ConfigError
 
 
 def write_config(tmp_path: Path, doc: dict, name="scenario.json") -> Path:
@@ -128,6 +135,57 @@ def test_dynamic_requires_superframes(tmp_path):
     assert main(["dynamic", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
+def one_pan_doc(so, bo):
+    doc = minimal_lattice_doc(0)
+    doc["superframes"] = [{"cell": [0, 0], "SO": so, "BO": bo}]
+    return doc
+
+
+def refuse_to_run(*args, **kwargs):
+    raise AssertionError("a rejected config got past validation")
+
+
+@pytest.mark.parametrize("so, bo", [(0, 40), (15, 15), (15, 4)])
+def test_dynamic_rejects_orders_above_14(tmp_path, capsys, monkeypatch, so, bo):
+    monkeypatch.setattr("hexchan.cli.allocate_dynamic", refuse_to_run)
+    cfg = write_config(tmp_path, one_pan_doc(so, bo))
+    assert main(["dynamic", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "superframes[0]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_dynamic_accepts_beacon_order_14(tmp_path):
+    cfg = write_config(tmp_path, one_pan_doc(12, 14))
+    out = tmp_path / "out"
+    assert main(["dynamic", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "dynamic_summary.json").read_text())
+    assert summary["bi_maj"] == 1 << 14 and summary["u_cycles"] == 4
+
+
+@pytest.mark.parametrize("command", ["lattice", "dynamic"])
+def test_huge_index_bound_exits_1_before_building(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr("hexchan.config.build_lattice", refuse_to_run)
+    doc = minimal_lattice_doc(10**8)
+    doc["superframes"] = [{"cell": [0, 0], "SO": 0, "BO": 1}]
+    cfg = write_config(tmp_path, doc)
+    start = time.perf_counter()
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - start < 5.0
+    assert "lattice.index_bound_N" in capsys.readouterr().err
+
+
+def test_lattice_cell_limit(tmp_path):
+    # N = 70 is the largest window under 10 000 cells (9941); N = 71 has 10 225
+    assert len(load_config(write_config(tmp_path, minimal_lattice_doc(70))).lattice) == 9941
+    with pytest.raises(ConfigError, match="10225 cells"):
+        load_config(write_config(tmp_path, minimal_lattice_doc(71)))
+    cells = [[i, j] for i in range(-101, 101) for j in range(-101, 101) if (i + j) % 2 == 0]
+    assert len(cells) > MAX_CELLS
+    doc = {"lattice": {"cells": cells[: MAX_CELLS + 1], "radius_R": 1.0}}
+    with pytest.raises(ConfigError, match="lattice.cells"):
+        load_config(write_config(tmp_path, doc))
+
+
 def test_dynamic_all_active_matches_static_groups(tmp_path):
     doc = {
         "lattice": {"index_bound_N": 1, "radius_R": 1.0},
@@ -196,10 +254,14 @@ def test_repeat_runs_are_byte_identical(tmp_path, reference_config_path, block_c
 
 def test_console_entry_point(tmp_path, reference_config_path):
     out = tmp_path / "out"
+    # the child imports the package under test, installed or not
+    package_root = str(Path(hexchan.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "hexchan.cli", "static", "--config", str(reference_config_path), "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "static_summary.json" in proc.stdout

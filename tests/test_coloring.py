@@ -2,11 +2,9 @@ import random
 
 import pytest
 
-from hexchan import _zykov_py
 from hexchan.coloring import (
     CONTROL,
     DATA,
-    backend_name,
     brute_force_chromatic,
     chromatic_coloring,
     clique_lower_bound,
@@ -205,18 +203,3 @@ def test_coloring_csv_format():
     assert lines[0] == "i,j,color"
     assert len(lines) == 8
 
-
-def test_backends_agree():
-    try:
-        from hexchan import _zykov
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(4242)
-    for _ in range(150):
-        n = rng.randint(0, 13)
-        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4]
-        assert list(_zykov.solve(n, edges)) == list(_zykov_py.solve(n, edges))
-
-
-def test_backend_name_reports_active_kernel():
-    assert backend_name() in ("compiled", "python")

@@ -44,8 +44,12 @@ def test_superframe_validation():
         SF(pan_cell=C(0, 0), so=3, bo=2)
     with pytest.raises(InvalidSuperframeError):
         SF(pan_cell=C(0, 0), so=-1, bo=2)
+    for so, bo in [(0, 15), (0, 40), (15, 15)]:
+        with pytest.raises(InvalidSuperframeError, match="0..14"):
+            SF(pan_cell=C(0, 0), so=so, bo=bo)
     cfg = SF(pan_cell=C(0, 0), so=2, bo=5)
     assert cfg.sd == 4 and cfg.bi == 32
+    assert SF(pan_cell=C(0, 0), so=14, bo=14).bi == 1 << 14
 
 
 def test_cycle_structure_single_pan():
@@ -114,6 +118,16 @@ def test_phase_shifts_activity():
     act = activity_matrix(cfgs, cs)
     assert [t for t in range(4) if act.active[0][t]] == [1]
     assert [t for t in range(4) if act.active[1][t]] == [0]
+
+
+def test_phase_counts_base_superframe_units():
+    # SD_min = 2: an elementary cycle spans two base superframe units, so a
+    # phase of 2 units moves the PAN one cycle on; read as 2 elementary
+    # cycles it would be a full BI = 4 units, the same as phase 0
+    cfgs = [SF(pan_cell=C(0, 0), so=1, bo=2, phase=0), SF(pan_cell=C(1, 1), so=1, bo=2, phase=2)]
+    cs = cycle_structure(cfgs)
+    assert (cs.sd_min, cs.u_cycles) == (2, 2)
+    assert activity_matrix(cfgs, cs).active == ((True, False), (False, True))
 
 
 def test_reference_scenario_channel_counts(reference):
