@@ -39,9 +39,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# Reports are written in slices of this many characters, so encoding one never
+# holds a second full copy of it in memory.
+_WRITE_CHUNK = 1 << 20
+
+
 def _write(out_dir: Path, name: str, text: str) -> None:
     path = out_dir / name
-    path.write_text(text, encoding="utf-8", newline="")
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        for start in range(0, len(text), _WRITE_CHUNK):
+            fh.write(text[start : start + _WRITE_CHUNK])
     print(f"wrote {path}")
 
 

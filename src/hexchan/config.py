@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dynamic_alloc import SuperframeConfig
+from .dynamic_alloc import SuperframeConfig, cycle_structure
 from .errors import ConfigError, HexchanError
 from .evaluate import RequestScenario
 from .lattice import CellIndex, Lattice, build_lattice, lattice_from_cells
@@ -37,6 +37,10 @@ from .spectrum import (
 
 # Largest lattice a config may describe; the full window N = 70 has 9941 cells.
 MAX_CELLS = 10_000
+# Largest number of (PAN, elementary cycle) entries, PANs x U, a config may
+# ask for.  Each entry is a row of the dynamic and evaluation reports; at this
+# limit `hexchan dynamic` peaks near 200 MB (see CHANGES.md).
+MAX_PAN_CYCLES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -166,6 +170,13 @@ def _parse_superframes(doc, lattice: Lattice):
             configs.append(SuperframeConfig(pan_cell=cell, so=so, bo=bo, phase=phase))
         except HexchanError as exc:
             raise ConfigError(str(exc), field=field) from None
+    u_cycles = cycle_structure(configs).u_cycles
+    if len(configs) * u_cycles > MAX_PAN_CYCLES:
+        raise ConfigError(
+            f"{len(configs)} PANs x {u_cycles} elementary cycles = {len(configs) * u_cycles} "
+            f"(PAN, cycle) entries exceed the limit of {MAX_PAN_CYCLES}",
+            field="superframes",
+        )
     return tuple(configs)
 
 

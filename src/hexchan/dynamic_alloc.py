@@ -13,7 +13,6 @@ whole data set while busy cycles fall back to the static share.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import compress
@@ -243,58 +242,107 @@ def allocate_dynamic(
     )
 
 
+def _pan_texts(configs: Sequence[SuperframeConfig], suffix: str = "") -> list[tuple[str, str]]:
+    """Per PAN, its CSV fields "i,j,0" (idle) and "i,j,1" (active), each
+    followed by ``suffix``."""
+    return [tuple(f"{cfg.pan_cell.i},{cfg.pan_cell.j},{a}{suffix}" for a in (0, 1)) for cfg in configs]
+
+
 def activity_csv(configs: Sequence[SuperframeConfig], act: ActivityMatrix) -> str:
     """Long-form activity table; cycles are printed 1-based."""
+    # A line is "cycle," + "i,j,active", the PAN part rendered once per activity.
+    tails = _pan_texts(configs)
     lines = ["cycle,pan_i,pan_j,active"]
-    u = len(act.active[0]) if act.active else 0
-    for t in range(u):
-        for k, cfg in enumerate(configs):
-            cell = cfg.pan_cell
-            lines.append(f"{t + 1},{cell.i},{cell.j},{int(act.active[k][t])}")
+    for t, column in enumerate(zip(*act.active), 1):
+        head = f"{t},"
+        lines.extend(head + pan[active] for pan, active in zip(tails, column))
     return "\r\n".join(lines) + "\r\n"
+
+
+def _distinct_grants(alloc: AllocationMatrix) -> dict[int, tuple[LogicalChannel, ...]]:
+    """Every distinct grant object of ``alloc``, keyed by ``id``.
+
+    The grants are the shared channel groups of ``allocate_dynamic`` plus the
+    empty tuple, so there are few of them.  Keying by identity avoids hashing
+    tuples of channels; ``alloc`` keeps the objects alive, so the ids stay
+    valid while it does.
+    """
+    return {id(grant): grant for row in alloc.channels for grant in row}
 
 
 def allocation_csv(
     configs: Sequence[SuperframeConfig], act: ActivityMatrix, alloc: AllocationMatrix
 ) -> str:
     """Per-cycle per-PAN grants; ``chi`` is the cycle's chromatic number."""
+    # A line is "cycle," + "i,j,active," + "chi," + "k,tokens"; the PAN part is
+    # rendered once per PAN and activity, the grant part once per grant.
+    heads = _pan_texts(configs, ",")
+    tails = {
+        key: f"{len(grant)},{' '.join(ch.token() for ch in grant)}"
+        for key, grant in _distinct_grants(alloc).items()
+    }
     lines = ["cycle,pan_i,pan_j,active,chi,k,channels"]
-    u = len(alloc.per_cycle_chi)
-    for t in range(u):
-        for k, cfg in enumerate(configs):
-            cell = cfg.pan_cell
-            channels = alloc.channels[k][t]
-            tokens = " ".join(ch.token() for ch in channels)
-            lines.append(
-                f"{t + 1},{cell.i},{cell.j},{int(act.active[k][t])},"
-                f"{alloc.per_cycle_chi[t]},{len(channels)},{tokens}"
-            )
+    columns = zip(alloc.per_cycle_chi, zip(*act.active), zip(*alloc.channels))
+    for t, (chi, active_column, grant_column) in enumerate(columns, 1):
+        head = f"{t},"
+        chi_part = f"{chi},"
+        lines.extend(
+            head + pan[active] + chi_part + tails[id(grant)]
+            for pan, active, grant in zip(heads, active_column, grant_column)
+        )
     return "\r\n".join(lines) + "\r\n"
+
+
+def _json_array(items: Sequence[str], level: int) -> str:
+    """Pre-rendered ``items`` as a JSON array, laid out exactly as
+    ``json.dumps(..., indent=2)`` lays out an array nested ``level`` deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
 
 
 def allocation_json_doc(
     configs: Sequence[SuperframeConfig], cycles: CycleStructure, alloc: AllocationMatrix
 ) -> str:
-    """JSON mirror of the per-PAN per-cycle channel matrix."""
-    doc = {
-        "bi_maj": cycles.bi_maj,
-        "sd_min": cycles.sd_min,
-        "u_cycles": cycles.u_cycles,
-        "per_cycle_chi": list(alloc.per_cycle_chi),
-        "per_cycle_k": list(alloc.per_cycle_k),
-        "pans": [
-            {
-                "pan": k + 1,
-                "cell": [cfg.pan_cell.i, cfg.pan_cell.j],
-                "SO": cfg.so,
-                "BO": cfg.bo,
-                "phase": cfg.phase,
-                "channels_per_cycle": [
-                    [[ch.phy_channel, ch.code] for ch in alloc.channels[k][t]]
-                    for t in range(len(alloc.per_cycle_chi))
-                ],
-            }
-            for k, cfg in enumerate(configs)
-        ],
+    """JSON mirror of the per-PAN per-cycle channel matrix.
+
+    The text is ``json.dumps(doc, indent=2) + "\n"`` of the document
+    {bi_maj, sd_min, u_cycles, per_cycle_chi, per_cycle_k, pans: [{pan,
+    cell, SO, BO, phase, channels_per_cycle}]}, where a grant is a list of
+    [phy_channel, code] pairs.  It is written directly: each distinct grant
+    is rendered once at its nesting depth, and the result is one join over
+    the pieces, so no per-PAN copy of the text is made.  There is at least
+    one PAN and one cycle, as ``cycle_structure`` requires.
+    """
+
+    def ints(values: Sequence[int], level: int) -> str:
+        return _json_array([str(v) for v in values], level)
+
+    # A grant sits at depth 4 of channels_per_cycle; every grant but a row's
+    # last carries the separator to the next one.
+    last = {
+        key: _json_array([ints((ch.phy_channel, ch.code), 5) for ch in grant], 4)
+        for key, grant in _distinct_grants(alloc).items()
     }
-    return json.dumps(doc, indent=2) + "\n"
+    inner = {key: text + ",\n        " for key, text in last.items()}
+    parts = [
+        "{\n",
+        f'  "bi_maj": {cycles.bi_maj},\n',
+        f'  "sd_min": {cycles.sd_min},\n',
+        f'  "u_cycles": {cycles.u_cycles},\n',
+        f'  "per_cycle_chi": {ints(alloc.per_cycle_chi, 1)},\n',
+        f'  "per_cycle_k": {ints(alloc.per_cycle_k, 1)},\n',
+        '  "pans": [',
+    ]
+    for k, (cfg, row) in enumerate(zip(configs, alloc.channels)):
+        parts.append(
+            f'{"," if k else ""}\n    {{\n      "pan": {k + 1},\n'
+            f'      "cell": {ints((cfg.pan_cell.i, cfg.pan_cell.j), 3)},\n'
+            f'      "SO": {cfg.so},\n      "BO": {cfg.bo},\n      "phase": {cfg.phase},\n'
+            '      "channels_per_cycle": [\n        '
+        )
+        parts.extend(map(inner.__getitem__, map(id, row[:-1])))
+        parts.append(last[id(row[-1])] + "\n      ]\n    }")
+    parts.append("\n  ]\n}\n")
+    return "".join(parts)

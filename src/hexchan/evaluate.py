@@ -60,6 +60,8 @@ class SchemeReport:
     Keys of ``makespans``/``channel_counts`` are (pan index, cycle index),
     both 0-based, covering exactly the cycles where the PAN is active.
     ``delay_decrease`` is measured against the single-channel baseline.
+    Within one PAN, the channel count fixes the makespan and the delay
+    decrease, since the PAN serves the same requests in every cycle.
     """
 
     scheme: str
@@ -146,15 +148,23 @@ def compare_schemes(
 
 def scheme_report_csv(configs: Sequence[SuperframeConfig], reports: Sequence[SchemeReport]) -> str:
     """One row per scheme, PAN and active cycle; cycles and PANs 1-based."""
+    # A line is "scheme,pan,i,j," + "cycle," + "channels,makespan,delay".  The
+    # head is rendered once per scheme and PAN, the tail once per PAN and
+    # channel count, which fixes the PAN's makespan and delay decrease.
     lines = ["scheme,pan,pan_i,pan_j,cycle,channels,makespan_slots,delay_decrease_percent"]
     for report in reports:
-        for (pan, t) in sorted(report.makespans):
-            cell = configs[pan].pan_cell
-            lines.append(
-                f"{report.scheme},{pan + 1},{cell.i},{cell.j},{t + 1},"
-                f"{report.channel_counts[(pan, t)]},{report.makespans[(pan, t)]},"
-                f"{report.delay_decrease[(pan, t)]:.4f}"
-            )
+        heads = [
+            f"{report.scheme},{pan},{cfg.pan_cell.i},{cfg.pan_cell.j},"
+            for pan, cfg in enumerate(configs, 1)
+        ]
+        tails: dict[tuple[int, int], str] = {}
+        for key in sorted(report.makespans):
+            pan, t = key
+            count = report.channel_counts[key]
+            tail = tails.get((pan, count))
+            if tail is None:
+                tail = tails[(pan, count)] = f"{count},{report.makespans[key]},{report.delay_decrease[key]:.4f}"
+            lines.append(f"{heads[pan]}{t + 1},{tail}")
     return "\r\n".join(lines) + "\r\n"
 
 

@@ -7,11 +7,13 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import roadmap_config
 
 import hexchan
 from hexchan.cli import main
-from hexchan.config import MAX_CELLS, load_config
+from hexchan.config import MAX_CELLS, MAX_PAN_CYCLES, load_config
 from hexchan.errors import ConfigError
+from hexchan.lattice import build_lattice
 
 
 def write_config(tmp_path: Path, doc: dict, name="scenario.json") -> Path:
@@ -184,6 +186,37 @@ def test_lattice_cell_limit(tmp_path):
     doc = {"lattice": {"cells": cells[: MAX_CELLS + 1], "radius_R": 1.0}}
     with pytest.raises(ConfigError, match="lattice.cells"):
         load_config(write_config(tmp_path, doc))
+
+
+def deep_row_doc(pans):
+    """``pans`` PANs on one row of cells with U = 2^14: the first PAN runs
+    SO = 0, BO = 14, the others are always active (SO = BO = 14)."""
+    superframes = [{"cell": [2 * k, 0], "SO": 14, "BO": 14} for k in range(pans)]
+    superframes[0]["SO"] = 0
+    doc = {"lattice": {"cells": [sf["cell"] for sf in superframes], "radius_R": 1.0}, "domain": "US"}
+    doc["superframes"] = superframes
+    return doc
+
+
+def test_dynamic_rejects_pan_cycles_over_limit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("hexchan.cli.allocate_dynamic", refuse_to_run)
+    cfg = write_config(tmp_path, deep_row_doc(MAX_PAN_CYCLES // (1 << 14) + 1))
+    start = time.perf_counter()
+    assert main(["dynamic", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert "superframes" in err and f"limit of {MAX_PAN_CYCLES}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_pan_cycle_limit_admits_largest_configs(tmp_path):
+    at_limit = load_config(write_config(tmp_path, deep_row_doc(MAX_PAN_CYCLES // (1 << 14))))
+    assert len(at_limit.superframes) << 14 == MAX_PAN_CYCLES
+    # the largest benchmark deployments: 61 PANs x U = 1024 and 545 PANs x U = 128
+    assert len(load_config(write_config(tmp_path, roadmap_config(5))).superframes) == 61
+    wide = minimal_lattice_doc(16)
+    wide["superframes"] = [{"cell": [c.i, c.j], "SO": 0, "BO": 7} for c in build_lattice(16, 1.0).cells]
+    assert len(load_config(write_config(tmp_path, wide)).superframes) == 545
 
 
 def test_dynamic_all_active_matches_static_groups(tmp_path):
