@@ -19,6 +19,7 @@ A ``notes`` field is allowed anywhere and ignored.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,6 +80,19 @@ def _expect(mapping, key, kind, field, optional=False, default=None):
     return value
 
 
+def _finite_number(value, field) -> float:
+    """``value`` as a float; JSON admits NaN and Infinity, a config does not."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"expected a number, got {type(value).__name__}", field=field)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"must be a finite number, got {value!r}", field=field)
+    return number
+
+
 def _parse_cell(value, field) -> CellIndex:
     if not isinstance(value, list) or len(value) != 2 or not all(isinstance(k, int) for k in value):
         raise ConfigError("expected a two-integer [i, j] pair", field=field)
@@ -90,13 +104,15 @@ def _parse_cell(value, field) -> CellIndex:
 
 def _parse_lattice(doc) -> Lattice:
     section = _expect(doc, "lattice", dict, "lattice")
-    radius = _expect(section, "radius_R", (int, float), "lattice.radius_R")
+    if "radius_R" not in section:
+        raise ConfigError("missing required field", field="lattice.radius_R")
+    radius = _finite_number(section["radius_R"], "lattice.radius_R")
     if radius <= 0:
         raise ConfigError("must be positive", field="lattice.radius_R")
     origin_raw = section.get("origin", [0.0, 0.0])
     if not isinstance(origin_raw, list) or len(origin_raw) != 2:
         raise ConfigError("expected [x0, y0]", field="lattice.origin")
-    origin = (float(origin_raw[0]), float(origin_raw[1]))
+    origin = tuple(_finite_number(value, f"lattice.origin[{k}]") for k, value in enumerate(origin_raw))
     if "cells" in section and "index_bound_N" in section:
         raise ConfigError("give either index_bound_N or cells, not both", field="lattice")
     if "cells" in section:
@@ -108,7 +124,7 @@ def _parse_lattice(doc) -> Lattice:
         cells = [_parse_cell(c, f"lattice.cells[{k}]") for k, c in enumerate(raw)]
         if len(set(cells)) != len(cells):
             raise ConfigError("duplicate cells", field="lattice.cells")
-        return lattice_from_cells(cells, radius_r=float(radius), origin=origin)
+        return lattice_from_cells(cells, radius_r=radius, origin=origin)
     bound = _expect(section, "index_bound_N", int, "lattice.index_bound_N")
     if bound < 0:
         raise ConfigError("must be non-negative", field="lattice.index_bound_N")
@@ -117,7 +133,7 @@ def _parse_lattice(doc) -> Lattice:
         raise ConfigError(
             f"window of {num_cells} cells exceeds the limit of {MAX_CELLS}", field="lattice.index_bound_N"
         )
-    return build_lattice(bound, radius_r=float(radius), origin=origin)
+    return build_lattice(bound, radius_r=radius, origin=origin)
 
 
 def _parse_domain(doc) -> RegulatoryDomain:
@@ -190,16 +206,28 @@ def _parse_workload(doc, superframes) -> RequestScenario | None:
         entries = _expect(raw, "per_pan", list, "workload.per_pan")
         if not entries:
             raise ConfigError("must be non-empty", field="workload.per_pan")
+        pans = None if superframes is None else {cfg.pan_cell for cfg in superframes}
         per_pan = {}
         for k, entry in enumerate(entries):
             field = f"workload.per_pan[{k}]"
             if not isinstance(entry, dict):
                 raise ConfigError("expected an object", field=field)
             cell = _parse_cell(_expect(entry, "cell", list, f"{field}.cell"), f"{field}.cell")
+            if cell in per_pan:
+                raise ConfigError(f"duplicate PAN cell ({cell.i}, {cell.j})", field=f"{field}.cell")
+            if pans is not None and cell not in pans:
+                raise ConfigError(f"no superframe runs a PAN at cell ({cell.i}, {cell.j})", field=f"{field}.cell")
             slots = _expect(entry, "slots", list, f"{field}.slots")
             if not slots or not all(isinstance(s, int) and s > 0 for s in slots):
                 raise ConfigError("expected a non-empty list of positive integers", field=f"{field}.slots")
             per_pan[cell] = tuple(slots)
+        uncovered = [cfg.pan_cell for cfg in superframes or () if cfg.pan_cell not in per_pan]
+        if uncovered:
+            cell = uncovered[0]
+            raise ConfigError(
+                f"no entry for the PAN at cell ({cell.i}, {cell.j}); list every PAN exactly once",
+                field="workload.per_pan",
+            )
         return RequestScenario(per_pan=per_pan)
     count = _expect(raw, "requests_per_pan", int, "workload.requests_per_pan")
     slots = _expect(raw, "slots_per_request", int, "workload.slots_per_request")

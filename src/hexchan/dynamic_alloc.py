@@ -96,7 +96,7 @@ class AllocationMatrix:
     activity: ActivityMatrix
 
 
-# (chi, k, [(PAN index, grant)]) of one elementary cycle.
+# (chi, k, [(PAN index, grant)]) of one elementary cycle or one component.
 _CycleResult = tuple[int, int, list[tuple[int, tuple[LogicalChannel, ...]]]]
 
 
@@ -152,13 +152,16 @@ def allocate_dynamic(
     colored by the exact solver, larger ones by ``data_graph_coloring``.
 
     The work runs in index space: one adjacency bitmask row per PAN
-    position, one bitmask of active positions per cycle.  Two memos live
+    position, one bitmask of active positions per cycle.  Three memos live
     for the call.  A cycle whose active mask occurred before reuses that
-    cycle's result.  A component is keyed by its size and its edges as
-    sorted local index pairs in lattice order.  Equal keys (e.g. translated
-    components) are the same labeled graph, so they share one coloring; the
-    exact solver's labels depend on nothing but the key, so the memo leaves
-    every grant unchanged.
+    cycle's result.  A component whose position mask occurred before, in
+    any cycle, reuses its (chi, group size, [(PAN, grant)]).  A new
+    component is keyed by its size and its edges as sorted local index
+    pairs in lattice order; equal keys (e.g. translated components) are the
+    same labeled graph, so they share one coloring.  The exact solver's
+    labels depend on nothing but the key, so the memos leave every grant
+    unchanged.  A component with more colors than data channels raises
+    ``InsufficientSpectrumError`` naming the first cycle it is active in.
     """
     cells = [c.pan_cell for c in configs]
     for cell in cells:
@@ -182,7 +185,38 @@ def allocate_dynamic(
 
     groups_by_chi: dict[int, list[tuple[LogicalChannel, ...]]] = {}
     shape_memo: dict[tuple, tuple[int, tuple[int, ...]]] = {}
+    component_memo: dict[int, _CycleResult] = {}
     cycle_memo: dict[int, _CycleResult] = {}
+
+    def allocate_component(t: int, comp: int) -> _CycleResult:
+        """(chi, group size, [(PAN, grant)]) of the component whose positions are ``comp``."""
+        positions = list(iter_bits(comp))
+        local = {p: r for r, p in enumerate(positions)}
+        pairs = []
+        for r, p in enumerate(positions):
+            later = rows[p] & comp & -(2 << p)  # neighbors above position p
+            pairs.extend((r, local[q]) for q in iter_bits(later))
+        key = (len(positions), tuple(pairs))
+        shape = shape_memo.get(key)
+        if shape is None:
+            sub = subgraph_on(graph, [graph.vertices[p] for p in positions])
+            if len(positions) <= DEFAULT_VERTEX_CAP:
+                coloring = chromatic_coloring(sub)
+            else:
+                coloring = data_graph_coloring(sub)
+            shape = (coloring.num_colors, tuple(coloring.assignment[v] for v in sub.vertices))
+            shape_memo[key] = shape
+        chi, labels = shape
+        group_size = len(ordered_data) // chi
+        if group_size == 0:
+            raise InsufficientSpectrumError(
+                f"cycle {t + 1}: need {chi} data channels, plan has {len(ordered_data)}"
+            )
+        groups = groups_by_chi.get(chi)
+        if groups is None:
+            groups, _ = partition_channels(ordered_data, chi, group_size)
+            groups_by_chi[chi] = groups
+        return chi, group_size, [(pan_at[p], groups[label]) for p, label in zip(positions, labels)]
 
     def allocate_cycle(t: int, mask: int) -> _CycleResult:
         """(chi, k, [(PAN, grant)]) of the cycle whose active positions are ``mask``."""
@@ -190,33 +224,11 @@ def allocate_dynamic(
         k_t = 0
         cycle_grants = []
         for comp in component_masks(rows, mask):
-            positions = list(iter_bits(comp))
-            local = {p: r for r, p in enumerate(positions)}
-            pairs = []
-            for r, p in enumerate(positions):
-                later = rows[p] & comp & -(2 << p)  # neighbors above position p
-                pairs.extend((r, local[q]) for q in iter_bits(later))
-            key = (len(positions), tuple(pairs))
-            shape = shape_memo.get(key)
-            if shape is None:
-                sub = subgraph_on(graph, [graph.vertices[p] for p in positions])
-                if len(positions) <= DEFAULT_VERTEX_CAP:
-                    coloring = chromatic_coloring(sub)
-                else:
-                    coloring = data_graph_coloring(sub)
-                shape = (coloring.num_colors, tuple(coloring.assignment[v] for v in sub.vertices))
-                shape_memo[key] = shape
-            chi, labels = shape
-            group_size = len(ordered_data) // chi
-            if group_size == 0:
-                raise InsufficientSpectrumError(
-                    f"cycle {t + 1}: need {chi} data channels, plan has {len(ordered_data)}"
-                )
-            groups = groups_by_chi.get(chi)
-            if groups is None:
-                groups, _ = partition_channels(ordered_data, chi, group_size)
-                groups_by_chi[chi] = groups
-            cycle_grants.extend((pan_at[p], groups[label]) for p, label in zip(positions, labels))
+            result = component_memo.get(comp)
+            if result is None:
+                result = component_memo[comp] = allocate_component(t, comp)
+            chi, group_size, comp_grants = result
+            cycle_grants.extend(comp_grants)
             chi_t = max(chi_t, chi)
             k_t = max(k_t, group_size)
         return chi_t, k_t, cycle_grants

@@ -14,10 +14,10 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence
 
 from .errors import OrderingError
-from .dynamic_alloc import SuperframeConfig, allocate_dynamic
+from .dynamic_alloc import SuperframeConfig, allocate_dynamic, cycle_structure
 from .lattice import CellIndex, Lattice
 from .spectrum import ChannelPlan
 from .static_alloc import allocate_static_data
@@ -31,9 +31,6 @@ SCHEMES = (SINGLE, STATIC, DYNAMIC)
 # evaluation; reported alongside computed values, never substituted for
 # them (the Japan figure disagrees with that table's own channel count).
 REFERENCE_DYNAMIC_PEAKS = {"US": 28, "Japan": 18, "Europe": 14}
-
-T = TypeVar("T")
-
 
 @dataclass(frozen=True)
 class RequestScenario:
@@ -55,19 +52,23 @@ class RequestScenario:
 
 @dataclass(frozen=True)
 class SchemeReport:
-    """Makespans and delay gains of one scheme, per PAN and cycle.
+    """Channel counts, makespans and delay gains of one scheme, per PAN.
 
-    Keys of ``makespans``/``channel_counts`` are (pan index, cycle index),
-    both 0-based, covering exactly the cycles where the PAN is active.
-    ``delay_decrease`` is measured against the single-channel baseline.
-    Within one PAN, the channel count fixes the makespan and the delay
-    decrease, since the PAN serves the same requests in every cycle.
+    All sequences are indexed by the 0-based PAN index.  ``active_cycles[p]``
+    lists the 0-based cycles where PAN p is active, in increasing order; the
+    reports of one ``compare_schemes`` call share these tuples.
+    ``channel_counts[p][n]`` is the PAN's channel count in its n-th active
+    cycle (for dynamic, the size of the grant).  ``outcomes[p]`` maps every
+    count PAN p receives to (makespan in slots, delay decrease in percent
+    against the single-channel baseline): the PAN serves the same requests in
+    every active cycle, so its count fixes both.  ``max_channels[p]`` is its
+    largest count, 0 for a PAN that is never active.
     """
 
     scheme: str
-    makespans: dict[tuple[int, int], int]
-    channel_counts: dict[tuple[int, int], int]
-    delay_decrease: dict[tuple[int, int], float]
+    active_cycles: tuple[tuple[int, ...], ...]
+    channel_counts: tuple[tuple[int, ...], ...]
+    outcomes: tuple[dict[int, tuple[int, float]], ...]
     max_channels: dict[int, int]
 
 
@@ -106,41 +107,35 @@ def compare_schemes(
         raise ValueError(f"workload does not cover PAN ({cell.i}, {cell.j})")
     _, k_static = allocate_static_data(lattice, plan)
     dynamic = allocate_dynamic(lattice, configs, plan)
-    act = dynamic.activity
     u = len(dynamic.per_cycle_chi)
-
-    def channels_for(scheme: str, pan: int, cycle: int) -> int:
-        if scheme == SINGLE:
-            return 1
-        if scheme == STATIC:
-            return k_static
-        return len(dynamic.channels[pan][cycle])
+    active_cycles = tuple(tuple(compress(range(u), row)) for row in dynamic.activity.active)
+    counts_by_scheme = {
+        SINGLE: [(1,) * len(cycles) for cycles in active_cycles],
+        STATIC: [(k_static,) * len(cycles) for cycles in active_cycles],
+        DYNAMIC: [
+            tuple(map(len, compress(grants, row)))
+            for grants, row in zip(dynamic.channels, dynamic.activity.active)
+        ],
+    }
 
     reports = []
     for scheme in SCHEMES:
-        makespans: dict[tuple[int, int], int] = {}
-        channel_counts: dict[tuple[int, int], int] = {}
-        delay: dict[tuple[int, int], float] = {}
-        max_channels: dict[int, int] = {}
-        for pan, cfg in enumerate(configs):
+        outcomes = []
+        for cfg, counts in zip(configs, counts_by_scheme[scheme]):
             requests = scenario.per_pan[cfg.pan_cell]
             baseline = makespan(requests, 1)
-            outcomes: dict[int, tuple[int, float]] = {}  # channel count -> (slots, delay decrease)
-            for t in compress(range(u), act.active[pan]):
-                count = channels_for(scheme, pan, t)
-                if count not in outcomes:
-                    slots = makespan(requests, count)
-                    outcomes[count] = (slots, delay_decrease_percent(baseline, slots))
-                makespans[(pan, t)], delay[(pan, t)] = outcomes[count]
-                channel_counts[(pan, t)] = count
-            max_channels[pan] = max(outcomes, default=0)
+            table: dict[int, tuple[int, float]] = {}
+            for count in sorted(set(counts)):
+                slots = makespan(requests, count)
+                table[count] = (slots, delay_decrease_percent(baseline, slots))
+            outcomes.append(table)
         reports.append(
             SchemeReport(
                 scheme=scheme,
-                makespans=makespans,
-                channel_counts=channel_counts,
-                delay_decrease=delay,
-                max_channels=max_channels,
+                active_cycles=active_cycles,
+                channel_counts=tuple(counts_by_scheme[scheme]),
+                outcomes=tuple(outcomes),
+                max_channels={pan: max(table, default=0) for pan, table in enumerate(outcomes)},
             )
         )
     return reports
@@ -149,31 +144,18 @@ def compare_schemes(
 def scheme_report_csv(configs: Sequence[SuperframeConfig], reports: Sequence[SchemeReport]) -> str:
     """One row per scheme, PAN and active cycle; cycles and PANs 1-based."""
     # A line is "scheme,pan,i,j," + "cycle," + "channels,makespan,delay".  The
-    # head is rendered once per scheme and PAN, the tail once per PAN and
-    # channel count, which fixes the PAN's makespan and delay decrease.
+    # head is rendered once per scheme and PAN, the cycle field once per
+    # cycle, and the tail once per PAN and channel count, which fixes the
+    # PAN's makespan and delay decrease.
+    cycle_fields = [f"{t}," for t in range(1, cycle_structure(configs).u_cycles + 1)]
     lines = ["scheme,pan,pan_i,pan_j,cycle,channels,makespan_slots,delay_decrease_percent"]
     for report in reports:
-        heads = [
-            f"{report.scheme},{pan},{cfg.pan_cell.i},{cfg.pan_cell.j},"
-            for pan, cfg in enumerate(configs, 1)
-        ]
-        tails: dict[tuple[int, int], str] = {}
-        for key in sorted(report.makespans):
-            pan, t = key
-            count = report.channel_counts[key]
-            tail = tails.get((pan, count))
-            if tail is None:
-                tail = tails[(pan, count)] = f"{count},{report.makespans[key]},{report.delay_decrease[key]:.4f}"
-            lines.append(f"{heads[pan]}{t + 1},{tail}")
+        columns = zip(configs, report.active_cycles, report.channel_counts, report.outcomes)
+        for pan, (cfg, cycles, counts, table) in enumerate(columns, 1):
+            head = f"{report.scheme},{pan},{cfg.pan_cell.i},{cfg.pan_cell.j},"
+            tails = {count: f"{count},{slots},{delay:.4f}" for count, (slots, delay) in table.items()}
+            lines.extend([head + cycle_fields[t] + tails[count] for t, count in zip(cycles, counts)])
     return "\r\n".join(lines) + "\r\n"
-
-
-def _per_pan(values: Mapping[tuple[int, int], T], pick: Callable[[T, T], T]) -> dict[int, T]:
-    """Fold the (PAN, cycle) entries of one report into one value per PAN."""
-    folded: dict[int, T] = {}
-    for (pan, _), value in values.items():
-        folded[pan] = pick(folded[pan], value) if pan in folded else value
-    return folded
 
 
 def evaluation_summary_json(
@@ -187,8 +169,10 @@ def evaluation_summary_json(
     computed_peak = max(
         (count for r in reports for count in r.max_channels.values()), default=0
     )
-    best_makespan = {s: _per_pan(by_scheme[s].makespans, min) for s in SCHEMES}
-    max_decrease = {s: _per_pan(by_scheme[s].delay_decrease, max) for s in SCHEMES}
+    # Per scheme and PAN, read from its outcome table; None for a PAN that is
+    # never active.
+    best_makespan = {r.scheme: [min((o[0] for o in t.values()), default=None) for t in r.outcomes] for r in reports}
+    max_decrease = {r.scheme: [max((o[1] for o in t.values()), default=None) for t in r.outcomes] for r in reports}
     doc: dict = {
         "domain": domain_name,
         "data_channels": len(plan.data_set),
@@ -197,8 +181,8 @@ def evaluation_summary_json(
                 "pan": pan + 1,
                 "cell": [cfg.pan_cell.i, cfg.pan_cell.j],
                 "max_channels": {s: by_scheme[s].max_channels[pan] for s in SCHEMES},
-                "best_makespan": {s: best_makespan[s].get(pan) for s in SCHEMES},
-                "max_delay_decrease_percent": {s: max_decrease[s].get(pan) for s in SCHEMES},
+                "best_makespan": {s: best_makespan[s][pan] for s in SCHEMES},
+                "max_delay_decrease_percent": {s: max_decrease[s][pan] for s in SCHEMES},
             }
             for pan, cfg in enumerate(configs)
         ],

@@ -36,3 +36,13 @@ def reference_config_path():
 @pytest.fixture(scope="session")
 def block_config_path():
     return CONFIG_DIR / "block-n2.json"
+
+
+def scheme_entries(report) -> dict:
+    """{(pan, cycle): (channels, makespan, delay decrease)} over the active
+    cycles of one ``SchemeReport``, read from its per-PAN columns."""
+    return {
+        (pan, t): (count, *report.outcomes[pan][count])
+        for pan, (cycles, counts) in enumerate(zip(report.active_cycles, report.channel_counts))
+        for t, count in zip(cycles, counts)
+    }

@@ -263,6 +263,74 @@ def test_evaluate_rejects_empty_workload(tmp_path, reference_config_path):
     assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
+def per_pan_entries(reference_config_path):
+    doc = json.loads(Path(reference_config_path).read_text())
+    return doc, [{"cell": sf["cell"], "slots": [3, 3]} for sf in doc["superframes"]]
+
+
+@pytest.mark.parametrize(
+    "edit, field, message",
+    [
+        (lambda entries: entries.pop(), "workload.per_pan", "no entry for the PAN at cell"),
+        (lambda entries: entries.append({"cell": [3, 1], "slots": [3]}), "workload.per_pan[12].cell", "no superframe"),
+        (lambda entries: entries.insert(3, dict(entries[0])), "workload.per_pan[3].cell", "duplicate PAN cell"),
+    ],
+    ids=["missing", "no-superframe", "duplicate"],
+)
+def test_per_pan_workload_covers_each_pan_once(
+    tmp_path, capsys, monkeypatch, reference_config_path, edit, field, message
+):
+    monkeypatch.setattr("hexchan.cli.compare_schemes", refuse_to_run)
+    doc, entries = per_pan_entries(reference_config_path)
+    edit(entries)
+    doc["workload"] = {"per_pan": entries}
+    cfg = write_config(tmp_path, doc)
+    assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: {message}") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_per_pan_workload_covering_every_pan(tmp_path, reference_config_path):
+    doc, entries = per_pan_entries(reference_config_path)
+    doc["workload"] = {"per_pan": entries[::-1]}
+    out = tmp_path / "o"
+    assert main(["evaluate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+    rows = read_csv(out / "scheme_report.csv")
+    assert {r["makespan_slots"] for r in rows if r["scheme"] == "single"} == {"6"}
+
+
+@pytest.mark.parametrize(
+    "lattice, field",
+    [
+        ({"origin": ["a", 0]}, "lattice.origin[0]"),
+        ({"origin": [0, float("nan")]}, "lattice.origin[1]"),
+        ({"origin": [float("-inf"), 0]}, "lattice.origin[0]"),
+        ({"origin": [0, True]}, "lattice.origin[1]"),
+        ({"radius_R": float("nan")}, "lattice.radius_R"),
+        ({"radius_R": float("inf")}, "lattice.radius_R"),
+        ({"radius_R": "1"}, "lattice.radius_R"),
+    ],
+    ids=["origin-string", "origin-nan", "origin-inf", "origin-bool", "radius-nan", "radius-inf", "radius-string"],
+)
+def test_lattice_numbers_must_be_finite(tmp_path, capsys, lattice, field):
+    doc = minimal_lattice_doc(1)
+    doc["lattice"].update(lattice)
+    cfg = write_config(tmp_path, doc)
+    assert main(["lattice", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_radius_overflowing_float_exits_1(tmp_path, capsys):
+    # 1e400 is a JSON number that parses to infinity
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text('{"lattice": {"index_bound_N": 1, "radius_R": 1e400}}', encoding="utf-8")
+    assert main(["lattice", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: lattice.radius_R: must be a finite number")
+
+
 def test_out_dir_collision_exits_2(tmp_path, reference_config_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("file, not a directory", encoding="utf-8")

@@ -18,7 +18,7 @@ from hexchan.dynamic_alloc import (
     cycle_structure,
     is_active,
 )
-from hexchan.errors import InvalidSuperframeError, NotInLatticeError
+from hexchan.errors import InsufficientSpectrumError, InvalidSuperframeError, NotInLatticeError
 from hexchan.interference import build_interference_graph, connected_components, subgraph_on
 from hexchan.lattice import DATA_REUSE_METRIC, CellIndex, build_lattice, lattice_from_cells, lattice_metric
 from hexchan.spectrum import EUROPE, channel_plan, default_domain
@@ -252,6 +252,39 @@ def test_pan_cell_must_be_in_lattice(europe_plan):
     lat = build_lattice(1, 1.0)
     with pytest.raises(NotInLatticeError):
         allocate_dynamic(lat, [SF(pan_cell=C(4, 4), so=0, bo=0)], europe_plan)
+
+
+def short_spectrum_doc():
+    """Three mutually interfering PANs that are first active together in
+    cycle 3 of 4, on a custom table of one control and two data channels.
+    Cycle 1 runs PAN 1 alone, cycle 2 PAN 2, cycle 4 PAN 3 (chi = 1)."""
+    return {
+        "lattice": {"index_bound_N": 1, "radius_R": 1.0},
+        "domain": {
+            "name": "two-data",
+            "channels": [{"phy_channel": 4, "code": 7}, {"phy_channel": 1, "code": 1}, {"phy_channel": 2, "code": 1}],
+        },
+        "superframes": [
+            {"cell": [0, 0], "SO": 0, "BO": 1, "phase": 0},
+            {"cell": [1, 1], "SO": 1, "BO": 2, "phase": 1},
+            {"cell": [1, -1], "SO": 1, "BO": 2, "phase": 2},
+        ],
+    }
+
+
+def test_component_needing_more_channels_names_its_first_cycle(tmp_path, capsys, europe_plan):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(short_spectrum_doc()), encoding="utf-8")
+    cfg = load_config(path)
+    assert len(cfg.plan().data_set) == 2
+    # with enough channels the deployment allocates, and only cycle 3 needs 3 colors
+    assert allocate_dynamic(cfg.lattice, cfg.superframes, europe_plan).per_cycle_chi == (1, 1, 3, 1)
+    with pytest.raises(InsufficientSpectrumError, match=r"^cycle 3: need 3 data channels, plan has 2$"):
+        allocate_dynamic(cfg.lattice, cfg.superframes, cfg.plan())
+    out = tmp_path / "out"
+    assert main(["dynamic", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: cycle 3: need 3 data channels, plan has 2\n"
+    assert not (out / "dynamic_allocation.csv").exists()
 
 
 def test_exports_parse(reference):

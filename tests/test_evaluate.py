@@ -1,6 +1,8 @@
 import json
+import tracemalloc
 
 import pytest
+from conftest import roadmap_config, scheme_entries
 
 from hexchan.config import load_config
 from hexchan.errors import OrderingError
@@ -89,26 +91,40 @@ def test_compare_schemes_reference(reference):
     assert set(by_scheme[STATIC].max_channels.values()) == {4}
     assert max(by_scheme[DYNAMIC].max_channels.values()) == 14
     # PAN 11 (index 10) is isolated during some cycles: 3-slot makespan there
-    dyn = by_scheme[DYNAMIC]
-    assert min(v for (p, _), v in dyn.makespans.items() if p == 10) == 3
+    dyn = scheme_entries(by_scheme[DYNAMIC])
+    assert min(slots for (p, _), (_, slots, _) in dyn.items() if p == 10) == 3
     # and needs 4 slots when sharing with one interfering PAN (7 channels)
-    assert any(
-        dyn.channel_counts[(10, t)] == 7 and dyn.makespans[(10, t)] == 4
-        for (p, t) in dyn.makespans
-        if p == 10
-    )
-    assert set(by_scheme[SINGLE].makespans.values()) == {24}
-    assert set(by_scheme[STATIC].makespans.values()) == {6}
+    assert any(count == 7 and slots == 4 for (p, _), (count, slots, _) in dyn.items() if p == 10)
+    assert {slots for _, slots, _ in scheme_entries(by_scheme[SINGLE]).values()} == {24}
+    assert {slots for _, slots, _ in scheme_entries(by_scheme[STATIC]).values()} == {6}
 
 
 def test_scheme_ordering(reference):
     reports = compare_schemes(
         reference.lattice, reference.superframes, reference.plan(), reference.request_scenario()
     )
-    by_scheme = {r.scheme: r for r in reports}
-    for key in by_scheme[SINGLE].makespans:
-        assert by_scheme[DYNAMIC].makespans[key] <= by_scheme[STATIC].makespans[key]
-        assert by_scheme[STATIC].makespans[key] <= by_scheme[SINGLE].makespans[key]
+    single, static, dynamic = (scheme_entries(r) for r in reports)
+    assert single.keys() == static.keys() == dynamic.keys()
+    for key in single:
+        assert dynamic[key][1] <= static[key][1]
+        assert static[key][1] <= single[key][1]
+
+
+def test_compare_schemes_memory_bound(tmp_path):
+    # The N = 5 ROADMAP window: 61 PANs x U = 1024, 24 168 active (PAN, cycle)
+    # entries per scheme.  The reports keep a few columns per PAN, not an
+    # object per entry (about 1.5 MB, against 25.7 MB for per-entry dicts).
+    path = tmp_path / "roadmap-n5.json"
+    path.write_text(json.dumps(roadmap_config(5)), encoding="utf-8")
+    cfg = load_config(path)
+    tracemalloc.start()
+    try:
+        reports = compare_schemes(cfg.lattice, cfg.superframes, cfg.plan(), cfg.request_scenario())
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, reports[0].active_cycles)) == 24168
+    assert retained < 6_000_000
 
 
 def test_workload_must_cover_pans(reference):

@@ -4,11 +4,14 @@
 ``scheme_report_csv`` build their text directly, rendering each distinct
 grant, PAN field and outcome once.  The ``reference_*`` functions below are
 the plain per-entry loops (and ``json.dumps``) they replaced; the writers must
-produce the same text on every drawn deployment.
+produce the same text on every drawn deployment.  ``reference_schemes`` is
+the per-(PAN, cycle) loop that ``compare_schemes`` replaced by per-PAN
+columns; the columns must hold the same entries.
 """
 
 import json
 
+from conftest import scheme_entries
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,9 +24,17 @@ from hexchan.dynamic_alloc import (
     allocation_json_doc,
     cycle_structure,
 )
-from hexchan.evaluate import RequestScenario, compare_schemes, scheme_report_csv
+from hexchan.evaluate import (
+    RequestScenario,
+    compare_schemes,
+    delay_decrease_percent,
+    evaluation_summary_json,
+    makespan,
+    scheme_report_csv,
+)
 from hexchan.lattice import CellIndex, build_lattice
 from hexchan.spectrum import DOMAIN_NAMES, channel_plan, default_domain
+from hexchan.static_alloc import allocate_static_data
 
 
 def reference_activity_csv(configs, act):
@@ -75,17 +86,59 @@ def reference_allocation_json(configs, cycles, alloc):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def reference_scheme_report_csv(configs, reports):
+def reference_schemes(lattice, configs, plan, scenario):
+    """Per scheme, ({(pan, t): (channels, makespan, delay decrease)},
+    max_channels): the per-(PAN, cycle) loop the per-PAN columns replaced."""
+    _, k_static = allocate_static_data(lattice, plan)
+    dynamic = allocate_dynamic(lattice, configs, plan)
+    act = dynamic.activity
+    channels_of = {
+        "single": lambda pan, t: 1,
+        "static": lambda pan, t: k_static,
+        "dynamic": lambda pan, t: len(dynamic.channels[pan][t]),
+    }
+    schemes = {}
+    for scheme, channels in channels_of.items():
+        entries, max_channels = {}, {}
+        for pan, cfg in enumerate(configs):
+            requests = scenario.per_pan[cfg.pan_cell]
+            baseline = makespan(requests, 1)
+            max_channels[pan] = 0
+            for t in range(len(dynamic.per_cycle_chi)):
+                if not act.active[pan][t]:
+                    continue
+                count = channels(pan, t)
+                slots = makespan(requests, count)
+                entries[(pan, t)] = (count, slots, delay_decrease_percent(baseline, slots))
+                max_channels[pan] = max(max_channels[pan], count)
+        schemes[scheme] = (entries, max_channels)
+    return schemes
+
+
+def reference_scheme_report_csv(configs, schemes):
     lines = ["scheme,pan,pan_i,pan_j,cycle,channels,makespan_slots,delay_decrease_percent"]
-    for report in reports:
-        for (pan, t) in sorted(report.makespans):
+    for scheme, (entries, _) in schemes.items():
+        for (pan, t), (count, slots, delay) in sorted(entries.items()):
             cell = configs[pan].pan_cell
-            lines.append(
-                f"{report.scheme},{pan + 1},{cell.i},{cell.j},{t + 1},"
-                f"{report.channel_counts[(pan, t)]},{report.makespans[(pan, t)]},"
-                f"{report.delay_decrease[(pan, t)]:.4f}"
-            )
+            lines.append(f"{scheme},{pan + 1},{cell.i},{cell.j},{t + 1},{count},{slots},{delay:.4f}")
     return "\r\n".join(lines) + "\r\n"
+
+
+def reference_evaluation_summary(configs, plan, domain_name, schemes):
+    """The summary of a domain without a reference peak, with the per-PAN
+    extremes scanned over all entries."""
+    per_pan = []
+    for pan, cfg in enumerate(configs):
+        entry = {"pan": pan + 1, "cell": [cfg.pan_cell.i, cfg.pan_cell.j]}
+        entry["max_channels"] = {s: max_channels[pan] for s, (_, max_channels) in schemes.items()}
+        values = {s: [v for (p, _), v in entries.items() if p == pan] for s, (entries, _) in schemes.items()}
+        entry["best_makespan"] = {s: min((v[1] for v in vs), default=None) for s, vs in values.items()}
+        entry["max_delay_decrease_percent"] = {s: max((v[2] for v in vs), default=None) for s, vs in values.items()}
+        per_pan.append(entry)
+    peak = max(count for _, max_channels in schemes.values() for count in max_channels.values())
+    doc = {"domain": domain_name, "data_channels": len(plan.data_set), "per_pan": per_pan}
+    doc["computed_dynamic_peak"] = peak
+    return json.dumps(doc, indent=2) + "\n"
 
 
 @st.composite
@@ -108,10 +161,11 @@ def deployments(draw):
     return lattice, configs, plan, scenario
 
 
-def deployment(n, domain, duties):
-    """A fixed deployment: ``duties`` lists (i, j, SO, BO, phase) per PAN."""
+def deployment(n, domain, duties, requests=None):
+    """A fixed deployment: ``duties`` lists (i, j, SO, BO, phase) per PAN;
+    every PAN serves ``requests``, by default PAN k serves (k + 1, 3, 2)."""
     configs = [SuperframeConfig(CellIndex(i, j), so, bo, phase) for i, j, so, bo, phase in duties]
-    scenario = RequestScenario(per_pan={cfg.pan_cell: (k + 1, 3, 2) for k, cfg in enumerate(configs)})
+    scenario = RequestScenario(per_pan={cfg.pan_cell: requests or (k + 1, 3, 2) for k, cfg in enumerate(configs)})
     return build_lattice(n, 1.0), configs, channel_plan(default_domain(domain)), scenario
 
 
@@ -122,6 +176,9 @@ IDLE = deployment(1, "Europe", [(-1, 1, 0, 2, 0), (0, 0, 0, 2, 2)])
 # Cycle 1 activates a triangle (chi = 3), cycle 2 a path of three PANs (chi = 2).
 TRIANGLE = deployment(1, "US", [(0, 0, 1, 1, 0), (1, 1, 1, 1, 0), (1, -1, 0, 1, 0), (-1, -1, 1, 1, 0)])
 EXAMPLES = (SINGLE, IDLE, TRIANGLE)
+# Two neighbors share cycle 1 (7 channels each) and the first runs alone in
+# cycle 2 (14 channels): with 8 requests of 3 slots its makespan is 4, then 3.
+SHARED = deployment(1, "Europe", [(-1, 1, 1, 2, 0), (0, 0, 0, 2, 0)], requests=(3,) * 8)
 
 
 def check_writers(lattice, configs, plan, scenario):
@@ -144,7 +201,8 @@ def check_writers(lattice, configs, plan, scenario):
     assert allocation_json_doc(configs, cycles, unshared) == reference_allocation_json(configs, cycles, alloc)
 
     reports = compare_schemes(lattice, configs, plan, scenario)
-    assert scheme_report_csv(configs, reports) == reference_scheme_report_csv(configs, reports)
+    schemes = reference_schemes(lattice, configs, plan, scenario)
+    assert scheme_report_csv(configs, reports) == reference_scheme_report_csv(configs, schemes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,8 +210,34 @@ def check_writers(lattice, configs, plan, scenario):
 @example(SINGLE)
 @example(IDLE)
 @example(TRIANGLE)
+@example(SHARED)
 def test_writers_match_reference_loops(drawn):
     check_writers(*drawn)
+
+
+@settings(max_examples=60, deadline=None)
+@given(deployments())
+@example(SINGLE)
+@example(IDLE)
+@example(TRIANGLE)
+@example(SHARED)
+def test_scheme_columns_match_reference_loop(drawn):
+    lattice, configs, plan, scenario = drawn
+    reports = compare_schemes(lattice, configs, plan, scenario)
+    schemes = reference_schemes(lattice, configs, plan, scenario)
+    assert [r.scheme for r in reports] == list(schemes)
+    for report in reports:
+        entries, max_channels = schemes[report.scheme]
+        assert report.active_cycles is reports[0].active_cycles
+        assert scheme_entries(report) == entries
+        assert report.max_channels == max_channels
+        # each outcome table holds exactly the counts the PAN receives
+        assert [set(table) for table in report.outcomes] == [set(counts) for counts in report.channel_counts]
+    if drawn is SHARED:
+        assert reports[2].channel_counts[0] == (7, 14)
+        assert reports[2].outcomes[0] == {7: (4, 83.33333333333333), 14: (3, 87.5)}
+    summary = evaluation_summary_json(configs, plan, "custom", reports)
+    assert summary == reference_evaluation_summary(configs, plan, "custom", schemes)
 
 
 def test_examples_cover_edge_cases():
