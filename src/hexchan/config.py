@@ -26,7 +26,7 @@ from pathlib import Path
 from .dynamic_alloc import SuperframeConfig, cycle_structure
 from .errors import ConfigError, HexchanError
 from .evaluate import RequestScenario
-from .lattice import CellIndex, Lattice, build_lattice, lattice_from_cells
+from .lattice import CellIndex, Lattice, build_lattice, center_of, lattice_from_cells
 from .spectrum import (
     DOMAIN_NAMES,
     ChannelPlan,
@@ -124,7 +124,7 @@ def _parse_lattice(doc) -> Lattice:
         cells = [_parse_cell(c, f"lattice.cells[{k}]") for k, c in enumerate(raw)]
         if len(set(cells)) != len(cells):
             raise ConfigError("duplicate cells", field="lattice.cells")
-        return lattice_from_cells(cells, radius_r=radius, origin=origin)
+        return _finite_centers(lattice_from_cells(cells, radius_r=radius, origin=origin))
     bound = _expect(section, "index_bound_N", int, "lattice.index_bound_N")
     if bound < 0:
         raise ConfigError("must be non-negative", field="lattice.index_bound_N")
@@ -133,7 +133,20 @@ def _parse_lattice(doc) -> Lattice:
         raise ConfigError(
             f"window of {num_cells} cells exceeds the limit of {MAX_CELLS}", field="lattice.index_bound_N"
         )
-    return build_lattice(bound, radius_r=radius, origin=origin)
+    return _finite_centers(build_lattice(bound, radius_r=radius, origin=origin))
+
+
+def _finite_centers(lattice: Lattice) -> Lattice:
+    """``lattice``, if every cell center is a finite float.  x grows with i
+    and y with j, so the cells with extreme i and j decide."""
+    cells = lattice.cells
+    for extreme in (min, max):
+        for cell in (extreme(cells, key=lambda c: c.i), extreme(cells, key=lambda c: c.j)):
+            if not all(map(math.isfinite, center_of(lattice, cell))):
+                raise ConfigError(
+                    f"the center of cell ({cell.i}, {cell.j}) overflows the float range", field="lattice"
+                )
+    return lattice
 
 
 def _parse_domain(doc) -> RegulatoryDomain:
@@ -218,7 +231,7 @@ def _parse_workload(doc, superframes) -> RequestScenario | None:
             if pans is not None and cell not in pans:
                 raise ConfigError(f"no superframe runs a PAN at cell ({cell.i}, {cell.j})", field=f"{field}.cell")
             slots = _expect(entry, "slots", list, f"{field}.slots")
-            if not slots or not all(isinstance(s, int) and s > 0 for s in slots):
+            if not slots or not all(isinstance(s, int) and not isinstance(s, bool) and s > 0 for s in slots):
                 raise ConfigError("expected a non-empty list of positive integers", field=f"{field}.slots")
             per_pan[cell] = tuple(slots)
         uncovered = [cfg.pan_cell for cfg in superframes or () if cfg.pan_cell not in per_pan]

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
 
-from .coloring import DEFAULT_VERTEX_CAP, chromatic_coloring, data_graph_coloring
+from .coloring import data_labels
 from .errors import InsufficientSpectrumError, InvalidSuperframeError
-from .interference import build_interference_graph, component_masks, iter_bits, subgraph_on
+from .interference import build_interference_graph, component_masks, iter_bits
 from .lattice import DATA_REUSE_METRIC, CellIndex, Lattice
 from .spectrum import ChannelPlan, LogicalChannel, partition_channels
 
@@ -145,23 +145,19 @@ def allocate_dynamic(
     """Per-PAN per-cycle channel groups over one major cycle.
 
     Within a cycle, each connected component of the active PANs' metric-12
-    graph is colored with the fewest colors; a PAN in a component needing
-    chi colors gets the group of |data| // chi channels matching its color.
-    PANs in different components may share channels, they are out of range
-    of each other.  Components of at most ``DEFAULT_VERTEX_CAP`` PANs are
-    colored by the exact solver, larger ones by ``data_graph_coloring``.
+    graph is colored with the fewest colors by ``data_labels``: its BFS
+    2-coloring when bipartite, else the data pattern, so chi <= 3 and no
+    search runs.  A PAN in a component needing chi colors gets the group of
+    |data| // chi channels matching its color.  PANs in different
+    components may share channels, they are out of range of each other.
 
     The work runs in index space: one adjacency bitmask row per PAN
-    position, one bitmask of active positions per cycle.  Three memos live
+    position, one bitmask of active positions per cycle.  Two memos live
     for the call.  A cycle whose active mask occurred before reuses that
     cycle's result.  A component whose position mask occurred before, in
-    any cycle, reuses its (chi, group size, [(PAN, grant)]).  A new
-    component is keyed by its size and its edges as sorted local index
-    pairs in lattice order; equal keys (e.g. translated components) are the
-    same labeled graph, so they share one coloring.  The exact solver's
-    labels depend on nothing but the key, so the memos leave every grant
-    unchanged.  A component with more colors than data channels raises
-    ``InsufficientSpectrumError`` naming the first cycle it is active in.
+    any cycle, reuses its (chi, group size, [(PAN, grant)]).  A component
+    with more colors than data channels raises ``InsufficientSpectrumError``
+    naming the first cycle it is active in.
     """
     cells = [c.pan_cell for c in configs]
     for cell in cells:
@@ -184,29 +180,13 @@ def allocate_dynamic(
             cycle_masks[t] |= 1 << p
 
     groups_by_chi: dict[int, list[tuple[LogicalChannel, ...]]] = {}
-    shape_memo: dict[tuple, tuple[int, tuple[int, ...]]] = {}
     component_memo: dict[int, _CycleResult] = {}
     cycle_memo: dict[int, _CycleResult] = {}
 
     def allocate_component(t: int, comp: int) -> _CycleResult:
         """(chi, group size, [(PAN, grant)]) of the component whose positions are ``comp``."""
-        positions = list(iter_bits(comp))
-        local = {p: r for r, p in enumerate(positions)}
-        pairs = []
-        for r, p in enumerate(positions):
-            later = rows[p] & comp & -(2 << p)  # neighbors above position p
-            pairs.extend((r, local[q]) for q in iter_bits(later))
-        key = (len(positions), tuple(pairs))
-        shape = shape_memo.get(key)
-        if shape is None:
-            sub = subgraph_on(graph, [graph.vertices[p] for p in positions])
-            if len(positions) <= DEFAULT_VERTEX_CAP:
-                coloring = chromatic_coloring(sub)
-            else:
-                coloring = data_graph_coloring(sub)
-            shape = (coloring.num_colors, tuple(coloring.assignment[v] for v in sub.vertices))
-            shape_memo[key] = shape
-        chi, labels = shape
+        labels = data_labels(rows, comp, graph.vertices)
+        chi = max(labels) + 1
         group_size = len(ordered_data) // chi
         if group_size == 0:
             raise InsufficientSpectrumError(
@@ -216,7 +196,7 @@ def allocate_dynamic(
         if groups is None:
             groups, _ = partition_channels(ordered_data, chi, group_size)
             groups_by_chi[chi] = groups
-        return chi, group_size, [(pan_at[p], groups[label]) for p, label in zip(positions, labels)]
+        return chi, group_size, [(pan_at[p], groups[label]) for p, label in zip(iter_bits(comp), labels)]
 
     def allocate_cycle(t: int, mask: int) -> _CycleResult:
         """(chi, k, [(PAN, grant)]) of the cycle whose active positions are ``mask``."""

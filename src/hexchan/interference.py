@@ -65,19 +65,23 @@ class InterferenceGraph:
             pa, pb = index[a], index[b]
             rows[pa] |= 1 << pb
             rows[pb] |= 1 << pa
-        self._set(vertices, tuple(rows), index)
+        self.vertices = vertices
+        self.rows = tuple(rows)
+        self._index = index
 
     @classmethod
     def from_rows(cls, vertices: tuple[CellIndex, ...], rows: tuple[int, ...]) -> "InterferenceGraph":
         """Graph from symmetric adjacency rows over ``vertices``, unchecked."""
         graph = cls.__new__(cls)
-        graph._set(vertices, rows, {v: k for k, v in enumerate(vertices)})
+        graph.vertices = vertices
+        graph.rows = rows
         return graph
 
-    def _set(self, vertices: tuple[CellIndex, ...], rows: tuple[int, ...], index: dict[CellIndex, int]) -> None:
-        self.vertices = vertices
-        self.rows = rows
-        self._index = index
+    @cached_property
+    def _index(self) -> dict[CellIndex, int]:
+        """Position of each vertex; built on first use, since colorings and
+        edge lists never need it."""
+        return {v: k for k, v in enumerate(self.vertices)}
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -131,14 +135,19 @@ def build_interference_graph(
         for c in wanted:
             lattice.require(c)
         vertices = tuple(c for c in lattice.cells if c in wanted)
-    position = {(c.i, c.j): k for k, c in enumerate(vertices)}
+    # Cell (i, j) is keyed by the integer i * stride + j; the stride exceeds
+    # twice the largest |j| a lookup can reach, so keys never collide.
     offsets = interference_offsets(metric_threshold)
+    reach = max((abs(dj) for _, dj in offsets), default=0)
+    stride = 2 * (max((abs(c.j) for c in vertices), default=0) + reach) + 1
+    position = {c.i * stride + c.j: k for k, c in enumerate(vertices)}
+    deltas = [di * stride + dj for di, dj in offsets]
     rows = []
     for c in vertices:
-        i, j = c.i, c.j
+        key = c.i * stride + c.j
         row = 0
-        for di, dj in offsets:
-            q = position.get((i + di, j + dj))
+        for delta in deltas:
+            q = position.get(key + delta)
             if q is not None:
                 row |= 1 << q
         rows.append(row)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 from .coloring import (
     CONTROL,
-    DATA,
     DEFAULT_VERTEX_CAP,
     Coloring,
     chromatic_coloring,
+    data_graph_coloring,
     pattern_coloring,
 )
 from .errors import InsufficientSpectrumError
@@ -44,13 +44,17 @@ class StaticAllocation:
     unassigned: tuple[LogicalChannel, ...]
 
 
-def color_lattice_graph(lattice: Lattice, kind: str) -> Coloring:
-    """Color the lattice's interference graph: exact up to the solver's
-    vertex cap, the closed-form pattern above it."""
-    threshold = CONTROL_REUSE_METRIC if kind == CONTROL else DATA_REUSE_METRIC
+def color_control_graph(lattice: Lattice) -> Coloring:
+    """Color the lattice's metric-16 graph: exact up to the solver's vertex
+    cap, the closed-form control pattern above it."""
     if len(lattice) <= DEFAULT_VERTEX_CAP:
-        return chromatic_coloring(build_interference_graph(lattice, None, threshold))
-    return pattern_coloring(lattice, kind)
+        return chromatic_coloring(build_interference_graph(lattice, None, CONTROL_REUSE_METRIC))
+    return pattern_coloring(lattice, CONTROL)
+
+
+def color_data_graph(lattice: Lattice) -> Coloring:
+    """Minimum coloring of the lattice's metric-12 graph, at any size."""
+    return data_graph_coloring(build_interference_graph(lattice, None, DATA_REUSE_METRIC))
 
 
 def _control_channels(coloring: Coloring, plan: ChannelPlan) -> dict[CellIndex, LogicalChannel]:
@@ -77,14 +81,14 @@ def _data_groups(coloring: Coloring, plan: ChannelPlan) -> tuple[dict[CellIndex,
 def allocate_control(lattice: Lattice, plan: ChannelPlan) -> dict[CellIndex, LogicalChannel]:
     """Assign one control channel per cell; color class k gets the k-th
     control channel in (phy, code) order."""
-    return _control_channels(color_lattice_graph(lattice, CONTROL), plan)
+    return _control_channels(color_control_graph(lattice), plan)
 
 
 def allocate_static_data(
     lattice: Lattice, plan: ChannelPlan
 ) -> tuple[dict[CellIndex, tuple[LogicalChannel, ...]], int]:
     """Per-cell data-channel groups and the uniform group size k_static."""
-    return _data_groups(color_lattice_graph(lattice, DATA), plan)
+    return _data_groups(color_data_graph(lattice), plan)
 
 
 def allocate_static(lattice: Lattice, plan: ChannelPlan, require_control: bool = True) -> StaticAllocation:
@@ -94,8 +98,8 @@ def allocate_static(lattice: Lattice, plan: ChannelPlan, require_control: bool =
     chromatic number yields ``control=None`` instead of an error, so the
     data side can still be reported.
     """
-    control_coloring = color_lattice_graph(lattice, CONTROL)
-    data_coloring = color_lattice_graph(lattice, DATA)
+    control_coloring = color_control_graph(lattice)
+    data_coloring = color_data_graph(lattice)
     try:
         control = _control_channels(control_coloring, plan)
     except InsufficientSpectrumError:

@@ -331,6 +331,50 @@ def test_radius_overflowing_float_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: lattice.radius_R: must be a finite number")
 
 
+@pytest.mark.parametrize(
+    "lattice",
+    [
+        {"index_bound_N": 2, "radius_R": 1e308},
+        {"index_bound_N": 1, "radius_R": 1e307, "origin": [1.7e308, 0.0]},
+        {"cells": [[0, 0], [2, 0]], "radius_R": 1e308},
+    ],
+    ids=["radius", "origin-plus-radius", "cells"],
+)
+def test_centers_overflowing_floats_exit_1(tmp_path, capsys, lattice):
+    cfg = write_config(tmp_path, {"lattice": lattice})
+    assert main(["lattice", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lattice: the center of cell") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_per_pan_slots_reject_booleans(tmp_path, capsys, reference_config_path):
+    doc, entries = per_pan_entries(reference_config_path)
+    entries[2]["slots"] = [True, 3]
+    doc["workload"] = {"per_pan": entries}
+    cfg = write_config(tmp_path, doc)
+    assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: workload.per_pan[2].slots: expected a non-empty list")
+
+
+def test_evaluate_k_static_on_sparse_65_cells(tmp_path):
+    # 65 cells at metric 16 from their neighbors: no data edges, so every
+    # PAN keeps the whole US data set in the static scheme too
+    cells = [[0, 4 * k] for k in range(65)]
+    doc = {
+        "lattice": {"cells": cells, "radius_R": 1.0},
+        "domain": "US",
+        "superframes": [{"cell": cell, "SO": 0, "BO": 1} for cell in cells],
+    }
+    cfg = write_config(tmp_path, doc)
+    assert main(["static", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    summary = json.loads((tmp_path / "s" / "static_summary.json").read_text())
+    assert (summary["chi_data"], summary["k_static"]) == (1, 24)
+    assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 0
+    rows = read_csv(tmp_path / "e" / "scheme_report.csv")
+    assert {r["channels"] for r in rows if r["scheme"] == "static"} == {"24"}
+
+
 def test_out_dir_collision_exits_2(tmp_path, reference_config_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("file, not a directory", encoding="utf-8")

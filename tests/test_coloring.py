@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 
@@ -13,12 +15,13 @@ from hexchan.coloring import (
     verify_coloring,
 )
 from hexchan.errors import IncompleteColoringError, SizeLimitError
-from hexchan.interference import InterferenceGraph, build_interference_graph
+from hexchan.interference import InterferenceGraph, build_interference_graph, connected_components, subgraph_on
 from hexchan.lattice import (
     CONTROL_REUSE_METRIC,
     DATA_REUSE_METRIC,
     CellIndex,
     build_lattice,
+    lattice_from_cells,
     lattice_metric,
     twelve_cell_lattice,
 )
@@ -121,6 +124,115 @@ def test_solver_agrees_with_brute_force():
         col = chromatic_coloring(g)
         assert verify_coloring(g, col)
         assert col.num_colors == brute_force_chromatic(g)
+
+
+def first_coloring_by_enumeration(g, k):
+    """Lexicographically first proper coloring with colors 0..k-1 numbered by
+    first appearance, by enumerating every label tuple in order."""
+    n = len(g.vertices)
+    for labels in itertools.product(range(k), repeat=n):
+        if any(c > max(labels[:v], default=-1) + 1 for v, c in enumerate(labels)):
+            continue
+        if all(labels[a] != labels[b] for a, b in g.edge_index_pairs()):
+            return list(labels)
+    return None
+
+
+def test_solver_returns_first_coloring_in_vertex_order():
+    # the search's prunings cut only dead branches, so on a connected
+    # non-bipartite graph the result is the first chi-coloring
+    rng = random.Random(31)
+    checked = 0
+    while checked < 60:
+        g = random_graph(rng, rng.randint(3, 8), rng.uniform(0.3, 0.8))
+        if len(connected_components(g)) != 1 or brute_force_chromatic(g) < 3:
+            continue
+        col = chromatic_coloring(g)
+        assert [col.assignment[v] for v in g.vertices] == first_coloring_by_enumeration(g, col.num_colors)
+        checked += 1
+
+
+def control_graph(cells):
+    return build_interference_graph(lattice_from_cells(cells, 1.0), None, CONTROL_REUSE_METRIC)
+
+
+# A rhombus of four cells: every pair is at metric 4 or 12, a K4 of the
+# metric-16 graph.
+RHOMBUS = [C(0, 0), C(1, 1), C(0, 2), C(1, 3)]
+
+
+def zigzag_tail(length):
+    """A path of the metric-16 graph hanging off the rhombus at (1, 3):
+    steps alternate (2, 0) and (1, 3), both at metric 12."""
+    cells = []
+    i, j = 1, 3
+    for k in range(length):
+        i, j = (i + 2, j) if k % 2 == 0 else (i + 1, j + 3)
+        cells.append(C(i, j))
+    return cells
+
+
+def triangle_strip(length):
+    # consecutive cells at metric 4, every other one at metric 12: a strip of
+    # triangles with a single 3-coloring, which first-fit in lattice order
+    # does not find without look-ahead
+    return [C(k, k % 2) for k in range(length)]
+
+
+# A 64-cell sparse list whose metric-16 graph is one K4-free component that
+# still needs 4 colors: the search must rule out 3 colors.
+FOUR_CHROMATIC_WITHOUT_K4 = [
+    (-12, -2), (-12, 2), (-11, -1), (-11, 5), (-10, 0), (-10, 4), (-10, 6), (-8, 2), (-8, 4),
+    (-7, 3), (-7, 7), (-6, 6), (-6, 8), (-5, -3), (-5, -1), (-5, 1), (-5, 3), (-5, 5), (-4, -4),
+    (-4, 4), (-3, 3), (-2, -2), (-2, 0), (-2, 4), (-2, 6), (-1, -1), (-1, 7), (0, -2), (0, 8),
+    (1, -3), (1, 7), (2, -4), (2, -2), (3, -5), (3, 7), (4, 6), (5, -7), (5, -5), (5, -3), (5, -1),
+    (5, 1), (5, 5), (7, -5), (7, -3), (7, -1), (7, 3), (8, -4), (8, 4), (9, -5), (9, 3), (9, 7),
+    (10, -8), (10, -2), (10, 0), (10, 6), (11, -7), (11, -1), (11, 3), (12, -8), (12, -4), (12, 0),
+    (12, 2), (12, 4), (12, 6),
+]
+
+
+@pytest.mark.parametrize(
+    "cells, chi",
+    [
+        (RHOMBUS + [C(0, 8 + 4 * k) for k in range(60)], 4),
+        (RHOMBUS + zigzag_tail(60), 4),
+        (zigzag_tail(60) + [C(-1, 1), C(-2, 0), C(-2, 2), C(-3, 1)], 4),
+        (triangle_strip(64), 3),
+        ([C(i, j) for i, j in FOUR_CHROMATIC_WITHOUT_K4], 4),
+    ],
+    ids=["isolated-plus-k4", "k4-plus-zigzag", "zigzag-and-separate-k4", "triangle-strip", "four-chromatic-without-k4"],
+)
+def test_solver_is_fast_at_64_vertices(cells, chi):
+    g = control_graph(cells)
+    assert 60 <= len(g) <= 64
+    start = time.perf_counter()
+    col = chromatic_coloring(g)
+    assert time.perf_counter() - start < 1.0
+    assert col.num_colors == chi
+    assert verify_coloring(g, col)
+
+
+def test_four_chromatic_control_components_take_the_pattern():
+    # a metric-16 component with a K4 needs 4 colors; it gets the control
+    # pattern 2*(i mod 2) + ((j - i)/2 mod 2), numbered by first appearance
+    rng = random.Random(5)
+    window = build_lattice(6, 1.0)
+    checked = 0
+    for _ in range(20):
+        g = control_graph(rng.sample(window.cells, 64))
+        col = chromatic_coloring(g)
+        for comp in connected_components(g):
+            if clique_lower_bound(subgraph_on(g, comp)) < 4:
+                continue
+            first = {}
+            for c in comp:
+                first.setdefault(2 * (c.i % 2) + (c.j - c.i) // 2 % 2, len(first))
+            assert [col.assignment[c] for c in comp] == [
+                first[2 * (c.i % 2) + (c.j - c.i) // 2 % 2] for c in comp
+            ]
+            checked += 1
+    assert checked
 
 
 def test_clique_bound_never_exceeds_chromatic():

@@ -1,10 +1,10 @@
 import pytest
 
 from hexchan import static_alloc
-from hexchan.coloring import chromatic_coloring
+from hexchan.coloring import brute_force_chromatic, chromatic_coloring, data_graph_coloring
 from hexchan.config import load_config
 from hexchan.errors import InsufficientSpectrumError
-from hexchan.interference import build_interference_graph
+from hexchan.interference import InterferenceGraph, build_interference_graph
 from hexchan.lattice import (
     CONTROL_REUSE_METRIC,
     DATA_REUSE_METRIC,
@@ -182,13 +182,88 @@ def test_static_csv_round_trip(europe_plan):
 
 def test_allocate_static_solves_each_lattice_coloring_once(monkeypatch, reference_config_path):
     cfg = load_config(reference_config_path)
-    solved = []
+    colored = []
 
-    def counting(graph, *args, **kwargs):
-        solved.append(len(graph))
-        return chromatic_coloring(graph, *args, **kwargs)
+    def counting(coloring):
+        def wrapped(graph, *args, **kwargs):
+            colored.append((coloring.__name__, len(graph)))
+            return coloring(graph, *args, **kwargs)
 
-    monkeypatch.setattr(static_alloc, "chromatic_coloring", counting)
+        return wrapped
+
+    monkeypatch.setattr(static_alloc, "chromatic_coloring", counting(chromatic_coloring))
+    monkeypatch.setattr(static_alloc, "data_graph_coloring", counting(data_graph_coloring))
     alloc = allocate_static(cfg.lattice, cfg.plan(), require_control=False)
-    assert solved == [12, 12]
+    assert colored == [("chromatic_coloring", 12), ("data_graph_coloring", 12)]
     assert (alloc.chi_control, alloc.chi_data) == (4, 3)
+
+
+def spaced_line(count):
+    # (0, 4k): neighbors sit at metric exactly 16, so neither graph has an edge
+    return [C(0, 4 * k) for k in range(count)]
+
+
+def spaced_clusters(count):
+    """Isolated cells, pairs, triangles and rhombi 4 columns apart, cycling
+    so that components of every data chromatic number 1..3 and control
+    chromatic number 1..4 occur; ``count`` cells in total."""
+    shapes = [[(0, 0)], [(0, 0), (1, 1)], [(0, 0), (1, 1), (0, 2)], [(0, 0), (1, 1), (0, 2), (1, 3)]]
+    cells = []
+    for k in range(count):
+        for di, dj in shapes[k % len(shapes)]:
+            cells.append(C(4 * k + di, dj))
+            if len(cells) == count:
+                return cells
+    return cells
+
+
+def per_component_chi(cells, threshold):
+    """Largest chromatic number over the components of the metric graph,
+    found by union of pairs and brute force on each (tiny) component."""
+    parent = {c: c for c in cells}
+
+    def root(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for k, a in enumerate(cells):
+        for b in cells[k + 1 :]:
+            if lattice_metric(a, b) < threshold:
+                parent[root(a)] = root(b)
+    components = {}
+    for c in cells:
+        components.setdefault(root(c), []).append(c)
+    chi = 0
+    for comp in components.values():
+        edges = [(a, b) for k, a in enumerate(comp) for b in comp[k + 1 :] if lattice_metric(a, b) < threshold]
+        chi = max(chi, brute_force_chromatic(InterferenceGraph(comp, edges)))
+    return chi
+
+
+@pytest.mark.parametrize("count", [60, 64, 65, 80])
+@pytest.mark.parametrize("layout", [spaced_line, spaced_clusters])
+@pytest.mark.parametrize("domain", [US, JAPAN])
+def test_sparse_static_has_no_size_cliff(layout, count, domain):
+    cells = layout(count)
+    lat = lattice_from_cells(cells, 1.0)
+    plan = channel_plan(default_domain(domain))
+    alloc = allocate_static(lat, plan, require_control=False)
+    chi_data = per_component_chi(cells, DATA_REUSE_METRIC)
+    assert alloc.chi_data == chi_data
+    assert alloc.k_static == len(plan.data_set) // chi_data
+    chi_control = per_component_chi(cells, CONTROL_REUSE_METRIC)
+    if count <= 64:
+        assert alloc.chi_control == chi_control
+    else:
+        # above the solver's cap the control pattern is proper but may use
+        # more colors than the minimum
+        assert chi_control <= alloc.chi_control <= 4
+    g12 = build_interference_graph(lat, None, DATA_REUSE_METRIC)
+    for a, b in g12.edges:
+        assert not set(alloc.data_groups[a]) & set(alloc.data_groups[b])
+
+
+def test_sparse_65_cell_line_gets_whole_data_set():
+    alloc = allocate_static(lattice_from_cells(spaced_line(65), 1.0), channel_plan(default_domain(US)))
+    assert (alloc.chi_control, alloc.chi_data, alloc.k_static) == (1, 1, 24)
