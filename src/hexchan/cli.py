@@ -26,6 +26,7 @@ from .dynamic_alloc import (
     allocation_csv,
     allocation_json_doc,
     cycle_structure,
+    dynamic_summary_json,
 )
 from .errors import ConfigError, HexchanError
 from .evaluate import compare_schemes, evaluation_summary_json, scheme_report_csv
@@ -105,22 +106,7 @@ def cmd_dynamic(cfg: ScenarioConfig, out_dir: Path) -> None:
     _write(out_dir, "activity.csv", activity_csv(configs, act))
     _write(out_dir, "dynamic_allocation.csv", allocation_csv(configs, act, alloc))
     _write(out_dir, "dynamic_allocation.json", allocation_json_doc(configs, cycles, alloc))
-    active_pans = [sum(column) for column in zip(*act.active)]
-    summary = {
-        "bi_maj": cycles.bi_maj,
-        "sd_min": cycles.sd_min,
-        "u_cycles": cycles.u_cycles,
-        "per_cycle": [
-            {
-                "cycle": t + 1,
-                "active_pans": active_pans[t],
-                "chi": alloc.per_cycle_chi[t],
-                "k": alloc.per_cycle_k[t],
-            }
-            for t in range(cycles.u_cycles)
-        ],
-    }
-    _write(out_dir, "dynamic_summary.json", json.dumps(summary, indent=2) + "\n")
+    _write(out_dir, "dynamic_summary.json", dynamic_summary_json(cycles, alloc))
 
 
 def cmd_evaluate(cfg: ScenarioConfig, out_dir: Path) -> None:

@@ -13,7 +13,6 @@ whole data set while busy cycles fall back to the static share.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
@@ -21,6 +20,7 @@ from typing import Sequence
 from .coloring import data_labels
 from .errors import InsufficientSpectrumError, InvalidSuperframeError
 from .interference import build_interference_graph, component_masks, iter_bits
+from .jsontext import json_array, json_object
 from .lattice import DATA_REUSE_METRIC, CellIndex, Lattice
 from .spectrum import ChannelPlan, LogicalChannel, partition_channels
 
@@ -88,6 +88,10 @@ class AllocationMatrix:
     interference graph (max over its components; 0 when idle) and
     ``per_cycle_k`` the largest channel grant in the cycle.  ``activity`` is
     the activity matrix the grants were computed from.
+
+    A grant is ``()`` exactly when the PAN is idle in that cycle: an active
+    PAN always gets a non-empty group.  The report writers rely on this and
+    render idle entries from the activity matrix alone.
     """
 
     channels: tuple[tuple[tuple[LogicalChannel, ...], ...], ...]
@@ -124,15 +128,27 @@ def activity_matrix(
 ) -> ActivityMatrix:
     """Activity of every PAN over ``num_cycles`` cycles (default one major cycle).
 
-    Entry t of a row is ``is_active(cfg, t, cycles.sd_min)``, which repeats
-    every BI / gcd(BI, SD_min) cycles, so one period is computed and tiled.
+    Entry t of a row is ``is_active(cfg, t, cycles.sd_min)``, in closed form.
+    SD_min divides SD, and SD divides BI, so a row repeats every P = BI /
+    SD_min cycles.  Cycle t is active when its start t * SD_min falls in
+    [phase, phase + SD) modulo BI; in one period these are the m = SD /
+    SD_min cycles from t0 = ceil((phase mod BI) / SD_min) on, modulo P.  So
+    each period is m True then P - m False, rotated right by t0, and the
+    period is tiled.  ``cycles`` whose SD_min does not divide some PAN's SD
+    (never those of ``cycle_structure(configs)``) raise ``ValueError``.
     """
     u = cycles.u_cycles if num_cycles is None else num_cycles
     sd_min = cycles.sd_min
     rows = []
     for cfg in configs:
-        period = [is_active(cfg, t, sd_min) for t in range(cfg.bi // math.gcd(cfg.bi, sd_min))]
-        rows.append(tuple((period * (u // len(period) + 1))[:u]))
+        if cfg.sd % sd_min:
+            raise ValueError(f"SD_min={sd_min} does not divide the active period SD={cfg.sd}")
+        period = cfg.bi // sd_min
+        active = cfg.sd // sd_min
+        start = -(-(cfg.phase % cfg.bi) // sd_min) % period
+        run = [True] * active + [False] * (period - active)
+        run = run[period - start :] + run[: period - start]
+        rows.append(tuple((run * (u // period + 1))[:u]))
     return ActivityMatrix(active=tuple(rows))
 
 
@@ -234,64 +250,72 @@ def allocate_dynamic(
     )
 
 
-def _pan_texts(configs: Sequence[SuperframeConfig], suffix: str = "") -> list[tuple[str, str]]:
-    """Per PAN, its CSV fields "i,j,0" (idle) and "i,j,1" (active), each
-    followed by ``suffix``."""
-    return [tuple(f"{cfg.pan_cell.i},{cfg.pan_cell.j},{a}{suffix}" for a in (0, 1)) for cfg in configs]
+def _pan_texts(configs: Sequence[SuperframeConfig], suffix: str = "") -> tuple[list[str], list[str]]:
+    """Per PAN, its CSV fields "i,j,0" (idle) and, in the second list,
+    "i,j,1" (active), each followed by ``suffix``."""
+    cells = [f"{cfg.pan_cell.i},{cfg.pan_cell.j}," for cfg in configs]
+    return [cell + "0" + suffix for cell in cells], [cell + "1" + suffix for cell in cells]
 
 
 def activity_csv(configs: Sequence[SuperframeConfig], act: ActivityMatrix) -> str:
     """Long-form activity table; cycles are printed 1-based."""
-    # A line is "cycle," + "i,j,active", the PAN part rendered once per activity.
-    tails = _pan_texts(configs)
+    # A line is "cycle," + "i,j,active".  Per cycle, the idle PAN texts are
+    # copied, the active PANs' texts put in place, and the lines joined with
+    # the cycle field between them.
+    idle, active = _pan_texts(configs)
+    pans = range(len(configs))
     lines = ["cycle,pan_i,pan_j,active"]
     for t, column in enumerate(zip(*act.active), 1):
+        texts = idle.copy()
+        for k in compress(pans, column):
+            texts[k] = active[k]
         head = f"{t},"
-        lines.extend(head + pan[active] for pan, active in zip(tails, column))
+        lines.append(head + ("\r\n" + head).join(texts))
     return "\r\n".join(lines) + "\r\n"
 
 
-def _distinct_grants(alloc: AllocationMatrix) -> dict[int, tuple[LogicalChannel, ...]]:
-    """Every distinct grant object of ``alloc``, keyed by ``id``.
+def _distinct_grants(
+    channels: Sequence[Sequence[tuple[LogicalChannel, ...]]], active: Sequence[Sequence[bool]]
+) -> dict[int, tuple[LogicalChannel, ...]]:
+    """The empty grant and every distinct grant of an active entry, keyed by ``id``.
 
-    The grants are the shared channel groups of ``allocate_dynamic`` plus the
-    empty tuple, so there are few of them.  Keying by identity avoids hashing
-    tuples of channels; ``alloc`` keeps the objects alive, so the ids stay
-    valid while it does.
+    The grants are the shared channel groups of ``allocate_dynamic``, so
+    there are few of them, and every idle entry holds ``()``.  Keying by
+    identity avoids hashing tuples of channels; ``channels`` keeps the
+    objects alive, so the ids stay valid while it does.
     """
-    return {id(grant): grant for row in alloc.channels for grant in row}
+    grants = {id(grant): grant for row, flags in zip(channels, active) for grant in compress(row, flags)}
+    grants[id(())] = ()
+    return grants
 
 
 def allocation_csv(
     configs: Sequence[SuperframeConfig], act: ActivityMatrix, alloc: AllocationMatrix
 ) -> str:
     """Per-cycle per-PAN grants; ``chi`` is the cycle's chromatic number."""
-    # A line is "cycle," + "i,j,active," + "chi," + "k,tokens"; the PAN part is
-    # rendered once per PAN and activity, the grant part once per grant.
-    heads = _pan_texts(configs, ",")
+    # A line is "cycle," + "i,j,active," + "chi," + "k,tokens".  An idle line
+    # holds the empty grant, so it depends on the PAN and chi alone: per
+    # cycle, the idle texts of its chi are copied, the active entries put in
+    # place, and the lines joined with the cycle field between them.
+    idle, active = _pan_texts(configs, ",")
     tails = {
         key: f"{len(grant)},{' '.join(ch.token() for ch in grant)}"
-        for key, grant in _distinct_grants(alloc).items()
+        for key, grant in _distinct_grants(alloc.channels, act.active).items()
     }
+    idle_by_chi: dict[int, list[str]] = {}
+    pans = range(len(configs))
     lines = ["cycle,pan_i,pan_j,active,chi,k,channels"]
-    columns = zip(alloc.per_cycle_chi, zip(*act.active), zip(*alloc.channels))
-    for t, (chi, active_column, grant_column) in enumerate(columns, 1):
-        head = f"{t},"
+    for t, (chi, column) in enumerate(zip(alloc.per_cycle_chi, zip(*act.active))):
         chi_part = f"{chi},"
-        lines.extend(
-            head + pan[active] + chi_part + tails[id(grant)]
-            for pan, active, grant in zip(heads, active_column, grant_column)
-        )
+        idle_texts = idle_by_chi.get(chi)
+        if idle_texts is None:
+            idle_texts = idle_by_chi[chi] = [pan + chi_part + tails[id(())] for pan in idle]
+        texts = idle_texts.copy()
+        for k in compress(pans, column):
+            texts[k] = active[k] + chi_part + tails[id(alloc.channels[k][t])]
+        head = f"{t + 1},"
+        lines.append(head + ("\r\n" + head).join(texts))
     return "\r\n".join(lines) + "\r\n"
-
-
-def _json_array(items: Sequence[str], level: int) -> str:
-    """Pre-rendered ``items`` as a JSON array, laid out exactly as
-    ``json.dumps(..., indent=2)`` lays out an array nested ``level`` deep."""
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * (level + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
 
 
 def allocation_json_doc(
@@ -303,21 +327,24 @@ def allocation_json_doc(
     {bi_maj, sd_min, u_cycles, per_cycle_chi, per_cycle_k, pans: [{pan,
     cell, SO, BO, phase, channels_per_cycle}]}, where a grant is a list of
     [phy_channel, code] pairs.  It is written directly: each distinct grant
-    is rendered once at its nesting depth, and the result is one join over
-    the pieces, so no per-PAN copy of the text is made.  There is at least
-    one PAN and one cycle, as ``cycle_structure`` requires.
+    is rendered once at its nesting depth, a PAN's row starts as the idle
+    piece repeated and takes its active cycles' pieces, and the result is
+    one join over the pieces, so no per-PAN copy of the text is made.  There
+    is at least one PAN and one cycle, as ``cycle_structure`` requires.
     """
 
     def ints(values: Sequence[int], level: int) -> str:
-        return _json_array([str(v) for v in values], level)
+        return json_array([str(v) for v in values], level)
 
     # A grant sits at depth 4 of channels_per_cycle; every grant but a row's
     # last carries the separator to the next one.
     last = {
-        key: _json_array([ints((ch.phy_channel, ch.code), 5) for ch in grant], 4)
-        for key, grant in _distinct_grants(alloc).items()
+        key: json_array([ints((ch.phy_channel, ch.code), 5) for ch in grant], 4)
+        for key, grant in _distinct_grants(alloc.channels, alloc.activity.active).items()
     }
     inner = {key: text + ",\n        " for key, text in last.items()}
+    u = len(alloc.per_cycle_chi)
+    cycle_range = range(u)
     parts = [
         "{\n",
         f'  "bi_maj": {cycles.bi_maj},\n',
@@ -327,14 +354,41 @@ def allocation_json_doc(
         f'  "per_cycle_k": {ints(alloc.per_cycle_k, 1)},\n',
         '  "pans": [',
     ]
-    for k, (cfg, row) in enumerate(zip(configs, alloc.channels)):
+    columns = zip(configs, alloc.channels, alloc.activity.active)
+    for k, (cfg, row, active) in enumerate(columns):
         parts.append(
             f'{"," if k else ""}\n    {{\n      "pan": {k + 1},\n'
             f'      "cell": {ints((cfg.pan_cell.i, cfg.pan_cell.j), 3)},\n'
             f'      "SO": {cfg.so},\n      "BO": {cfg.bo},\n      "phase": {cfg.phase},\n'
             '      "channels_per_cycle": [\n        '
         )
-        parts.extend(map(inner.__getitem__, map(id, row[:-1])))
-        parts.append(last[id(row[-1])] + "\n      ]\n    }")
+        pieces = [inner[id(())]] * u
+        for t in compress(cycle_range, active):
+            pieces[t] = inner[id(row[t])]
+        pieces[-1] = last[id(row[-1])] + "\n      ]\n    }"
+        parts += pieces
     parts.append("\n  ]\n}\n")
     return "".join(parts)
+
+
+def dynamic_summary_json(cycles: CycleStructure, alloc: AllocationMatrix) -> str:
+    """Cycle structure plus per-cycle active PAN count, chi and k.
+
+    The text is ``json.dumps(doc, indent=2) + "\n"`` of {bi_maj, sd_min,
+    u_cycles, per_cycle: [{cycle, active_pans, chi, k}]} with cycles
+    numbered from 1, written directly: one template is filled per cycle.
+    """
+    entry = json_object([(key, "%d") for key in ("cycle", "active_pans", "chi", "k")], 2)
+    per_cycle = zip(
+        range(1, len(alloc.per_cycle_chi) + 1),
+        map(sum, zip(*alloc.activity.active)),
+        alloc.per_cycle_chi,
+        alloc.per_cycle_k,
+    )
+    fields = [
+        ("bi_maj", str(cycles.bi_maj)),
+        ("sd_min", str(cycles.sd_min)),
+        ("u_cycles", str(cycles.u_cycles)),
+        ("per_cycle", json_array(list(map(entry.__mod__, per_cycle)), 1)),
+    ]
+    return json_object(fields, 0) + "\n"

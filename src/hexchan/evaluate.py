@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import OrderingError
 from .dynamic_alloc import SuperframeConfig, allocate_dynamic, cycle_structure
+from .jsontext import json_array, json_object
 from .lattice import CellIndex, Lattice
 from .spectrum import ChannelPlan
 from .static_alloc import allocate_static_data
@@ -164,36 +165,56 @@ def evaluation_summary_json(
     domain_name: str,
     reports: Sequence[SchemeReport],
 ) -> str:
-    """Per-PAN peaks and best makespans per scheme, plus the domain peaks."""
+    """Per-PAN peaks and best makespans per scheme, plus the domain peaks.
+
+    The text is ``json.dumps(doc, indent=2) + "\n"`` of {domain,
+    data_channels, per_pan: [{pan, cell, max_channels, best_makespan,
+    max_delay_decrease_percent}], computed_dynamic_peak} (plus
+    reference_dynamic_peak and peak_note for a domain with a published
+    peak), where the last three per-PAN fields map each scheme to a value.
+    It is written directly: one per-PAN template is filled per PAN.
+    """
     by_scheme = {r.scheme: r for r in reports}
     computed_peak = max(
         (count for r in reports for count in r.max_channels.values()), default=0
     )
-    # Per scheme and PAN, read from its outcome table; None for a PAN that is
-    # never active.
-    best_makespan = {r.scheme: [min((o[0] for o in t.values()), default=None) for t in r.outcomes] for r in reports}
-    max_decrease = {r.scheme: [max((o[1] for o in t.values()), default=None) for t in r.outcomes] for r in reports}
-    doc: dict = {
-        "domain": domain_name,
-        "data_channels": len(plan.data_set),
-        "per_pan": [
-            {
-                "pan": pan + 1,
-                "cell": [cfg.pan_cell.i, cfg.pan_cell.j],
-                "max_channels": {s: by_scheme[s].max_channels[pan] for s in SCHEMES},
-                "best_makespan": {s: best_makespan[s][pan] for s in SCHEMES},
-                "max_delay_decrease_percent": {s: max_decrease[s][pan] for s in SCHEMES},
-            }
-            for pan, cfg in enumerate(configs)
+
+    def per_scheme(level: int) -> str:
+        return json_object([(s, "%s") for s in SCHEMES], level)
+
+    entry = json_object(
+        [
+            ("pan", "%d"),
+            ("cell", json_array(["%d", "%d"], 3)),
+            ("max_channels", per_scheme(3)),
+            ("best_makespan", per_scheme(3)),
+            ("max_delay_decrease_percent", per_scheme(3)),
         ],
-        "computed_dynamic_peak": computed_peak,
-    }
+        2,
+    )
+    per_pan = []
+    for pan, cfg in enumerate(configs):
+        # Per scheme, read from the PAN's outcome table; null for a PAN that
+        # is never active.  Floats are rendered by repr, as json does.
+        tables = [by_scheme[s].outcomes[pan] for s in SCHEMES]
+        values = [pan + 1, cfg.pan_cell.i, cfg.pan_cell.j]
+        values += [by_scheme[s].max_channels[pan] for s in SCHEMES]
+        values += [min(o[0] for o in t.values()) if t else "null" for t in tables]
+        values += [repr(max(o[1] for o in t.values())) if t else "null" for t in tables]
+        per_pan.append(entry % tuple(values))
+    fields = [
+        ("domain", json.dumps(domain_name)),
+        ("data_channels", str(len(plan.data_set))),
+        ("per_pan", json_array(per_pan, 1)),
+        ("computed_dynamic_peak", str(computed_peak)),
+    ]
     if domain_name in REFERENCE_DYNAMIC_PEAKS:
         reference = REFERENCE_DYNAMIC_PEAKS[domain_name]
-        doc["reference_dynamic_peak"] = reference
+        fields.append(("reference_dynamic_peak", str(reference)))
         if reference != computed_peak:
-            doc["peak_note"] = (
+            note = (
                 f"reference evaluation reports a peak of {reference} dynamic channels for "
                 f"{domain_name}; the computed peak under the active channel table is {computed_peak}"
             )
-    return json.dumps(doc, indent=2) + "\n"
+            fields.append(("peak_note", json.dumps(note)))
+    return json_object(fields, 0) + "\n"

@@ -127,12 +127,15 @@ def static_allocation_csv(lattice: Lattice, alloc: StaticAllocation) -> str:
     header = ["i", "j", "control_phy", "control_code"]
     header += [f"data_ch_{k + 1}" for k in range(alloc.k_static)]
     lines = [",".join(header)]
+    # The data groups are the chi_data shared groups of ``_data_groups``, so
+    # each is rendered once, keyed by identity.
+    groups = {id(group): group for group in alloc.data_groups.values()}
+    tails = {key: "".join("," + ch.token() for ch in group) for key, group in groups.items()}
     for cell in lattice.cells:
         if alloc.control is None:
-            row = [str(cell.i), str(cell.j), "", ""]
+            head = f"{cell.i},{cell.j},,"
         else:
             cch = alloc.control[cell]
-            row = [str(cell.i), str(cell.j), str(cch.phy_channel), str(cch.code)]
-        row += [ch.token() for ch in alloc.data_groups[cell]]
-        lines.append(",".join(row))
+            head = f"{cell.i},{cell.j},{cch.phy_channel},{cch.code}"
+        lines.append(head + tails[id(alloc.data_groups[cell])])
     return "\r\n".join(lines) + "\r\n"

@@ -4,11 +4,14 @@ import random
 
 import pytest
 from conftest import roadmap_config
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexchan.cli import main
 from hexchan.coloring import DEFAULT_VERTEX_CAP, chromatic_coloring, data_graph_coloring, verify_coloring
 from hexchan.config import load_config
 from hexchan.dynamic_alloc import (
+    CycleStructure,
     SuperframeConfig,
     activity_csv,
     activity_matrix,
@@ -110,6 +113,36 @@ def test_activity_matrix_matches_is_active():
     for num_cycles in (0, 1, 37, cs.u_cycles, 2 * cs.u_cycles + 5):
         act = activity_matrix(cfgs, cs, num_cycles)
         assert act.active == tuple(tuple(is_active(cfg, t, cs.sd_min) for t in range(num_cycles)) for cfg in cfgs)
+
+
+@st.composite
+def duty_cycles(draw):
+    """1-4 superframe configs with SO <= BO <= 14 and phases up to 2^16,
+    beyond BI for most BO."""
+    configs = []
+    for k in range(draw(st.integers(1, 4))):
+        bo = draw(st.integers(0, 14))
+        so = draw(st.integers(0, bo))
+        configs.append(SF(pan_cell=C(2 * k, 0), so=so, bo=bo, phase=draw(st.integers(0, 1 << 16))))
+    return configs
+
+
+@settings(max_examples=150, deadline=None)
+@given(duty_cycles(), st.integers(0, 600))
+def test_activity_matrix_rows_are_closed_form_of_is_active(configs, num_cycles):
+    # At most 600 cycles keeps the oracle fast; a PAN's period is 1 to 2^14
+    # cycles, so the count both tiles short periods and cuts long ones.
+    cs = cycle_structure(configs)
+    act = activity_matrix(configs, cs, num_cycles)
+    assert act.active == tuple(tuple(is_active(cfg, t, cs.sd_min) for t in range(num_cycles)) for cfg in configs)
+
+
+def test_activity_matrix_rejects_sd_min_not_dividing_sd():
+    cfg = SF(pan_cell=C(0, 0), so=0, bo=3)
+    cs = cycle_structure([cfg, SF(pan_cell=C(1, 1), so=1, bo=3)])
+    with pytest.raises(ValueError, match="SD_min=2"):
+        activity_matrix([cfg], CycleStructure(bi_maj=8, sd_min=2, u_cycles=4))
+    assert activity_matrix([cfg], cs).active == ((True,) + (False,) * 7,)
 
 
 def test_phase_shifts_activity():

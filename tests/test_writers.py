@@ -2,9 +2,11 @@
 
 ``allocation_json_doc``, ``allocation_csv``, ``activity_csv`` and
 ``scheme_report_csv`` build their text directly, rendering each distinct
-grant, PAN field and outcome once.  The ``reference_*`` functions below are
-the plain per-entry loops (and ``json.dumps``) they replaced; the writers must
-produce the same text on every drawn deployment.  ``reference_schemes`` is
+grant, PAN field and outcome once; the first three copy whole runs of idle
+entries.  ``dynamic_summary_json`` and ``evaluation_summary_json`` fill one
+template per cycle or PAN.  The ``reference_*`` functions below are the plain
+per-entry loops (and ``json.dumps``) they replaced; the writers must produce
+the same text on every drawn deployment.  ``reference_schemes`` is
 the per-(PAN, cycle) loop that ``compare_schemes`` replaced by per-PAN
 columns; the columns must hold the same entries.
 """
@@ -23,6 +25,7 @@ from hexchan.dynamic_alloc import (
     allocation_csv,
     allocation_json_doc,
     cycle_structure,
+    dynamic_summary_json,
 )
 from hexchan.evaluate import (
     RequestScenario,
@@ -84,6 +87,25 @@ def reference_allocation_json(configs, cycles, alloc):
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_dynamic_summary(cycles, alloc):
+    active_pans = [sum(column) for column in zip(*alloc.activity.active)]
+    summary = {
+        "bi_maj": cycles.bi_maj,
+        "sd_min": cycles.sd_min,
+        "u_cycles": cycles.u_cycles,
+        "per_cycle": [
+            {
+                "cycle": t + 1,
+                "active_pans": active_pans[t],
+                "chi": alloc.per_cycle_chi[t],
+                "k": alloc.per_cycle_k[t],
+            }
+            for t in range(cycles.u_cycles)
+        ],
+    }
+    return json.dumps(summary, indent=2) + "\n"
 
 
 def reference_schemes(lattice, configs, plan, scenario):
@@ -176,6 +198,23 @@ IDLE = deployment(1, "Europe", [(-1, 1, 0, 2, 0), (0, 0, 0, 2, 2)])
 # Cycle 1 activates a triangle (chi = 3), cycle 2 a path of three PANs (chi = 2).
 TRIANGLE = deployment(1, "US", [(0, 0, 1, 1, 0), (1, 1, 1, 1, 0), (1, -1, 0, 1, 0), (-1, -1, 1, 1, 0)])
 EXAMPLES = (SINGLE, IDLE, TRIANGLE)
+# 22 of 896 (PAN, cycle) entries active, as on the low-duty benchmark windows:
+# cycle 1 activates the triangle (0, 0), (1, 1), (0, 2) (chi = 3), cycle 12
+# the pair (-1, -1), (0, -2) (chi = 2), other cycles one PAN or none.  The
+# phase 52 of a BI = 32 PAN exceeds its interval.
+SPARSE = deployment(
+    2,
+    "US",
+    [
+        (0, 0, 1, 5, 0),
+        (1, 1, 0, 6, 0),
+        (0, 2, 0, 7, 0),
+        (-1, -1, 1, 6, 10),
+        (0, -2, 0, 7, 11),
+        (2, -2, 0, 5, 52),
+        (-2, 2, 1, 7, 100),
+    ],
+)
 # Two neighbors share cycle 1 (7 channels each) and the first runs alone in
 # cycle 2 (14 channels): with 8 requests of 3 slots its makespan is 4, then 3.
 SHARED = deployment(1, "Europe", [(-1, 1, 1, 2, 0), (0, 0, 0, 2, 0)], requests=(3,) * 8)
@@ -188,6 +227,7 @@ def check_writers(lattice, configs, plan, scenario):
     assert activity_csv(configs, act) == reference_activity_csv(configs, act)
     assert allocation_csv(configs, act, alloc) == reference_allocation_csv(configs, act, alloc)
     assert allocation_json_doc(configs, cycles, alloc) == reference_allocation_json(configs, cycles, alloc)
+    assert dynamic_summary_json(cycles, alloc) == reference_dynamic_summary(cycles, alloc)
 
     # The writers key grants by identity; a matrix whose grants share no
     # objects must give the same text.
@@ -211,6 +251,7 @@ def check_writers(lattice, configs, plan, scenario):
 @example(IDLE)
 @example(TRIANGLE)
 @example(SHARED)
+@example(SPARSE)
 def test_writers_match_reference_loops(drawn):
     check_writers(*drawn)
 
@@ -252,3 +293,10 @@ def test_examples_cover_edge_cases():
     assert 1 in pans and 1 in cycle_counts
     assert chis == {0, 1, 2, 3}
     assert idle and negative
+
+
+def test_sparse_example_is_mostly_idle():
+    lattice, configs, plan, _ = SPARSE
+    alloc = allocate_dynamic(lattice, configs, plan)
+    assert sorted(set(alloc.per_cycle_chi)) == [0, 1, 2, 3]
+    assert (sum(map(sum, alloc.activity.active)), len(configs) * len(alloc.per_cycle_chi)) == (22, 896)
