@@ -14,7 +14,7 @@ whole data set while busy cycles fall back to the static share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from typing import Sequence
 
 from .coloring import data_labels
@@ -259,19 +259,23 @@ def _pan_texts(configs: Sequence[SuperframeConfig], suffix: str = "") -> tuple[l
 
 def activity_csv(configs: Sequence[SuperframeConfig], act: ActivityMatrix) -> str:
     """Long-form activity table; cycles are printed 1-based."""
-    # A line is "cycle," + "i,j,active".  Per cycle, the idle PAN texts are
-    # copied, the active PANs' texts put in place, and the lines joined with
-    # the cycle field between them.
+    # A line is "cycle," + "i,j,active".  Per cycle, the pieces list gets the
+    # line break and cycle field before each PAN's text: all PANs' idle texts
+    # are copied in, then the active PANs' texts put in place.  Only
+    # references are copied until the final join, which copies the text
+    # once; joining per cycle first would hold a second copy of it.
     idle, active = _pan_texts(configs)
-    pans = range(len(configs))
-    lines = ["cycle,pan_i,pan_j,active"]
+    n = len(configs)
+    pans = range(n)
+    pieces = ["cycle,pan_i,pan_j,active"]
     for t, column in enumerate(zip(*act.active), 1):
-        texts = idle.copy()
+        first = len(pieces) + 1
+        pieces += repeat(f"\r\n{t},", 2 * n)
+        pieces[first::2] = idle
         for k in compress(pans, column):
-            texts[k] = active[k]
-        head = f"{t},"
-        lines.append(head + ("\r\n" + head).join(texts))
-    return "\r\n".join(lines) + "\r\n"
+            pieces[first + 2 * k] = active[k]
+    pieces.append("\r\n")
+    return "".join(pieces)
 
 
 def _distinct_grants(
@@ -294,28 +298,30 @@ def allocation_csv(
 ) -> str:
     """Per-cycle per-PAN grants; ``chi`` is the cycle's chromatic number."""
     # A line is "cycle," + "i,j,active," + "chi," + "k,tokens".  An idle line
-    # holds the empty grant, so it depends on the PAN and chi alone: per
-    # cycle, the idle texts of its chi are copied, the active entries put in
-    # place, and the lines joined with the cycle field between them.
+    # holds the empty grant, so it depends on the PAN and chi alone.  The
+    # pieces are laid out as in ``activity_csv``, with the idle texts of the
+    # cycle's chi.
     idle, active = _pan_texts(configs, ",")
+    n = len(configs)
     tails = {
         key: f"{len(grant)},{' '.join(ch.token() for ch in grant)}"
         for key, grant in _distinct_grants(alloc.channels, act.active).items()
     }
     idle_by_chi: dict[int, list[str]] = {}
-    pans = range(len(configs))
-    lines = ["cycle,pan_i,pan_j,active,chi,k,channels"]
+    pans = range(n)
+    pieces = ["cycle,pan_i,pan_j,active,chi,k,channels"]
     for t, (chi, column) in enumerate(zip(alloc.per_cycle_chi, zip(*act.active))):
         chi_part = f"{chi},"
         idle_texts = idle_by_chi.get(chi)
         if idle_texts is None:
             idle_texts = idle_by_chi[chi] = [pan + chi_part + tails[id(())] for pan in idle]
-        texts = idle_texts.copy()
+        first = len(pieces) + 1
+        pieces += repeat(f"\r\n{t + 1},", 2 * n)
+        pieces[first::2] = idle_texts
         for k in compress(pans, column):
-            texts[k] = active[k] + chi_part + tails[id(alloc.channels[k][t])]
-        head = f"{t + 1},"
-        lines.append(head + ("\r\n" + head).join(texts))
-    return "\r\n".join(lines) + "\r\n"
+            pieces[first + 2 * k] = active[k] + chi_part + tails[id(alloc.channels[k][t])]
+    pieces.append("\r\n")
+    return "".join(pieces)
 
 
 def allocation_json_doc(

@@ -12,6 +12,7 @@ columns; the columns must hold the same entries.
 """
 
 import json
+from dataclasses import replace
 
 from conftest import scheme_entries
 from hypothesis import example, given, settings
@@ -300,3 +301,22 @@ def test_sparse_example_is_mostly_idle():
     alloc = allocate_dynamic(lattice, configs, plan)
     assert sorted(set(alloc.per_cycle_chi)) == [0, 1, 2, 3]
     assert (sum(map(sum, alloc.activity.active)), len(configs) * len(alloc.per_cycle_chi)) == (22, 896)
+
+
+def test_summary_renders_a_never_active_pan_as_null():
+    # compare_schemes covers one major cycle, where every PAN is active at
+    # least once; a report without outcomes for a PAN still renders as
+    # json.dumps renders None.
+    lattice, configs, plan, scenario = IDLE
+    reports = [
+        replace(r, outcomes=({},) + r.outcomes[1:], max_channels={**r.max_channels, 0: 0})
+        for r in compare_schemes(lattice, configs, plan, scenario)
+    ]
+    text = evaluation_summary_json(configs, plan, "Europe", reports)
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2) + "\n"
+    idle_pan = doc["per_pan"][0]
+    assert idle_pan["best_makespan"] == idle_pan["max_delay_decrease_percent"] == dict.fromkeys(
+        ("single", "static", "dynamic")
+    )
+    assert idle_pan["max_channels"] == dict.fromkeys(("single", "static", "dynamic"), 0)
