@@ -16,7 +16,6 @@ from .coloring import (
     verify_coloring,
 )
 from .dynamic_alloc import (
-    ActivityMatrix,
     AllocationMatrix,
     CycleStructure,
     SuperframeConfig,
@@ -59,7 +58,6 @@ from .static_alloc import StaticAllocation, allocate_control, allocate_static, a
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivityMatrix",
     "AllocationMatrix",
     "CellIndex",
     "ChannelPlan",

@@ -15,6 +15,7 @@ Outputs are deterministic: the same config produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -25,7 +26,6 @@ from .dynamic_alloc import (
     allocate_dynamic,
     allocation_csv,
     allocation_json_doc,
-    cycle_structure,
     dynamic_summary_json,
 )
 from .errors import ConfigError, HexchanError
@@ -100,13 +100,11 @@ def cmd_dynamic(cfg: ScenarioConfig, out_dir: Path) -> None:
     """Activity and per-cycle allocation matrices with a cycle summary."""
     configs = cfg.require_superframes()
     plan = cfg.plan()
-    cycles = cycle_structure(configs)
     alloc = allocate_dynamic(cfg.lattice, configs, plan)
-    act = alloc.activity
-    _write(out_dir, "activity.csv", activity_csv(configs, act))
-    _write(out_dir, "dynamic_allocation.csv", allocation_csv(configs, act, alloc))
-    _write(out_dir, "dynamic_allocation.json", allocation_json_doc(configs, cycles, alloc))
-    _write(out_dir, "dynamic_summary.json", dynamic_summary_json(cycles, alloc))
+    _write(out_dir, "activity.csv", activity_csv(configs, alloc.activity))
+    _write(out_dir, "dynamic_allocation.csv", allocation_csv(configs, alloc))
+    _write(out_dir, "dynamic_allocation.json", allocation_json_doc(configs, alloc))
+    _write(out_dir, "dynamic_summary.json", dynamic_summary_json(configs, alloc))
 
 
 def cmd_evaluate(cfg: ScenarioConfig, out_dir: Path) -> None:
@@ -127,7 +125,10 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and shared by later calls;
+    parsing keeps no state in it."""
     parser = _Parser(prog="hexchan", description="Channel allocation for hexagonal-cell sensor networks")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in _COMMANDS.items():
@@ -135,8 +136,12 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True, help="scenario config (JSON)")
         p.add_argument("--out", help="output directory (default: config's out_dir, else ./out)")
         p.add_argument("--domain", choices=("US", "Europe", "Japan"), help="override the config's domain")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg = load_config(args.config, domain_override=args.domain)
         out_dir = Path(args.out or cfg.out_dir or "out")
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -5,11 +5,10 @@ Every interference graph here needs few colors: the data pattern colors any
 metric-12 graph with 3 and the control pattern any metric-16 graph with 4.
 Metric-12 graphs are colored without search by ``data_graph_coloring``.
 ``chromatic_coloring`` colors any graph exactly, one connected component at
-a time: a bipartite component gets its BFS 2-coloring; any other the first
-k-coloring in vertex order for the smallest k from max(3, greedy clique) up,
-except that a component needing 4 colors on which the control pattern is
-proper (any metric-16 graph) gets that pattern.  It refuses graphs above
-``DEFAULT_VERTEX_CAP`` vertices.
+a time: each gets the first k-coloring in vertex order for the smallest k
+from its greedy clique up, except that a component needing 4 colors on
+which the control pattern is proper (any metric-16 graph) gets that
+pattern.  It refuses graphs above ``DEFAULT_VERTEX_CAP`` vertices.
 """
 
 from __future__ import annotations
@@ -149,15 +148,18 @@ def _settle(adj: list[int], domains: list[int], v: int, color: int) -> list[int]
 
 def _component_labels(rows: Sequence[int], comp: int, cells: Sequence[CellIndex]) -> list[int]:
     """Minimum coloring of the connected component ``comp``, as labels of
-    its positions in ascending order."""
+    its positions in ascending order.
+
+    A bipartite component needs no branch of its own: its first 2-coloring
+    in vertex order gives its lowest position color 0, which fixes the
+    rest, and the forced-color pruning of ``_k_coloring`` finds it without
+    backtracking.
+    """
     positions = list(iter_bits(comp))
-    side = _two_coloring(rows, comp)
-    if side is not None:
-        return [side[p] for p in positions]
     local = {p: r for r, p in enumerate(positions)}
     adj = [sum(1 << local[q] for q in iter_bits(rows[p] & comp)) for p in positions]
     pattern = [_pattern_label(cells[p], CONTROL) for p in positions]
-    for k in itertools.count(max(3, _greedy_clique(rows, comp))):
+    for k in itertools.count(_greedy_clique(rows, comp)):
         if k == 4 and all(pattern[v] != pattern[w] for v in range(len(adj)) for w in iter_bits(adj[v])):
             return _first_appearance(pattern)
         labels = _k_coloring(adj, k)
@@ -169,9 +171,9 @@ def _component_labels(rows: Sequence[int], comp: int, cells: Sequence[CellIndex]
 def chromatic_coloring(graph: InterferenceGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Coloring:
     """Proper coloring with exactly the chromatic number of colors.
 
-    Each connected component is colored on its own: with its BFS
-    2-coloring if bipartite, else with the first k-coloring in vertex
-    order for the smallest k from max(3, greedy clique) up.  Once 3 colors
+    Each connected component is colored on its own, with the first
+    k-coloring in vertex order for the smallest k from its greedy clique
+    up; on a bipartite component that is its BFS 2-coloring.  Once 3 colors
     are ruled out, a component on which the control pattern is proper gets
     the pattern instead of a 4-coloring search; on metric-16 graphs that
     search can take seconds at 64 vertices.  Deterministic for a given
@@ -289,10 +291,3 @@ def brute_force_chromatic(graph: InterferenceGraph) -> int:
             return k
     raise AssertionError("unreachable")
 
-
-def coloring_csv(coloring: Coloring) -> str:
-    """CSV rows ``i,j,color`` in vertex order, with header."""
-    lines = ["i,j,color"]
-    for cell, color in coloring.assignment.items():
-        lines.append(f"{cell.i},{cell.j},{color}")
-    return "\r\n".join(lines) + "\r\n"

@@ -74,30 +74,26 @@ class CycleStructure:
 
 
 @dataclass(frozen=True)
-class ActivityMatrix:
-    """active[pan][cycle] for every configured PAN and elementary cycle."""
-
-    active: tuple[tuple[bool, ...], ...]
-
-
-@dataclass(frozen=True)
 class AllocationMatrix:
-    """channels[pan][cycle]: the data channels granted per elementary cycle.
+    """The dynamic allocation of one run: activity and grants per PAN and cycle.
 
-    ``per_cycle_chi`` is the chromatic number of the cycle's active
-    interference graph (max over its components; 0 when idle) and
-    ``per_cycle_k`` the largest channel grant in the cycle.  ``activity`` is
-    the activity matrix the grants were computed from.
+    ``activity[pan][cycle]`` is whether the PAN is active in the elementary
+    cycle (the rows of ``activity_matrix``) and ``channels[pan][cycle]`` the
+    data channels granted to it there.  ``per_cycle_chi`` is the chromatic
+    number of the cycle's active interference graph (max over its
+    components; 0 when idle) and ``per_cycle_k`` the largest channel grant
+    in the cycle.  With the PANs' configs, this record is the whole input of
+    the dynamic report writers.
 
     A grant is ``()`` exactly when the PAN is idle in that cycle: an active
     PAN always gets a non-empty group.  The report writers rely on this and
-    render idle entries from the activity matrix alone.
+    render idle entries from the activity alone.
     """
 
     channels: tuple[tuple[tuple[LogicalChannel, ...], ...], ...]
     per_cycle_chi: tuple[int, ...]
     per_cycle_k: tuple[int, ...]
-    activity: ActivityMatrix
+    activity: tuple[tuple[bool, ...], ...]
 
 
 # (chi, k, [(PAN index, grant)]) of one elementary cycle or one component.
@@ -125,16 +121,17 @@ def is_active(config: SuperframeConfig, cycle: int, sd_min: int) -> bool:
 
 def activity_matrix(
     configs: Sequence[SuperframeConfig], cycles: CycleStructure, num_cycles: int | None = None
-) -> ActivityMatrix:
+) -> tuple[tuple[bool, ...], ...]:
     """Activity of every PAN over ``num_cycles`` cycles (default one major cycle).
 
-    Entry t of a row is ``is_active(cfg, t, cycles.sd_min)``, in closed form.
-    SD_min divides SD, and SD divides BI, so a row repeats every P = BI /
-    SD_min cycles.  Cycle t is active when its start t * SD_min falls in
-    [phase, phase + SD) modulo BI; in one period these are the m = SD /
-    SD_min cycles from t0 = ceil((phase mod BI) / SD_min) on, modulo P.  So
-    each period is m True then P - m False, rotated right by t0, and the
-    period is tiled.  ``cycles`` whose SD_min does not divide some PAN's SD
+    Returns one row per PAN, indexed ``[pan][cycle]``; ``allocate_dynamic``
+    keeps them as ``AllocationMatrix.activity``.  Entry t of a row is
+    ``is_active(cfg, t, cycles.sd_min)``, in closed form.  SD_min divides
+    SD, and SD divides BI, so a row repeats every P = BI / SD_min cycles.
+    Cycle t is active when its start t * SD_min falls in [phase, phase +
+    SD) modulo BI; in one period these are the m = SD / SD_min cycles from
+    t0 = ceil((phase mod BI) / SD_min) on, modulo P.  So each period is m
+    True then P - m False, rotated right by t0, and the period is tiled.  ``cycles`` whose SD_min does not divide some PAN's SD
     (never those of ``cycle_structure(configs)``) raise ``ValueError``.
     """
     u = cycles.u_cycles if num_cycles is None else num_cycles
@@ -149,7 +146,7 @@ def activity_matrix(
         run = [True] * active + [False] * (period - active)
         run = run[period - start :] + run[: period - start]
         rows.append(tuple((run * (u // period + 1))[:u]))
-    return ActivityMatrix(active=tuple(rows))
+    return tuple(rows)
 
 
 def allocate_dynamic(
@@ -181,15 +178,15 @@ def allocate_dynamic(
     if len(set(cells)) != len(cells):
         raise ValueError("duplicate PAN cells in superframe configs")
     cycles = cycle_structure(configs)
-    act = activity_matrix(configs, cycles, num_cycles)
-    u = len(act.active[0]) if act.active else 0
+    activity = activity_matrix(configs, cycles, num_cycles)
+    u = len(activity[0]) if activity else 0
     ordered_data = plan.ordered_data()
     graph = build_interference_graph(lattice, cells, DATA_REUSE_METRIC)
     rows = graph.rows
 
     pan_at = [0] * len(cells)  # graph position -> PAN index
     cycle_masks = [0] * u
-    for k, (cell, active) in enumerate(zip(cells, act.active)):
+    for k, (cell, active) in enumerate(zip(cells, activity)):
         p = graph.vertex_position(cell)
         pan_at[p] = k
         for t in compress(range(u), active):
@@ -246,7 +243,7 @@ def allocate_dynamic(
         channels=tuple(tuple(row) for row in grants),
         per_cycle_chi=tuple(per_cycle_chi),
         per_cycle_k=tuple(per_cycle_k),
-        activity=act,
+        activity=activity,
     )
 
 
@@ -257,7 +254,7 @@ def _pan_texts(configs: Sequence[SuperframeConfig], suffix: str = "") -> tuple[l
     return [cell + "0" + suffix for cell in cells], [cell + "1" + suffix for cell in cells]
 
 
-def activity_csv(configs: Sequence[SuperframeConfig], act: ActivityMatrix) -> str:
+def activity_csv(configs: Sequence[SuperframeConfig], activity: Sequence[Sequence[bool]]) -> str:
     """Long-form activity table; cycles are printed 1-based."""
     # A line is "cycle," + "i,j,active".  Per cycle, the pieces list gets the
     # line break and cycle field before each PAN's text: all PANs' idle texts
@@ -268,7 +265,7 @@ def activity_csv(configs: Sequence[SuperframeConfig], act: ActivityMatrix) -> st
     n = len(configs)
     pans = range(n)
     pieces = ["cycle,pan_i,pan_j,active"]
-    for t, column in enumerate(zip(*act.active), 1):
+    for t, column in enumerate(zip(*activity), 1):
         first = len(pieces) + 1
         pieces += repeat(f"\r\n{t},", 2 * n)
         pieces[first::2] = idle
@@ -278,24 +275,21 @@ def activity_csv(configs: Sequence[SuperframeConfig], act: ActivityMatrix) -> st
     return "".join(pieces)
 
 
-def _distinct_grants(
-    channels: Sequence[Sequence[tuple[LogicalChannel, ...]]], active: Sequence[Sequence[bool]]
-) -> dict[int, tuple[LogicalChannel, ...]]:
+def _distinct_grants(alloc: AllocationMatrix) -> dict[int, tuple[LogicalChannel, ...]]:
     """The empty grant and every distinct grant of an active entry, keyed by ``id``.
 
     The grants are the shared channel groups of ``allocate_dynamic``, so
     there are few of them, and every idle entry holds ``()``.  Keying by
-    identity avoids hashing tuples of channels; ``channels`` keeps the
-    objects alive, so the ids stay valid while it does.
+    identity avoids hashing tuples of channels; ``alloc`` keeps the objects
+    alive, so the ids stay valid while it does.
     """
-    grants = {id(grant): grant for row, flags in zip(channels, active) for grant in compress(row, flags)}
+    rows = zip(alloc.channels, alloc.activity)
+    grants = {id(grant): grant for row, flags in rows for grant in compress(row, flags)}
     grants[id(())] = ()
     return grants
 
 
-def allocation_csv(
-    configs: Sequence[SuperframeConfig], act: ActivityMatrix, alloc: AllocationMatrix
-) -> str:
+def allocation_csv(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix) -> str:
     """Per-cycle per-PAN grants; ``chi`` is the cycle's chromatic number."""
     # A line is "cycle," + "i,j,active," + "chi," + "k,tokens".  An idle line
     # holds the empty grant, so it depends on the PAN and chi alone.  The
@@ -305,12 +299,12 @@ def allocation_csv(
     n = len(configs)
     tails = {
         key: f"{len(grant)},{' '.join(ch.token() for ch in grant)}"
-        for key, grant in _distinct_grants(alloc.channels, act.active).items()
+        for key, grant in _distinct_grants(alloc).items()
     }
     idle_by_chi: dict[int, list[str]] = {}
     pans = range(n)
     pieces = ["cycle,pan_i,pan_j,active,chi,k,channels"]
-    for t, (chi, column) in enumerate(zip(alloc.per_cycle_chi, zip(*act.active))):
+    for t, (chi, column) in enumerate(zip(alloc.per_cycle_chi, zip(*alloc.activity))):
         chi_part = f"{chi},"
         idle_texts = idle_by_chi.get(chi)
         if idle_texts is None:
@@ -324,9 +318,7 @@ def allocation_csv(
     return "".join(pieces)
 
 
-def allocation_json_doc(
-    configs: Sequence[SuperframeConfig], cycles: CycleStructure, alloc: AllocationMatrix
-) -> str:
+def allocation_json_doc(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix) -> str:
     """JSON mirror of the per-PAN per-cycle channel matrix.
 
     The text is ``json.dumps(doc, indent=2) + "\n"`` of the document
@@ -346,9 +338,10 @@ def allocation_json_doc(
     # last carries the separator to the next one.
     last = {
         key: json_array([ints((ch.phy_channel, ch.code), 5) for ch in grant], 4)
-        for key, grant in _distinct_grants(alloc.channels, alloc.activity.active).items()
+        for key, grant in _distinct_grants(alloc).items()
     }
     inner = {key: text + ",\n        " for key, text in last.items()}
+    cycles = cycle_structure(configs)
     u = len(alloc.per_cycle_chi)
     cycle_range = range(u)
     parts = [
@@ -360,7 +353,7 @@ def allocation_json_doc(
         f'  "per_cycle_k": {ints(alloc.per_cycle_k, 1)},\n',
         '  "pans": [',
     ]
-    columns = zip(configs, alloc.channels, alloc.activity.active)
+    columns = zip(configs, alloc.channels, alloc.activity)
     for k, (cfg, row, active) in enumerate(columns):
         parts.append(
             f'{"," if k else ""}\n    {{\n      "pan": {k + 1},\n'
@@ -377,17 +370,18 @@ def allocation_json_doc(
     return "".join(parts)
 
 
-def dynamic_summary_json(cycles: CycleStructure, alloc: AllocationMatrix) -> str:
-    """Cycle structure plus per-cycle active PAN count, chi and k.
+def dynamic_summary_json(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix) -> str:
+    """The cycle structure of ``configs`` plus per-cycle active PAN count, chi and k.
 
     The text is ``json.dumps(doc, indent=2) + "\n"`` of {bi_maj, sd_min,
     u_cycles, per_cycle: [{cycle, active_pans, chi, k}]} with cycles
     numbered from 1, written directly: one template is filled per cycle.
     """
+    cycles = cycle_structure(configs)
     entry = json_object([(key, "%d") for key in ("cycle", "active_pans", "chi", "k")], 2)
     per_cycle = zip(
         range(1, len(alloc.per_cycle_chi) + 1),
-        map(sum, zip(*alloc.activity.active)),
+        map(sum, zip(*alloc.activity)),
         alloc.per_cycle_chi,
         alloc.per_cycle_k,
     )

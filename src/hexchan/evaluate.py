@@ -62,15 +62,14 @@ class SchemeReport:
     cycle (for dynamic, the size of the grant).  ``outcomes[p]`` maps every
     count PAN p receives to (makespan in slots, delay decrease in percent
     against the single-channel baseline): the PAN serves the same requests in
-    every active cycle, so its count fixes both.  ``max_channels[p]`` is its
-    largest count, 0 for a PAN that is never active.
+    every active cycle, so its count fixes both; its largest count is
+    ``max(outcomes[p], default=0)``, 0 for a PAN that is never active.
     """
 
     scheme: str
     active_cycles: tuple[tuple[int, ...], ...]
     channel_counts: tuple[tuple[int, ...], ...]
     outcomes: tuple[dict[int, tuple[int, float]], ...]
-    max_channels: dict[int, int]
 
 
 def makespan(requests: Sequence[int], num_channels: int) -> int:
@@ -109,13 +108,13 @@ def compare_schemes(
     _, k_static = allocate_static_data(lattice, plan)
     dynamic = allocate_dynamic(lattice, configs, plan)
     u = len(dynamic.per_cycle_chi)
-    active_cycles = tuple(tuple(compress(range(u), row)) for row in dynamic.activity.active)
+    active_cycles = tuple(tuple(compress(range(u), row)) for row in dynamic.activity)
     counts_by_scheme = {
         SINGLE: [(1,) * len(cycles) for cycles in active_cycles],
         STATIC: [(k_static,) * len(cycles) for cycles in active_cycles],
         DYNAMIC: [
             tuple(map(len, compress(grants, row)))
-            for grants, row in zip(dynamic.channels, dynamic.activity.active)
+            for grants, row in zip(dynamic.channels, dynamic.activity)
         ],
     }
 
@@ -136,7 +135,6 @@ def compare_schemes(
                 active_cycles=active_cycles,
                 channel_counts=tuple(counts_by_scheme[scheme]),
                 outcomes=tuple(outcomes),
-                max_channels={pan: max(table, default=0) for pan, table in enumerate(outcomes)},
             )
         )
     return reports
@@ -175,9 +173,7 @@ def evaluation_summary_json(
     It is written directly: one per-PAN template is filled per PAN.
     """
     by_scheme = {r.scheme: r for r in reports}
-    computed_peak = max(
-        (count for r in reports for count in r.max_channels.values()), default=0
-    )
+    computed_peak = max((count for r in reports for table in r.outcomes for count in table), default=0)
 
     def per_scheme(level: int) -> str:
         return json_object([(s, "%s") for s in SCHEMES], level)
@@ -194,11 +190,12 @@ def evaluation_summary_json(
     )
     per_pan = []
     for pan, cfg in enumerate(configs):
-        # Per scheme, read from the PAN's outcome table; null for a PAN that
-        # is never active.  Floats are rendered by repr, as json does.
+        # Per scheme, read from the PAN's outcome table: a PAN that is never
+        # active has peak 0 and null extremes.  Floats are rendered by repr,
+        # as json does.
         tables = [by_scheme[s].outcomes[pan] for s in SCHEMES]
         values = [pan + 1, cfg.pan_cell.i, cfg.pan_cell.j]
-        values += [by_scheme[s].max_channels[pan] for s in SCHEMES]
+        values += [max(t, default=0) for t in tables]
         values += [min(o[0] for o in t.values()) if t else "null" for t in tables]
         values += [repr(max(o[1] for o in t.values())) if t else "null" for t in tables]
         per_pan.append(entry % tuple(values))

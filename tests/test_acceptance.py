@@ -146,10 +146,10 @@ def test_criterion_07_dynamic_channel_counts(reference_config_path):
     act = activity_matrix(configs, cs)
     alloc = allocate_dynamic(cfg.lattice, configs, plan)
     counts = {
-        t: {len(alloc.channels[k][t]) for k in range(len(configs)) if act.active[k][t]}
+        t: {len(alloc.channels[k][t]) for k in range(len(configs)) if act[k][t]}
         for t in range(cs.u_cycles)
     }
-    actives = {t: sum(1 for k in range(len(configs)) if act.active[k][t]) for t in range(cs.u_cycles)}
+    actives = {t: sum(1 for k in range(len(configs)) if act[k][t]) for t in range(cs.u_cycles)}
     # all 12 PANs active: 4 channels per PAN
     assert actives[0] == 12 and counts[0] == {4}
     # exactly two mutually-interfering active PANs: 7 channels each
@@ -195,7 +195,7 @@ def test_criterion_09_randomized_property_suite():
 
         for t in range(2 * cs.u_cycles):
             for a in range(len(configs)):
-                if not act.active[a][t]:
+                if not act[a][t]:
                     assert alloc.channels[a][t] == ()
                     continue
                 grant = alloc.channels[a][t]
@@ -203,7 +203,7 @@ def test_criterion_09_randomized_property_suite():
                 assert len(grant) >= k_static
                 isolated = True
                 for b in range(len(configs)):
-                    if b == a or not act.active[b][t]:
+                    if b == a or not act[b][t]:
                         continue
                     if graph.has_edge(cells[a], cells[b]):
                         isolated = False

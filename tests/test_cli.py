@@ -72,6 +72,28 @@ def test_bad_cli_args_exit_1(capsys):
     assert main(["recolor", "--config", "x"]) == 1
 
 
+def test_main_shares_no_state_between_calls(tmp_path, reference_config_path):
+    # the parser is built once and reused; no call's arguments leak into the next
+    out = tmp_path / "out"
+    assert main(["static", "--config", str(reference_config_path), "--bogus"]) == 1
+    assert main(["static", "--config", str(reference_config_path), "--out", str(out)]) == 0
+    assert main(["static", "--config", str(reference_config_path), "--out", str(out), "--domain", "US"]) == 0
+    assert json.loads((out / "static_summary.json").read_text())["domain"] == "US"
+    assert main(["static", "--config", str(reference_config_path), "--out", str(out)]) == 0
+    assert json.loads((out / "static_summary.json").read_text())["domain"] == "Europe"
+    doc = minimal_lattice_doc(0)
+    doc["out_dir"] = str(tmp_path / "from-config")
+    cfg = write_config(tmp_path, doc)
+    assert main(["lattice", "--config", str(cfg)]) == 0
+    assert (tmp_path / "from-config" / "cells.csv").is_file()
+
+
+def test_package_exports_resolve():
+    # a name deleted from a module must leave __all__ too
+    assert [name for name in hexchan.__all__ if not hasattr(hexchan, name)] == []
+    assert len(set(hexchan.__all__)) == len(hexchan.__all__)
+
+
 def test_static_command_fixture_europe(tmp_path, reference_config_path):
     out = tmp_path / "out"
     assert main(["static", "--config", str(reference_config_path), "--out", str(out)]) == 0

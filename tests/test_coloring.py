@@ -7,15 +7,22 @@ import pytest
 from hexchan.coloring import (
     CONTROL,
     DATA,
+    _two_coloring,
     brute_force_chromatic,
     chromatic_coloring,
     clique_lower_bound,
-    coloring_csv,
     pattern_coloring,
     verify_coloring,
 )
 from hexchan.errors import IncompleteColoringError, SizeLimitError
-from hexchan.interference import InterferenceGraph, build_interference_graph, connected_components, subgraph_on
+from hexchan.interference import (
+    InterferenceGraph,
+    build_interference_graph,
+    component_masks,
+    connected_components,
+    iter_bits,
+    subgraph_on,
+)
 from hexchan.lattice import (
     CONTROL_REUSE_METRIC,
     DATA_REUSE_METRIC,
@@ -213,6 +220,30 @@ def test_solver_is_fast_at_64_vertices(cells, chi):
     assert verify_coloring(g, col)
 
 
+def test_bipartite_control_components_get_their_two_coloring():
+    # the solver has no bipartite branch: the first 2-coloring in vertex
+    # order of a connected bipartite component is its BFS 2-coloring with
+    # the lowest position at 0
+    rng = random.Random(17)
+    subsets = [
+        rng.sample(build_lattice(n, 1.0).cells, rng.randint(30, 64)) for n in (6, 9) for _ in range(40)
+    ]
+    subsets.append([C(0, 4 * k) for k in range(64)])
+    subsets.append([C(8 * k, 2 * s) for k in range(32) for s in range(2)])
+    checked = set()
+    for cells in subsets:
+        g = control_graph(cells)
+        col = chromatic_coloring(g)
+        for comp in component_masks(g.rows, (1 << len(g.vertices)) - 1):
+            side = _two_coloring(g.rows, comp)
+            if side is None:
+                continue
+            assert [col.assignment[g.vertices[p]] for p in iter_bits(comp)] == [side[p] for p in iter_bits(comp)]
+            checked.add(comp.bit_count())
+    # singletons, pairs and larger trees or even cycles all occur
+    assert {1, 2} < checked and max(checked) > 2
+
+
 def test_four_chromatic_control_components_take_the_pattern():
     # a metric-16 component with a K4 needs 4 colors; it gets the control
     # pattern 2*(i mod 2) + ((j - i)/2 mod 2), numbered by first appearance
@@ -306,12 +337,4 @@ def test_pattern_single_cell():
 def test_pattern_rejects_unknown_kind():
     with pytest.raises(ValueError):
         pattern_coloring(build_lattice(1, 1.0), "beacon")
-
-
-def test_coloring_csv_format():
-    g = cluster_graph()
-    text = coloring_csv(chromatic_coloring(g))
-    lines = text.strip().splitlines()
-    assert lines[0] == "i,j,color"
-    assert len(lines) == 8
 

@@ -75,7 +75,7 @@ def test_activity_always_on_when_so_equals_bo():
     cfg = SF(pan_cell=C(0, 0), so=2, bo=2)
     cs = cycle_structure([cfg, SF(pan_cell=C(1, 1), so=0, bo=3)])
     act = activity_matrix([cfg], cs)
-    assert all(act.active[0])
+    assert all(act[0])
 
 
 def test_activity_pattern_so1_bo2():
@@ -84,7 +84,7 @@ def test_activity_pattern_so1_bo2():
     cs = cycle_structure(cfgs)
     assert cs.sd_min == 1 and cs.u_cycles == 8
     act = activity_matrix(cfgs, cs)
-    assert [t for t in range(8) if act.active[0][t]] == [0, 1, 4, 5]
+    assert [t for t in range(8) if act[0][t]] == [0, 1, 4, 5]
 
 
 def test_activity_row_sums():
@@ -99,7 +99,7 @@ def test_activity_row_sums():
     act = activity_matrix(cfgs, cs)
     for k, cfg in enumerate(cfgs):
         expected = (cfg.sd // cs.sd_min) * (cs.bi_maj // cfg.bi)
-        assert sum(act.active[k]) == expected
+        assert sum(act[k]) == expected
 
 
 def test_activity_matrix_matches_is_active():
@@ -112,7 +112,7 @@ def test_activity_matrix_matches_is_active():
     cs = cycle_structure(cfgs)
     for num_cycles in (0, 1, 37, cs.u_cycles, 2 * cs.u_cycles + 5):
         act = activity_matrix(cfgs, cs, num_cycles)
-        assert act.active == tuple(tuple(is_active(cfg, t, cs.sd_min) for t in range(num_cycles)) for cfg in cfgs)
+        assert act == tuple(tuple(is_active(cfg, t, cs.sd_min) for t in range(num_cycles)) for cfg in cfgs)
 
 
 @st.composite
@@ -134,7 +134,7 @@ def test_activity_matrix_rows_are_closed_form_of_is_active(configs, num_cycles):
     # cycles, so the count both tiles short periods and cuts long ones.
     cs = cycle_structure(configs)
     act = activity_matrix(configs, cs, num_cycles)
-    assert act.active == tuple(tuple(is_active(cfg, t, cs.sd_min) for t in range(num_cycles)) for cfg in configs)
+    assert act == tuple(tuple(is_active(cfg, t, cs.sd_min) for t in range(num_cycles)) for cfg in configs)
 
 
 def test_activity_matrix_rejects_sd_min_not_dividing_sd():
@@ -148,8 +148,8 @@ def test_phase_shifts_activity():
     cfgs = [SF(pan_cell=C(0, 0), so=0, bo=2, phase=1), SF(pan_cell=C(1, 1), so=0, bo=2)]
     cs = cycle_structure(cfgs)
     act = activity_matrix(cfgs, cs)
-    assert [t for t in range(4) if act.active[0][t]] == [1]
-    assert [t for t in range(4) if act.active[1][t]] == [0]
+    assert [t for t in range(4) if act[0][t]] == [1]
+    assert [t for t in range(4) if act[1][t]] == [0]
 
 
 def test_phase_counts_base_superframe_units():
@@ -159,7 +159,7 @@ def test_phase_counts_base_superframe_units():
     cfgs = [SF(pan_cell=C(0, 0), so=1, bo=2, phase=0), SF(pan_cell=C(1, 1), so=1, bo=2, phase=2)]
     cs = cycle_structure(cfgs)
     assert (cs.sd_min, cs.u_cycles) == (2, 2)
-    assert activity_matrix(cfgs, cs).active == ((True, False), (False, True))
+    assert activity_matrix(cfgs, cs) == ((True, False), (False, True))
 
 
 def test_reference_scenario_channel_counts(reference):
@@ -168,7 +168,7 @@ def test_reference_scenario_channel_counts(reference):
     act = activity_matrix(configs, cs)
     alloc = allocate_dynamic(lattice, configs, plan)
     counts = {
-        t: sorted({len(alloc.channels[k][t]) for k in range(len(configs)) if act.active[k][t]})
+        t: sorted({len(alloc.channels[k][t]) for k in range(len(configs)) if act[k][t]})
         for t in range(cs.u_cycles)
     }
     # all 12 active: 4 channels each
@@ -179,7 +179,7 @@ def test_reference_scenario_channel_counts(reference):
     assert counts[4] == [14]
     # two active PANs out of range of each other: the whole data set each
     assert counts[9] == [14]
-    active_9 = [k for k in range(len(configs)) if act.active[k][9]]
+    active_9 = [k for k in range(len(configs)) if act[k][9]]
     assert [k + 1 for k in active_9] == [6, 10]
     a, b = (configs[k].pan_cell for k in active_9)
     assert lattice_metric(a, b) >= DATA_REUSE_METRIC
@@ -192,7 +192,7 @@ def test_inactive_entries_are_empty(reference):
     alloc = allocate_dynamic(lattice, configs, plan)
     for k in range(len(configs)):
         for t in range(cs.u_cycles):
-            if not act.active[k][t]:
+            if not act[k][t]:
                 assert alloc.channels[k][t] == ()
             else:
                 assert alloc.channels[k][t]
@@ -217,7 +217,7 @@ def test_per_cycle_disjointness(reference):
     for t in range(cs.u_cycles):
         for a in range(len(configs)):
             for b in range(a + 1, len(configs)):
-                if not (act.active[a][t] and act.active[b][t]):
+                if not (act[a][t] and act[b][t]):
                     continue
                 if graph.has_edge(cells[a], cells[b]):
                     assert not (set(alloc.channels[a][t]) & set(alloc.channels[b][t]))
@@ -242,10 +242,10 @@ def test_isolation_maximality(reference):
     graph = build_interference_graph(lattice, cells, DATA_REUSE_METRIC)
     for t in range(cs.u_cycles):
         for k in range(len(configs)):
-            if not act.active[k][t]:
+            if not act[k][t]:
                 continue
             has_active_neighbor = any(
-                act.active[m][t] and graph.has_edge(cells[k], cells[m])
+                act[m][t] and graph.has_edge(cells[k], cells[m])
                 for m in range(len(configs))
                 if m != k
             )
@@ -327,9 +327,9 @@ def test_exports_parse(reference):
     activity_text = activity_csv(configs, act)
     assert activity_text.splitlines()[0] == "cycle,pan_i,pan_j,active"
     assert len(activity_text.strip().splitlines()) == 1 + cs.u_cycles * len(configs)
-    alloc_text = allocation_csv(configs, act, alloc)
+    alloc_text = allocation_csv(configs, alloc)
     assert alloc_text.splitlines()[0] == "cycle,pan_i,pan_j,active,chi,k,channels"
-    doc = json.loads(allocation_json_doc(configs, cs, alloc))
+    doc = json.loads(allocation_json_doc(configs, alloc))
     assert doc["u_cycles"] == 32
     assert len(doc["pans"]) == 12
     assert len(doc["pans"][0]["channels_per_cycle"]) == 32

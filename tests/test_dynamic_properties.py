@@ -85,7 +85,7 @@ def test_dynamic_allocation_properties(deployment):
     alloc = allocate_dynamic(lattice, configs, plan)
 
     ordered = plan.ordered_data()
-    act = alloc.activity.active
+    act = alloc.activity
     for t in range(len(alloc.per_cycle_chi)):
         active = [k for k in range(len(configs)) if act[k][t]]
         # Idle entries get () and active ones a non-empty grant; the report

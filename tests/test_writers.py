@@ -41,17 +41,17 @@ from hexchan.spectrum import DOMAIN_NAMES, channel_plan, default_domain
 from hexchan.static_alloc import allocate_static_data
 
 
-def reference_activity_csv(configs, act):
+def reference_activity_csv(configs, activity):
     lines = ["cycle,pan_i,pan_j,active"]
-    u = len(act.active[0]) if act.active else 0
+    u = len(activity[0]) if activity else 0
     for t in range(u):
         for k, cfg in enumerate(configs):
             cell = cfg.pan_cell
-            lines.append(f"{t + 1},{cell.i},{cell.j},{int(act.active[k][t])}")
+            lines.append(f"{t + 1},{cell.i},{cell.j},{int(activity[k][t])}")
     return "\r\n".join(lines) + "\r\n"
 
 
-def reference_allocation_csv(configs, act, alloc):
+def reference_allocation_csv(configs, alloc):
     lines = ["cycle,pan_i,pan_j,active,chi,k,channels"]
     for t in range(len(alloc.per_cycle_chi)):
         for k, cfg in enumerate(configs):
@@ -59,7 +59,7 @@ def reference_allocation_csv(configs, act, alloc):
             channels = alloc.channels[k][t]
             tokens = " ".join(ch.token() for ch in channels)
             lines.append(
-                f"{t + 1},{cell.i},{cell.j},{int(act.active[k][t])},"
+                f"{t + 1},{cell.i},{cell.j},{int(alloc.activity[k][t])},"
                 f"{alloc.per_cycle_chi[t]},{len(channels)},{tokens}"
             )
     return "\r\n".join(lines) + "\r\n"
@@ -91,7 +91,7 @@ def reference_allocation_json(configs, cycles, alloc):
 
 
 def reference_dynamic_summary(cycles, alloc):
-    active_pans = [sum(column) for column in zip(*alloc.activity.active)]
+    active_pans = [sum(column) for column in zip(*alloc.activity)]
     summary = {
         "bi_maj": cycles.bi_maj,
         "sd_min": cycles.sd_min,
@@ -114,7 +114,6 @@ def reference_schemes(lattice, configs, plan, scenario):
     max_channels): the per-(PAN, cycle) loop the per-PAN columns replaced."""
     _, k_static = allocate_static_data(lattice, plan)
     dynamic = allocate_dynamic(lattice, configs, plan)
-    act = dynamic.activity
     channels_of = {
         "single": lambda pan, t: 1,
         "static": lambda pan, t: k_static,
@@ -128,7 +127,7 @@ def reference_schemes(lattice, configs, plan, scenario):
             baseline = makespan(requests, 1)
             max_channels[pan] = 0
             for t in range(len(dynamic.per_cycle_chi)):
-                if not act.active[pan][t]:
+                if not dynamic.activity[pan][t]:
                     continue
                 count = channels(pan, t)
                 slots = makespan(requests, count)
@@ -224,11 +223,10 @@ SHARED = deployment(1, "Europe", [(-1, 1, 1, 2, 0), (0, 0, 0, 2, 0)], requests=(
 def check_writers(lattice, configs, plan, scenario):
     cycles = cycle_structure(configs)
     alloc = allocate_dynamic(lattice, configs, plan)
-    act = alloc.activity
-    assert activity_csv(configs, act) == reference_activity_csv(configs, act)
-    assert allocation_csv(configs, act, alloc) == reference_allocation_csv(configs, act, alloc)
-    assert allocation_json_doc(configs, cycles, alloc) == reference_allocation_json(configs, cycles, alloc)
-    assert dynamic_summary_json(cycles, alloc) == reference_dynamic_summary(cycles, alloc)
+    assert activity_csv(configs, alloc.activity) == reference_activity_csv(configs, alloc.activity)
+    assert allocation_csv(configs, alloc) == reference_allocation_csv(configs, alloc)
+    assert allocation_json_doc(configs, alloc) == reference_allocation_json(configs, cycles, alloc)
+    assert dynamic_summary_json(configs, alloc) == reference_dynamic_summary(cycles, alloc)
 
     # The writers key grants by identity; a matrix whose grants share no
     # objects must give the same text.
@@ -236,10 +234,10 @@ def check_writers(lattice, configs, plan, scenario):
         channels=tuple(tuple(tuple(list(grant)) for grant in row) for row in alloc.channels),
         per_cycle_chi=alloc.per_cycle_chi,
         per_cycle_k=alloc.per_cycle_k,
-        activity=act,
+        activity=alloc.activity,
     )
-    assert allocation_csv(configs, act, unshared) == reference_allocation_csv(configs, act, alloc)
-    assert allocation_json_doc(configs, cycles, unshared) == reference_allocation_json(configs, cycles, alloc)
+    assert allocation_csv(configs, unshared) == reference_allocation_csv(configs, alloc)
+    assert allocation_json_doc(configs, unshared) == reference_allocation_json(configs, cycles, alloc)
 
     reports = compare_schemes(lattice, configs, plan, scenario)
     schemes = reference_schemes(lattice, configs, plan, scenario)
@@ -272,7 +270,7 @@ def test_scheme_columns_match_reference_loop(drawn):
         entries, max_channels = schemes[report.scheme]
         assert report.active_cycles is reports[0].active_cycles
         assert scheme_entries(report) == entries
-        assert report.max_channels == max_channels
+        assert {pan: max(table, default=0) for pan, table in enumerate(report.outcomes)} == max_channels
         # each outcome table holds exactly the counts the PAN receives
         assert [set(table) for table in report.outcomes] == [set(counts) for counts in report.channel_counts]
     if drawn is SHARED:
@@ -300,7 +298,7 @@ def test_sparse_example_is_mostly_idle():
     lattice, configs, plan, _ = SPARSE
     alloc = allocate_dynamic(lattice, configs, plan)
     assert sorted(set(alloc.per_cycle_chi)) == [0, 1, 2, 3]
-    assert (sum(map(sum, alloc.activity.active)), len(configs) * len(alloc.per_cycle_chi)) == (22, 896)
+    assert (sum(map(sum, alloc.activity)), len(configs) * len(alloc.per_cycle_chi)) == (22, 896)
 
 
 def test_summary_renders_a_never_active_pan_as_null():
@@ -308,10 +306,7 @@ def test_summary_renders_a_never_active_pan_as_null():
     # least once; a report without outcomes for a PAN still renders as
     # json.dumps renders None.
     lattice, configs, plan, scenario = IDLE
-    reports = [
-        replace(r, outcomes=({},) + r.outcomes[1:], max_channels={**r.max_channels, 0: 0})
-        for r in compare_schemes(lattice, configs, plan, scenario)
-    ]
+    reports = [replace(r, outcomes=({},) + r.outcomes[1:]) for r in compare_schemes(lattice, configs, plan, scenario)]
     text = evaluation_summary_json(configs, plan, "Europe", reports)
     doc = json.loads(text)
     assert text == json.dumps(doc, indent=2) + "\n"
