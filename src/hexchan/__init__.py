@@ -30,7 +30,7 @@ from .evaluate import (
     delay_decrease_percent,
     makespan,
 )
-from .interference import InterferenceGraph, build_interference_graph, subgraph_on
+from .interference import InterferenceGraph, build_interference_graph
 from .lattice import (
     CONTROL_REUSE_METRIC,
     DATA_REUSE_METRIC,
@@ -53,7 +53,7 @@ from .spectrum import (
     default_domain,
     partition_channels,
 )
-from .static_alloc import StaticAllocation, allocate_control, allocate_static, allocate_static_data
+from .static_alloc import StaticAllocation, allocate_static, allocate_static_data
 
 __version__ = "0.1.0"
 
@@ -75,7 +75,6 @@ __all__ = [
     "StaticAllocation",
     "SuperframeConfig",
     "activity_matrix",
-    "allocate_control",
     "allocate_dynamic",
     "allocate_static",
     "allocate_static_data",
@@ -98,7 +97,6 @@ __all__ = [
     "neighborhood_sets",
     "partition_channels",
     "pattern_coloring",
-    "subgraph_on",
     "twelve_cell_lattice",
     "verify_coloring",
 ]

@@ -69,7 +69,7 @@ def cmd_lattice(cfg: ScenarioConfig, out_dir: Path) -> None:
 def cmd_static(cfg: ScenarioConfig, out_dir: Path) -> None:
     """Static allocation table and its summary."""
     plan = cfg.plan()
-    alloc = allocate_static(cfg.lattice, plan, require_control=False)
+    alloc = allocate_static(cfg.lattice, plan)
     _write(out_dir, "static_allocation.csv", static_allocation_csv(cfg.lattice, alloc))
     summary = {
         "domain": cfg.domain.name,

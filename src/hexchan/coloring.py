@@ -9,13 +9,17 @@ a time: each gets the first k-coloring in vertex order for the smallest k
 from its greedy clique up, except that a component needing 4 colors on
 which the control pattern is proper (any metric-16 graph) gets that
 pattern.  It refuses graphs above ``DEFAULT_VERTEX_CAP`` vertices.
+
+A ``Coloring`` is one label per vertex position of the graph it colors
+(for ``pattern_coloring``, per cell of ``lattice.cells``), numbered by first
+appearance.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import IncompleteColoringError, SizeLimitError
 from .interference import InterferenceGraph, component_masks, iter_bits
@@ -30,21 +34,20 @@ DATA = "data"
 
 @dataclass(frozen=True)
 class Coloring:
-    """A color per vertex; color ids are the contiguous range 0..num_colors-1."""
+    """A color per vertex, in vertex order, numbered by first appearance, so
+    the color ids are the contiguous range 0..num_colors-1."""
 
-    assignment: Mapping[CellIndex, int]
-    num_colors: int
+    labels: tuple[int, ...]
+
+    @property
+    def num_colors(self) -> int:
+        return max(self.labels, default=-1) + 1
 
 
 def _first_appearance(labels: list[int]) -> list[int]:
     """``labels`` renumbered by first appearance."""
     remap: dict[int, int] = {}
     return [remap.setdefault(raw, len(remap)) for raw in labels]
-
-
-def _coloring(vertices: tuple[CellIndex, ...], labels: list[int]) -> Coloring:
-    """Coloring from labels that are already numbered by first appearance."""
-    return Coloring(assignment=dict(zip(vertices, labels)), num_colors=max(labels, default=-1) + 1)
 
 
 def _two_coloring(rows: Sequence[int], mask: int) -> dict[int, int] | None:
@@ -193,7 +196,7 @@ def chromatic_coloring(graph: InterferenceGraph, vertex_cap: int = DEFAULT_VERTE
     for comp in component_masks(graph.rows, (1 << n) - 1):
         for p, label in zip(iter_bits(comp), _component_labels(graph.rows, comp, graph.vertices)):
             labels[p] = label
-    return _coloring(graph.vertices, labels)
+    return Coloring(tuple(labels))
 
 
 def clique_lower_bound(graph: InterferenceGraph) -> int:
@@ -208,7 +211,7 @@ def _pattern_label(c: CellIndex, kind: str) -> int:
 
 
 def pattern_coloring(lattice: Lattice, kind: str) -> Coloring:
-    """Closed-form periodic coloring, valid for any lattice size.
+    """Closed-form periodic coloring of ``lattice.cells``, valid for any lattice size.
 
     In axial coordinates a = i, b = (j - i) / 2 the data pattern is
     (a - b) mod 3 and the control pattern is 2*(a mod 2) + (b mod 2).
@@ -218,7 +221,7 @@ def pattern_coloring(lattice: Lattice, kind: str) -> Coloring:
     """
     if kind not in (CONTROL, DATA):
         raise ValueError(f"kind must be {CONTROL!r} or {DATA!r}")
-    return _coloring(lattice.cells, _first_appearance([_pattern_label(c, kind) for c in lattice.cells]))
+    return Coloring(tuple(_first_appearance([_pattern_label(c, kind) for c in lattice.cells])))
 
 
 def data_labels(rows: Sequence[int], mask: int, cells: Sequence[CellIndex]) -> list[int]:
@@ -239,17 +242,15 @@ def data_labels(rows: Sequence[int], mask: int, cells: Sequence[CellIndex]) -> l
 
 def data_graph_coloring(graph: InterferenceGraph) -> Coloring:
     """Minimum coloring of a metric-12 interference graph of any size; see ``data_labels``."""
-    return _coloring(graph.vertices, data_labels(graph.rows, (1 << len(graph.vertices)) - 1, graph.vertices))
+    return Coloring(tuple(data_labels(graph.rows, (1 << len(graph.vertices)) - 1, graph.vertices)))
 
 
 def verify_coloring(graph: InterferenceGraph, coloring: Coloring) -> bool:
     """True iff no edge joins two same-colored vertices."""
-    missing = [v for v in graph.vertices if v not in coloring.assignment]
-    if missing:
-        raise IncompleteColoringError(
-            f"coloring misses {len(missing)} vertices, e.g. ({missing[0].i}, {missing[0].j})"
-        )
-    return all(coloring.assignment[a] != coloring.assignment[b] for a, b in graph.edges)
+    labels = coloring.labels
+    if len(labels) != len(graph.vertices):
+        raise IncompleteColoringError(f"coloring has {len(labels)} labels for {len(graph.vertices)} vertices")
+    return all(labels[p] != labels[q] for p, q in graph.edge_index_pairs())
 
 
 BRUTE_FORCE_VERTEX_CAP = 10

@@ -42,6 +42,11 @@ MAX_CELLS = 10_000
 # ask for.  Each entry is a row of the dynamic and evaluation reports; at this
 # limit `hexchan dynamic` peaks near 200 MB (see CHANGES.md).
 MAX_PAN_CYCLES = 1 << 17
+# Largest number of requests a PAN may serve per cycle.  Evaluation sums
+# each PAN's requests once per channel count it receives: at 9941 PANs,
+# `compare_schemes` takes 0.3 s with 8 requests each, 1.7 s with 1000 and
+# 12 s with 10 000 (see CHANGES.md).
+MAX_REQUESTS_PER_PAN = 1000
 
 
 @dataclass(frozen=True)
@@ -231,6 +236,10 @@ def _parse_workload(doc, superframes) -> RequestScenario | None:
             if pans is not None and cell not in pans:
                 raise ConfigError(f"no superframe runs a PAN at cell ({cell.i}, {cell.j})", field=f"{field}.cell")
             slots = _expect(entry, "slots", list, f"{field}.slots")
+            if len(slots) > MAX_REQUESTS_PER_PAN:
+                raise ConfigError(
+                    f"{len(slots)} requests exceed the limit of {MAX_REQUESTS_PER_PAN}", field=f"{field}.slots"
+                )
             if not slots or not all(isinstance(s, int) and not isinstance(s, bool) and s > 0 for s in slots):
                 raise ConfigError("expected a non-empty list of positive integers", field=f"{field}.slots")
             per_pan[cell] = tuple(slots)
@@ -246,6 +255,8 @@ def _parse_workload(doc, superframes) -> RequestScenario | None:
     slots = _expect(raw, "slots_per_request", int, "workload.slots_per_request")
     if count < 1:
         raise ConfigError("must be positive", field="workload.requests_per_pan")
+    if count > MAX_REQUESTS_PER_PAN:
+        raise ConfigError(f"{count} exceeds the limit of {MAX_REQUESTS_PER_PAN}", field="workload.requests_per_pan")
     if slots < 1:
         raise ConfigError("must be positive", field="workload.slots_per_request")
     if superframes is None:
@@ -264,6 +275,8 @@ def load_config(path: str | Path, domain_override: str | None = None) -> Scenari
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8 (byte {exc.start})") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -119,42 +119,33 @@ def is_active(config: SuperframeConfig, cycle: int, sd_min: int) -> bool:
     return (cycle * sd_min - config.phase) % config.bi < config.sd
 
 
-def activity_matrix(
-    configs: Sequence[SuperframeConfig], cycles: CycleStructure, num_cycles: int | None = None
-) -> tuple[tuple[bool, ...], ...]:
-    """Activity of every PAN over ``num_cycles`` cycles (default one major cycle).
+def activity_matrix(configs: Sequence[SuperframeConfig]) -> tuple[tuple[bool, ...], ...]:
+    """Activity of every PAN over one major cycle of ``cycle_structure(configs)``.
 
     Returns one row per PAN, indexed ``[pan][cycle]``; ``allocate_dynamic``
     keeps them as ``AllocationMatrix.activity``.  Entry t of a row is
-    ``is_active(cfg, t, cycles.sd_min)``, in closed form.  SD_min divides
-    SD, and SD divides BI, so a row repeats every P = BI / SD_min cycles.
-    Cycle t is active when its start t * SD_min falls in [phase, phase +
-    SD) modulo BI; in one period these are the m = SD / SD_min cycles from
-    t0 = ceil((phase mod BI) / SD_min) on, modulo P.  So each period is m
-    True then P - m False, rotated right by t0, and the period is tiled.  ``cycles`` whose SD_min does not divide some PAN's SD
-    (never those of ``cycle_structure(configs)``) raise ``ValueError``.
+    ``is_active(cfg, t, sd_min)``, in closed form.  All durations are powers
+    of two, so SD_min divides SD, SD divides BI and BI divides BI_maj: a row
+    repeats every P = BI / SD_min cycles, and U is a multiple of P.  Cycle t
+    is active when its start t * SD_min falls in [phase, phase + SD) modulo
+    BI; in one period these are the m = SD / SD_min cycles from t0 =
+    ceil((phase mod BI) / SD_min) on, modulo P.  So each period is m True
+    then P - m False, rotated right by t0, and the row is U / P periods.
     """
-    u = cycles.u_cycles if num_cycles is None else num_cycles
+    cycles = cycle_structure(configs)
     sd_min = cycles.sd_min
     rows = []
     for cfg in configs:
-        if cfg.sd % sd_min:
-            raise ValueError(f"SD_min={sd_min} does not divide the active period SD={cfg.sd}")
         period = cfg.bi // sd_min
         active = cfg.sd // sd_min
         start = -(-(cfg.phase % cfg.bi) // sd_min) % period
         run = [True] * active + [False] * (period - active)
         run = run[period - start :] + run[: period - start]
-        rows.append(tuple((run * (u // period + 1))[:u]))
+        rows.append(tuple(run * (cycles.u_cycles // period)))
     return tuple(rows)
 
 
-def allocate_dynamic(
-    lattice: Lattice,
-    configs: Sequence[SuperframeConfig],
-    plan: ChannelPlan,
-    num_cycles: int | None = None,
-) -> AllocationMatrix:
+def allocate_dynamic(lattice: Lattice, configs: Sequence[SuperframeConfig], plan: ChannelPlan) -> AllocationMatrix:
     """Per-PAN per-cycle channel groups over one major cycle.
 
     Within a cycle, each connected component of the active PANs' metric-12
@@ -177,17 +168,17 @@ def allocate_dynamic(
         lattice.require(cell)
     if len(set(cells)) != len(cells):
         raise ValueError("duplicate PAN cells in superframe configs")
-    cycles = cycle_structure(configs)
-    activity = activity_matrix(configs, cycles, num_cycles)
-    u = len(activity[0]) if activity else 0
+    activity = activity_matrix(configs)
+    u = len(activity[0])
     ordered_data = plan.ordered_data()
     graph = build_interference_graph(lattice, cells, DATA_REUSE_METRIC)
     rows = graph.rows
+    position = {cell: p for p, cell in enumerate(graph.vertices)}
 
     pan_at = [0] * len(cells)  # graph position -> PAN index
     cycle_masks = [0] * u
     for k, (cell, active) in enumerate(zip(cells, activity)):
-        p = graph.vertex_position(cell)
+        p = position[cell]
         pan_at[p] = k
         for t in compress(range(u), active):
             cycle_masks[t] |= 1 << p

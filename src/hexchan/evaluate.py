@@ -41,14 +41,15 @@ class RequestScenario:
 
     def __post_init__(self) -> None:
         for cell, requests in self.per_pan.items():
-            if not requests or any(r < 1 for r in requests):
+            if not requests or min(requests) < 1:
                 raise ValueError(f"PAN ({cell.i}, {cell.j}) needs a non-empty list of positive slot counts")
 
     @classmethod
     def uniform(cls, cells: Iterable[CellIndex], count: int = 8, slots: int = 3) -> "RequestScenario":
         if count < 1 or slots < 1:
             raise ValueError("request count and slot length must be positive")
-        return cls(per_pan={cell: (slots,) * count for cell in cells})
+        requests = (slots,) * count
+        return cls(per_pan={cell: requests for cell in cells})
 
 
 @dataclass(frozen=True)

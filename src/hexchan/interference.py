@@ -4,15 +4,17 @@ Vertices are cells; an edge joins two cells whose integer lattice metric is
 strictly below the reuse threshold (cells exactly at the reuse distance may
 share a channel, so they are not adjacent).
 
-A graph stores one adjacency bitmask per vertex position: bit q of
-``rows[p]`` is set iff vertices p and q are adjacent.  Every other view
-(neighbors, edges, index pairs, subgraphs, components) is derived from those
-rows.  Lattice graphs are built by looking up the finite set of reuse
-offsets around each cell, so a build is linear in the number of cells.
+A graph is its ordered cells plus one adjacency bitmask per cell position:
+bit q of ``rows[p]`` is set iff vertices p and q are adjacent.  A set of
+positions is a bitmask too, so subgraphs and connected components are
+masks over the rows (``component_masks``), and colorings are label lists
+in vertex order.  Lattice graphs are built by looking up the finite set of
+reuse offsets around each cell, so a build is linear in the number of cells.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -44,71 +46,22 @@ def component_masks(rows: tuple[int, ...], mask: int) -> list[int]:
     return components
 
 
+@dataclass(frozen=True)
 class InterferenceGraph:
     """Undirected simple graph on an ordered tuple of cells.
 
-    Built from an edge collection; the graph itself keeps only the adjacency
-    rows.  Instances are treated as immutable.
+    ``rows[p]`` is the adjacency bitmask of the cell ``vertices[p]``; the
+    rows are symmetric and have no self-loops.
     """
 
-    def __init__(self, vertices: Iterable[CellIndex], edges: Iterable[tuple[CellIndex, CellIndex]] = ()) -> None:
-        vertices = tuple(vertices)
-        index = {v: k for k, v in enumerate(vertices)}
-        if len(index) != len(vertices):
-            raise ValueError("duplicate vertices")
-        rows = [0] * len(vertices)
-        for a, b in edges:
-            if a == b:
-                raise ValueError("self-loop")
-            if a not in index or b not in index:
-                raise ValueError("edge references unknown vertex")
-            pa, pb = index[a], index[b]
-            rows[pa] |= 1 << pb
-            rows[pb] |= 1 << pa
-        self.vertices = vertices
-        self.rows = tuple(rows)
-        self._index = index
-
-    @classmethod
-    def from_rows(cls, vertices: tuple[CellIndex, ...], rows: tuple[int, ...]) -> "InterferenceGraph":
-        """Graph from symmetric adjacency rows over ``vertices``, unchecked."""
-        graph = cls.__new__(cls)
-        graph.vertices = vertices
-        graph.rows = rows
-        return graph
-
-    @cached_property
-    def _index(self) -> dict[CellIndex, int]:
-        """Position of each vertex; built on first use, since colorings and
-        edge lists never need it."""
-        return {v: k for k, v in enumerate(self.vertices)}
+    vertices: tuple[CellIndex, ...]
+    rows: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, InterferenceGraph):
-            return NotImplemented
-        return self.vertices == other.vertices and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.rows))
-
-    def __repr__(self) -> str:
-        return f"InterferenceGraph(vertices={self.vertices!r}, edges={len(self.edges)})"
-
-    def neighbors(self, v: CellIndex) -> frozenset[CellIndex]:
-        vertices = self.vertices
-        return frozenset(vertices[q] for q in iter_bits(self.rows[self._index[v]]))
-
-    def has_edge(self, a: CellIndex, b: CellIndex) -> bool:
-        return bool(self.rows[self._index[a]] >> self._index[b] & 1)
-
-    def vertex_position(self, v: CellIndex) -> int:
-        return self._index[v]
-
     def edge_index_pairs(self) -> list[tuple[int, int]]:
-        """Edges as (lower, higher) vertex positions, sorted; solver input."""
+        """Edges as (lower, higher) vertex positions, sorted."""
         return [(p, q) for p, row in enumerate(self.rows) for q in iter_bits(row & -(2 << p))]
 
     @cached_property
@@ -151,28 +104,7 @@ def build_interference_graph(
             if q is not None:
                 row |= 1 << q
         rows.append(row)
-    return InterferenceGraph.from_rows(vertices, tuple(rows))
-
-
-def subgraph_on(graph: InterferenceGraph, keep: Iterable[CellIndex]) -> InterferenceGraph:
-    """Induced subgraph, preserving the parent vertex order."""
-    index = graph._index
-    keep_set = set(keep)
-    unknown = [c for c in keep_set if c not in index]
-    if unknown:
-        raise ValueError(f"vertices not in graph: {sorted((c.i, c.j) for c in unknown)}")
-    kept = sorted(index[c] for c in keep_set)
-    local = {p: k for k, p in enumerate(kept)}
-    mask = sum(1 << p for p in kept)
-    rows = tuple(sum(1 << local[q] for q in iter_bits(graph.rows[p] & mask)) for p in kept)
-    return InterferenceGraph.from_rows(tuple(graph.vertices[p] for p in kept), rows)
-
-
-def connected_components(graph: InterferenceGraph) -> list[tuple[CellIndex, ...]]:
-    """Components ordered by their first vertex, each in parent vertex order."""
-    vertices = graph.vertices
-    full = (1 << len(vertices)) - 1
-    return [tuple(vertices[p] for p in iter_bits(comp)) for comp in component_masks(graph.rows, full)]
+    return InterferenceGraph(vertices, tuple(rows))
 
 
 def edge_list_text(graph: InterferenceGraph) -> str:

@@ -5,7 +5,8 @@ Control assignments color the metric-16 interference graph (at most 4
 colors on any lattice); data groups color the metric-12 graph (at most 3)
 and split the data set into equal groups of k_static = |data| // colors,
 one group per color class.  Leftover channels stay unassigned rather than
-being spread unevenly, and are reported explicitly.
+being spread unevenly, and are reported explicitly.  Both assignments are
+tuples in ``lattice.cells`` order, read off the colorings' label lists.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .coloring import (
 )
 from .errors import InsufficientSpectrumError
 from .interference import build_interference_graph
-from .lattice import CONTROL_REUSE_METRIC, DATA_REUSE_METRIC, CellIndex, Lattice
+from .lattice import CONTROL_REUSE_METRIC, DATA_REUSE_METRIC, Lattice
 from .spectrum import ChannelPlan, LogicalChannel, partition_channels
 
 
@@ -30,92 +31,67 @@ from .spectrum import ChannelPlan, LogicalChannel, partition_channels
 class StaticAllocation:
     """Full static assignment plus the summary numbers reports need.
 
-    ``control`` is None when the allocation was built tolerantly and the
-    plan's control set is smaller than the control chromatic number (some
-    regulatory tables leave only 2 control channels, fewer than the 4 a
-    dense network needs).
+    ``control`` and ``data_groups`` hold one entry per cell of
+    ``lattice.cells``, in that order.  ``control`` is None when the plan's
+    control set is smaller than the control chromatic number ``chi_control``
+    (some regulatory tables leave only 2 control channels, fewer than the 4
+    a dense network needs), so the data side can still be reported.
     """
 
-    control: dict[CellIndex, LogicalChannel] | None
-    data_groups: dict[CellIndex, tuple[LogicalChannel, ...]]
+    control: tuple[LogicalChannel, ...] | None
+    data_groups: tuple[tuple[LogicalChannel, ...], ...]
     k_static: int
     chi_control: int
     chi_data: int
     unassigned: tuple[LogicalChannel, ...]
 
 
-def color_control_graph(lattice: Lattice) -> Coloring:
-    """Color the lattice's metric-16 graph: exact up to the solver's vertex
-    cap, the closed-form control pattern above it."""
-    if len(lattice) <= DEFAULT_VERTEX_CAP:
-        return chromatic_coloring(build_interference_graph(lattice, None, CONTROL_REUSE_METRIC))
-    return pattern_coloring(lattice, CONTROL)
-
-
-def color_data_graph(lattice: Lattice) -> Coloring:
-    """Minimum coloring of the lattice's metric-12 graph, at any size."""
-    return data_graph_coloring(build_interference_graph(lattice, None, DATA_REUSE_METRIC))
-
-
-def _control_channels(coloring: Coloring, plan: ChannelPlan) -> dict[CellIndex, LogicalChannel]:
-    channels = plan.ordered_control()
-    if coloring.num_colors > len(channels):
-        raise InsufficientSpectrumError(
-            f"need {coloring.num_colors} control channels, plan has {len(channels)}"
-        )
-    return {cell: channels[color] for cell, color in coloring.assignment.items()}
-
-
-def _data_groups(coloring: Coloring, plan: ChannelPlan) -> tuple[dict[CellIndex, tuple[LogicalChannel, ...]], int]:
+def _data_groups(coloring: Coloring, plan: ChannelPlan) -> tuple[tuple[tuple[LogicalChannel, ...], ...], int]:
+    """Color class c gets the c-th of chi equal data groups; returns the
+    group of each vertex, in vertex order, and the group size k_static."""
     ordered = plan.ordered_data()
     chi = coloring.num_colors
     if chi == 0:
-        return {}, 0
+        return (), 0
     k_static = len(ordered) // chi
     if k_static == 0:
         raise InsufficientSpectrumError(f"need at least {chi} data channels, plan has {len(ordered)}")
     groups, _ = partition_channels(ordered, chi, k_static)
-    return {cell: groups[color] for cell, color in coloring.assignment.items()}, k_static
-
-
-def allocate_control(lattice: Lattice, plan: ChannelPlan) -> dict[CellIndex, LogicalChannel]:
-    """Assign one control channel per cell; color class k gets the k-th
-    control channel in (phy, code) order."""
-    return _control_channels(color_control_graph(lattice), plan)
+    return tuple(groups[color] for color in coloring.labels), k_static
 
 
 def allocate_static_data(
     lattice: Lattice, plan: ChannelPlan
-) -> tuple[dict[CellIndex, tuple[LogicalChannel, ...]], int]:
-    """Per-cell data-channel groups and the uniform group size k_static."""
-    return _data_groups(color_data_graph(lattice), plan)
+) -> tuple[tuple[tuple[LogicalChannel, ...], ...], int]:
+    """Per-cell data-channel groups in lattice order, and the uniform group size k_static."""
+    return _data_groups(data_graph_coloring(build_interference_graph(lattice, None, DATA_REUSE_METRIC)), plan)
 
 
-def allocate_static(lattice: Lattice, plan: ChannelPlan, require_control: bool = True) -> StaticAllocation:
+def allocate_static(lattice: Lattice, plan: ChannelPlan) -> StaticAllocation:
     """Control assignment and static data groups in one report-ready record.
 
-    With ``require_control=False`` a control set smaller than the control
-    chromatic number yields ``control=None`` instead of an error, so the
-    data side can still be reported.
+    The metric-16 graph is colored exactly up to the solver's vertex cap and
+    by the closed-form control pattern above it; color class c gets the c-th
+    control channel in (phy, code) order.  The metric-12 graph gets a
+    minimum coloring at any size.
     """
-    control_coloring = color_control_graph(lattice)
-    data_coloring = color_data_graph(lattice)
-    try:
-        control = _control_channels(control_coloring, plan)
-    except InsufficientSpectrumError:
-        if require_control:
-            raise
-        control = None
+    if len(lattice) <= DEFAULT_VERTEX_CAP:
+        control_coloring = chromatic_coloring(build_interference_graph(lattice, None, CONTROL_REUSE_METRIC))
+    else:
+        control_coloring = pattern_coloring(lattice, CONTROL)
+    data_coloring = data_graph_coloring(build_interference_graph(lattice, None, DATA_REUSE_METRIC))
+    channels = plan.ordered_control()
+    control = None
+    if control_coloring.num_colors <= len(channels):
+        control = tuple(channels[color] for color in control_coloring.labels)
     data_groups, k_static = _data_groups(data_coloring, plan)
-    ordered = plan.ordered_data()
-    unassigned = ordered[k_static * data_coloring.num_colors :] if data_coloring.num_colors else ordered
     return StaticAllocation(
         control=control,
         data_groups=data_groups,
         k_static=k_static,
         chi_control=control_coloring.num_colors,
         chi_data=data_coloring.num_colors,
-        unassigned=unassigned,
+        unassigned=plan.ordered_data()[k_static * data_coloring.num_colors :],
     )
 
 
@@ -126,16 +102,15 @@ def static_allocation_csv(lattice: Lattice, alloc: StaticAllocation) -> str:
     """
     header = ["i", "j", "control_phy", "control_code"]
     header += [f"data_ch_{k + 1}" for k in range(alloc.k_static)]
-    lines = [",".join(header)]
     # The data groups are the chi_data shared groups of ``_data_groups``, so
     # each is rendered once, keyed by identity.
-    groups = {id(group): group for group in alloc.data_groups.values()}
+    groups = {id(group): group for group in alloc.data_groups}
     tails = {key: "".join("," + ch.token() for ch in group) for key, group in groups.items()}
-    for cell in lattice.cells:
-        if alloc.control is None:
-            head = f"{cell.i},{cell.j},,"
-        else:
-            cch = alloc.control[cell]
-            head = f"{cell.i},{cell.j},{cch.phy_channel},{cch.code}"
-        lines.append(head + tails[id(alloc.data_groups[cell])])
+    cells = lattice.cells
+    if alloc.control is None:
+        heads = [f"{cell.i},{cell.j},," for cell in cells]
+    else:
+        heads = [f"{cell.i},{cell.j},{ch.phy_channel},{ch.code}" for cell, ch in zip(cells, alloc.control)]
+    lines = [",".join(header)]
+    lines += [head + tails[id(group)] for head, group in zip(heads, alloc.data_groups)]
     return "\r\n".join(lines) + "\r\n"

@@ -3,9 +3,25 @@ from pathlib import Path
 
 import pytest
 
+from hexchan.interference import InterferenceGraph
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO_ROOT / "configs"
 TEST_CONFIG_DIR = Path(__file__).resolve().parent / "configs"
+
+
+def graph_from_edges(vertices, edges) -> InterferenceGraph:
+    """Graph on ``vertices``, in the given order, with the given edges
+    between them; for graphs a test draws itself."""
+    vertices = tuple(vertices)
+    position = {v: p for p, v in enumerate(vertices)}
+    assert len(position) == len(vertices), "duplicate vertices"
+    rows = [0] * len(vertices)
+    for a, b in edges:
+        assert a != b, "self-loop"
+        rows[position[a]] |= 1 << position[b]
+        rows[position[b]] |= 1 << position[a]
+    return InterferenceGraph(vertices, tuple(rows))
 
 
 def roadmap_config(n: int, bomax: int = 10, domain: str = "US") -> dict:

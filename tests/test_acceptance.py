@@ -8,6 +8,8 @@ import json
 import random
 import time
 
+from conftest import graph_from_edges
+
 from hexchan.cli import main
 from hexchan.coloring import brute_force_chromatic, chromatic_coloring, pattern_coloring, verify_coloring
 from hexchan.config import load_config
@@ -16,14 +18,16 @@ from hexchan.dynamic_alloc import (
     activity_matrix,
     allocate_dynamic,
     cycle_structure,
+    is_active,
 )
 from hexchan.evaluate import delay_decrease_percent, makespan
-from hexchan.interference import InterferenceGraph, build_interference_graph
+from hexchan.interference import build_interference_graph
 from hexchan.lattice import (
     CONTROL_REUSE_METRIC,
     DATA_REUSE_METRIC,
     CellIndex,
     build_lattice,
+    lattice_metric,
     neighborhood_sets,
     twelve_cell_lattice,
 )
@@ -67,7 +71,7 @@ def test_criterion_02_cluster_and_random_oracle():
             for b in range(a + 1, n)
             if rng.random() < rng.uniform(0.1, 0.9)
         )
-        graph = InterferenceGraph(vertices=verts, edges=edges)
+        graph = graph_from_edges(verts, edges)
         coloring = chromatic_coloring(graph)
         assert verify_coloring(graph, coloring)
         assert coloring.num_colors == brute_force_chromatic(graph)
@@ -143,7 +147,7 @@ def test_criterion_07_dynamic_channel_counts(reference_config_path):
     cfg = load_config(reference_config_path)
     configs, plan = cfg.superframes, cfg.plan()
     cs = cycle_structure(configs)
-    act = activity_matrix(configs, cs)
+    act = activity_matrix(configs)
     alloc = allocate_dynamic(cfg.lattice, configs, plan)
     counts = {
         t: {len(alloc.channels[k][t]) for k in range(len(configs)) if act[k][t]}
@@ -187,13 +191,13 @@ def test_criterion_09_randomized_property_suite():
             bo = rng.randint(0, 5)
             configs.append(SuperframeConfig(pan_cell=cell, so=rng.randint(0, bo), bo=bo))
         cs = cycle_structure(configs)
-        act = activity_matrix(configs, cs, num_cycles=2 * cs.u_cycles)
-        alloc = allocate_dynamic(lat, configs, plan, num_cycles=2 * cs.u_cycles)
-        graph = build_interference_graph(lat, None, DATA_REUSE_METRIC)
+        u = cs.u_cycles
+        act = activity_matrix(configs)
+        alloc = allocate_dynamic(lat, configs, plan)
         _, k_static = allocate_static_data(lat, plan)
         cells = [c.pan_cell for c in configs]
 
-        for t in range(2 * cs.u_cycles):
+        for t in range(u):
             for a in range(len(configs)):
                 if not act[a][t]:
                     assert alloc.channels[a][t] == ()
@@ -205,21 +209,27 @@ def test_criterion_09_randomized_property_suite():
                 for b in range(len(configs)):
                     if b == a or not act[b][t]:
                         continue
-                    if graph.has_edge(cells[a], cells[b]):
+                    if lattice_metric(cells[a], cells[b]) < DATA_REUSE_METRIC:
                         isolated = False
                         # interfering actives hold disjoint channel sets
                         assert not (set(grant) & set(alloc.channels[b][t]))
                 if isolated:
                     assert set(grant) == plan.data_set
-        # the schedule repeats with the major cycle
-        u = cs.u_cycles
-        for row in alloc.channels:
-            assert row[:u] == row[u:]
+        # the schedule repeats with the major cycle, and a cycle's grants,
+        # chi and k depend only on its active set
+        assert [[is_active(cfg, t, cs.sd_min) for t in range(2 * u)] for cfg in configs] == [
+            list(row) * 2 for row in act
+        ]
+        first_cycle = {}
+        for t, active_set in enumerate(zip(*act)):
+            s = first_cycle.setdefault(active_set, t)
+            assert [row[t] for row in alloc.channels] == [row[s] for row in alloc.channels]
+            assert (alloc.per_cycle_chi[t], alloc.per_cycle_k[t]) == (alloc.per_cycle_chi[s], alloc.per_cycle_k[s])
 
         # with SO = BO everywhere, every cycle reduces to the static groups
         flat = [SuperframeConfig(pan_cell=cell, so=1, bo=1) for cell in lat.cells]
         flat_alloc = allocate_dynamic(lat, flat, plan)
-        groups, _ = allocate_static_data(lat, plan)
+        groups = dict(zip(lat.cells, allocate_static_data(lat, plan)[0]))
         for k, cfg in enumerate(flat):
             for grant in flat_alloc.channels[k]:
                 assert grant == groups[cfg.pan_cell]

@@ -11,7 +11,7 @@ from conftest import roadmap_config
 
 import hexchan
 from hexchan.cli import main
-from hexchan.config import MAX_CELLS, MAX_PAN_CYCLES, load_config
+from hexchan.config import MAX_CELLS, MAX_PAN_CYCLES, MAX_REQUESTS_PER_PAN, load_config
 from hexchan.errors import ConfigError
 from hexchan.lattice import build_lattice
 
@@ -320,6 +320,54 @@ def test_per_pan_workload_covering_every_pan(tmp_path, reference_config_path):
     assert main(["evaluate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
     rows = read_csv(out / "scheme_report.csv")
     assert {r["makespan_slots"] for r in rows if r["scheme"] == "single"} == {"6"}
+
+
+def oversized_uniform(doc):
+    doc["workload"] = {"requests_per_pan": 100_000_000_000, "slots_per_request": 3}
+
+
+def oversized_per_pan(doc):
+    entries = [{"cell": sf["cell"], "slots": [3]} for sf in doc["superframes"]]
+    entries[2]["slots"] = [3] * (MAX_REQUESTS_PER_PAN + 1)
+    doc["workload"] = {"per_pan": entries}
+
+
+@pytest.mark.parametrize("command", ["lattice", "evaluate"])
+@pytest.mark.parametrize(
+    "edit, field",
+    [(oversized_uniform, "workload.requests_per_pan"), (oversized_per_pan, "workload.per_pan[2].slots")],
+    ids=["uniform", "per-pan"],
+)
+def test_oversized_workload_exits_1(tmp_path, capsys, monkeypatch, reference_config_path, command, edit, field):
+    monkeypatch.setattr("hexchan.cli.compare_schemes", refuse_to_run)
+    doc = json.loads(Path(reference_config_path).read_text())
+    edit(doc)
+    cfg = write_config(tmp_path, doc)
+    start = time.perf_counter()
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and "limit of 1000" in err
+
+
+def test_workload_at_the_request_limit_shares_one_tuple(tmp_path, reference_config_path):
+    doc = json.loads(Path(reference_config_path).read_text())
+    doc["workload"] = {"requests_per_pan": MAX_REQUESTS_PER_PAN, "slots_per_request": 3}
+    per_pan = load_config(write_config(tmp_path, doc)).workload.per_pan
+    assert len(per_pan) == 12 and {len(r) for r in per_pan.values()} == {MAX_REQUESTS_PER_PAN}
+    assert len({id(r) for r in per_pan.values()}) == 1
+
+
+@pytest.mark.parametrize("command", ["lattice", "evaluate"])
+def test_config_not_utf8_exits_1(tmp_path, capsys, monkeypatch, reference_config_path, command):
+    monkeypatch.setattr("hexchan.cli.compare_schemes", refuse_to_run)
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + Path(reference_config_path).read_text().encode("utf-16-le"))
+    start = time.perf_counter()
+    assert main([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and "UTF-8" in err
 
 
 @pytest.mark.parametrize(

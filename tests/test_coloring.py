@@ -3,10 +3,12 @@ import random
 import time
 
 import pytest
+from conftest import graph_from_edges
 
 from hexchan.coloring import (
     CONTROL,
     DATA,
+    Coloring,
     _two_coloring,
     brute_force_chromatic,
     chromatic_coloring,
@@ -15,14 +17,7 @@ from hexchan.coloring import (
     verify_coloring,
 )
 from hexchan.errors import IncompleteColoringError, SizeLimitError
-from hexchan.interference import (
-    InterferenceGraph,
-    build_interference_graph,
-    component_masks,
-    connected_components,
-    iter_bits,
-    subgraph_on,
-)
+from hexchan.interference import build_interference_graph, component_masks, iter_bits
 from hexchan.lattice import (
     CONTROL_REUSE_METRIC,
     DATA_REUSE_METRIC,
@@ -38,9 +33,8 @@ C = CellIndex
 
 def graph_on_indices(n, index_edges):
     """Graph on n placeholder cells; vertex k is the cell (2k, 0)."""
-    verts = tuple(C(2 * k, 0) for k in range(n))
-    edges = frozenset((verts[a], verts[b]) for a, b in index_edges)
-    return InterferenceGraph(vertices=verts, edges=edges)
+    verts = [C(2 * k, 0) for k in range(n)]
+    return graph_from_edges(verts, [(verts[a], verts[b]) for a, b in index_edges])
 
 
 def complete_graph(n):
@@ -87,7 +81,7 @@ def test_edgeless_graph_one_color():
 def test_empty_graph_zero_colors():
     col = chromatic_coloring(graph_on_indices(0, []))
     assert col.num_colors == 0
-    assert col.assignment == {}
+    assert col.labels == ()
 
 
 def test_vertex_cap_enforced():
@@ -101,7 +95,7 @@ def test_canonical_color_numbering():
     g = complete_graph(3)
     col = chromatic_coloring(g)
     # colors are numbered by first appearance in vertex order
-    assert [col.assignment[v] for v in g.vertices] == [0, 1, 2]
+    assert col.labels == (0, 1, 2)
 
 
 def test_determinism():
@@ -152,10 +146,10 @@ def test_solver_returns_first_coloring_in_vertex_order():
     checked = 0
     while checked < 60:
         g = random_graph(rng, rng.randint(3, 8), rng.uniform(0.3, 0.8))
-        if len(connected_components(g)) != 1 or brute_force_chromatic(g) < 3:
+        if len(component_masks(g.rows, (1 << len(g)) - 1)) != 1 or brute_force_chromatic(g) < 3:
             continue
         col = chromatic_coloring(g)
-        assert [col.assignment[v] for v in g.vertices] == first_coloring_by_enumeration(g, col.num_colors)
+        assert list(col.labels) == first_coloring_by_enumeration(g, col.num_colors)
         checked += 1
 
 
@@ -238,7 +232,7 @@ def test_bipartite_control_components_get_their_two_coloring():
             side = _two_coloring(g.rows, comp)
             if side is None:
                 continue
-            assert [col.assignment[g.vertices[p]] for p in iter_bits(comp)] == [side[p] for p in iter_bits(comp)]
+            assert [col.labels[p] for p in iter_bits(comp)] == [side[p] for p in iter_bits(comp)]
             checked.add(comp.bit_count())
     # singletons, pairs and larger trees or even cycles all occur
     assert {1, 2} < checked and max(checked) > 2
@@ -253,14 +247,15 @@ def test_four_chromatic_control_components_take_the_pattern():
     for _ in range(20):
         g = control_graph(rng.sample(window.cells, 64))
         col = chromatic_coloring(g)
-        for comp in connected_components(g):
-            if clique_lower_bound(subgraph_on(g, comp)) < 4:
+        for comp in component_masks(g.rows, (1 << len(g)) - 1):
+            cells = [g.vertices[p] for p in iter_bits(comp)]
+            if clique_lower_bound(control_graph(cells)) < 4:
                 continue
             first = {}
-            for c in comp:
+            for c in cells:
                 first.setdefault(2 * (c.i % 2) + (c.j - c.i) // 2 % 2, len(first))
-            assert [col.assignment[c] for c in comp] == [
-                first[2 * (c.i % 2) + (c.j - c.i) // 2 % 2] for c in comp
+            assert [col.labels[p] for p in iter_bits(comp)] == [
+                first[2 * (c.i % 2) + (c.j - c.i) // 2 % 2] for c in cells
             ]
             checked += 1
     assert checked
@@ -275,17 +270,13 @@ def test_clique_bound_never_exceeds_chromatic():
 
 def test_verify_coloring_rejects_conflicts():
     g = complete_graph(2)
-    from hexchan.coloring import Coloring
-
-    bad = Coloring(assignment={v: 0 for v in g.vertices}, num_colors=1)
+    bad = Coloring(labels=(0, 0))
     assert not verify_coloring(g, bad)
 
 
 def test_verify_coloring_missing_vertex():
     g = complete_graph(2)
-    from hexchan.coloring import Coloring
-
-    partial = Coloring(assignment={g.vertices[0]: 0}, num_colors=1)
+    partial = Coloring(labels=(0,))
     with pytest.raises(IncompleteColoringError):
         verify_coloring(g, partial)
 
@@ -308,23 +299,24 @@ def test_pattern_same_color_pairs_at_reuse_distance(kind, threshold):
     # smallest metric among them is exactly the reuse threshold
     lat = build_lattice(4, 1.0)
     col = pattern_coloring(lat, kind)
+    labels = col.labels
     same = [
         lattice_metric(a, b)
         for k, a in enumerate(lat.cells)
-        for b in lat.cells[k + 1 :]
-        if col.assignment[a] == col.assignment[b]
+        for m, b in enumerate(lat.cells[k + 1 :], k + 1)
+        if labels[k] == labels[m]
     ]
     assert min(same) == threshold
 
 
 def test_pattern_specific_cells():
     lat = build_lattice(6, 1.0)
-    col = pattern_coloring(lat, DATA)
+    data = dict(zip(lat.cells, pattern_coloring(lat, DATA).labels))
     # metric((0,0),(0,6)) = 36 >= 12: same color is fine, and the pattern
     # does reuse it there
-    assert col.assignment[C(0, 0)] == col.assignment[C(0, 6)]
-    control = pattern_coloring(lat, CONTROL)
-    assert control.assignment[C(0, 0)] == control.assignment[C(0, 4)]
+    assert data[C(0, 0)] == data[C(0, 6)]
+    control = dict(zip(lat.cells, pattern_coloring(lat, CONTROL).labels))
+    assert control[C(0, 0)] == control[C(0, 4)]
     assert lattice_metric(C(0, 0), C(0, 4)) == 16
 
 

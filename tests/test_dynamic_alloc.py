@@ -11,7 +11,6 @@ from hexchan.cli import main
 from hexchan.coloring import DEFAULT_VERTEX_CAP, chromatic_coloring, data_graph_coloring, verify_coloring
 from hexchan.config import load_config
 from hexchan.dynamic_alloc import (
-    CycleStructure,
     SuperframeConfig,
     activity_csv,
     activity_matrix,
@@ -22,7 +21,7 @@ from hexchan.dynamic_alloc import (
     is_active,
 )
 from hexchan.errors import InsufficientSpectrumError, InvalidSuperframeError, NotInLatticeError
-from hexchan.interference import build_interference_graph, connected_components, subgraph_on
+from hexchan.interference import build_interference_graph, component_masks, iter_bits
 from hexchan.lattice import DATA_REUSE_METRIC, CellIndex, build_lattice, lattice_from_cells, lattice_metric
 from hexchan.spectrum import EUROPE, channel_plan, default_domain
 from hexchan.static_alloc import allocate_static_data
@@ -73,8 +72,7 @@ def test_cycle_structure_reference_scenario(reference):
 
 def test_activity_always_on_when_so_equals_bo():
     cfg = SF(pan_cell=C(0, 0), so=2, bo=2)
-    cs = cycle_structure([cfg, SF(pan_cell=C(1, 1), so=0, bo=3)])
-    act = activity_matrix([cfg], cs)
+    act = activity_matrix([cfg, SF(pan_cell=C(1, 1), so=0, bo=3)])
     assert all(act[0])
 
 
@@ -83,7 +81,7 @@ def test_activity_pattern_so1_bo2():
     cfgs = [SF(pan_cell=C(0, 0), so=1, bo=2), SF(pan_cell=C(1, 1), so=0, bo=3)]
     cs = cycle_structure(cfgs)
     assert cs.sd_min == 1 and cs.u_cycles == 8
-    act = activity_matrix(cfgs, cs)
+    act = activity_matrix(cfgs)
     assert [t for t in range(8) if act[0][t]] == [0, 1, 4, 5]
 
 
@@ -96,7 +94,7 @@ def test_activity_row_sums():
         bo = rng.randint(0, 5)
         cfgs.append(SF(pan_cell=cell, so=rng.randint(0, bo), bo=bo, phase=rng.randint(0, 7)))
     cs = cycle_structure(cfgs)
-    act = activity_matrix(cfgs, cs)
+    act = activity_matrix(cfgs)
     for k, cfg in enumerate(cfgs):
         expected = (cfg.sd // cs.sd_min) * (cs.bi_maj // cfg.bi)
         assert sum(act[k]) == expected
@@ -110,9 +108,11 @@ def test_activity_matrix_matches_is_active():
         bo = rng.randint(0, 6)
         cfgs.append(SF(pan_cell=cell, so=rng.randint(0, bo), bo=bo, phase=rng.randint(0, 70)))
     cs = cycle_structure(cfgs)
+    act = activity_matrix(cfgs)
+    assert {len(row) for row in act} == {cs.u_cycles}
     for num_cycles in (0, 1, 37, cs.u_cycles, 2 * cs.u_cycles + 5):
-        act = activity_matrix(cfgs, cs, num_cycles)
-        assert act == tuple(tuple(is_active(cfg, t, cs.sd_min) for t in range(num_cycles)) for cfg in cfgs)
+        tiled = tuple(tuple((row * 3)[:num_cycles]) for row in act)
+        assert tiled == tuple(tuple(is_active(cfg, t, cs.sd_min) for t in range(num_cycles)) for cfg in cfgs)
 
 
 @st.composite
@@ -128,26 +128,25 @@ def duty_cycles(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(duty_cycles(), st.integers(0, 600))
-def test_activity_matrix_rows_are_closed_form_of_is_active(configs, num_cycles):
-    # At most 600 cycles keeps the oracle fast; a PAN's period is 1 to 2^14
-    # cycles, so the count both tiles short periods and cuts long ones.
+@given(duty_cycles(), st.data())
+def test_activity_matrix_rows_are_closed_form_of_is_active(configs, data):
+    # A window of at most 600 cycles, anywhere in the major cycle, plus the
+    # last cycle keeps the oracle fast; a PAN's period is 1 to 2^14 cycles,
+    # so the window both spans short periods and cuts long ones.
     cs = cycle_structure(configs)
-    act = activity_matrix(configs, cs, num_cycles)
-    assert act == tuple(tuple(is_active(cfg, t, cs.sd_min) for t in range(num_cycles)) for cfg in configs)
-
-
-def test_activity_matrix_rejects_sd_min_not_dividing_sd():
-    # SD_min = 2 would cut the PAN's one-unit active period in half.
-    cfg = SF(pan_cell=C(0, 0), so=0, bo=3)
-    with pytest.raises(ValueError, match="SD_min=2"):
-        activity_matrix([cfg], CycleStructure(bi_maj=8, sd_min=2, u_cycles=4))
+    u = cs.u_cycles
+    start = data.draw(st.integers(0, u - 1))
+    window = list(range(start, min(u, start + data.draw(st.integers(0, 600))))) + [u - 1]
+    act = activity_matrix(configs)
+    assert {len(row) for row in act} == {u}
+    assert [[row[t] for t in window] for row in act] == [
+        [is_active(cfg, t, cs.sd_min) for t in window] for cfg in configs
+    ]
 
 
 def test_phase_shifts_activity():
     cfgs = [SF(pan_cell=C(0, 0), so=0, bo=2, phase=1), SF(pan_cell=C(1, 1), so=0, bo=2)]
-    cs = cycle_structure(cfgs)
-    act = activity_matrix(cfgs, cs)
+    act = activity_matrix(cfgs)
     assert [t for t in range(4) if act[0][t]] == [1]
     assert [t for t in range(4) if act[1][t]] == [0]
 
@@ -159,13 +158,13 @@ def test_phase_counts_base_superframe_units():
     cfgs = [SF(pan_cell=C(0, 0), so=1, bo=2, phase=0), SF(pan_cell=C(1, 1), so=1, bo=2, phase=2)]
     cs = cycle_structure(cfgs)
     assert (cs.sd_min, cs.u_cycles) == (2, 2)
-    assert activity_matrix(cfgs, cs) == ((True, False), (False, True))
+    assert activity_matrix(cfgs) == ((True, False), (False, True))
 
 
 def test_reference_scenario_channel_counts(reference):
     lattice, configs, plan = reference
     cs = cycle_structure(configs)
-    act = activity_matrix(configs, cs)
+    act = activity_matrix(configs)
     alloc = allocate_dynamic(lattice, configs, plan)
     counts = {
         t: sorted({len(alloc.channels[k][t]) for k in range(len(configs)) if act[k][t]})
@@ -188,7 +187,7 @@ def test_reference_scenario_channel_counts(reference):
 def test_inactive_entries_are_empty(reference):
     lattice, configs, plan = reference
     cs = cycle_structure(configs)
-    act = activity_matrix(configs, cs)
+    act = activity_matrix(configs)
     alloc = allocate_dynamic(lattice, configs, plan)
     for k in range(len(configs)):
         for t in range(cs.u_cycles):
@@ -210,16 +209,15 @@ def test_grants_stay_inside_data_set(reference):
 def test_per_cycle_disjointness(reference):
     lattice, configs, plan = reference
     cs = cycle_structure(configs)
-    act = activity_matrix(configs, cs)
+    act = activity_matrix(configs)
     alloc = allocate_dynamic(lattice, configs, plan)
     cells = [cfg.pan_cell for cfg in configs]
-    graph = build_interference_graph(lattice, cells, DATA_REUSE_METRIC)
     for t in range(cs.u_cycles):
         for a in range(len(configs)):
             for b in range(a + 1, len(configs)):
                 if not (act[a][t] and act[b][t]):
                     continue
-                if graph.has_edge(cells[a], cells[b]):
+                if lattice_metric(cells[a], cells[b]) < DATA_REUSE_METRIC:
                     assert not (set(alloc.channels[a][t]) & set(alloc.channels[b][t]))
 
 
@@ -236,16 +234,15 @@ def test_dynamic_dominates_static(reference):
 def test_isolation_maximality(reference):
     lattice, configs, plan = reference
     cs = cycle_structure(configs)
-    act = activity_matrix(configs, cs)
+    act = activity_matrix(configs)
     alloc = allocate_dynamic(lattice, configs, plan)
     cells = [cfg.pan_cell for cfg in configs]
-    graph = build_interference_graph(lattice, cells, DATA_REUSE_METRIC)
     for t in range(cs.u_cycles):
         for k in range(len(configs)):
             if not act[k][t]:
                 continue
             has_active_neighbor = any(
-                act[m][t] and graph.has_edge(cells[k], cells[m])
+                act[m][t] and lattice_metric(cells[k], cells[m]) < DATA_REUSE_METRIC
                 for m in range(len(configs))
                 if m != k
             )
@@ -256,18 +253,26 @@ def test_isolation_maximality(reference):
 def test_major_cycle_periodicity(reference):
     lattice, configs, plan = reference
     cs = cycle_structure(configs)
-    alloc = allocate_dynamic(lattice, configs, plan, num_cycles=2 * cs.u_cycles)
     u = cs.u_cycles
-    for row in alloc.channels:
-        assert row[:u] == row[u:]
-    assert alloc.per_cycle_chi[:u] == alloc.per_cycle_chi[u:]
+    alloc = allocate_dynamic(lattice, configs, plan)
+    # activity repeats with the major cycle
+    assert [[is_active(cfg, t, cs.sd_min) for t in range(2 * u)] for cfg in configs] == [
+        list(row) * 2 for row in alloc.activity
+    ]
+    # a cycle's grants, chi and k depend only on its active set
+    first_cycle = {}
+    for t, active_set in enumerate(zip(*alloc.activity)):
+        s = first_cycle.setdefault(active_set, t)
+        assert [row[t] for row in alloc.channels] == [row[s] for row in alloc.channels]
+        assert (alloc.per_cycle_chi[t], alloc.per_cycle_k[t]) == (alloc.per_cycle_chi[s], alloc.per_cycle_k[s])
+    assert len(first_cycle) < u
 
 
 def test_all_active_reduces_to_static(europe_plan):
     lat = build_lattice(2, 1.0)
     configs = [SF(pan_cell=cell, so=1, bo=1) for cell in lat.cells]
     alloc = allocate_dynamic(lat, configs, europe_plan)
-    groups, _ = allocate_static_data(lat, europe_plan)
+    groups = dict(zip(lat.cells, allocate_static_data(lat, europe_plan)[0]))
     for k, cfg in enumerate(configs):
         for grant in alloc.channels[k]:
             assert grant == groups[cfg.pan_cell]
@@ -322,7 +327,7 @@ def test_component_needing_more_channels_names_its_first_cycle(tmp_path, capsys,
 def test_exports_parse(reference):
     lattice, configs, plan = reference
     cs = cycle_structure(configs)
-    act = activity_matrix(configs, cs)
+    act = activity_matrix(configs)
     alloc = allocate_dynamic(lattice, configs, plan)
     activity_text = activity_csv(configs, act)
     assert activity_text.splitlines()[0] == "cycle,pan_i,pan_j,active"
@@ -338,7 +343,7 @@ def test_exports_parse(reference):
 def test_allocation_carries_its_activity_matrix(reference):
     lattice, configs, plan = reference
     alloc = allocate_dynamic(lattice, configs, plan)
-    assert alloc.activity == activity_matrix(configs, cycle_structure(configs))
+    assert alloc.activity == activity_matrix(configs)
 
 
 def all_on_n6_config():
@@ -365,8 +370,9 @@ def test_components_above_solver_cap(tmp_path, make_doc):
     largest = 0
     for active in grants.values():
         lat = lattice_from_cells([C(i, j) for i, j in active], 1.0)
-        for comp in connected_components(build_interference_graph(lat, None, DATA_REUSE_METRIC)):
-            largest = max(largest, len(comp))
+        graph = build_interference_graph(lat, None, DATA_REUSE_METRIC)
+        for comp in component_masks(graph.rows, (1 << len(graph)) - 1):
+            largest = max(largest, comp.bit_count())
         for a, channels_a in active.items():
             assert channels_a
             for b, channels_b in active.items():
@@ -395,8 +401,10 @@ def line_graph(length):
 )
 def test_data_graph_coloring_is_minimal(graphs):
     for graph in graphs:
-        for comp in connected_components(graph):
-            sub = subgraph_on(graph, comp)
+        for comp in component_masks(graph.rows, (1 << len(graph)) - 1):
+            cells = [graph.vertices[p] for p in iter_bits(comp)]
+            sub = build_interference_graph(lattice_from_cells(cells, 1.0), None, DATA_REUSE_METRIC)
+            assert sub.vertices == tuple(cells)
             fast = data_graph_coloring(sub)
             assert verify_coloring(sub, fast)
             if len(sub) <= DEFAULT_VERTEX_CAP:
@@ -410,6 +418,6 @@ def test_data_graph_coloring_is_minimal(graphs):
 
 def test_data_graph_coloring_above_solver_cap():
     line = line_graph(70)
-    assert data_graph_coloring(line).assignment == {cell: k % 2 for k, cell in enumerate(line.vertices)}
+    assert data_graph_coloring(line).labels == tuple(k % 2 for k in range(len(line)))
     window = build_interference_graph(build_lattice(6, 1.0), None, DATA_REUSE_METRIC)
     assert data_graph_coloring(window).num_colors == 3

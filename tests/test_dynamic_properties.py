@@ -8,12 +8,12 @@ independent odd-cycle check (1, 2 or 3 colors; metric-12 graphs need at
 most 3).
 """
 
+from conftest import graph_from_edges
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexchan.coloring import brute_force_chromatic
 from hexchan.dynamic_alloc import SuperframeConfig, allocate_dynamic
-from hexchan.interference import InterferenceGraph
 from hexchan.lattice import DATA_REUSE_METRIC, build_lattice, lattice_metric
 from hexchan.spectrum import DOMAIN_NAMES, channel_plan, default_domain, partition_channels
 
@@ -100,7 +100,7 @@ def test_dynamic_allocation_properties(deployment):
         chis = []
         for component in metric12_components([configs[k].pan_cell for k in active]):
             if len(component) <= 10:
-                chi = brute_force_chromatic(InterferenceGraph(component, metric12_edges(component)))
+                chi = brute_force_chromatic(graph_from_edges(component, metric12_edges(component)))
             else:
                 chi = odd_cycle_chromatic(component)
             chis.append(chi)

@@ -3,12 +3,7 @@ import random
 import pytest
 
 from hexchan.errors import NotInLatticeError
-from hexchan.interference import (
-    build_interference_graph,
-    connected_components,
-    edge_list_text,
-    subgraph_on,
-)
+from hexchan.interference import build_interference_graph, component_masks, edge_list_text, iter_bits
 from hexchan.lattice import (
     CONTROL_REUSE_METRIC,
     DATA_REUSE_METRIC,
@@ -24,6 +19,11 @@ C = CellIndex
 def cluster_cells(i=0, j=0):
     """The 7-cell data-reuse cluster: a center and its six hex neighbors."""
     return [C(i, j), C(i, j + 2), C(i, j - 2), C(i + 1, j + 1), C(i + 1, j - 1), C(i - 1, j + 1), C(i - 1, j - 1)]
+
+
+def neighbors(graph, v):
+    """Cells sharing an edge with ``v``, read from the edge set."""
+    return {b if a == v else a for a, b in graph.edges if v in (a, b)}
 
 
 def test_single_cell_has_no_edges():
@@ -47,13 +47,13 @@ def test_cluster_graph_shape():
     g = build_interference_graph(lat, cells, DATA_REUSE_METRIC)
     assert len(g.edges) == 12
     center = C(0, 0)
-    assert len(g.neighbors(center)) == 6
+    assert len(neighbors(g, center)) == 6
     ring = [c for c in cells if c != center]
     for c in ring:
-        assert len(g.neighbors(c)) == 3  # center + two ring neighbors
+        assert len(neighbors(g, c)) == 3  # center + two ring neighbors
     # opposite ring cells sit at metric >= 12 and are non-adjacent
-    assert not g.has_edge(C(0, 2), C(0, -2))
-    assert not g.has_edge(C(1, 1), C(-1, -1))
+    assert C(0, -2) not in neighbors(g, C(0, 2))
+    assert C(-1, -1) not in neighbors(g, C(1, 1))
 
 
 def test_unknown_active_cell_rejected():
@@ -74,37 +74,14 @@ def test_data_neighborhood_matches_g_set():
     g = build_interference_graph(lat, None, DATA_REUSE_METRIC)
     for cell in (C(0, 0), C(1, 1), C(-1, -1)):
         part = neighborhood_sets(lat, cell, DATA_REUSE_METRIC)
-        assert g.neighbors(cell) == part.g_set - {cell}
-        assert len(g.neighbors(cell)) == 6
-
-
-def test_subgraph_identity_and_empty():
-    lat = build_lattice(2, 1.0)
-    g = build_interference_graph(lat, None, DATA_REUSE_METRIC)
-    assert subgraph_on(g, g.vertices) == g
-    empty = subgraph_on(g, [])
-    assert empty.vertices == () and not empty.edges
-
-
-def test_subgraph_two_nonadjacent_vertices():
-    lat = build_lattice(2, 1.0)
-    g = build_interference_graph(lat, None, DATA_REUSE_METRIC)
-    sub = subgraph_on(g, [C(0, 0), C(2, 0)])
-    assert len(sub) == 2
-    assert not sub.edges
-
-
-def test_subgraph_rejects_foreign_vertices():
-    lat = build_lattice(1, 1.0)
-    g = build_interference_graph(lat, None, DATA_REUSE_METRIC)
-    with pytest.raises(ValueError):
-        subgraph_on(g, [C(4, 4)])
+        assert neighbors(g, cell) == part.g_set - {cell}
+        assert len(neighbors(g, cell)) == 6
 
 
 def test_connected_components_split():
     lat = build_lattice(4, 1.0)
     g = build_interference_graph(lat, [C(0, 0), C(1, 1), C(4, 4), C(3, -3)], DATA_REUSE_METRIC)
-    comps = connected_components(g)
+    comps = [[g.vertices[p] for p in iter_bits(comp)] for comp in component_masks(g.rows, (1 << len(g)) - 1)]
     assert sorted(sorted((c.i, c.j) for c in comp) for comp in comps) == [
         [(0, 0), (1, 1)],
         [(3, -3)],

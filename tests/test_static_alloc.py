@@ -1,10 +1,11 @@
 import pytest
+from conftest import graph_from_edges
 
 from hexchan import static_alloc
 from hexchan.coloring import brute_force_chromatic, chromatic_coloring, data_graph_coloring
 from hexchan.config import load_config
 from hexchan.errors import InsufficientSpectrumError
-from hexchan.interference import InterferenceGraph, build_interference_graph
+from hexchan.interference import build_interference_graph
 from hexchan.lattice import (
     CONTROL_REUSE_METRIC,
     DATA_REUSE_METRIC,
@@ -23,12 +24,7 @@ from hexchan.spectrum import (
     channels_from_pairs,
     default_domain,
 )
-from hexchan.static_alloc import (
-    allocate_control,
-    allocate_static,
-    allocate_static_data,
-    static_allocation_csv,
-)
+from hexchan.static_alloc import allocate_static, allocate_static_data, static_allocation_csv
 
 C = CellIndex
 
@@ -38,9 +34,16 @@ def europe_plan():
     return channel_plan(default_domain(EUROPE))
 
 
+def control_by_cell(lat, plan):
+    """The control channel ``allocate_static`` gives each cell, or None
+    when the plan has too few control channels."""
+    control = allocate_static(lat, plan).control
+    return None if control is None else dict(zip(lat.cells, control))
+
+
 def test_control_on_fixture_uses_all_four_channels(europe_plan):
     lat = twelve_cell_lattice()
-    control = allocate_control(lat, europe_plan)
+    control = control_by_cell(lat, europe_plan)
     assert set(control.values()) == europe_plan.control_set
     for a in lat.cells:
         for b in lat.cells:
@@ -50,13 +53,13 @@ def test_control_on_fixture_uses_all_four_channels(europe_plan):
 
 def test_control_single_cell(europe_plan):
     lat = build_lattice(0, 1.0)
-    control = allocate_control(lat, europe_plan)
+    control = control_by_cell(lat, europe_plan)
     assert len(set(control.values())) == 1
 
 
 def test_control_two_adjacent_cells(europe_plan):
     lat = lattice_from_cells([C(0, 0), C(1, 1)], 1.0)
-    control = allocate_control(lat, europe_plan)
+    control = control_by_cell(lat, europe_plan)
     assert control[C(0, 0)] != control[C(1, 1)]
 
 
@@ -65,15 +68,16 @@ def test_control_insufficient_spectrum():
     domain = RegulatoryDomain("Tiny", channels_from_pairs([(4, 7), (4, 8), (0, 1), (1, 1), (2, 1), (3, 2)]))
     plan = channel_plan(domain)
     assert len(plan.control_set) == 2  # fixture needs 4
-    with pytest.raises(InsufficientSpectrumError):
-        allocate_control(lat, plan)
+    assert control_by_cell(lat, plan) is None
+    assert allocate_static(lat, plan).chi_control == 4
 
 
 def test_static_data_fixture_europe(europe_plan):
     lat = twelve_cell_lattice()
     groups, k = allocate_static_data(lat, europe_plan)
     assert k == 4
-    assert all(len(g) == 4 for g in groups.values())
+    assert len(groups) == len(lat)
+    assert all(len(g) == 4 for g in groups)
     alloc = allocate_static(lat, europe_plan)
     assert alloc.chi_data == 3
     assert len(alloc.unassigned) == 2
@@ -93,7 +97,7 @@ def test_static_data_single_cell(europe_plan):
     lat = build_lattice(0, 1.0)
     groups, k = allocate_static_data(lat, europe_plan)
     assert k == 14
-    assert set(groups[C(0, 0)]) == europe_plan.data_set
+    assert set(groups[lat.cells.index(C(0, 0))]) == europe_plan.data_set
 
 
 def test_static_data_insufficient_spectrum():
@@ -108,7 +112,7 @@ def test_static_data_insufficient_spectrum():
 def test_reuse_happens_at_exact_reuse_distance(europe_plan):
     # some pair at metric exactly 16 must share a control channel on N >= 4
     lat = build_lattice(4, 1.0)
-    control = allocate_control(lat, europe_plan)
+    control = control_by_cell(lat, europe_plan)
     shared = [
         (a, b)
         for k, a in enumerate(lat.cells)
@@ -121,22 +125,24 @@ def test_reuse_happens_at_exact_reuse_distance(europe_plan):
 def test_disjointness_on_interference_edges(europe_plan):
     lat = build_lattice(3, 1.0)
     alloc = allocate_static(lat, europe_plan)
+    control = dict(zip(lat.cells, alloc.control))
+    data_groups = dict(zip(lat.cells, alloc.data_groups))
     g16 = build_interference_graph(lat, None, CONTROL_REUSE_METRIC)
     for a, b in g16.edges:
-        assert alloc.control[a] != alloc.control[b]
+        assert control[a] != control[b]
     g12 = build_interference_graph(lat, None, DATA_REUSE_METRIC)
     for a, b in g12.edges:
-        assert not (set(alloc.data_groups[a]) & set(alloc.data_groups[b]))
+        assert not (set(data_groups[a]) & set(data_groups[b]))
 
 
 @pytest.mark.parametrize("name", [US, EUROPE, JAPAN])
 def test_channel_accounting(name):
     lat = twelve_cell_lattice()
     plan = channel_plan(default_domain(name))
-    alloc = allocate_static(lat, plan, require_control=False)
+    alloc = allocate_static(lat, plan)
     assert alloc.k_static * alloc.chi_data + len(alloc.unassigned) == len(plan.data_set)
     # control channels never leak into data groups
-    for group in alloc.data_groups.values():
+    for group in alloc.data_groups:
         assert not (set(group) & plan.control_set)
 
 
@@ -146,9 +152,10 @@ def test_large_lattice_uses_pattern(europe_plan):
     alloc = allocate_static(lat, europe_plan)
     assert alloc.chi_control <= 4
     assert alloc.chi_data <= 3
+    control = dict(zip(lat.cells, alloc.control))
     g16 = build_interference_graph(lat, None, CONTROL_REUSE_METRIC)
     for a, b in g16.edges:
-        assert alloc.control[a] != alloc.control[b]
+        assert control[a] != control[b]
 
 
 def test_tolerant_static_when_control_set_too_small():
@@ -156,9 +163,8 @@ def test_tolerant_static_when_control_set_too_small():
     # a dense network needs; the data side must still come out
     lat = twelve_cell_lattice()
     plan = channel_plan(default_domain(JAPAN))
-    with pytest.raises(InsufficientSpectrumError):
-        allocate_static(lat, plan)
-    alloc = allocate_static(lat, plan, require_control=False)
+    assert len(plan.control_set) == 2
+    alloc = allocate_static(lat, plan)
     assert alloc.control is None
     assert alloc.chi_control == 4
     assert alloc.k_static == 6
@@ -193,7 +199,7 @@ def test_allocate_static_solves_each_lattice_coloring_once(monkeypatch, referenc
 
     monkeypatch.setattr(static_alloc, "chromatic_coloring", counting(chromatic_coloring))
     monkeypatch.setattr(static_alloc, "data_graph_coloring", counting(data_graph_coloring))
-    alloc = allocate_static(cfg.lattice, cfg.plan(), require_control=False)
+    alloc = allocate_static(cfg.lattice, cfg.plan())
     assert colored == [("chromatic_coloring", 12), ("data_graph_coloring", 12)]
     assert (alloc.chi_control, alloc.chi_data) == (4, 3)
 
@@ -237,7 +243,7 @@ def per_component_chi(cells, threshold):
     chi = 0
     for comp in components.values():
         edges = [(a, b) for k, a in enumerate(comp) for b in comp[k + 1 :] if lattice_metric(a, b) < threshold]
-        chi = max(chi, brute_force_chromatic(InterferenceGraph(comp, edges)))
+        chi = max(chi, brute_force_chromatic(graph_from_edges(comp, edges)))
     return chi
 
 
@@ -248,7 +254,7 @@ def test_sparse_static_has_no_size_cliff(layout, count, domain):
     cells = layout(count)
     lat = lattice_from_cells(cells, 1.0)
     plan = channel_plan(default_domain(domain))
-    alloc = allocate_static(lat, plan, require_control=False)
+    alloc = allocate_static(lat, plan)
     chi_data = per_component_chi(cells, DATA_REUSE_METRIC)
     assert alloc.chi_data == chi_data
     assert alloc.k_static == len(plan.data_set) // chi_data
@@ -259,9 +265,10 @@ def test_sparse_static_has_no_size_cliff(layout, count, domain):
         # above the solver's cap the control pattern is proper but may use
         # more colors than the minimum
         assert chi_control <= alloc.chi_control <= 4
+    data_groups = dict(zip(lat.cells, alloc.data_groups))
     g12 = build_interference_graph(lat, None, DATA_REUSE_METRIC)
     for a, b in g12.edges:
-        assert not set(alloc.data_groups[a]) & set(alloc.data_groups[b])
+        assert not set(data_groups[a]) & set(data_groups[b])
 
 
 def test_sparse_65_cell_line_gets_whole_data_set():
