@@ -26,7 +26,7 @@ from pathlib import Path
 from .dynamic_alloc import SuperframeConfig, cycle_structure
 from .errors import ConfigError, HexchanError
 from .evaluate import RequestScenario
-from .lattice import CellIndex, Lattice, build_lattice, center_of, lattice_from_cells
+from .lattice import CellIndex, Lattice, build_lattice, center_of, extreme_cells, lattice_from_cells
 from .spectrum import (
     DOMAIN_NAMES,
     ChannelPlan,
@@ -42,11 +42,12 @@ MAX_CELLS = 10_000
 # ask for.  Each entry is a row of the dynamic and evaluation reports; at this
 # limit `hexchan dynamic` peaks near 200 MB (see CHANGES.md).
 MAX_PAN_CYCLES = 1 << 17
-# Largest number of requests a PAN may serve per cycle.  Evaluation sums
-# each PAN's requests once per channel count it receives: at 9941 PANs,
-# `compare_schemes` takes 0.3 s with 8 requests each, 1.7 s with 1000 and
-# 12 s with 10 000 (see CHANGES.md).
+# Largest number of requests a PAN may serve per cycle.  Evaluation sums each
+# distinct request list once: at 9941 PANs with 1000 distinct requests each,
+# `load_config` takes 2.2 s and `compare_schemes` 0.46 s (see CHANGES.md).
 MAX_REQUESTS_PER_PAN = 1000
+# Longest request in slots; 100 x MAX_REQUESTS_PER_PAN x this < 2^53 keeps evaluation exact.
+MAX_SLOTS_PER_REQUEST = 10**9
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,12 @@ class ScenarioConfig:
         return RequestScenario.uniform(cells)
 
 
-def _expect(mapping, key, kind, field, optional=False, default=None):
-    if key not in mapping:
-        if optional:
-            return default
-        raise ConfigError("missing required field", field=field)
-    value = mapping[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
+def _expect(mapping, key, kind, field):
+    # JSON values have exact types, so an int field rejects booleans too.
+    value = mapping.get(key)
+    if type(value) is not kind:
+        if key not in mapping:
+            raise ConfigError("missing required field", field=field)
         raise ConfigError(f"expected {kind.__name__}, got {type(value).__name__}", field=field)
     return value
 
@@ -98,13 +98,39 @@ def _finite_number(value, field) -> float:
     return number
 
 
+def _int_pair(value) -> bool:
+    """Whether ``value`` is a JSON ``[i, j]`` pair of integers."""
+    return type(value) is list and len(value) == 2 and type(value[0]) is int and type(value[1]) is int
+
+
 def _parse_cell(value, field) -> CellIndex:
-    if not isinstance(value, list) or len(value) != 2 or not all(isinstance(k, int) for k in value):
+    if not _int_pair(value):
         raise ConfigError("expected a two-integer [i, j] pair", field=field)
     try:
-        return CellIndex(value[0], value[1])
+        return CellIndex(*value)
     except ValueError as exc:
         raise ConfigError(str(exc), field=field) from None
+
+
+def _entry_cells(entries: list, where: str, members, outside: str):
+    """``(k, entry, cell)`` per object ``entry`` of list ``where`` whose cell
+    is new and in ``members`` (None admits every cell); ``outside`` is the
+    message for a cell not in ``members``.  A cell is built unchecked and
+    is valid once found; only the error path formats a field name."""
+    seen = set()
+    for k, entry in enumerate(entries):
+        value = entry.get("cell") if type(entry) is dict else None
+        cell = CellIndex._make(value) if _int_pair(value) else None
+        if cell is None or cell in seen or (cell not in members if members is not None else sum(cell) % 2):
+            if type(entry) is not dict:
+                raise ConfigError("expected an object", field=f"{where}[{k}]")
+            field = f"{where}[{k}].cell"
+            cell = _parse_cell(_expect(entry, "cell", list, field), field)
+            if cell in seen:
+                raise ConfigError("duplicate PAN cell (%d, %d)" % cell, field=field)
+            raise ConfigError(outside % cell, field=field)
+        seen.add(cell)
+        yield k, entry, cell
 
 
 def _parse_lattice(doc) -> Lattice:
@@ -144,13 +170,9 @@ def _parse_lattice(doc) -> Lattice:
 def _finite_centers(lattice: Lattice) -> Lattice:
     """``lattice``, if every cell center is a finite float.  x grows with i
     and y with j, so the cells with extreme i and j decide."""
-    cells = lattice.cells
-    for extreme in (min, max):
-        for cell in (extreme(cells, key=lambda c: c.i), extreme(cells, key=lambda c: c.j)):
-            if not all(map(math.isfinite, center_of(lattice, cell))):
-                raise ConfigError(
-                    f"the center of cell ({cell.i}, {cell.j}) overflows the float range", field="lattice"
-                )
+    for cell in extreme_cells(lattice.cells):
+        if not all(map(math.isfinite, center_of(lattice, cell))):
+            raise ConfigError(f"the center of cell ({cell.i}, {cell.j}) overflows the float range", field="lattice")
     return lattice
 
 
@@ -186,24 +208,16 @@ def _parse_superframes(doc, lattice: Lattice):
     if not isinstance(raw, list) or not raw:
         raise ConfigError("expected a non-empty list", field="superframes")
     configs = []
-    seen = set()
-    for k, entry in enumerate(raw):
-        field = f"superframes[{k}]"
-        if not isinstance(entry, dict):
-            raise ConfigError("expected an object", field=field)
-        cell = _parse_cell(_expect(entry, "cell", list, f"{field}.cell"), f"{field}.cell")
-        if cell not in lattice:
-            raise ConfigError(f"cell ({cell.i}, {cell.j}) is not in the lattice", field=f"{field}.cell")
-        if cell in seen:
-            raise ConfigError(f"duplicate PAN cell ({cell.i}, {cell.j})", field=f"{field}.cell")
-        seen.add(cell)
-        so = _expect(entry, "SO", int, f"{field}.SO")
-        bo = _expect(entry, "BO", int, f"{field}.BO")
-        phase = _expect(entry, "phase", int, f"{field}.phase", optional=True, default=0)
+    for k, entry, cell in _entry_cells(raw, "superframes", lattice.members, "cell (%d, %d) is not in the lattice"):
+        so, bo, phase = entry.get("SO"), entry.get("BO"), entry.get("phase", 0)
+        if type(so) is not int or type(bo) is not int or type(phase) is not int:
+            # Raises at the first bad field; a missing phase reads 0, so is never it.
+            for key in ("SO", "BO", "phase"):
+                _expect(entry, key, int, f"superframes[{k}].{key}")
         try:
-            configs.append(SuperframeConfig(pan_cell=cell, so=so, bo=bo, phase=phase))
+            configs.append(SuperframeConfig(cell, so, bo, phase))
         except HexchanError as exc:
-            raise ConfigError(str(exc), field=field) from None
+            raise ConfigError(str(exc), field=f"superframes[{k}]") from None
     u_cycles = cycle_structure(configs).u_cycles
     if len(configs) * u_cycles > MAX_PAN_CYCLES:
         raise ConfigError(
@@ -226,22 +240,16 @@ def _parse_workload(doc, superframes) -> RequestScenario | None:
             raise ConfigError("must be non-empty", field="workload.per_pan")
         pans = None if superframes is None else {cfg.pan_cell for cfg in superframes}
         per_pan = {}
-        for k, entry in enumerate(entries):
-            field = f"workload.per_pan[{k}]"
-            if not isinstance(entry, dict):
-                raise ConfigError("expected an object", field=field)
-            cell = _parse_cell(_expect(entry, "cell", list, f"{field}.cell"), f"{field}.cell")
-            if cell in per_pan:
-                raise ConfigError(f"duplicate PAN cell ({cell.i}, {cell.j})", field=f"{field}.cell")
-            if pans is not None and cell not in pans:
-                raise ConfigError(f"no superframe runs a PAN at cell ({cell.i}, {cell.j})", field=f"{field}.cell")
-            slots = _expect(entry, "slots", list, f"{field}.slots")
+        cells = _entry_cells(entries, "workload.per_pan", pans, "no superframe runs a PAN at cell (%d, %d)")
+        for k, entry, cell in cells:
+            field = f"workload.per_pan[{k}].slots"
+            slots = _expect(entry, "slots", list, field)
             if len(slots) > MAX_REQUESTS_PER_PAN:
-                raise ConfigError(
-                    f"{len(slots)} requests exceed the limit of {MAX_REQUESTS_PER_PAN}", field=f"{field}.slots"
-                )
-            if not slots or not all(isinstance(s, int) and not isinstance(s, bool) and s > 0 for s in slots):
-                raise ConfigError("expected a non-empty list of positive integers", field=f"{field}.slots")
+                raise ConfigError(f"{len(slots)} requests exceed the limit of {MAX_REQUESTS_PER_PAN}", field=field)
+            if not slots or set(map(type, slots)) != {int} or min(slots) < 1:
+                raise ConfigError("expected a non-empty list of positive integers", field=field)
+            if max(slots) > MAX_SLOTS_PER_REQUEST:
+                raise ConfigError(f"a request exceeds the limit of {MAX_SLOTS_PER_REQUEST} slots", field=field)
             per_pan[cell] = tuple(slots)
         uncovered = [cfg.pan_cell for cfg in superframes or () if cfg.pan_cell not in per_pan]
         if uncovered:
@@ -259,6 +267,8 @@ def _parse_workload(doc, superframes) -> RequestScenario | None:
         raise ConfigError(f"{count} exceeds the limit of {MAX_REQUESTS_PER_PAN}", field="workload.requests_per_pan")
     if slots < 1:
         raise ConfigError("must be positive", field="workload.slots_per_request")
+    if slots > MAX_SLOTS_PER_REQUEST:
+        raise ConfigError(f"exceeds the limit of {MAX_SLOTS_PER_REQUEST}", field="workload.slots_per_request")
     if superframes is None:
         raise ConfigError("uniform workload needs superframes to know the PANs", field="workload")
     return RequestScenario.uniform([cfg.pan_cell for cfg in superframes], count=count, slots=slots)

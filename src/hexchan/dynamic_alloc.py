@@ -13,6 +13,7 @@ whole data set while busy cycles fall back to the static share.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Sequence
@@ -29,31 +30,26 @@ from .spectrum import ChannelPlan, LogicalChannel, partition_channels
 MAX_BEACON_ORDER = 14
 
 
-@dataclass(frozen=True)
-class SuperframeConfig:
+class SuperframeConfig(namedtuple("SuperframeConfig", "pan_cell so bo phase")):
     """One PAN's duty cycle: cell, superframe order SO, beacon order BO.
 
     ``phase`` shifts the start of the beacon interval, in base superframe
     units (the unit of SD and BI, not the elementary cycle); zero means all
-    PANs start together (the worst case).
-    """
+    PANs start together (the worst case).  A tuple, equal to the plain
+    ``(pan_cell, so, bo, phase)``."""
 
-    pan_cell: CellIndex
-    so: int
-    bo: int
-    phase: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.so < 0 or self.bo < 0 or self.phase < 0:
+    def __new__(cls, pan_cell: CellIndex, so: int, bo: int, phase: int = 0) -> "SuperframeConfig":
+        if so < 0 or bo < 0 or phase < 0:
             raise InvalidSuperframeError("SO, BO and phase must be non-negative")
-        if max(self.so, self.bo) > MAX_BEACON_ORDER:
+        if max(so, bo) > MAX_BEACON_ORDER:
             raise InvalidSuperframeError(
-                f"SO={self.so}, BO={self.bo}: superframe and beacon orders are limited to 0..{MAX_BEACON_ORDER}"
+                f"SO={so}, BO={bo}: superframe and beacon orders are limited to 0..{MAX_BEACON_ORDER}"
             )
-        if self.so > self.bo:
-            raise InvalidSuperframeError(
-                f"SO={self.so} exceeds BO={self.bo}: active period must fit in the beacon interval"
-            )
+        if so > bo:
+            raise InvalidSuperframeError(f"SO={so} exceeds BO={bo}: active period must fit in the beacon interval")
+        return tuple.__new__(cls, (pan_cell, so, bo, phase))
 
     @property
     def sd(self) -> int:
@@ -109,9 +105,9 @@ def cycle_structure(configs: Sequence[SuperframeConfig]) -> CycleStructure:
     """
     if not configs:
         raise ValueError("need at least one superframe config")
-    bi_maj = max(c.bi for c in configs)
-    sd_min = min(c.sd for c in configs)
-    return CycleStructure(bi_maj=bi_maj, sd_min=sd_min, u_cycles=bi_maj // sd_min)
+    _, so_values, bo_values, _ = zip(*configs)
+    so_min, bo_max = min(so_values), max(bo_values)
+    return CycleStructure(bi_maj=1 << bo_max, sd_min=1 << so_min, u_cycles=1 << (bo_max - so_min))
 
 
 def is_active(config: SuperframeConfig, cycle: int, sd_min: int) -> bool:

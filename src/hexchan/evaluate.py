@@ -11,7 +11,6 @@ workload is eight requests of three slots, i.e. 24 slots on one channel.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
@@ -40,7 +39,11 @@ class RequestScenario:
     per_pan: Mapping[CellIndex, tuple[int, ...]]
 
     def __post_init__(self) -> None:
+        checked = set()  # ids of the request tuples checked, shared ones once
         for cell, requests in self.per_pan.items():
+            if id(requests) in checked:
+                continue
+            checked.add(id(requests))
             if not requests or min(requests) < 1:
                 raise ValueError(f"PAN ({cell.i}, {cell.j}) needs a non-empty list of positive slot counts")
 
@@ -79,7 +82,12 @@ def makespan(requests: Sequence[int], num_channels: int) -> int:
         raise ValueError("num_channels must be positive")
     if not requests:
         raise ValueError("requests must be non-empty")
-    return max(max(requests), math.ceil(sum(requests) / num_channels))
+    return _makespan(sum(requests), max(requests), num_channels)
+
+
+def _makespan(total: int, longest: int, num_channels: int) -> int:
+    """``makespan`` from the requests' sum and maximum, in exact integers."""
+    return max(longest, -(-total // num_channels))
 
 
 def delay_decrease_percent(baseline: int, improved: int) -> float:
@@ -119,15 +127,25 @@ def compare_schemes(
         ],
     }
 
+    # (sum, max) of each distinct request list; a uniform workload shares
+    # one tuple between all PANs, so the lists are keyed by identity.
+    spans: dict[int, tuple[int, int]] = {}
+    pan_spans = []
+    for cfg in configs:
+        requests = scenario.per_pan[cfg.pan_cell]
+        span = spans.get(id(requests))
+        if span is None:
+            span = spans[id(requests)] = (sum(requests), max(requests))
+        pan_spans.append(span)
+
     reports = []
     for scheme in SCHEMES:
         outcomes = []
-        for cfg, counts in zip(configs, counts_by_scheme[scheme]):
-            requests = scenario.per_pan[cfg.pan_cell]
-            baseline = makespan(requests, 1)
+        for (total, longest), counts in zip(pan_spans, counts_by_scheme[scheme]):
+            baseline = _makespan(total, longest, 1)
             table: dict[int, tuple[int, float]] = {}
             for count in sorted(set(counts)):
-                slots = makespan(requests, count)
+                slots = _makespan(total, longest, count)
                 table[count] = (slots, delay_decrease_percent(baseline, slots))
             outcomes.append(table)
         reports.append(

@@ -18,8 +18,9 @@ strictly inside the threshold interfere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections import namedtuple
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotInLatticeError
 
@@ -28,16 +29,17 @@ CONTROL_REUSE_METRIC = 16
 DATA_REUSE_METRIC = 12
 
 
-@dataclass(frozen=True)
-class CellIndex:
-    """Integer index (i, j) of a cell; i + j must be even."""
+class CellIndex(namedtuple("CellIndex", "i j")):
+    """Integer index (i, j) of a cell; i + j must be even.  A tuple equal to
+    ``(i, j)``, so hashing and comparison run in C.  ``_make`` and
+    ``_replace`` skip the parity check: use them for valid pairs only."""
 
-    i: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.i + self.j) % 2 != 0:
-            raise ValueError(f"cell index ({self.i}, {self.j}) violates parity: i + j must be even")
+    def __new__(cls, i: int, j: int) -> "CellIndex":
+        if (i + j) % 2 != 0:
+            raise ValueError(f"cell index ({i}, {j}) violates parity: i + j must be even")
+        return tuple.__new__(cls, (i, j))
 
     def offset(self, di: int, dj: int) -> "CellIndex":
         return CellIndex(self.i + di, self.j + dj)
@@ -48,32 +50,40 @@ def row_major_key(cell: CellIndex) -> tuple[int, int]:
     return (cell.j, cell.i)
 
 
+def extreme_cells(cells: Sequence[CellIndex]) -> tuple[CellIndex, ...]:
+    """The first of ``cells`` with the least i, the least j, the greatest i
+    and the greatest j, in that order.  ``cells`` must be non-empty."""
+    i_values, j_values = zip(*cells)
+    return tuple(cells[values.index(extreme(values))] for extreme in (min, max) for values in (i_values, j_values))
+
+
 @dataclass(frozen=True)
 class Lattice:
     """A finite set of cells with shared radius and Cartesian origin.
 
-    ``cells`` is ordered row-major (by j, then i) and duplicate-free; every
-    index lies within [-index_bound_n, index_bound_n].
+    ``cells`` is ordered row-major (by j, then i) and duplicate-free, and
+    ``members`` holds them as a frozenset.  ``index_bound_n`` is the largest
+    |i| or |j| among them, 0 for none.
     """
 
     radius_r: float
     origin: tuple[float, float]
     cells: tuple[CellIndex, ...]
-    index_bound_n: int
+    index_bound_n: int = field(init=False)
+    members: frozenset[CellIndex] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.radius_r <= 0:
             raise ValueError("radius_r must be positive")
-        if len(set(self.cells)) != len(self.cells):
+        members = frozenset(self.cells)
+        if len(members) != len(self.cells):
             raise ValueError("duplicate cells in lattice")
-        n = self.index_bound_n
-        for c in self.cells:
-            if abs(c.i) > n or abs(c.j) > n:
-                raise ValueError(f"cell ({c.i}, {c.j}) outside index bound {n}")
-        object.__setattr__(self, "_members", frozenset(self.cells))
+        bound = max(max(abs(c.i), abs(c.j)) for c in extreme_cells(self.cells)) if self.cells else 0
+        object.__setattr__(self, "index_bound_n", bound)
+        object.__setattr__(self, "members", members)
 
     def __contains__(self, cell: CellIndex) -> bool:
-        return cell in self._members  # type: ignore[attr-defined]
+        return cell in self.members
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -104,26 +114,17 @@ def build_lattice(index_bound_n: int, radius_r: float, origin: tuple[float, floa
     if index_bound_n < 0:
         raise ValueError("index_bound_n must be non-negative")
     n = index_bound_n
-    cells = tuple(
-        CellIndex(i, j)
-        for j in range(-n, n + 1)
-        for i in range(-n, n + 1)
-        if (i + j) % 2 == 0
-    )
-    return Lattice(radius_r=radius_r, origin=origin, cells=cells, index_bound_n=n)
+    cells = tuple(CellIndex._make((i, j)) for j in range(-n, n + 1) for i in range(-n + (n + j) % 2, n + 1, 2))
+    return Lattice(radius_r=radius_r, origin=origin, cells=cells)
 
 
 def lattice_from_cells(
     cells: Iterable[CellIndex], radius_r: float, origin: tuple[float, float] = (0.0, 0.0)
 ) -> Lattice:
-    """Lattice over an explicit cell list, for irregular deployments.
-
-    Cells are reordered canonically; the index bound is derived from the
-    largest index in use.
-    """
+    """Lattice over an explicit cell list, for irregular deployments; cells
+    are reordered canonically."""
     ordered = tuple(sorted(set(cells), key=row_major_key))
-    bound = max((max(abs(c.i), abs(c.j)) for c in ordered), default=0)
-    return Lattice(radius_r=radius_r, origin=origin, cells=ordered, index_bound_n=bound)
+    return Lattice(radius_r=radius_r, origin=origin, cells=ordered)
 
 
 def twelve_cell_lattice(radius_r: float = 1.0, origin: tuple[float, float] = (0.0, 0.0)) -> Lattice:

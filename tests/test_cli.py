@@ -11,7 +11,7 @@ from conftest import roadmap_config
 
 import hexchan
 from hexchan.cli import main
-from hexchan.config import MAX_CELLS, MAX_PAN_CYCLES, MAX_REQUESTS_PER_PAN, load_config
+from hexchan.config import MAX_CELLS, MAX_PAN_CYCLES, MAX_REQUESTS_PER_PAN, MAX_SLOTS_PER_REQUEST, load_config
 from hexchan.errors import ConfigError
 from hexchan.lattice import build_lattice
 
@@ -425,6 +425,134 @@ def test_per_pan_slots_reject_booleans(tmp_path, capsys, reference_config_path):
     cfg = write_config(tmp_path, doc)
     assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("error: workload.per_pan[2].slots: expected a non-empty list")
+
+
+def with_value(key, value):
+    return lambda entry: {**entry, key: value}
+
+
+def without(key):
+    return lambda entry: {k: v for k, v in entry.items() if k != key}
+
+
+# Entries whose cell is wrong, as (edit of the entry, stderr line after the
+# list name); the reference config's cells span i in 0..2 and j in 0..7, and
+# (0, 0) is PAN 1.
+CELL_ERRORS = [
+    pytest.param(lambda entry: [0, 4], "[3]: expected an object", id="not-object"),
+    pytest.param(without("cell"), "[3].cell: missing required field", id="cell-missing"),
+    pytest.param(with_value("cell", "0,4"), "[3].cell: expected list, got str", id="cell-not-list"),
+    pytest.param(with_value("cell", [0, 4, 0]), "[3].cell: expected a two-integer [i, j] pair", id="cell-not-pair"),
+    pytest.param(with_value("cell", [False, 4]), "[3].cell: expected a two-integer [i, j] pair", id="cell-bool"),
+    pytest.param(
+        with_value("cell", [0, 3]), "[3].cell: cell index (0, 3) violates parity: i + j must be even", id="cell-odd"
+    ),
+    pytest.param(with_value("cell", [0, 0]), "[3].cell: duplicate PAN cell (0, 0)", id="cell-duplicate"),
+]
+
+
+def reject_line(tmp_path, capsys, doc):
+    """stderr of ``hexchan lattice`` on ``doc``, which must exit 1."""
+    cfg = write_config(tmp_path, doc)
+    assert main(["lattice", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, line",
+    CELL_ERRORS
+    + [
+        pytest.param(with_value("cell", [4, 0]), "[3].cell: cell (4, 0) is not in the lattice", id="cell-outside"),
+        pytest.param(without("SO"), "[3].SO: missing required field", id="so-missing"),
+        pytest.param(with_value("SO", True), "[3].SO: expected int, got bool", id="so-bool"),
+        pytest.param(with_value("BO", 4.0), "[3].BO: expected int, got float", id="bo-float"),
+        pytest.param(with_value("phase", "0"), "[3].phase: expected int, got str", id="phase-string"),
+        pytest.param(with_value("phase", -1), "[3]: SO, BO and phase must be non-negative", id="phase-negative"),
+        pytest.param(
+            with_value("SO", 5),
+            "[3]: SO=5 exceeds BO=4: active period must fit in the beacon interval",
+            id="so-above-bo",
+        ),
+        pytest.param(
+            with_value("BO", 15),
+            "[3]: SO=1, BO=15: superframe and beacon orders are limited to 0..14",
+            id="bo-above-14",
+        ),
+    ],
+)
+def test_superframe_errors_name_the_entry(tmp_path, capsys, reference_config_path, edit, line):
+    doc = json.loads(Path(reference_config_path).read_text())
+    assert doc["superframes"][3] == {"cell": [0, 4], "SO": 1, "BO": 4}
+    doc["superframes"][3] = edit(doc["superframes"][3])
+    assert reject_line(tmp_path, capsys, doc) == f"error: superframes{line}\n"
+
+
+@pytest.mark.parametrize(
+    "edit, line",
+    CELL_ERRORS
+    + [
+        pytest.param(
+            with_value("cell", [4, 0]), "[3].cell: no superframe runs a PAN at cell (4, 0)", id="cell-no-superframe"
+        ),
+        pytest.param(without("slots"), "[3].slots: missing required field", id="slots-missing"),
+        pytest.param(
+            with_value("slots", [3, 0]), "[3].slots: expected a non-empty list of positive integers", id="slots-zero"
+        ),
+        pytest.param(
+            with_value("slots", [3, MAX_SLOTS_PER_REQUEST + 1]),
+            f"[3].slots: a request exceeds the limit of {MAX_SLOTS_PER_REQUEST} slots",
+            id="slots-too-long",
+        ),
+    ],
+)
+def test_per_pan_errors_name_the_entry(tmp_path, capsys, reference_config_path, edit, line):
+    doc, entries = per_pan_entries(reference_config_path)
+    entries[3] = edit(entries[3])
+    doc["workload"] = {"per_pan": entries}
+    assert reject_line(tmp_path, capsys, doc) == f"error: workload.per_pan{line}\n"
+
+
+def test_cells_reject_booleans(tmp_path, capsys):
+    doc = {"lattice": {"cells": [[0, 0], [True, 1]], "radius_R": 1.0}}
+    assert reject_line(tmp_path, capsys, doc) == "error: lattice.cells[1]: expected a two-integer [i, j] pair\n"
+
+
+def test_per_pan_without_superframes_names_any_valid_cell(tmp_path, capsys):
+    doc = minimal_lattice_doc(1)
+    doc["workload"] = {"per_pan": [{"cell": [9, 1], "slots": [3]}, {"cell": [0, 0], "slots": [2, 2]}]}
+    assert load_config(write_config(tmp_path, doc)).workload.per_pan == {(9, 1): (3,), (0, 0): (2, 2)}
+    doc["workload"]["per_pan"][1]["cell"] = [9, 1]
+    assert reject_line(tmp_path, capsys, doc) == "error: workload.per_pan[1].cell: duplicate PAN cell (9, 1)\n"
+    doc["workload"]["per_pan"][1]["cell"] = [9, 2]
+    assert reject_line(tmp_path, capsys, doc) == (
+        "error: workload.per_pan[1].cell: cell index (9, 2) violates parity: i + j must be even\n"
+    )
+
+
+@pytest.mark.parametrize("slots", [10**400, 2**60 + 1, MAX_SLOTS_PER_REQUEST + 1], ids=["1e400", "2^60+1", "bound+1"])
+def test_slots_per_request_bound_exits_1(tmp_path, capsys, monkeypatch, reference_config_path, slots):
+    monkeypatch.setattr("hexchan.cli.compare_schemes", refuse_to_run)
+    doc = json.loads(Path(reference_config_path).read_text())
+    doc["workload"] = {"requests_per_pan": 8, "slots_per_request": slots}
+    cfg = write_config(tmp_path, doc)
+    assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: workload.slots_per_request: exceeds the limit of {MAX_SLOTS_PER_REQUEST}\n"
+    )
+
+
+def test_makespans_at_the_workload_bounds_are_exact(tmp_path, reference_config_path):
+    doc = json.loads(Path(reference_config_path).read_text())
+    doc["workload"] = {"requests_per_pan": MAX_REQUESTS_PER_PAN, "slots_per_request": MAX_SLOTS_PER_REQUEST}
+    out = tmp_path / "o"
+    assert main(["evaluate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+    total = MAX_REQUESTS_PER_PAN * MAX_SLOTS_PER_REQUEST
+    for row in read_csv(out / "scheme_report.csv"):
+        channels = int(row["channels"])
+        slots = max(MAX_SLOTS_PER_REQUEST, -(-total // channels))
+        assert row["makespan_slots"] == str(slots)
+        assert row["delay_decrease_percent"] == f"{100 * (total - slots) / total:.4f}"
 
 
 def test_evaluate_k_static_on_sparse_65_cells(tmp_path):

@@ -41,6 +41,16 @@ def reference(reference_config_path):
     return cfg.lattice, cfg.superframes, cfg.plan()
 
 
+def test_superframe_config_is_a_tuple_record():
+    cfg = SF(pan_cell=CellIndex(0, 0), so=1, bo=4)
+    assert cfg == (CellIndex(0, 0), 1, 4, 0) == SF(CellIndex(0, 0), 1, 4, 0)
+    assert hash(cfg) == hash(((0, 0), 1, 4, 0))
+    assert (cfg.sd, cfg.bi, cfg.phase) == (2, 16, 0)
+    assert repr(cfg) == "SuperframeConfig(pan_cell=CellIndex(i=0, j=0), so=1, bo=4, phase=0)"
+    with pytest.raises(AttributeError):
+        cfg.so = 2
+
+
 def test_superframe_validation():
     with pytest.raises(InvalidSuperframeError):
         SF(pan_cell=C(0, 0), so=3, bo=2)

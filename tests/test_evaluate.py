@@ -35,6 +35,12 @@ def test_makespan_published_points():
     assert makespan(DEFAULT_REQUESTS, 14) == 3
 
 
+def test_makespan_is_exact_for_any_integer():
+    assert makespan([2**60 + 1] * 8, 1) == 8 * (2**60 + 1)
+    assert makespan([2**60 + 1] * 8, 7) == -(-8 * (2**60 + 1) // 7)
+    assert makespan([10**400] * 3, 2) == 15 * 10**399
+
+
 def test_makespan_request_length_floor():
     assert makespan([5], 100) == 5
     assert makespan([3, 3], 14) == 3

@@ -12,6 +12,7 @@ from hexchan.lattice import (
     build_lattice,
     center_of,
     distance,
+    extreme_cells,
     lattice_from_cells,
     lattice_metric,
     neighborhood_sets,
@@ -27,6 +28,29 @@ def test_cell_index_rejects_odd_parity():
         C(1, 0)
     with pytest.raises(ValueError):
         C(0, 3)
+
+
+def test_cell_index_is_a_tuple_record():
+    cell = C(1, 1)
+    assert cell == (1, 1) and hash(cell) == hash((1, 1))
+    assert (cell.i, cell.j) == (1, 1) and cell.offset(1, -1) == C(2, 0)
+    assert repr(cell) == "CellIndex(i=1, j=1)"
+    with pytest.raises(AttributeError):
+        cell.i = 3
+    with pytest.raises(AttributeError):
+        cell.k = 0
+    with pytest.raises(ValueError, match=r"cell index \(2, 1\) violates parity"):
+        C(2, 1)
+    # a plain pair finds the cell in a lattice
+    assert (1, 1) in build_lattice(1, 1.0)
+
+
+def test_extreme_cells_take_the_first_of_ties():
+    cells = (C(0, -2), C(-1, -1), C(1, -1), C(-1, 1), C(1, 1), C(0, 2))
+    # least i, least j, greatest i, greatest j
+    assert extreme_cells(cells) == (C(-1, -1), C(0, -2), C(1, -1), C(0, 2))
+    assert lattice_from_cells(cells, 1.0).index_bound_n == 2
+    assert build_lattice(3, 1.0).index_bound_n == 3 and lattice_from_cells([], 1.0).index_bound_n == 0
 
 
 def test_build_lattice_n0_is_origin_only():
