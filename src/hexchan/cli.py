@@ -59,7 +59,8 @@ def cmd_lattice(cfg: ScenarioConfig, out_dir: Path) -> None:
     lines = ["i,j,x,y"]
     for cell in lattice.cells:
         x, y = center_of(lattice, cell)
-        lines.append(f"{cell.i},{cell.j},{x!r},{y!r}")
+        i, j = cell
+        lines.append(f"{i},{j},{x!r},{y!r}")
     _write(out_dir, "cells.csv", "\r\n".join(lines) + "\r\n")
     for name, threshold in (("edges_control.txt", CONTROL_REUSE_METRIC), ("edges_data.txt", DATA_REUSE_METRIC)):
         graph = build_interference_graph(lattice, None, threshold)

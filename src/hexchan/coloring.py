@@ -205,8 +205,8 @@ def clique_lower_bound(graph: InterferenceGraph) -> int:
 
 
 def _pattern_label(c: CellIndex, kind: str) -> int:
-    a = c.i
-    b = (c.j - c.i) // 2
+    a, j = c
+    b = (j - a) // 2
     return (a - b) % 3 if kind == DATA else 2 * (a % 2) + (b % 2)
 
 

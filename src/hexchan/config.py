@@ -291,6 +291,9 @@ def load_config(path: str | Path, domain_override: str | None = None) -> Scenari
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:
+        # An integer literal beyond the interpreter's int-string digit limit.
+        raise ConfigError(f"config file {path} is not readable JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("top-level config must be a JSON object")
 

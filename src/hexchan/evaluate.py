@@ -68,6 +68,10 @@ class SchemeReport:
     against the single-channel baseline): the PAN serves the same requests in
     every active cycle, so its count fixes both; its largest count is
     ``max(outcomes[p], default=0)``, 0 for a PAN that is never active.
+    PANs with the same request sum, request maximum and set of counts share
+    one outcome table object, across the reports of one ``compare_schemes``
+    call too; the writers render each table once, so tables must not be
+    mutated.
     """
 
     scheme: str
@@ -138,15 +142,22 @@ def compare_schemes(
             span = spans[id(requests)] = (sum(requests), max(requests))
         pan_spans.append(span)
 
+    # One table per distinct (span, set of counts), shared by every PAN and
+    # scheme that has it: a PAN's table is fixed by those alone.
+    tables: dict[tuple[tuple[int, int], frozenset[int]], dict[int, tuple[int, float]]] = {}
     reports = []
     for scheme in SCHEMES:
         outcomes = []
-        for (total, longest), counts in zip(pan_spans, counts_by_scheme[scheme]):
-            baseline = _makespan(total, longest, 1)
-            table: dict[int, tuple[int, float]] = {}
-            for count in sorted(set(counts)):
-                slots = _makespan(total, longest, count)
-                table[count] = (slots, delay_decrease_percent(baseline, slots))
+        for span, counts in zip(pan_spans, counts_by_scheme[scheme]):
+            key = (span, frozenset(counts))
+            table = tables.get(key)
+            if table is None:
+                total, longest = span
+                baseline = _makespan(total, longest, 1)
+                table = tables[key] = {}
+                for count in sorted(key[1]):
+                    slots = _makespan(total, longest, count)
+                    table[count] = (slots, delay_decrease_percent(baseline, slots))
             outcomes.append(table)
         reports.append(
             SchemeReport(
@@ -161,19 +172,34 @@ def compare_schemes(
 
 def scheme_report_csv(configs: Sequence[SuperframeConfig], reports: Sequence[SchemeReport]) -> str:
     """One row per scheme, PAN and active cycle; cycles and PANs 1-based."""
-    # A line is "scheme,pan,i,j," + "cycle," + "channels,makespan,delay".  The
-    # head is rendered once per scheme and PAN, the cycle field once per
-    # cycle, and the tail once per PAN and channel count, which fixes the
-    # PAN's makespan and delay decrease.
+    # A line is "scheme,pan,i,j," + "cycle," + "channels,makespan,delay\r\n".
+    # The head is rendered once per scheme and PAN, the cycle field once per
+    # cycle, and the tails once per outcome table; the text is one join over
+    # these pieces.  A run of one count (always, for single and static) is one
+    # join over its cycle fields with the tail and head between them; a run of
+    # several counts interleaves head, cycle field and tail by strided slices.
     cycle_fields = [f"{t}," for t in range(1, cycle_structure(configs).u_cycles + 1)]
-    lines = ["scheme,pan,pan_i,pan_j,cycle,channels,makespan_slots,delay_decrease_percent"]
+    cells = [f"{i},{j}," for i, j in (cfg.pan_cell for cfg in configs)]
+    tails_by_table: dict[int, dict[int, str]] = {}
+    pieces = ["scheme,pan,pan_i,pan_j,cycle,channels,makespan_slots,delay_decrease_percent\r\n"]
     for report in reports:
-        columns = zip(configs, report.active_cycles, report.channel_counts, report.outcomes)
-        for pan, (cfg, cycles, counts, table) in enumerate(columns, 1):
-            head = f"{report.scheme},{pan},{cfg.pan_cell.i},{cfg.pan_cell.j},"
-            tails = {count: f"{count},{slots},{delay:.4f}" for count, (slots, delay) in table.items()}
-            lines.extend([head + cycle_fields[t] + tails[count] for t, count in zip(cycles, counts)])
-    return "\r\n".join(lines) + "\r\n"
+        columns = zip(cells, report.active_cycles, report.channel_counts, report.outcomes)
+        for pan, (cell, cycles, counts, table) in enumerate(columns, 1):
+            tails = tails_by_table.get(id(table))
+            if tails is None:
+                tails = tails_by_table[id(table)] = {
+                    count: f"{count},{slots},{delay:.4f}\r\n" for count, (slots, delay) in table.items()
+                }
+            head = f"{report.scheme},{pan},{cell}"
+            if len(tails) == 1:
+                (tail,) = tails.values()
+                pieces += (head, (tail + head).join(map(cycle_fields.__getitem__, cycles)), tail)
+            else:
+                block = [head] * (3 * len(cycles))
+                block[1::3] = map(cycle_fields.__getitem__, cycles)
+                block[2::3] = map(tails.__getitem__, counts)
+                pieces += block
+    return "".join(pieces)
 
 
 def evaluation_summary_json(
@@ -189,35 +215,44 @@ def evaluation_summary_json(
     max_delay_decrease_percent}], computed_dynamic_peak} (plus
     reference_dynamic_peak and peak_note for a domain with a published
     peak), where the last three per-PAN fields map each scheme to a value.
-    It is written directly: one per-PAN template is filled per PAN.
+    It is written directly.  The nine per-scheme values are rendered once per
+    distinct triple of outcome tables, keyed by identity, into a per-PAN
+    template; each PAN then fills in only its pan number and cell.
     """
     by_scheme = {r.scheme: r for r in reports}
-    computed_peak = max((count for r in reports for table in r.outcomes for count in table), default=0)
 
     def per_scheme(level: int) -> str:
         return json_object([(s, "%s") for s in SCHEMES], level)
 
+    # "%%d" survives the first fill (the nine values) as the "%d" of the second.
     entry = json_object(
         [
-            ("pan", "%d"),
-            ("cell", json_array(["%d", "%d"], 3)),
+            ("pan", "%%d"),
+            ("cell", json_array(["%%d", "%%d"], 3)),
             ("max_channels", per_scheme(3)),
             ("best_makespan", per_scheme(3)),
             ("max_delay_decrease_percent", per_scheme(3)),
         ],
         2,
     )
+    templates: dict[tuple[int, ...], str] = {}
+    computed_peak = 0
     per_pan = []
-    for pan, cfg in enumerate(configs):
-        # Per scheme, read from the PAN's outcome table: a PAN that is never
-        # active has peak 0 and null extremes.  Floats are rendered by repr,
-        # as json does.
-        tables = [by_scheme[s].outcomes[pan] for s in SCHEMES]
-        values = [pan + 1, cfg.pan_cell.i, cfg.pan_cell.j]
-        values += [max(t, default=0) for t in tables]
-        values += [min(o[0] for o in t.values()) if t else "null" for t in tables]
-        values += [repr(max(o[1] for o in t.values())) if t else "null" for t in tables]
-        per_pan.append(entry % tuple(values))
+    columns = zip(configs, *(by_scheme[s].outcomes for s in SCHEMES))
+    for pan, (cfg, *tables) in enumerate(columns, 1):
+        key = tuple(map(id, tables))
+        template = templates.get(key)
+        if template is None:
+            # Per scheme, read from the PAN's outcome table: a PAN that is
+            # never active has peak 0 and null extremes.  Floats are rendered
+            # by repr, as json does.
+            values = [max(t, default=0) for t in tables]
+            computed_peak = max(computed_peak, *values)
+            values += [min(o[0] for o in t.values()) if t else "null" for t in tables]
+            values += [repr(max(o[1] for o in t.values())) if t else "null" for t in tables]
+            template = templates[key] = entry % tuple(values)
+        i, j = cfg.pan_cell
+        per_pan.append(template % (pan, i, j))
     fields = [
         ("domain", json.dumps(domain_name)),
         ("data_channels", str(len(plan.data_set))),

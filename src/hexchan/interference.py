@@ -92,12 +92,12 @@ def build_interference_graph(
     # twice the largest |j| a lookup can reach, so keys never collide.
     offsets = interference_offsets(metric_threshold)
     reach = max((abs(dj) for _, dj in offsets), default=0)
-    stride = 2 * (max((abs(c.j) for c in vertices), default=0) + reach) + 1
-    position = {c.i * stride + c.j: k for k, c in enumerate(vertices)}
+    stride = 2 * (max((abs(j) for _, j in vertices), default=0) + reach) + 1
+    keys = [i * stride + j for i, j in vertices]
+    position = {key: k for k, key in enumerate(keys)}
     deltas = [di * stride + dj for di, dj in offsets]
     rows = []
-    for c in vertices:
-        key = c.i * stride + c.j
+    for key in keys:
         row = 0
         for delta in deltas:
             q = position.get(key + delta)
@@ -109,9 +109,6 @@ def build_interference_graph(
 
 def edge_list_text(graph: InterferenceGraph) -> str:
     """Plain-text edge list, one ``i1 j1 i2 j2`` line per edge."""
-    vertices = graph.vertices
-    lines = []
-    for p, q in graph.edge_index_pairs():
-        a, b = vertices[p], vertices[q]
-        lines.append(f"{a.i} {a.j} {b.i} {b.j}")
+    names = [f"{i} {j}" for i, j in graph.vertices]
+    lines = [f"{names[p]} {names[q]}" for p, q in graph.edge_index_pairs()]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -17,6 +17,7 @@ strictly inside the threshold interfere.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -142,7 +143,8 @@ def center_of(lattice: Lattice, c: CellIndex) -> tuple[float, float]:
     lattice.require(c)
     x0, y0 = lattice.origin
     r = lattice.radius_r
-    return (x0 + c.i * (3.0 * r / 2.0), y0 + c.j * (math.sqrt(3.0) * r / 2.0))
+    i, j = c
+    return (x0 + i * (3.0 * r / 2.0), y0 + j * (math.sqrt(3.0) * r / 2.0))
 
 
 def lattice_metric(a: CellIndex, b: CellIndex) -> int:
@@ -198,8 +200,9 @@ def boundary_f_offsets(metric_threshold: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((di, dj) for di, dj, m in _window_offsets(metric_threshold) if m == metric_threshold))
 
 
+@functools.cache
 def interference_offsets(metric_threshold: int) -> tuple[tuple[int, int], ...]:
     """All nonzero (di, dj) displacements strictly inside the given metric:
     the cells a cell interferes with, relative to it (12 for control, 6 for
-    data)."""
+    data).  Cached per threshold: every graph build reads it."""
     return tuple(sorted((di, dj) for di, dj, m in _window_offsets(metric_threshold) if 0 < m < metric_threshold))

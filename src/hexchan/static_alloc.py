@@ -108,9 +108,9 @@ def static_allocation_csv(lattice: Lattice, alloc: StaticAllocation) -> str:
     tails = {key: "".join("," + ch.token() for ch in group) for key, group in groups.items()}
     cells = lattice.cells
     if alloc.control is None:
-        heads = [f"{cell.i},{cell.j},," for cell in cells]
+        heads = [f"{i},{j},," for i, j in cells]
     else:
-        heads = [f"{cell.i},{cell.j},{ch.phy_channel},{ch.code}" for cell, ch in zip(cells, alloc.control)]
+        heads = [f"{i},{j},{ch.phy_channel},{ch.code}" for (i, j), ch in zip(cells, alloc.control)]
     lines = [",".join(header)]
     lines += [head + tails[id(group)] for head, group in zip(heads, alloc.data_groups)]
     return "\r\n".join(lines) + "\r\n"

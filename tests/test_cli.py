@@ -608,3 +608,26 @@ def test_console_entry_point(tmp_path, reference_config_path):
     )
     assert proc.returncode == 0
     assert "static_summary.json" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["lattice", "evaluate"])
+def test_integer_beyond_the_digit_limit_exits_1(tmp_path, command):
+    # json.loads raises a plain ValueError (not JSONDecodeError) for an
+    # integer literal longer than the interpreter's int-string digit limit.
+    doc = roadmap_config(1)
+    doc["lattice"]["index_bound_N"] = "HUGE"
+    text = json.dumps(doc).replace('"HUGE"', "1" + "0" * 4999)
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(text, encoding="utf-8")
+    package_root = str(Path(hexchan.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hexchan.cli", command, "--config", str(cfg), "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert str(cfg) in proc.stderr

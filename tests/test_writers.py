@@ -8,7 +8,9 @@ template per cycle or PAN.  The ``reference_*`` functions below are the plain
 per-entry loops (and ``json.dumps``) they replaced; the writers must produce
 the same text on every drawn deployment.  ``reference_schemes`` is
 the per-(PAN, cycle) loop that ``compare_schemes`` replaced by per-PAN
-columns; the columns must hold the same entries.
+columns; the columns must hold the same entries.  ``compare_schemes`` shares
+outcome tables between PANs and the evaluate writers key them by identity;
+equal unshared copies must give the same text.
 """
 
 import json
@@ -18,6 +20,7 @@ from conftest import scheme_entries
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hexchan.config import load_config
 from hexchan.dynamic_alloc import (
     AllocationMatrix,
     SuperframeConfig,
@@ -315,3 +318,77 @@ def test_summary_renders_a_never_active_pan_as_null():
         ("single", "static", "dynamic")
     )
     assert idle_pan["max_channels"] == dict.fromkeys(("single", "static", "dynamic"), 0)
+
+
+def unshared(reports):
+    """The reports with every outcome table replaced by an equal copy."""
+    return [replace(r, outcomes=tuple(dict(table) for table in r.outcomes)) for r in reports]
+
+
+@settings(max_examples=40, deadline=None)
+@given(deployments())
+@example(SHARED)
+@example(SPARSE)
+def test_shared_outcome_tables_are_an_optimisation_only(drawn):
+    lattice, configs, plan, scenario = drawn
+    reports = compare_schemes(lattice, configs, plan, scenario)
+    copies = unshared(reports)
+    assert scheme_report_csv(configs, copies) == scheme_report_csv(configs, reports)
+    summary = evaluation_summary_json(configs, plan, "custom", reports)
+    assert evaluation_summary_json(configs, plan, "custom", copies) == summary
+    # One table object per (request sum, request max, set of counts), across
+    # PANs and schemes.
+    tables = {}
+    for report in reports:
+        for cfg, counts, table in zip(configs, report.channel_counts, report.outcomes):
+            requests = scenario.per_pan[cfg.pan_cell]
+            assert tables.setdefault((sum(requests), max(requests), frozenset(counts)), table) is table
+    assert len({id(table) for table in tables.values()}) == len(tables)
+
+
+def test_summary_keys_templates_by_all_three_tables(reference_config_path):
+    # The reference PANs share dynamic tables; give each PAN its own static
+    # table, with its own values, while the dynamic tables stay shared.
+    cfg = load_config(reference_config_path)
+    configs, plan = cfg.superframes, cfg.plan()
+    single, static, dynamic = compare_schemes(cfg.lattice, configs, plan, cfg.request_scenario())
+    assert len({id(table) for table in dynamic.outcomes}) < len(configs)
+    own = tuple(
+        {k: (slots + pan, delay) for k, (slots, delay) in table.items()} for pan, table in enumerate(static.outcomes)
+    )
+    mixed = [single, replace(static, outcomes=own), dynamic]
+    text = evaluation_summary_json(configs, plan, "custom", mixed)
+    assert text == evaluation_summary_json(configs, plan, "custom", unshared(mixed))
+    assert [entry["best_makespan"]["static"] for entry in json.loads(text)["per_pan"]] == [6 + p for p in range(12)]
+
+
+def test_report_runs_of_one_count_several_counts_and_none():
+    lattice, configs, plan, scenario = SHARED
+    reports = compare_schemes(lattice, configs, plan, scenario)
+    text = scheme_report_csv(configs, reports)
+    lines = text.split("\r\n")
+    # one count over two cycles: one join with the tail and head between them
+    assert [line for line in lines if line.startswith("single,1,")] == [
+        "single,1,-1,1,1,1,24,0.0000",
+        "single,1,-1,1,2,1,24,0.0000",
+    ]
+    # two counts: the head, cycle and tail pieces are interleaved by slices
+    assert reports[2].channel_counts[0] == (7, 14)
+    assert [line for line in lines if line.startswith("dynamic,1,")] == [
+        "dynamic,1,-1,1,1,7,4,83.3333",
+        "dynamic,1,-1,1,2,14,3,87.5000",
+    ]
+    # a PAN that is never active has an empty run: no line, no separator
+    idle = [
+        replace(
+            r,
+            active_cycles=((),) + r.active_cycles[1:],
+            channel_counts=((),) + r.channel_counts[1:],
+            outcomes=({},) + r.outcomes[1:],
+        )
+        for r in reports
+    ]
+    kept = [line for line in lines[:-1] if line.split(",")[1] != "1"]
+    assert scheme_report_csv(configs, idle) == "\r\n".join(kept) + "\r\n"
+    none_active = [replace(r, active_cycles=((),) * 2, channel_counts=((),) * 2, outcomes=({},) * 2) for r in reports]
+    assert scheme_report_csv(configs, none_active) == lines[0] + "\r\n"
