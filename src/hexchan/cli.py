@@ -19,6 +19,7 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .config import ScenarioConfig, load_config
 from .dynamic_alloc import (
@@ -40,16 +41,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# Reports are written in slices of this many characters, so encoding one never
-# holds a second full copy of it in memory.
-_WRITE_CHUNK = 1 << 20
-
-
-def _write(out_dir: Path, name: str, text: str) -> None:
+def _write(out_dir: Path, name: str, chunks: Iterable[str]) -> None:
+    """Write each chunk of a report as it comes: the per-(PAN, cycle) writers
+    stream theirs, small reports are passed as ``(text,)``."""
     path = out_dir / name
     with path.open("w", encoding="utf-8", newline="") as fh:
-        for start in range(0, len(text), _WRITE_CHUNK):
-            fh.write(text[start : start + _WRITE_CHUNK])
+        fh.writelines(chunks)
     print(f"wrote {path}")
 
 
@@ -61,17 +58,17 @@ def cmd_lattice(cfg: ScenarioConfig, out_dir: Path) -> None:
         x, y = center_of(lattice, cell)
         i, j = cell
         lines.append(f"{i},{j},{x!r},{y!r}")
-    _write(out_dir, "cells.csv", "\r\n".join(lines) + "\r\n")
+    _write(out_dir, "cells.csv", ("\r\n".join(lines) + "\r\n",))
     for name, threshold in (("edges_control.txt", CONTROL_REUSE_METRIC), ("edges_data.txt", DATA_REUSE_METRIC)):
         graph = build_interference_graph(lattice, None, threshold)
-        _write(out_dir, name, edge_list_text(graph))
+        _write(out_dir, name, (edge_list_text(graph),))
 
 
 def cmd_static(cfg: ScenarioConfig, out_dir: Path) -> None:
     """Static allocation table and its summary."""
     plan = cfg.plan()
     alloc = allocate_static(cfg.lattice, plan)
-    _write(out_dir, "static_allocation.csv", static_allocation_csv(cfg.lattice, alloc))
+    _write(out_dir, "static_allocation.csv", (static_allocation_csv(cfg.lattice, alloc),))
     summary = {
         "domain": cfg.domain.name,
         "total_channels": len(cfg.domain.total_channels),
@@ -94,7 +91,7 @@ def cmd_static(cfg: ScenarioConfig, out_dir: Path) -> None:
                 "alternate US reading in effect: control restricted to one sequence code, "
                 "28 data channels"
             )
-    _write(out_dir, "static_summary.json", json.dumps(summary, indent=2) + "\n")
+    _write(out_dir, "static_summary.json", (json.dumps(summary, indent=2) + "\n",))
 
 
 def cmd_dynamic(cfg: ScenarioConfig, out_dir: Path) -> None:
@@ -105,7 +102,7 @@ def cmd_dynamic(cfg: ScenarioConfig, out_dir: Path) -> None:
     _write(out_dir, "activity.csv", activity_csv(configs, alloc.activity))
     _write(out_dir, "dynamic_allocation.csv", allocation_csv(configs, alloc))
     _write(out_dir, "dynamic_allocation.json", allocation_json_doc(configs, alloc))
-    _write(out_dir, "dynamic_summary.json", dynamic_summary_json(configs, alloc))
+    _write(out_dir, "dynamic_summary.json", (dynamic_summary_json(configs, alloc),))
 
 
 def cmd_evaluate(cfg: ScenarioConfig, out_dir: Path) -> None:
@@ -115,7 +112,7 @@ def cmd_evaluate(cfg: ScenarioConfig, out_dir: Path) -> None:
     scenario = cfg.request_scenario()
     reports = compare_schemes(cfg.lattice, configs, plan, scenario)
     _write(out_dir, "scheme_report.csv", scheme_report_csv(configs, reports))
-    _write(out_dir, "evaluation_summary.json", evaluation_summary_json(configs, plan, cfg.domain.name, reports))
+    _write(out_dir, "evaluation_summary.json", (evaluation_summary_json(configs, plan, cfg.domain.name, reports),))
 
 
 _COMMANDS = {

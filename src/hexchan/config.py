@@ -39,8 +39,9 @@ from .spectrum import (
 # Largest lattice a config may describe; the full window N = 70 has 9941 cells.
 MAX_CELLS = 10_000
 # Largest number of (PAN, elementary cycle) entries, PANs x U, a config may
-# ask for.  Each entry is a row of the dynamic and evaluation reports; at this
-# limit `hexchan dynamic` peaks near 200 MB (see CHANGES.md).
+# ask for.  Each entry is a row of the dynamic and evaluation reports; these
+# are streamed, so output size and run time bound this limit, not memory
+# (see CHANGES.md).
 MAX_PAN_CYCLES = 1 << 17
 # Largest number of requests a PAN may serve per cycle.  Evaluation sums each
 # distinct request list once: at 9941 PANs with 1000 distinct requests each,
@@ -294,6 +295,8 @@ def load_config(path: str | Path, domain_override: str | None = None) -> Scenari
     except ValueError as exc:
         # An integer literal beyond the interpreter's int-string digit limit.
         raise ConfigError(f"config file {path} is not readable JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"config file {path} nests arrays or objects too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ConfigError("top-level config must be a JSON object")
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .coloring import data_labels
 from .errors import InsufficientSpectrumError, InvalidSuperframeError
 from .interference import build_interference_graph, component_masks, iter_bits
-from .jsontext import json_array, json_object
+from .jsontext import chunk_size, flush_chunks, json_array, json_object
 from .lattice import DATA_REUSE_METRIC, CellIndex, Lattice
 from .spectrum import ChannelPlan, LogicalChannel, partition_channels
 
@@ -241,25 +241,28 @@ def _pan_texts(configs: Sequence[SuperframeConfig], suffix: str = "") -> tuple[l
     return [cell + "0" + suffix for cell in cells], [cell + "1" + suffix for cell in cells]
 
 
-def activity_csv(configs: Sequence[SuperframeConfig], activity: Sequence[Sequence[bool]]) -> str:
-    """Long-form activity table; cycles are printed 1-based."""
-    # A line is "cycle," + "i,j,active".  Per cycle, the pieces list gets the
-    # line break and cycle field before each PAN's text: all PANs' idle texts
-    # are copied in, then the active PANs' texts put in place.  Only
-    # references are copied until the final join, which copies the text
-    # once; joining per cycle first would hold a second copy of it.
-    idle, active = _pan_texts(configs)
+def activity_csv(configs: Sequence[SuperframeConfig], activity: Sequence[Sequence[bool]]) -> Iterator[str]:
+    """Long-form activity table; cycles are printed 1-based.  Yields the
+    text in chunks of at most ``WRITE_CHUNK`` characters."""
+    # A line is two pieces, "cycle," and "i,j,active\r\n"; the header is a
+    # line with an empty first piece.  Per cycle, the pieces list gets the
+    # cycle field before each PAN's text: all PANs' idle texts are copied
+    # in, then the active PANs' texts put in place.
+    idle, active = _pan_texts(configs, "\r\n")
     n = len(configs)
     pans = range(n)
-    pieces = ["cycle,pan_i,pan_j,active"]
+    header = "cycle,pan_i,pan_j,active\r\n"
+    size = chunk_size(2, max(len(header), len(f"{len(activity[0])},") + max(map(len, idle))))
+    pieces = ["", header]
     for t, column in enumerate(zip(*activity), 1):
+        if len(pieces) + 2 * n > size:
+            yield from flush_chunks(pieces, size)
         first = len(pieces) + 1
-        pieces += repeat(f"\r\n{t},", 2 * n)
+        pieces += repeat(f"{t},", 2 * n)
         pieces[first::2] = idle
         for k in compress(pans, column):
             pieces[first + 2 * k] = active[k]
-    pieces.append("\r\n")
-    return "".join(pieces)
+    yield from flush_chunks(pieces, size)
 
 
 def _distinct_grants(alloc: AllocationMatrix) -> dict[int, tuple[LogicalChannel, ...]]:
@@ -276,85 +279,106 @@ def _distinct_grants(alloc: AllocationMatrix) -> dict[int, tuple[LogicalChannel,
     return grants
 
 
-def allocation_csv(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix) -> str:
-    """Per-cycle per-PAN grants; ``chi`` is the cycle's chromatic number."""
-    # A line is "cycle," + "i,j,active," + "chi," + "k,tokens".  An idle line
-    # holds the empty grant, so it depends on the PAN and chi alone.  The
-    # pieces are laid out as in ``activity_csv``, with the idle texts of the
-    # cycle's chi.
+def allocation_csv(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix) -> Iterator[str]:
+    """Per-cycle per-PAN grants; ``chi`` is the cycle's chromatic number.
+    Yields the text in chunks of at most ``WRITE_CHUNK`` characters."""
+    # A line is "cycle," + "i,j,active," + "chi," + "k,tokens\r\n", in two
+    # pieces: the cycle field and the rest.  An idle line holds the empty
+    # grant, so it depends on the PAN and chi alone.  The pieces are laid
+    # out as in ``activity_csv``, with the idle texts of the cycle's chi.
     idle, active = _pan_texts(configs, ",")
     n = len(configs)
     tails = {
-        key: f"{len(grant)},{' '.join(ch.token() for ch in grant)}"
+        key: f"{len(grant)},{' '.join(ch.token() for ch in grant)}\r\n"
         for key, grant in _distinct_grants(alloc).items()
     }
+    header = "cycle,pan_i,pan_j,active,chi,k,channels\r\n"
+    longest = (
+        len(f"{len(alloc.per_cycle_chi)},")
+        + max(map(len, active))
+        + len(f"{max(alloc.per_cycle_chi)},")
+        + max(map(len, tails.values()))
+    )
+    size = chunk_size(2, max(len(header), longest))
     idle_by_chi: dict[int, list[str]] = {}
     pans = range(n)
-    pieces = ["cycle,pan_i,pan_j,active,chi,k,channels"]
+    pieces = ["", header]
     for t, (chi, column) in enumerate(zip(alloc.per_cycle_chi, zip(*alloc.activity))):
         chi_part = f"{chi},"
         idle_texts = idle_by_chi.get(chi)
         if idle_texts is None:
             idle_texts = idle_by_chi[chi] = [pan + chi_part + tails[id(())] for pan in idle]
+        if len(pieces) + 2 * n > size:
+            yield from flush_chunks(pieces, size)
         first = len(pieces) + 1
-        pieces += repeat(f"\r\n{t + 1},", 2 * n)
+        pieces += repeat(f"{t + 1},", 2 * n)
         pieces[first::2] = idle_texts
         for k in compress(pans, column):
             pieces[first + 2 * k] = active[k] + chi_part + tails[id(alloc.channels[k][t])]
-    pieces.append("\r\n")
-    return "".join(pieces)
+    yield from flush_chunks(pieces, size)
 
 
-def allocation_json_doc(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix) -> str:
+def allocation_json_doc(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix) -> Iterator[str]:
     """JSON mirror of the per-PAN per-cycle channel matrix.
 
     The text is ``json.dumps(doc, indent=2) + "\n"`` of the document
     {bi_maj, sd_min, u_cycles, per_cycle_chi, per_cycle_k, pans: [{pan,
     cell, SO, BO, phase, channels_per_cycle}]}, where a grant is a list of
-    [phy_channel, code] pairs.  It is written directly: each distinct grant
-    is rendered once at its nesting depth, a PAN's row starts as the idle
-    piece repeated and takes its active cycles' pieces, and the result is
-    one join over the pieces, so no per-PAN copy of the text is made.  There
-    is at least one PAN and one cycle, as ``cycle_structure`` requires.
+    [phy_channel, code] pairs.  It is written directly, in chunks of at most
+    ``WRITE_CHUNK`` characters; the first ends before the PAN list (U <=
+    2^14 bounds its two arrays).  Each distinct grant is rendered once at
+    its nesting depth, and a PAN's row starts as the idle piece repeated and
+    takes its active cycles' pieces.  There is at least one PAN and one
+    cycle, as ``cycle_structure`` requires.
     """
 
     def ints(values: Sequence[int], level: int) -> str:
         return json_array([str(v) for v in values], level)
 
     # A grant sits at depth 4 of channels_per_cycle; every grant but a row's
-    # last carries the separator to the next one.
-    last = {
+    # last carries the separator to the next one, and the last closes the row.
+    grants = {
         key: json_array([ints((ch.phy_channel, ch.code), 5) for ch in grant], 4)
         for key, grant in _distinct_grants(alloc).items()
     }
-    inner = {key: text + ",\n        " for key, text in last.items()}
+    inner = {key: text + ",\n        " for key, text in grants.items()}
+    last = {key: text + "\n      ]\n    }" for key, text in grants.items()}
     cycles = cycle_structure(configs)
+    yield (
+        "{\n"
+        f'  "bi_maj": {cycles.bi_maj},\n'
+        f'  "sd_min": {cycles.sd_min},\n'
+        f'  "u_cycles": {cycles.u_cycles},\n'
+        f'  "per_cycle_chi": {ints(alloc.per_cycle_chi, 1)},\n'
+        f'  "per_cycle_k": {ints(alloc.per_cycle_k, 1)},\n'
+        '  "pans": ['
+    )
+    # Each PAN's head and each grant piece is a unit; a row's closing piece
+    # is its longest.  Chunks of mostly idle rows stay far below the bound:
+    # batching rows up to 1 MiB by length measured slower (see CHANGES.md).
+    heads = [
+        f'{"," if k else ""}\n    {{\n      "pan": {k + 1},\n'
+        f'      "cell": {ints((cfg.pan_cell.i, cfg.pan_cell.j), 3)},\n'
+        f'      "SO": {cfg.so},\n      "BO": {cfg.bo},\n      "phase": {cfg.phase},\n'
+        '      "channels_per_cycle": [\n        '
+        for k, cfg in enumerate(configs)
+    ]
+    size = chunk_size(1, max(max(map(len, heads)), max(map(len, last.values()))))
     u = len(alloc.per_cycle_chi)
     cycle_range = range(u)
-    parts = [
-        "{\n",
-        f'  "bi_maj": {cycles.bi_maj},\n',
-        f'  "sd_min": {cycles.sd_min},\n',
-        f'  "u_cycles": {cycles.u_cycles},\n',
-        f'  "per_cycle_chi": {ints(alloc.per_cycle_chi, 1)},\n',
-        f'  "per_cycle_k": {ints(alloc.per_cycle_k, 1)},\n',
-        '  "pans": [',
-    ]
-    columns = zip(configs, alloc.channels, alloc.activity)
-    for k, (cfg, row, active) in enumerate(columns):
-        parts.append(
-            f'{"," if k else ""}\n    {{\n      "pan": {k + 1},\n'
-            f'      "cell": {ints((cfg.pan_cell.i, cfg.pan_cell.j), 3)},\n'
-            f'      "SO": {cfg.so},\n      "BO": {cfg.bo},\n      "phase": {cfg.phase},\n'
-            '      "channels_per_cycle": [\n        '
-        )
-        pieces = [inner[id(())]] * u
+    idle_piece = inner[id(())]
+    pieces: list[str] = []
+    for head, row, active in zip(heads, alloc.channels, alloc.activity):
+        if len(pieces) + 1 + u > size:
+            yield from flush_chunks(pieces, size)
+        pieces.append(head)
+        first = len(pieces)
+        pieces += repeat(idle_piece, u)
         for t in compress(cycle_range, active):
-            pieces[t] = inner[id(row[t])]
-        pieces[-1] = last[id(row[-1])] + "\n      ]\n    }"
-        parts += pieces
-    parts.append("\n  ]\n}\n")
-    return "".join(parts)
+            pieces[first + t] = inner[id(row[t])]
+        pieces[-1] = last[id(row[-1])]
+    pieces.append("\n  ]\n}\n")
+    yield from flush_chunks(pieces, size)
 
 
 def dynamic_summary_json(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix) -> str:

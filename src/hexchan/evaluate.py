@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import OrderingError
 from .dynamic_alloc import SuperframeConfig, allocate_dynamic, cycle_structure
-from .jsontext import json_array, json_object
+from .jsontext import chunk_size, flush_chunks, json_array, json_object
 from .lattice import CellIndex, Lattice
 from .spectrum import ChannelPlan
 from .static_alloc import allocate_static_data
@@ -170,36 +170,54 @@ def compare_schemes(
     return reports
 
 
-def scheme_report_csv(configs: Sequence[SuperframeConfig], reports: Sequence[SchemeReport]) -> str:
-    """One row per scheme, PAN and active cycle; cycles and PANs 1-based."""
+def scheme_report_csv(configs: Sequence[SuperframeConfig], reports: Sequence[SchemeReport]) -> Iterator[str]:
+    """One row per scheme, PAN and active cycle; cycles and PANs 1-based.
+    Yields the text in chunks of at most ``WRITE_CHUNK`` characters."""
     # A line is "scheme,pan,i,j," + "cycle," + "channels,makespan,delay\r\n".
     # The head is rendered once per scheme and PAN, the cycle field once per
-    # cycle, and the tails once per outcome table; the text is one join over
-    # these pieces.  A run of one count (always, for single and static) is one
-    # join over its cycle fields with the tail and head between them; a run of
-    # several counts interleaves head, cycle field and tail by strided slices.
+    # cycle, and the tails once per outcome table.  A (scheme, PAN) run is
+    # one piece.  A run of one count (always, for single and static) is one
+    # join over its cycle fields with the tail and head between them; a run
+    # of several counts interleaves head, cycle field and tail by strided
+    # slices.  No run is longer than the most active cycles of a PAN times
+    # the longest line.
     cycle_fields = [f"{t}," for t in range(1, cycle_structure(configs).u_cycles + 1)]
-    cells = [f"{i},{j}," for i, j in (cfg.pan_cell for cfg in configs)]
-    tails_by_table: dict[int, dict[int, str]] = {}
-    pieces = ["scheme,pan,pan_i,pan_j,cycle,channels,makespan_slots,delay_decrease_percent\r\n"]
+    pans = [f"{pan},{i},{j}," for pan, (i, j) in enumerate((cfg.pan_cell for cfg in configs), 1)]
+    tables = {id(table): table for report in reports for table in report.outcomes}
+    tails_by_table = {
+        key: {count: f"{count},{slots},{delay:.4f}\r\n" for count, (slots, delay) in table.items()}
+        for key, table in tables.items()
+    }
+    header = "scheme,pan,pan_i,pan_j,cycle,channels,makespan_slots,delay_decrease_percent\r\n"
+    longest_line = (
+        max(len(report.scheme) + 1 for report in reports)
+        + max(map(len, pans))
+        + len(cycle_fields[-1])
+        + max((len(tail) for tails in tails_by_table.values() for tail in tails.values()), default=0)
+    )
+    size = chunk_size(1, max(len(header), longest_line * max(map(len, reports[0].active_cycles))))
+    pieces = [header]
     for report in reports:
-        columns = zip(cells, report.active_cycles, report.channel_counts, report.outcomes)
-        for pan, (cell, cycles, counts, table) in enumerate(columns, 1):
-            tails = tails_by_table.get(id(table))
-            if tails is None:
-                tails = tails_by_table[id(table)] = {
-                    count: f"{count},{slots},{delay:.4f}\r\n" for count, (slots, delay) in table.items()
-                }
-            head = f"{report.scheme},{pan},{cell}"
+        columns = zip(pans, report.active_cycles, report.channel_counts, report.outcomes)
+        for pan, cycles, counts, table in columns:
+            if not cycles:
+                continue
+            if len(pieces) >= size:
+                yield from flush_chunks(pieces, size)
+            tails = tails_by_table[id(table)]
+            head = f"{report.scheme},{pan}"
             if len(tails) == 1:
                 (tail,) = tails.values()
-                pieces += (head, (tail + head).join(map(cycle_fields.__getitem__, cycles)), tail)
+                fields = list(map(cycle_fields.__getitem__, cycles))
+                fields[0] = head + fields[0]
+                fields[-1] += tail
+                pieces.append((tail + head).join(fields))
             else:
                 block = [head] * (3 * len(cycles))
                 block[1::3] = map(cycle_fields.__getitem__, cycles)
                 block[2::3] = map(tails.__getitem__, counts)
-                pieces += block
-    return "".join(pieces)
+                pieces.append("".join(block))
+    yield from flush_chunks(pieces, size)
 
 
 def evaluation_summary_json(

@@ -1,15 +1,44 @@
-"""JSON text laid out exactly as ``json.dumps(..., indent=2)`` lays it out.
+"""Report text: JSON laid out exactly as ``json.dumps(..., indent=2)`` lays
+it out, and the chunks that the per-(PAN, cycle) reports are streamed in.
 
 The report writers render each distinct value once and assemble the document
 from the pieces, instead of building a dict for the pure-Python indenting
 encoder.  ``level`` is the nesting depth of the container: 0 for the
 document itself, 1 for a value of a top-level key, and so on.
+
+The reports that grow with PANs x cycles are yielded in chunks of at most
+``WRITE_CHUNK`` characters, joined by ``flush_chunks`` from a list of
+pieces, so no report is ever held whole.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from typing import Iterator, Sequence
+
+# Largest chunk of a streamed report, in characters.
+WRITE_CHUNK = 1 << 20
+
+
+def chunk_size(unit: int, longest: int) -> int:
+    """Pieces per chunk of a report made of units of ``unit`` pieces each,
+    none longer than ``longest`` characters: as many whole units as fit in
+    ``WRITE_CHUNK`` characters, and at least one, so only a unit longer
+    than the bound makes a longer chunk."""
+    return unit * max(1, WRITE_CHUNK // longest)
+
+
+def flush_chunks(pieces: list[str], size: int) -> Iterator[str]:
+    """Yield the text of ``pieces`` in chunks of at most ``size`` pieces and
+    empty the list.  Writers flush before a block of units would pass
+    ``size``, so only a block longer than a chunk is cut."""
+    if len(pieces) <= size:
+        if pieces:
+            yield "".join(pieces)
+    else:
+        for start in range(0, len(pieces), size):
+            yield "".join(pieces[start : start + size])
+    pieces.clear()
 
 
 def _container(items: Sequence[str], level: int, brackets: str) -> str:

@@ -610,6 +610,19 @@ def test_console_entry_point(tmp_path, reference_config_path):
     assert "static_summary.json" in proc.stdout
 
 
+def run_cli_process(tmp_path, command, cfg):
+    """``hexchan COMMAND`` on ``cfg`` in a fresh interpreter, so its stderr
+    shows whether an exception escaped."""
+    package_root = str(Path(hexchan.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "hexchan.cli", command, "--config", str(cfg), "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
 @pytest.mark.parametrize("command", ["lattice", "evaluate"])
 def test_integer_beyond_the_digit_limit_exits_1(tmp_path, command):
     # json.loads raises a plain ValueError (not JSONDecodeError) for an
@@ -619,15 +632,20 @@ def test_integer_beyond_the_digit_limit_exits_1(tmp_path, command):
     text = json.dumps(doc).replace('"HUGE"', "1" + "0" * 4999)
     cfg = tmp_path / "huge.json"
     cfg.write_text(text, encoding="utf-8")
-    package_root = str(Path(hexchan.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "hexchan.cli", command, "--config", str(cfg), "--out", str(tmp_path / "o")],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = run_cli_process(tmp_path, command, cfg)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     if hasattr(sys, "get_int_max_str_digits"):
         assert str(cfg) in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["lattice", "evaluate"])
+def test_deeply_nested_config_exits_1(tmp_path, command):
+    # json.loads raises RecursionError for arrays nested past the
+    # interpreter's recursion limit.
+    cfg = tmp_path / "nested.json"
+    cfg.write_text("[" * 100_000, encoding="utf-8")
+    proc = run_cli_process(tmp_path, command, cfg)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert str(cfg) in proc.stderr

@@ -339,12 +339,12 @@ def test_exports_parse(reference):
     cs = cycle_structure(configs)
     act = activity_matrix(configs)
     alloc = allocate_dynamic(lattice, configs, plan)
-    activity_text = activity_csv(configs, act)
+    activity_text = "".join(activity_csv(configs, act))
     assert activity_text.splitlines()[0] == "cycle,pan_i,pan_j,active"
     assert len(activity_text.strip().splitlines()) == 1 + cs.u_cycles * len(configs)
-    alloc_text = allocation_csv(configs, alloc)
+    alloc_text = "".join(allocation_csv(configs, alloc))
     assert alloc_text.splitlines()[0] == "cycle,pan_i,pan_j,active,chi,k,channels"
-    doc = json.loads(allocation_json_doc(configs, alloc))
+    doc = json.loads("".join(allocation_json_doc(configs, alloc)))
     assert doc["u_cycles"] == 32
     assert len(doc["pans"]) == 12
     assert len(doc["pans"][0]["channels_per_cycle"]) == 32

@@ -144,7 +144,7 @@ def test_report_exports(reference):
     configs = reference.superframes
     plan = reference.plan()
     reports = compare_schemes(reference.lattice, configs, plan, reference.request_scenario())
-    csv_text = scheme_report_csv(configs, reports)
+    csv_text = "".join(scheme_report_csv(configs, reports))
     lines = csv_text.strip().splitlines()
     assert lines[0] == "scheme,pan,pan_i,pan_j,cycle,channels,makespan_slots,delay_decrease_percent"
     assert any(line.startswith("single,") and ",24," in line for line in lines[1:])

@@ -3,8 +3,9 @@
 ``allocation_json_doc``, ``allocation_csv``, ``activity_csv`` and
 ``scheme_report_csv`` build their text directly, rendering each distinct
 grant, PAN field and outcome once; the first three copy whole runs of idle
-entries.  ``dynamic_summary_json`` and ``evaluation_summary_json`` fill one
-template per cycle or PAN.  The ``reference_*`` functions below are the plain
+entries.  They yield the text in chunks of at most ``WRITE_CHUNK``
+characters, which ``joined`` checks and joins.  ``dynamic_summary_json`` and
+``evaluation_summary_json`` fill one template per cycle or PAN.  The ``reference_*`` functions below are the plain
 per-entry loops (and ``json.dumps``) they replaced; the writers must produce
 the same text on every drawn deployment.  ``reference_schemes`` is
 the per-(PAN, cycle) loop that ``compare_schemes`` replaced by per-PAN
@@ -13,8 +14,10 @@ outcome tables between PANs and the evaluate writers key them by identity;
 equal unshared copies must give the same text.
 """
 
+import hashlib
 import json
 from dataclasses import replace
+from itertools import chain
 
 from conftest import scheme_entries
 from hypothesis import example, given, settings
@@ -39,9 +42,26 @@ from hexchan.evaluate import (
     makespan,
     scheme_report_csv,
 )
+from hexchan import jsontext
+from hexchan.jsontext import WRITE_CHUNK
 from hexchan.lattice import CellIndex, build_lattice
 from hexchan.spectrum import DOMAIN_NAMES, channel_plan, default_domain
 from hexchan.static_alloc import allocate_static_data
+
+
+def checked(chunks, lengths):
+    """The chunks of a streamed writer, each checked to be a non-empty
+    string of at most ``WRITE_CHUNK`` characters; their lengths are
+    appended to ``lengths``."""
+    for chunk in chunks:
+        assert type(chunk) is str and 0 < len(chunk) <= WRITE_CHUNK
+        lengths.append(len(chunk))
+        yield chunk
+
+
+def joined(chunks):
+    """The text of a streamed writer, its chunks checked."""
+    return "".join(checked(chunks, []))
 
 
 def reference_activity_csv(configs, activity):
@@ -69,7 +89,11 @@ def reference_allocation_csv(configs, alloc):
 
 
 def reference_allocation_json(configs, cycles, alloc):
-    doc = {
+    return json.dumps(reference_allocation_doc(configs, cycles, alloc), indent=2) + "\n"
+
+
+def reference_allocation_doc(configs, cycles, alloc):
+    return {
         "bi_maj": cycles.bi_maj,
         "sd_min": cycles.sd_min,
         "u_cycles": cycles.u_cycles,
@@ -90,7 +114,6 @@ def reference_allocation_json(configs, cycles, alloc):
             for k, cfg in enumerate(configs)
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def reference_dynamic_summary(cycles, alloc):
@@ -218,6 +241,15 @@ SPARSE = deployment(
         (-2, 2, 1, 7, 100),
     ],
 )
+# Two PANs out of range of each other over U = 2^14 cycles; the second is
+# active in every cycle with a 28-channel US grant, so three of the four
+# streamed reports are longer than WRITE_CHUNK.
+DEEP = (
+    build_lattice(8, 1.0),
+    [SuperframeConfig(CellIndex(0, 0), 0, 14), SuperframeConfig(CellIndex(8, 0), 14, 14)],
+    channel_plan(default_domain("US"), us_data_card=28),
+    RequestScenario.uniform([CellIndex(0, 0), CellIndex(8, 0)]),
+)
 # Two neighbors share cycle 1 (7 channels each) and the first runs alone in
 # cycle 2 (14 channels): with 8 requests of 3 slots its makespan is 4, then 3.
 SHARED = deployment(1, "Europe", [(-1, 1, 1, 2, 0), (0, 0, 0, 2, 0)], requests=(3,) * 8)
@@ -226,9 +258,9 @@ SHARED = deployment(1, "Europe", [(-1, 1, 1, 2, 0), (0, 0, 0, 2, 0)], requests=(
 def check_writers(lattice, configs, plan, scenario):
     cycles = cycle_structure(configs)
     alloc = allocate_dynamic(lattice, configs, plan)
-    assert activity_csv(configs, alloc.activity) == reference_activity_csv(configs, alloc.activity)
-    assert allocation_csv(configs, alloc) == reference_allocation_csv(configs, alloc)
-    assert allocation_json_doc(configs, alloc) == reference_allocation_json(configs, cycles, alloc)
+    assert joined(activity_csv(configs, alloc.activity)) == reference_activity_csv(configs, alloc.activity)
+    assert joined(allocation_csv(configs, alloc)) == reference_allocation_csv(configs, alloc)
+    assert joined(allocation_json_doc(configs, alloc)) == reference_allocation_json(configs, cycles, alloc)
     assert dynamic_summary_json(configs, alloc) == reference_dynamic_summary(cycles, alloc)
 
     # The writers key grants by identity; a matrix whose grants share no
@@ -239,12 +271,12 @@ def check_writers(lattice, configs, plan, scenario):
         per_cycle_k=alloc.per_cycle_k,
         activity=alloc.activity,
     )
-    assert allocation_csv(configs, unshared) == reference_allocation_csv(configs, alloc)
-    assert allocation_json_doc(configs, unshared) == reference_allocation_json(configs, cycles, alloc)
+    assert joined(allocation_csv(configs, unshared)) == reference_allocation_csv(configs, alloc)
+    assert joined(allocation_json_doc(configs, unshared)) == reference_allocation_json(configs, cycles, alloc)
 
     reports = compare_schemes(lattice, configs, plan, scenario)
     schemes = reference_schemes(lattice, configs, plan, scenario)
-    assert scheme_report_csv(configs, reports) == reference_scheme_report_csv(configs, schemes)
+    assert joined(scheme_report_csv(configs, reports)) == reference_scheme_report_csv(configs, schemes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -333,7 +365,7 @@ def test_shared_outcome_tables_are_an_optimisation_only(drawn):
     lattice, configs, plan, scenario = drawn
     reports = compare_schemes(lattice, configs, plan, scenario)
     copies = unshared(reports)
-    assert scheme_report_csv(configs, copies) == scheme_report_csv(configs, reports)
+    assert joined(scheme_report_csv(configs, copies)) == joined(scheme_report_csv(configs, reports))
     summary = evaluation_summary_json(configs, plan, "custom", reports)
     assert evaluation_summary_json(configs, plan, "custom", copies) == summary
     # One table object per (request sum, request max, set of counts), across
@@ -365,7 +397,7 @@ def test_summary_keys_templates_by_all_three_tables(reference_config_path):
 def test_report_runs_of_one_count_several_counts_and_none():
     lattice, configs, plan, scenario = SHARED
     reports = compare_schemes(lattice, configs, plan, scenario)
-    text = scheme_report_csv(configs, reports)
+    text = joined(scheme_report_csv(configs, reports))
     lines = text.split("\r\n")
     # one count over two cycles: one join with the tail and head between them
     assert [line for line in lines if line.startswith("single,1,")] == [
@@ -389,6 +421,61 @@ def test_report_runs_of_one_count_several_counts_and_none():
         for r in reports
     ]
     kept = [line for line in lines[:-1] if line.split(",")[1] != "1"]
-    assert scheme_report_csv(configs, idle) == "\r\n".join(kept) + "\r\n"
+    assert joined(scheme_report_csv(configs, idle)) == "\r\n".join(kept) + "\r\n"
     none_active = [replace(r, active_cycles=((),) * 2, channel_counts=((),) * 2, outcomes=({},) * 2) for r in reports]
-    assert scheme_report_csv(configs, none_active) == lines[0] + "\r\n"
+    assert joined(scheme_report_csv(configs, none_active)) == lines[0] + "\r\n"
+
+
+def digest(parts):
+    """SHA-256 of the UTF-8 text made of ``parts``, read one part at a time."""
+    sha = hashlib.sha256()
+    for part in parts:
+        sha.update(part.encode())
+    return sha.digest()
+
+
+def test_long_reports_stream_in_bounded_chunks():
+    lattice, configs, plan, scenario = DEEP
+    cycles = cycle_structure(configs)
+    alloc = allocate_dynamic(lattice, configs, plan)
+    assert cycles.u_cycles == 1 << 14 and alloc.per_cycle_k == (28,) * (1 << 14)
+    reports = compare_schemes(lattice, configs, plan, scenario)
+    # The JSON mirror is about 21 MB.  Texts are compared by digest, chunk
+    # by chunk, and the JSON reference is encoded part by part as json.dumps
+    # would encode it, so neither long text is ever held whole.
+    doc = reference_allocation_doc(configs, cycles, alloc)
+    streams = [
+        (activity_csv(configs, alloc.activity), [reference_activity_csv(configs, alloc.activity)]),
+        (allocation_csv(configs, alloc), [reference_allocation_csv(configs, alloc)]),
+        (allocation_json_doc(configs, alloc), chain(json.JSONEncoder(indent=2).iterencode(doc), "\n")),
+        (scheme_report_csv(configs, reports), [reference_scheme_report_csv(configs, reference_schemes(*DEEP))]),
+    ]
+    long_reports = 0
+    for chunks, reference in streams:
+        lengths = []
+        assert digest(checked(chunks, lengths)) == digest(reference)
+        if sum(lengths) > WRITE_CHUNK:
+            long_reports += 1
+            assert len(lengths) >= 2
+    assert long_reports == 3
+
+
+def test_chunk_boundaries_keep_the_text(monkeypatch):
+    # With a bound of 300 characters the SPARSE reports are cut at many unit
+    # boundaries; a unit longer than the bound (a 24-channel grant in the
+    # JSON) comes alone.
+    monkeypatch.setattr(jsontext, "WRITE_CHUNK", 300)
+    lattice, configs, plan, scenario = SPARSE
+    cycles = cycle_structure(configs)
+    alloc = allocate_dynamic(lattice, configs, plan)
+    reports = compare_schemes(lattice, configs, plan, scenario)
+    streams = [
+        (activity_csv(configs, alloc.activity), reference_activity_csv(configs, alloc.activity)),
+        (allocation_csv(configs, alloc), reference_allocation_csv(configs, alloc)),
+        (allocation_json_doc(configs, alloc), reference_allocation_json(configs, cycles, alloc)),
+        (scheme_report_csv(configs, reports), reference_scheme_report_csv(configs, reference_schemes(*SPARSE))),
+    ]
+    for chunks, reference in streams:
+        chunks = list(chunks)
+        assert len(chunks) > 10 and all(chunks)
+        assert "".join(chunks) == reference
