@@ -8,12 +8,9 @@ single-channel vs. static vs. dynamic multi-channel operation.
 
 from .coloring import (
     Coloring,
-    brute_force_chromatic,
     chromatic_coloring,
-    clique_lower_bound,
     data_graph_coloring,
     pattern_coloring,
-    verify_coloring,
 )
 from .dynamic_alloc import (
     AllocationMatrix,
@@ -36,14 +33,10 @@ from .lattice import (
     DATA_REUSE_METRIC,
     CellIndex,
     Lattice,
-    NeighborhoodPartition,
     build_lattice,
     center_of,
-    distance,
     lattice_from_cells,
     lattice_metric,
-    neighborhood_sets,
-    twelve_cell_lattice,
 )
 from .spectrum import (
     ChannelPlan,
@@ -68,7 +61,6 @@ __all__ = [
     "InterferenceGraph",
     "Lattice",
     "LogicalChannel",
-    "NeighborhoodPartition",
     "RegulatoryDomain",
     "RequestScenario",
     "SchemeReport",
@@ -78,25 +70,19 @@ __all__ = [
     "allocate_dynamic",
     "allocate_static",
     "allocate_static_data",
-    "brute_force_chromatic",
     "build_interference_graph",
     "build_lattice",
     "center_of",
     "channel_plan",
     "chromatic_coloring",
-    "clique_lower_bound",
     "compare_schemes",
     "cycle_structure",
     "data_graph_coloring",
     "default_domain",
     "delay_decrease_percent",
-    "distance",
     "lattice_from_cells",
     "lattice_metric",
     "makespan",
-    "neighborhood_sets",
     "partition_channels",
     "pattern_coloring",
-    "twelve_cell_lattice",
-    "verify_coloring",
 ]

@@ -1,5 +1,4 @@
-"""Vertex coloring: exact minimum coloring, closed-form periodic colorings,
-validity checks, and the brute-force oracle used by the tests.
+"""Vertex coloring: exact minimum coloring and closed-form periodic colorings.
 
 Every interference graph here needs few colors: the data pattern colors any
 metric-12 graph with 3 and the control pattern any metric-16 graph with 4.
@@ -21,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import IncompleteColoringError, SizeLimitError
+from .errors import SizeLimitError
 from .interference import InterferenceGraph, component_masks, iter_bits
 from .lattice import CellIndex, Lattice
 
@@ -199,11 +198,6 @@ def chromatic_coloring(graph: InterferenceGraph, vertex_cap: int = DEFAULT_VERTE
     return Coloring(tuple(labels))
 
 
-def clique_lower_bound(graph: InterferenceGraph) -> int:
-    """Size of the clique found by the solver's greedy heuristic."""
-    return _greedy_clique(graph.rows, (1 << len(graph.vertices)) - 1)
-
-
 def _pattern_label(c: CellIndex, kind: str) -> int:
     a, j = c
     b = (j - a) // 2
@@ -243,52 +237,3 @@ def data_labels(rows: Sequence[int], mask: int, cells: Sequence[CellIndex]) -> l
 def data_graph_coloring(graph: InterferenceGraph) -> Coloring:
     """Minimum coloring of a metric-12 interference graph of any size; see ``data_labels``."""
     return Coloring(tuple(data_labels(graph.rows, (1 << len(graph.vertices)) - 1, graph.vertices)))
-
-
-def verify_coloring(graph: InterferenceGraph, coloring: Coloring) -> bool:
-    """True iff no edge joins two same-colored vertices."""
-    labels = coloring.labels
-    if len(labels) != len(graph.vertices):
-        raise IncompleteColoringError(f"coloring has {len(labels)} labels for {len(graph.vertices)} vertices")
-    return all(labels[p] != labels[q] for p, q in graph.edge_index_pairs())
-
-
-BRUTE_FORCE_VERTEX_CAP = 10
-
-
-def brute_force_chromatic(graph: InterferenceGraph) -> int:
-    """Exact chromatic number by exhaustive k-coloring search, k = 1, 2, ...
-
-    Independent of the solver's bipartite check, clique bound and
-    components; only for tiny graphs (<= 10 vertices), as a test oracle.
-    """
-    n = len(graph.vertices)
-    if n > BRUTE_FORCE_VERTEX_CAP:
-        raise SizeLimitError(f"brute force limited to {BRUTE_FORCE_VERTEX_CAP} vertices, got {n}")
-    if n == 0:
-        return 0
-    earlier: list[list[int]] = [[] for _ in range(n)]
-    for a, b in graph.edge_index_pairs():
-        earlier[b].append(a)
-
-    def colorable(k: int) -> bool:
-        colors = [-1] * n
-
-        def extend(v: int) -> bool:
-            if v == n:
-                return True
-            for c in range(k):
-                if all(colors[a] != c for a in earlier[v]):
-                    colors[v] = c
-                    if extend(v + 1):
-                        return True
-            colors[v] = -1
-            return False
-
-        return extend(0)
-
-    for k in itertools.count(1):
-        if colorable(k):
-            return k
-    raise AssertionError("unreachable")
-

@@ -13,7 +13,8 @@ Example::
 The lattice may instead list explicit cells (``"cells": [[0, 0], [0, 2]]``)
 for irregular deployments, and the domain may be a custom channel table
 (``{"name": ..., "channels": [{"phy_channel": 4, "code": 7}, ...]}``).
-A ``notes`` field is allowed anywhere and ignored.
+A ``notes`` field is allowed in every object and ignored; any other key
+outside an object's documented set is an error.
 """
 
 from __future__ import annotations
@@ -49,6 +50,21 @@ MAX_PAN_CYCLES = 1 << 17
 MAX_REQUESTS_PER_PAN = 1000
 # Longest request in slots; 100 x MAX_REQUESTS_PER_PAN x this < 2^53 keeps evaluation exact.
 MAX_SLOTS_PER_REQUEST = 10**9
+
+# The keys each config object may hold, by the object's field name ("" for
+# the top level); the entries of a list go by the list's name.
+_KNOWN_KEYS = {
+    name: frozenset(keys.split()) | {"notes"}
+    for name, keys in {
+        "": "lattice domain us_data_card superframes workload out_dir",
+        "lattice": "index_bound_N cells radius_R origin",
+        "domain": "name channels",
+        "domain.channels": "phy_channel code",
+        "superframes": "cell SO BO phase",
+        "workload": "per_pan requests_per_pan slots_per_request",
+        "workload.per_pan": "cell slots",
+    }.items()
+}
 
 
 @dataclass(frozen=True)
@@ -86,6 +102,16 @@ def _expect(mapping, key, kind, field):
     return value
 
 
+def _known_keys(mapping: dict, field: str) -> None:
+    """Reject the first key of the object ``mapping`` at ``field`` that is
+    outside its documented set; an entry ``list[k]`` goes by the list."""
+    known = _KNOWN_KEYS[field.partition("[")[0]]
+    if not mapping.keys() <= known:
+        key = next(key for key in mapping if key not in known)
+        where = f"{field}.{key}" if field else key
+        raise ConfigError(f"unknown key; expected one of {', '.join(sorted(known))}", field=where)
+
+
 def _finite_number(value, field) -> float:
     """``value`` as a float; JSON admits NaN and Infinity, a config does not."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -115,16 +141,24 @@ def _parse_cell(value, field) -> CellIndex:
 
 def _entry_cells(entries: list, where: str, members, outside: str):
     """``(k, entry, cell)`` per object ``entry`` of list ``where`` whose cell
-    is new and in ``members`` (None admits every cell); ``outside`` is the
-    message for a cell not in ``members``.  A cell is built unchecked and
-    is valid once found; only the error path formats a field name."""
+    is new and in ``members`` (None admits every cell) and whose keys are
+    known; ``outside`` is the message for a cell not in ``members``.  A
+    cell is built unchecked and is valid once found; only the error path
+    formats a field name."""
+    known = _KNOWN_KEYS[where]
     seen = set()
     for k, entry in enumerate(entries):
         value = entry.get("cell") if type(entry) is dict else None
         cell = CellIndex._make(value) if _int_pair(value) else None
-        if cell is None or cell in seen or (cell not in members if members is not None else sum(cell) % 2):
+        if (
+            cell is None
+            or cell in seen
+            or (cell not in members if members is not None else sum(cell) % 2)
+            or not entry.keys() <= known
+        ):
             if type(entry) is not dict:
                 raise ConfigError("expected an object", field=f"{where}[{k}]")
+            _known_keys(entry, f"{where}[{k}]")
             field = f"{where}[{k}].cell"
             cell = _parse_cell(_expect(entry, "cell", list, field), field)
             if cell in seen:
@@ -136,6 +170,7 @@ def _entry_cells(entries: list, where: str, members, outside: str):
 
 def _parse_lattice(doc) -> Lattice:
     section = _expect(doc, "lattice", dict, "lattice")
+    _known_keys(section, "lattice")
     if "radius_R" not in section:
         raise ConfigError("missing required field", field="lattice.radius_R")
     radius = _finite_number(section["radius_R"], "lattice.radius_R")
@@ -185,6 +220,7 @@ def _parse_domain(doc) -> RegulatoryDomain:
         return default_domain(section)
     if not isinstance(section, dict):
         raise ConfigError("expected a domain name or a custom table object", field="domain")
+    _known_keys(section, "domain")
     name = _expect(section, "name", str, "domain.name")
     raw = _expect(section, "channels", list, "domain.channels")
     pairs = []
@@ -192,6 +228,7 @@ def _parse_domain(doc) -> RegulatoryDomain:
         field = f"domain.channels[{k}]"
         if not isinstance(entry, dict):
             raise ConfigError("expected an object with phy_channel and code", field=field)
+        _known_keys(entry, field)
         phy = _expect(entry, "phy_channel", int, f"{field}.phy_channel")
         code = _expect(entry, "code", int, f"{field}.code")
         pairs.append((phy, code))
@@ -235,7 +272,12 @@ def _parse_workload(doc, superframes) -> RequestScenario | None:
         return None
     if not isinstance(raw, dict):
         raise ConfigError("expected an object", field="workload")
+    _known_keys(raw, "workload")
     if "per_pan" in raw:
+        if "requests_per_pan" in raw or "slots_per_request" in raw:
+            raise ConfigError(
+                "give either per_pan or requests_per_pan and slots_per_request, not both", field="workload"
+            )
         entries = _expect(raw, "per_pan", list, "workload.per_pan")
         if not entries:
             raise ConfigError("must be non-empty", field="workload.per_pan")
@@ -299,6 +341,7 @@ def load_config(path: str | Path, domain_override: str | None = None) -> Scenari
         raise ConfigError(f"config file {path} nests arrays or objects too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ConfigError("top-level config must be a JSON object")
+    _known_keys(doc, "")
 
     lattice = _parse_lattice(doc)
     if domain_override is not None:

@@ -110,23 +110,20 @@ def cycle_structure(configs: Sequence[SuperframeConfig]) -> CycleStructure:
     return CycleStructure(bi_maj=1 << bo_max, sd_min=1 << so_min, u_cycles=1 << (bo_max - so_min))
 
 
-def is_active(config: SuperframeConfig, cycle: int, sd_min: int) -> bool:
-    """Whether the PAN's active period covers elementary cycle ``cycle``."""
-    return (cycle * sd_min - config.phase) % config.bi < config.sd
-
-
 def activity_matrix(configs: Sequence[SuperframeConfig]) -> tuple[tuple[bool, ...], ...]:
     """Activity of every PAN over one major cycle of ``cycle_structure(configs)``.
 
     Returns one row per PAN, indexed ``[pan][cycle]``; ``allocate_dynamic``
-    keeps them as ``AllocationMatrix.activity``.  Entry t of a row is
-    ``is_active(cfg, t, sd_min)``, in closed form.  All durations are powers
-    of two, so SD_min divides SD, SD divides BI and BI divides BI_maj: a row
-    repeats every P = BI / SD_min cycles, and U is a multiple of P.  Cycle t
-    is active when its start t * SD_min falls in [phase, phase + SD) modulo
-    BI; in one period these are the m = SD / SD_min cycles from t0 =
-    ceil((phase mod BI) / SD_min) on, modulo P.  So each period is m True
-    then P - m False, rotated right by t0, and the row is U / P periods.
+    keeps them as ``AllocationMatrix.activity``.  Entry t of a row is True
+    when the PAN's active period covers elementary cycle t, that is when the
+    cycle's start t * SD_min falls in [phase, phase + SD) modulo BI:
+    (t * SD_min - phase) mod BI < SD.  The rows are built in closed form.
+    All durations are powers of two, so SD_min divides SD, SD divides BI
+    and BI divides BI_maj: a row repeats every P = BI / SD_min cycles, and
+    U is a multiple of P.  In one period the active cycles are the m = SD /
+    SD_min cycles from t0 = ceil((phase mod BI) / SD_min) on, modulo P.  So
+    each period is m True then P - m False, rotated right by t0, and the
+    row is U / P periods.
     """
     cycles = cycle_structure(configs)
     sd_min = cycles.sd_min

@@ -25,10 +25,6 @@ class SizeLimitError(HexchanError):
     """An exact solver was asked for more vertices than its cap allows."""
 
 
-class IncompleteColoringError(HexchanError):
-    """A coloring is missing an assignment for some graph vertex."""
-
-
 class InvalidSuperframeError(HexchanError):
     """A superframe configuration violates SO <= BO or basic bounds."""
 

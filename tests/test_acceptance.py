@@ -9,16 +9,16 @@ import random
 import time
 
 from conftest import graph_from_edges
+from oracles import brute_force_chromatic, is_active, neighborhood_sets, twelve_cell_lattice, verify_coloring
 
 from hexchan.cli import main
-from hexchan.coloring import brute_force_chromatic, chromatic_coloring, pattern_coloring, verify_coloring
+from hexchan.coloring import chromatic_coloring, pattern_coloring
 from hexchan.config import load_config
 from hexchan.dynamic_alloc import (
     SuperframeConfig,
     activity_matrix,
     allocate_dynamic,
     cycle_structure,
-    is_active,
 )
 from hexchan.evaluate import delay_decrease_percent, makespan
 from hexchan.interference import build_interference_graph
@@ -28,8 +28,6 @@ from hexchan.lattice import (
     CellIndex,
     build_lattice,
     lattice_metric,
-    neighborhood_sets,
-    twelve_cell_lattice,
 )
 from hexchan.spectrum import channel_plan, default_domain
 from hexchan.static_alloc import allocate_static_data
@@ -81,8 +79,8 @@ def test_criterion_02_cluster_and_random_oracle():
 
 
 def test_criterion_03_f_set_closed_forms():
-    lat = build_lattice(6, 1.0)
-    n = lat.index_bound_n
+    n = 6
+    lat = build_lattice(n, 1.0)
     checked = 0
     for threshold, offsets in (
         (CONTROL_REUSE_METRIC, [(0, 4), (2, 2), (2, -2), (0, -4), (-2, -2), (-2, 2)]),
@@ -93,8 +91,8 @@ def test_criterion_03_f_set_closed_forms():
                         if abs(cell.i + di) <= n and abs(cell.j + dj) <= n}
             if len(expected) < 6:
                 continue  # border cell: not interior for this threshold
-            part = neighborhood_sets(lat, cell, threshold)
-            assert part.f_set == expected
+            _, f_set, _ = neighborhood_sets(lat, cell, threshold)
+            assert f_set == expected
             checked += 1
     assert checked > 0
     report(3, f"six-index boundary sets exact for {checked} interior cell/threshold cases on N=6")

@@ -649,3 +649,64 @@ def test_deeply_nested_config_exits_1(tmp_path, command):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert str(cfg) in proc.stderr
+
+
+def misspelt_phase(doc):
+    doc["superframes"][0] = {"cell": [0, 0], "SO": 0, "BO": 1, "phse": 1}
+
+
+def misspelt_domain(doc):
+    doc["domian"] = "US"
+
+
+def per_pan_with(key):
+    def edit(doc):
+        doc["workload"] = {"per_pan": [{"cell": sf["cell"], "slots": [3]} for sf in doc["superframes"]], key: 2}
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, line",
+    [
+        (misspelt_phase, "superframes[0].phse: unknown key; expected one of BO, SO, cell, notes, phase\n"),
+        (misspelt_domain, "domian: unknown key; expected one of "),
+        (per_pan_with("requests_per_pan"), "workload: give either per_pan or requests_per_pan and slots_per_request"),
+        (per_pan_with("slots_per_request"), "workload: give either per_pan or requests_per_pan and slots_per_request"),
+    ],
+    ids=["superframe-phse", "top-level-domian", "per-pan-and-requests", "per-pan-and-slots"],
+)
+def test_ignored_config_keys_exit_1(tmp_path, reference_config_path, edit, line):
+    # each key would otherwise be dropped and its default used, with exit 0
+    doc = json.loads(Path(reference_config_path).read_text())
+    edit(doc)
+    proc = run_cli_process(tmp_path, "evaluate", write_config(tmp_path, doc))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {line}") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "path, field",
+    [
+        ((), "extra"),
+        (("lattice",), "lattice.extra"),
+        (("domain",), "domain.extra"),
+        (("domain", "channels", 2), "domain.channels[2].extra"),
+        (("superframes", 3), "superframes[3].extra"),
+        (("workload",), "workload.extra"),
+        (("workload", "per_pan", 3), "workload.per_pan[3].extra"),
+    ],
+)
+def test_unknown_keys_are_named_and_notes_allowed(tmp_path, capsys, reference_config_path, path, field):
+    doc, entries = per_pan_entries(reference_config_path)
+    doc["domain"] = {"name": "lab", "channels": [{"phy_channel": 1, "code": k} for k in range(1, 9)]}
+    doc["workload"] = {"per_pan": entries}
+    target = doc
+    for step in path:
+        target = target[step]
+    target["notes"] = "ignored"
+    assert load_config(write_config(tmp_path, doc)).superframes
+    target["extra"] = 0
+    assert reject_line(tmp_path, capsys, doc).startswith(f"error: {field}: unknown key; expected one of ")
+

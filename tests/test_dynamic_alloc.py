@@ -6,9 +6,10 @@ import pytest
 from conftest import roadmap_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import is_active, verify_coloring
 
 from hexchan.cli import main
-from hexchan.coloring import DEFAULT_VERTEX_CAP, chromatic_coloring, data_graph_coloring, verify_coloring
+from hexchan.coloring import DEFAULT_VERTEX_CAP, chromatic_coloring, data_graph_coloring
 from hexchan.config import load_config
 from hexchan.dynamic_alloc import (
     SuperframeConfig,
@@ -18,7 +19,6 @@ from hexchan.dynamic_alloc import (
     allocation_csv,
     allocation_json_doc,
     cycle_structure,
-    is_active,
 )
 from hexchan.errors import InsufficientSpectrumError, InvalidSuperframeError, NotInLatticeError
 from hexchan.interference import build_interference_graph, component_masks, iter_bits

@@ -11,8 +11,8 @@ most 3).
 from conftest import graph_from_edges
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import brute_force_chromatic
 
-from hexchan.coloring import brute_force_chromatic
 from hexchan.dynamic_alloc import SuperframeConfig, allocate_dynamic
 from hexchan.lattice import DATA_REUSE_METRIC, build_lattice, lattice_metric
 from hexchan.spectrum import DOMAIN_NAMES, channel_plan, default_domain, partition_channels

