@@ -10,6 +10,10 @@ output directory:
 
 Exit codes: 0 success, 1 validation or domain error, 2 I/O error.
 Outputs are deterministic: the same config produces byte-identical files.
+A rerun rewrites each report in place: a regular file at a report path
+with no other link keeps its inode and mode and is cut to the new text.
+Anything else there (a symlink, a hard-linked file, a FIFO) is removed and
+a new file is written, so nothing is ever written through a link.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -41,12 +47,37 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _open_untruncated(file, flags: int) -> int:
+    """The opener of ``open(file, "w")`` without its ``O_TRUNC``."""
+    return os.open(file, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write(out_dir: Path, name: str, chunks: Iterable[str]) -> None:
     """Write each chunk of a report as it comes: the per-(PAN, cycle) writers
-    stream theirs, small reports are passed as ``(text,)``."""
+    stream theirs, small reports are passed as ``(text,)``.
+
+    An old report is overwritten and then cut at the end of the new text,
+    because truncating it to zero at open made ext4 flush it at close, and
+    removing it instead made each rewrite create an inode, which was slower
+    still for small reports."""
     path = out_dir / name
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.writelines(chunks)
+    old_size = 0
+    try:
+        info = path.lstat()
+    except FileNotFoundError:
+        pass
+    else:
+        if stat.S_ISREG(info.st_mode) and info.st_nlink == 1:
+            old_size = info.st_size
+        else:
+            path.unlink()
+    with open(path, "w", encoding="utf-8", newline="", opener=_open_untruncated) as fh:
+        try:
+            fh.writelines(chunks)
+        finally:
+            # Also after a failed chunk, so no old tail is left behind it.
+            if fh.tell() < old_size:
+                fh.truncate()
     print(f"wrote {path}")
 
 

@@ -321,7 +321,7 @@ def load_config(path: str | Path, domain_override: str | None = None) -> Scenari
     """Parse and validate a scenario config file.
 
     ``domain_override`` replaces the config's domain by a built-in one
-    (the CLI's ``--domain`` flag).
+    (the CLI's ``--domain`` flag); the config's own domain is still checked.
     """
     path = Path(path)
     try:
@@ -344,12 +344,11 @@ def load_config(path: str | Path, domain_override: str | None = None) -> Scenari
     _known_keys(doc, "")
 
     lattice = _parse_lattice(doc)
+    domain = _parse_domain(doc)
     if domain_override is not None:
         if domain_override not in DOMAIN_NAMES:
             raise ConfigError(f"unknown domain {domain_override!r}; expected one of {DOMAIN_NAMES}")
         domain = default_domain(domain_override)
-    else:
-        domain = _parse_domain(doc)
     us_data_card = doc.get("us_data_card")
     if us_data_card is not None:
         if not isinstance(us_data_card, int) or us_data_card not in (24, 28):

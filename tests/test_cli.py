@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from conftest import roadmap_config
 
 import hexchan
+from hexchan import cli
 from hexchan.cli import main
 from hexchan.config import MAX_CELLS, MAX_PAN_CYCLES, MAX_REQUESTS_PER_PAN, MAX_SLOTS_PER_REQUEST, load_config
 from hexchan.errors import ConfigError
@@ -595,6 +597,92 @@ def test_repeat_runs_are_byte_identical(tmp_path, reference_config_path, block_c
                 assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+COMMANDS = ("lattice", "static", "dynamic", "evaluate")
+GOLDEN = json.loads((Path(__file__).resolve().parent / "golden_digests.json").read_text(encoding="utf-8"))
+
+
+def run_all(cfg: Path, out: Path) -> dict[str, bytes]:
+    """Every command on ``cfg`` into ``out``; the bytes of each report."""
+    for command in COMMANDS:
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def golden_reports(name: str) -> dict[str, str]:
+    """SHA-256 of each report the four commands write for a bundled config."""
+    return {report: digest for reports in GOLDEN[name].values() for report, digest in reports.items()}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_rerun_into_the_same_directory_is_byte_identical(tmp_path, reference_config_path, block_config_path):
+    for cfg in (reference_config_path, block_config_path):
+        out = tmp_path / cfg.stem
+        first = run_all(cfg, out)
+        assert {name: sha256(data) for name, data in first.items()} == golden_reports(cfg.stem)
+        assert not any(os.stat(out / name).st_mode & 0o111 for name in first)
+        # a plain report is rewritten in place: a handle opened before the
+        # rerun still reads a linked file
+        handles = {name: os.open(out / name, os.O_RDONLY) for name in first}
+        try:
+            assert run_all(cfg, out) == first
+            assert {name: os.fstat(fd).st_nlink for name, fd in handles.items()} == dict.fromkeys(first, 1)
+        finally:
+            for fd in handles.values():
+                os.close(fd)
+
+
+def test_rerun_of_another_config_leaves_no_old_bytes(tmp_path, reference_config_path, block_config_path):
+    # block-n2 and reference-12pan reports differ in length both ways
+    out = tmp_path / "out"
+    for cfg in (block_config_path, reference_config_path, block_config_path):
+        reports = run_all(cfg, out)
+        assert {name: sha256(data) for name, data in reports.items()} == golden_reports(cfg.stem)
+
+
+def test_failed_chunk_leaves_no_old_tail(tmp_path):
+    def chunks():
+        yield "new head\n"
+        raise RuntimeError("writer failed")
+
+    (tmp_path / "report.csv").write_text("old text\n" * 100, encoding="utf-8")
+    with pytest.raises(RuntimeError, match="writer failed"):
+        cli._write(tmp_path, "report.csv", chunks())
+    assert (tmp_path / "report.csv").read_text(encoding="utf-8") == "new head\n"
+
+
+def test_rerun_replaces_hard_linked_reports(tmp_path, reference_config_path, block_config_path):
+    # a link made to a report keeps the first run's file; the rerun writes a new one
+    out, kept = tmp_path / "out", tmp_path / "kept"
+    first = run_all(block_config_path, out)
+    kept.mkdir()
+    inodes = {}
+    for name in first:
+        os.link(out / name, kept / name)
+        inodes[name] = os.stat(out / name).st_ino
+    second = run_all(reference_config_path, out)
+    assert {name: sha256(data) for name, data in second.items()} == golden_reports("reference-12pan")
+    for name, data in first.items():
+        assert os.stat(kept / name).st_ino == inodes[name]
+        assert (kept / name).read_bytes() == data
+        assert os.stat(out / name).st_ino != inodes[name]
+
+
+def test_symlink_at_a_report_path_is_replaced(tmp_path, reference_config_path):
+    sentinel = tmp_path / "sentinel.txt"
+    sentinel.write_text("not a report\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "cells.csv").symlink_to(sentinel)
+    assert main(["lattice", "--config", str(reference_config_path), "--out", str(out)]) == 0
+    assert sentinel.read_text(encoding="utf-8") == "not a report\n"
+    cells = out / "cells.csv"
+    assert not cells.is_symlink() and cells.is_file()
+    assert sha256(cells.read_bytes()) == GOLDEN["reference-12pan"]["lattice"]["cells.csv"]
+
+
 def test_console_entry_point(tmp_path, reference_config_path):
     out = tmp_path / "out"
     # the child imports the package under test, installed or not
@@ -610,17 +698,36 @@ def test_console_entry_point(tmp_path, reference_config_path):
     assert "static_summary.json" in proc.stdout
 
 
-def run_cli_process(tmp_path, command, cfg):
-    """``hexchan COMMAND`` on ``cfg`` in a fresh interpreter, so its stderr
-    shows whether an exception escaped."""
+def run_cli_process(tmp_path, command, cfg, *args):
+    """``hexchan COMMAND`` on ``cfg`` (plus ``args``) in a fresh interpreter,
+    so its stderr shows whether an exception escaped."""
     package_root = str(Path(hexchan.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-m", "hexchan.cli", command, "--config", str(cfg), "--out", str(tmp_path / "o")],
+        [sys.executable, "-m", "hexchan.cli", command, "--config", str(cfg), "--out", str(tmp_path / "o"), *args],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def test_directory_at_a_report_path_exits_2(tmp_path, reference_config_path):
+    (tmp_path / "o" / "static_summary.json").mkdir(parents=True)
+    proc = run_cli_process(tmp_path, "static", reference_config_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("i/o error: ") and "Traceback" not in proc.stderr
+    assert (tmp_path / "o" / "static_summary.json").is_dir()
+
+
+@pytest.mark.parametrize("override", [(), ("--domain", "US")], ids=["config-domain", "domain-override"])
+def test_unknown_config_domain_exits_1_under_override(tmp_path, reference_config_path, override):
+    # --domain replaces the config's domain, but a bad one is still an error
+    doc = json.loads(Path(reference_config_path).read_text())
+    doc["domain"] = "Mars"
+    proc = run_cli_process(tmp_path, "static", write_config(tmp_path, doc), *override)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: domain: unknown domain 'Mars'") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["lattice", "evaluate"])
