@@ -9,15 +9,15 @@ from its greedy clique up, except that a component needing 4 colors on
 which the control pattern is proper (any metric-16 graph) gets that
 pattern.  It refuses graphs above ``DEFAULT_VERTEX_CAP`` vertices.
 
-A ``Coloring`` is one label per vertex position of the graph it colors
-(for ``pattern_coloring``, per cell of ``lattice.cells``), numbered by first
-appearance.
+A ``Coloring`` is a one-field named tuple: one label per vertex position
+of the graph it colors (for ``pattern_coloring``, per cell of
+``lattice.cells``), numbered by first appearance.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .errors import SizeLimitError
@@ -31,12 +31,11 @@ CONTROL = "control"
 DATA = "data"
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(namedtuple("Coloring", "labels")):
     """A color per vertex, in vertex order, numbered by first appearance, so
     the color ids are the contiguous range 0..num_colors-1."""
 
-    labels: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def num_colors(self) -> int:

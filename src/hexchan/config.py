@@ -14,14 +14,15 @@ The lattice may instead list explicit cells (``"cells": [[0, 0], [0, 2]]``)
 for irregular deployments, and the domain may be a custom channel table
 (``{"name": ..., "channels": [{"phy_channel": 4, "code": 7}, ...]}``).
 A ``notes`` field is allowed in every object and ignored; any other key
-outside an object's documented set is an error.
+outside an object's documented set is an error.  A custom table lists each
+channel once.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .dynamic_alloc import SuperframeConfig, cycle_structure
@@ -67,14 +68,10 @@ _KNOWN_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    lattice: Lattice
-    domain: RegulatoryDomain
-    us_data_card: int | None
-    superframes: tuple[SuperframeConfig, ...] | None
-    workload: RequestScenario | None
-    out_dir: str | None
+class ScenarioConfig(namedtuple("ScenarioConfig", "lattice domain us_data_card superframes workload out_dir")):
+    """A parsed config; the last four fields are None where it gives none."""
+
+    __slots__ = ()
 
     def plan(self) -> ChannelPlan:
         return channel_plan(self.domain, us_data_card=self.us_data_card)
@@ -223,7 +220,7 @@ def _parse_domain(doc) -> RegulatoryDomain:
     _known_keys(section, "domain")
     name = _expect(section, "name", str, "domain.name")
     raw = _expect(section, "channels", list, "domain.channels")
-    pairs = []
+    pairs = set()
     for k, entry in enumerate(raw):
         field = f"domain.channels[{k}]"
         if not isinstance(entry, dict):
@@ -231,7 +228,9 @@ def _parse_domain(doc) -> RegulatoryDomain:
         _known_keys(entry, field)
         phy = _expect(entry, "phy_channel", int, f"{field}.phy_channel")
         code = _expect(entry, "code", int, f"{field}.code")
-        pairs.append((phy, code))
+        if (phy, code) in pairs:
+            raise ConfigError(f"duplicate channel (phy_channel {phy}, code {code})", field=field)
+        pairs.add((phy, code))
     try:
         table = channels_from_pairs(pairs)
     except ValueError as exc:

@@ -14,7 +14,6 @@ whole data set while busy cycles fall back to the static share.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Iterator, Sequence
 
@@ -60,17 +59,13 @@ class SuperframeConfig(namedtuple("SuperframeConfig", "pan_cell so bo phase")):
         return 1 << self.bo
 
 
-@dataclass(frozen=True)
-class CycleStructure:
+class CycleStructure(namedtuple("CycleStructure", "bi_maj sd_min u_cycles")):
     """Major cycle, elementary cycle length, and cycles per major cycle."""
 
-    bi_maj: int
-    sd_min: int
-    u_cycles: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AllocationMatrix:
+class AllocationMatrix(namedtuple("AllocationMatrix", "channels per_cycle_chi per_cycle_k activity")):
     """The dynamic allocation of one run: activity and grants per PAN and cycle.
 
     ``activity[pan][cycle]`` is whether the PAN is active in the elementary
@@ -86,10 +81,7 @@ class AllocationMatrix:
     render idle entries from the activity alone.
     """
 
-    channels: tuple[tuple[tuple[LogicalChannel, ...], ...], ...]
-    per_cycle_chi: tuple[int, ...]
-    per_cycle_k: tuple[int, ...]
-    activity: tuple[tuple[bool, ...], ...]
+    __slots__ = ()
 
 
 # (chi, k, [(PAN index, grant)]) of one elementary cycle or one component.
@@ -299,6 +291,7 @@ def allocation_csv(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix)
     size = chunk_size(2, max(len(header), longest))
     idle_by_chi: dict[int, list[str]] = {}
     pans = range(n)
+    channels = alloc.channels
     pieces = ["", header]
     for t, (chi, column) in enumerate(zip(alloc.per_cycle_chi, zip(*alloc.activity))):
         chi_part = f"{chi},"
@@ -311,7 +304,7 @@ def allocation_csv(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix)
         pieces += repeat(f"{t + 1},", 2 * n)
         pieces[first::2] = idle_texts
         for k in compress(pans, column):
-            pieces[first + 2 * k] = active[k] + chi_part + tails[id(alloc.channels[k][t])]
+            pieces[first + 2 * k] = active[k] + chi_part + tails[id(channels[k][t])]
     yield from flush_chunks(pieces, size)
 
 
@@ -335,7 +328,7 @@ def allocation_json_doc(configs: Sequence[SuperframeConfig], alloc: AllocationMa
     # A grant sits at depth 4 of channels_per_cycle; every grant but a row's
     # last carries the separator to the next one, and the last closes the row.
     grants = {
-        key: json_array([ints((ch.phy_channel, ch.code), 5) for ch in grant], 4)
+        key: json_array([ints(ch, 5) for ch in grant], 4)
         for key, grant in _distinct_grants(alloc).items()
     }
     inner = {key: text + ",\n        " for key, text in grants.items()}

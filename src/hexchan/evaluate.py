@@ -11,7 +11,7 @@ workload is eight requests of three slots, i.e. 24 slots on one channel.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -32,20 +32,22 @@ SCHEMES = (SINGLE, STATIC, DYNAMIC)
 # them (the Japan figure disagrees with that table's own channel count).
 REFERENCE_DYNAMIC_PEAKS = {"US": 28, "Japan": 18, "Europe": 14}
 
-@dataclass(frozen=True)
-class RequestScenario:
-    """Per-PAN slot requests served in every cycle the PAN is active."""
 
-    per_pan: Mapping[CellIndex, tuple[int, ...]]
+class RequestScenario(namedtuple("RequestScenario", "per_pan")):
+    """Per-PAN slot requests served in every cycle the PAN is active:
+    ``per_pan`` maps each PAN's cell to a tuple of slot counts."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, per_pan: Mapping[CellIndex, tuple[int, ...]]) -> "RequestScenario":
         checked = set()  # ids of the request tuples checked, shared ones once
-        for cell, requests in self.per_pan.items():
+        for cell, requests in per_pan.items():
             if id(requests) in checked:
                 continue
             checked.add(id(requests))
             if not requests or min(requests) < 1:
                 raise ValueError(f"PAN ({cell.i}, {cell.j}) needs a non-empty list of positive slot counts")
+        return tuple.__new__(cls, (per_pan,))
 
     @classmethod
     def uniform(cls, cells: Iterable[CellIndex], count: int = 8, slots: int = 3) -> "RequestScenario":
@@ -55,8 +57,7 @@ class RequestScenario:
         return cls(per_pan={cell: requests for cell in cells})
 
 
-@dataclass(frozen=True)
-class SchemeReport:
+class SchemeReport(namedtuple("SchemeReport", "scheme active_cycles channel_counts outcomes")):
     """Channel counts, makespans and delay gains of one scheme, per PAN.
 
     All sequences are indexed by the 0-based PAN index.  ``active_cycles[p]``
@@ -74,10 +75,7 @@ class SchemeReport:
     mutated.
     """
 
-    scheme: str
-    active_cycles: tuple[tuple[int, ...], ...]
-    channel_counts: tuple[tuple[int, ...], ...]
-    outcomes: tuple[dict[int, tuple[int, float]], ...]
+    __slots__ = ()
 
 
 def makespan(requests: Sequence[int], num_channels: int) -> int:

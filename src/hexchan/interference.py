@@ -14,8 +14,6 @@ reuse offsets around each cell, so a build is linear in the number of cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .lattice import CellIndex, Lattice, interference_offsets
@@ -46,16 +44,24 @@ def component_masks(rows: tuple[int, ...], mask: int) -> list[int]:
     return components
 
 
-@dataclass(frozen=True)
 class InterferenceGraph:
     """Undirected simple graph on an ordered tuple of cells.
 
     ``rows[p]`` is the adjacency bitmask of the cell ``vertices[p]``; the
-    rows are symmetric and have no self-loops.
+    rows are symmetric and have no self-loops.  ``len(graph)`` is the vertex
+    count.  Graphs are immutable.
     """
 
-    vertices: tuple[CellIndex, ...]
-    rows: tuple[int, ...]
+    __slots__ = ("vertices", "rows")
+
+    def __init__(self, vertices: tuple[CellIndex, ...], rows: tuple[int, ...]) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"InterferenceGraph.{name} is read-only: graphs are immutable")
+
+    __delattr__ = __setattr__
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -64,9 +70,9 @@ class InterferenceGraph:
         """Edges as (lower, higher) vertex positions, sorted."""
         return [(p, q) for p, row in enumerate(self.rows) for q in iter_bits(row & -(2 << p))]
 
-    @cached_property
+    @property
     def edges(self) -> frozenset[tuple[CellIndex, CellIndex]]:
-        """Edges as (lower, higher)-position cell pairs."""
+        """Edges as (lower, higher)-position cell pairs, built on each read."""
         vertices = self.vertices
         return frozenset((vertices[p], vertices[q]) for p, q in self.edge_index_pairs())
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import NotInLatticeError
@@ -55,26 +54,39 @@ def extreme_cells(cells: Sequence[CellIndex]) -> tuple[CellIndex, ...]:
     return tuple(cells[values.index(extreme(values))] for extreme in (min, max) for values in (i_values, j_values))
 
 
-@dataclass(frozen=True)
 class Lattice:
     """A finite set of cells with shared radius and Cartesian origin.
 
     ``cells`` is ordered row-major (by j, then i) and duplicate-free, and
-    ``members`` holds them as a frozenset.
+    ``members`` holds them as a frozenset.  ``len(lattice)`` is the cell
+    count.  Lattices are immutable and equal when their radius, origin and
+    cells are.
     """
 
-    radius_r: float
-    origin: tuple[float, float]
-    cells: tuple[CellIndex, ...]
-    members: frozenset[CellIndex] = field(init=False, repr=False, compare=False)
+    __slots__ = ("radius_r", "origin", "cells", "members")
 
-    def __post_init__(self) -> None:
-        if self.radius_r <= 0:
+    def __init__(self, radius_r: float, origin: tuple[float, float], cells: tuple[CellIndex, ...]) -> None:
+        if radius_r <= 0:
             raise ValueError("radius_r must be positive")
-        members = frozenset(self.cells)
-        if len(members) != len(self.cells):
+        members = frozenset(cells)
+        if len(members) != len(cells):
             raise ValueError("duplicate cells in lattice")
-        object.__setattr__(self, "members", members)
+        for name, value in zip(self.__slots__, (radius_r, origin, cells, members)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"Lattice.{name} is read-only: lattices are immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return (self.radius_r, self.origin, self.cells)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Lattice and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __contains__(self, cell: CellIndex) -> bool:
         return cell in self.members

@@ -16,7 +16,7 @@ scenario config and overrides the defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, InvalidDomainTableError
@@ -27,18 +27,18 @@ JAPAN = "Japan"
 DOMAIN_NAMES = (US, EUROPE, JAPAN)
 
 
-@dataclass(frozen=True, order=True)
-class LogicalChannel:
-    """One (physical channel, sequence code) pair."""
+class LogicalChannel(namedtuple("LogicalChannel", "phy_channel code")):
+    """One (physical channel, sequence code) pair; a tuple that equals,
+    hashes and sorts like the plain pair."""
 
-    phy_channel: int
-    code: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.phy_channel <= 15:
-            raise ValueError(f"phy_channel {self.phy_channel} outside 0..15")
-        if not 1 <= self.code <= 8:
-            raise ValueError(f"code {self.code} outside 1..8")
+    def __new__(cls, phy_channel: int, code: int) -> "LogicalChannel":
+        if not 0 <= phy_channel <= 15:
+            raise ValueError(f"phy_channel {phy_channel} outside 0..15")
+        if not 1 <= code <= 8:
+            raise ValueError(f"code {code} outside 1..8")
+        return tuple.__new__(cls, (phy_channel, code))
 
     def token(self) -> str:
         """Compact text form used in CSV output, e.g. ``4:7``."""
@@ -51,20 +51,16 @@ CONTROL_CAPABLE = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class RegulatoryDomain:
-    """A named set of admissible logical channels."""
+class RegulatoryDomain(namedtuple("RegulatoryDomain", "name total_channels")):
+    """A named set (a frozenset) of admissible logical channels."""
 
-    name: str
-    total_channels: frozenset[LogicalChannel]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ChannelPlan:
-    """Disjoint control/data split of one domain's channels."""
+class ChannelPlan(namedtuple("ChannelPlan", "control_set data_set")):
+    """Disjoint control/data split of one domain's channels, as frozensets."""
 
-    control_set: frozenset[LogicalChannel]
-    data_set: frozenset[LogicalChannel]
+    __slots__ = ()
 
     def ordered_control(self) -> tuple[LogicalChannel, ...]:
         return tuple(sorted(self.control_set))

@@ -11,7 +11,7 @@ tuples in ``lattice.cells`` order, read off the colorings' label lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .coloring import (
     CONTROL,
@@ -27,8 +27,7 @@ from .lattice import CONTROL_REUSE_METRIC, DATA_REUSE_METRIC, Lattice
 from .spectrum import ChannelPlan, LogicalChannel, partition_channels
 
 
-@dataclass(frozen=True)
-class StaticAllocation:
+class StaticAllocation(namedtuple("StaticAllocation", "control data_groups k_static chi_control chi_data unassigned")):
     """Full static assignment plus the summary numbers reports need.
 
     ``control`` and ``data_groups`` hold one entry per cell of
@@ -38,12 +37,7 @@ class StaticAllocation:
     a dense network needs), so the data side can still be reported.
     """
 
-    control: tuple[LogicalChannel, ...] | None
-    data_groups: tuple[tuple[LogicalChannel, ...], ...]
-    k_static: int
-    chi_control: int
-    chi_data: int
-    unassigned: tuple[LogicalChannel, ...]
+    __slots__ = ()
 
 
 def _data_groups(coloring: Coloring, plan: ChannelPlan) -> tuple[tuple[tuple[LogicalChannel, ...], ...], int]:
@@ -110,7 +104,7 @@ def static_allocation_csv(lattice: Lattice, alloc: StaticAllocation) -> str:
     if alloc.control is None:
         heads = [f"{i},{j},," for i, j in cells]
     else:
-        heads = [f"{i},{j},{ch.phy_channel},{ch.code}" for (i, j), ch in zip(cells, alloc.control)]
+        heads = [f"{i},{j},{phy},{code}" for (i, j), (phy, code) in zip(cells, alloc.control)]
     lines = [",".join(header)]
     lines += [head + tails[id(group)] for head, group in zip(heads, alloc.data_groups)]
     return "\r\n".join(lines) + "\r\n"

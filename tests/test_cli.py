@@ -698,17 +698,43 @@ def test_console_entry_point(tmp_path, reference_config_path):
     assert "static_summary.json" in proc.stdout
 
 
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports this hexchan."""
+    package_root = str(Path(hexchan.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli_process(tmp_path, command, cfg, *args):
     """``hexchan COMMAND`` on ``cfg`` (plus ``args``) in a fresh interpreter,
     so its stderr shows whether an exception escaped."""
-    package_root = str(Path(hexchan.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
         [sys.executable, "-m", "hexchan.cli", command, "--config", str(cfg), "--out", str(tmp_path / "o"), *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # Every run pays for importing hexchan.cli.  The records are named
+    # tuples and slotted classes, so `dataclasses` and what it imports
+    # (inspect, ast, dis, tokenize) stay unloaded.  -S keeps site-packages
+    # .pth files, which may import modules of their own, out of the count.
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, hexchan.cli; print([name for name in {heavy!r} if name in sys.modules])"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_duplicate_channel_in_a_custom_table_exits_1(tmp_path, reference_config_path):
+    # A repeated (phy_channel, code) pair would be merged into one channel.
+    doc = json.loads(Path(reference_config_path).read_text())
+    doc["domain"] = {"name": "lab", "channels": [{"phy_channel": 4, "code": 7}, {"phy_channel": 4, "code": 7}]}
+    proc = run_cli_process(tmp_path, "static", write_config(tmp_path, doc))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: domain.channels[1]: duplicate channel (phy_channel 4, code 7)\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_directory_at_a_report_path_exits_2(tmp_path, reference_config_path):

@@ -84,6 +84,8 @@ def test_request_scenario_validation():
     with pytest.raises(ValueError):
         RequestScenario(per_pan={CellIndex(0, 0): ()})
     with pytest.raises(ValueError):
+        RequestScenario(per_pan={CellIndex(0, 0): (3,), CellIndex(1, 1): (3, 0)})
+    with pytest.raises(ValueError):
         RequestScenario.uniform([CellIndex(0, 0)], count=0)
 
 

@@ -23,6 +23,8 @@ def test_logical_channel_validation():
         LC(0, 0)
     with pytest.raises(ValueError):
         LC(-1, 3)
+    with pytest.raises(ValueError):
+        LC(4, 9)
     assert LC(4, 7).token() == "4:7"
 
 

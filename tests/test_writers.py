@@ -16,7 +16,6 @@ equal unshared copies must give the same text.
 
 import hashlib
 import json
-from dataclasses import replace
 from itertools import chain
 
 from conftest import scheme_entries
@@ -341,7 +340,7 @@ def test_summary_renders_a_never_active_pan_as_null():
     # least once; a report without outcomes for a PAN still renders as
     # json.dumps renders None.
     lattice, configs, plan, scenario = IDLE
-    reports = [replace(r, outcomes=({},) + r.outcomes[1:]) for r in compare_schemes(lattice, configs, plan, scenario)]
+    reports = [r._replace(outcomes=({},) + r.outcomes[1:]) for r in compare_schemes(lattice, configs, plan, scenario)]
     text = evaluation_summary_json(configs, plan, "Europe", reports)
     doc = json.loads(text)
     assert text == json.dumps(doc, indent=2) + "\n"
@@ -354,7 +353,7 @@ def test_summary_renders_a_never_active_pan_as_null():
 
 def unshared(reports):
     """The reports with every outcome table replaced by an equal copy."""
-    return [replace(r, outcomes=tuple(dict(table) for table in r.outcomes)) for r in reports]
+    return [r._replace(outcomes=tuple(dict(table) for table in r.outcomes)) for r in reports]
 
 
 @settings(max_examples=40, deadline=None)
@@ -388,7 +387,7 @@ def test_summary_keys_templates_by_all_three_tables(reference_config_path):
     own = tuple(
         {k: (slots + pan, delay) for k, (slots, delay) in table.items()} for pan, table in enumerate(static.outcomes)
     )
-    mixed = [single, replace(static, outcomes=own), dynamic]
+    mixed = [single, static._replace(outcomes=own), dynamic]
     text = evaluation_summary_json(configs, plan, "custom", mixed)
     assert text == evaluation_summary_json(configs, plan, "custom", unshared(mixed))
     assert [entry["best_makespan"]["static"] for entry in json.loads(text)["per_pan"]] == [6 + p for p in range(12)]
@@ -412,8 +411,7 @@ def test_report_runs_of_one_count_several_counts_and_none():
     ]
     # a PAN that is never active has an empty run: no line, no separator
     idle = [
-        replace(
-            r,
+        r._replace(
             active_cycles=((),) + r.active_cycles[1:],
             channel_counts=((),) + r.channel_counts[1:],
             outcomes=({},) + r.outcomes[1:],
@@ -422,7 +420,7 @@ def test_report_runs_of_one_count_several_counts_and_none():
     ]
     kept = [line for line in lines[:-1] if line.split(",")[1] != "1"]
     assert joined(scheme_report_csv(configs, idle)) == "\r\n".join(kept) + "\r\n"
-    none_active = [replace(r, active_cycles=((),) * 2, channel_counts=((),) * 2, outcomes=({},) * 2) for r in reports]
+    none_active = [r._replace(active_cycles=((),) * 2, channel_counts=((),) * 2, outcomes=({},) * 2) for r in reports]
     assert joined(scheme_report_csv(configs, none_active)) == lines[0] + "\r\n"
 
 
