@@ -46,7 +46,7 @@ from .spectrum import (
     default_domain,
     partition_channels,
 )
-from .static_alloc import StaticAllocation, allocate_static, allocate_static_data
+from .static_alloc import StaticAllocation, allocate_static
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "activity_matrix",
     "allocate_dynamic",
     "allocate_static",
-    "allocate_static_data",
     "build_interference_graph",
     "build_lattice",
     "center_of",

@@ -91,7 +91,7 @@ def cmd_lattice(cfg: ScenarioConfig, out_dir: Path) -> None:
         lines.append(f"{i},{j},{x!r},{y!r}")
     _write(out_dir, "cells.csv", ("\r\n".join(lines) + "\r\n",))
     for name, threshold in (("edges_control.txt", CONTROL_REUSE_METRIC), ("edges_data.txt", DATA_REUSE_METRIC)):
-        graph = build_interference_graph(lattice, None, threshold)
+        graph = build_interference_graph(lattice, threshold)
         _write(out_dir, name, (edge_list_text(graph),))
 
 

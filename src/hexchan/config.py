@@ -32,9 +32,9 @@ from .lattice import CellIndex, Lattice, build_lattice, center_of, extreme_cells
 from .spectrum import (
     DOMAIN_NAMES,
     ChannelPlan,
+    LogicalChannel,
     RegulatoryDomain,
     channel_plan,
-    channels_from_pairs,
     default_domain,
 )
 
@@ -220,7 +220,7 @@ def _parse_domain(doc) -> RegulatoryDomain:
     _known_keys(section, "domain")
     name = _expect(section, "name", str, "domain.name")
     raw = _expect(section, "channels", list, "domain.channels")
-    pairs = set()
+    table = set()
     for k, entry in enumerate(raw):
         field = f"domain.channels[{k}]"
         if not isinstance(entry, dict):
@@ -228,14 +228,14 @@ def _parse_domain(doc) -> RegulatoryDomain:
         _known_keys(entry, field)
         phy = _expect(entry, "phy_channel", int, f"{field}.phy_channel")
         code = _expect(entry, "code", int, f"{field}.code")
-        if (phy, code) in pairs:
+        try:
+            channel = LogicalChannel(phy, code)
+        except ValueError as exc:
+            raise ConfigError(str(exc), field=field) from None
+        if channel in table:
             raise ConfigError(f"duplicate channel (phy_channel {phy}, code {code})", field=field)
-        pairs.add((phy, code))
-    try:
-        table = channels_from_pairs(pairs)
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="domain.channels") from None
-    return RegulatoryDomain(name=name, total_channels=table)
+        table.add(channel)
+    return RegulatoryDomain(name=name, total_channels=frozenset(table))
 
 
 def _parse_superframes(doc, lattice: Lattice):

@@ -4,8 +4,9 @@ Every PAN runs a beacon-mode superframe with active period SD = 2^SO inside
 a beacon interval BI = 2^BO (both counted in base superframe units, SO <=
 BO).  The network-wide schedule repeats with the major cycle, the largest
 BI; time is sliced into elementary cycles of the smallest SD.  Per
-elementary cycle, the PANs active in it induce a metric-12 interference
-graph; each connected component is colored with the fewest colors and
+elementary cycle, the PANs active in it are a position mask over the
+lattice's metric-12 interference graph; each connected component of the
+subgraph it induces is colored with the fewest colors and
 every PAN in a component with chi colors receives a disjoint group of
 |data channels| // chi channels for that cycle, so isolated PANs get the
 whole data set while busy cycles fall back to the static share.
@@ -18,8 +19,8 @@ from itertools import compress, repeat
 from typing import Iterator, Sequence
 
 from .coloring import data_labels
-from .errors import InsufficientSpectrumError, InvalidSuperframeError
-from .interference import build_interference_graph, component_masks, iter_bits
+from .errors import InsufficientSpectrumError, InvalidSuperframeError, NotInLatticeError
+from .interference import InterferenceGraph, build_interference_graph, component_masks, iter_bits
 from .jsontext import chunk_size, flush_chunks, json_array, json_object
 from .lattice import DATA_REUSE_METRIC, CellIndex, Lattice
 from .spectrum import ChannelPlan, LogicalChannel, partition_channels
@@ -131,40 +132,49 @@ def activity_matrix(configs: Sequence[SuperframeConfig]) -> tuple[tuple[bool, ..
 
 
 def allocate_dynamic(lattice: Lattice, configs: Sequence[SuperframeConfig], plan: ChannelPlan) -> AllocationMatrix:
-    """Per-PAN per-cycle channel groups over one major cycle.
+    """Per-PAN per-cycle channel groups over one major cycle, colored on the
+    lattice's metric-12 graph by ``_allocate_on_graph``."""
+    return _allocate_on_graph(build_interference_graph(lattice, DATA_REUSE_METRIC), configs, plan)
 
-    Within a cycle, each connected component of the active PANs' metric-12
-    graph is colored with the fewest colors by ``data_labels``: its BFS
+
+def _allocate_on_graph(
+    graph: InterferenceGraph, configs: Sequence[SuperframeConfig], plan: ChannelPlan
+) -> AllocationMatrix:
+    """``allocate_dynamic`` on ``graph``, the metric-12 graph of the PANs' lattice.
+
+    Within a cycle, each connected component of the active PANs' subgraph
+    is colored with the fewest colors by ``data_labels``: its BFS
     2-coloring when bipartite, else the data pattern, so chi <= 3 and no
     search runs.  A PAN in a component needing chi colors gets the group of
     |data| // chi channels matching its color.  PANs in different
     components may share channels, they are out of range of each other.
 
-    The work runs in index space: one adjacency bitmask row per PAN
-    position, one bitmask of active positions per cycle.  Two memos live
-    for the call.  A cycle whose active mask occurred before reuses that
-    cycle's result.  A component whose position mask occurred before, in
-    any cycle, reuses its (chi, group size, [(PAN, grant)]).  A component
-    with more colors than data channels raises ``InsufficientSpectrumError``
-    naming the first cycle it is active in.
+    The work runs in index space: each PAN is a graph position, found in
+    the graph's position table, and each cycle a bitmask of its active
+    PANs' positions.  Two memos live for the call.  A cycle whose active
+    mask occurred before reuses that cycle's result.  A component whose
+    position mask occurred before, in any cycle, reuses its (chi, group
+    size, [(PAN, grant)]).  A component with more colors than data channels
+    raises ``InsufficientSpectrumError`` naming the first cycle it is
+    active in.
     """
-    cells = [c.pan_cell for c in configs]
-    for cell in cells:
-        lattice.require(cell)
-    if len(set(cells)) != len(cells):
+    position = {cell: p for p, cell in enumerate(graph.vertices)}
+    pan_positions = []
+    for cfg in configs:
+        p = position.get(cfg.pan_cell)
+        if p is None:
+            raise NotInLatticeError(f"cell ({cfg.pan_cell.i}, {cfg.pan_cell.j}) is not in the lattice")
+        pan_positions.append(p)
+    pan_at = dict(zip(pan_positions, range(len(configs))))  # graph position -> PAN index
+    if len(pan_at) != len(configs):
         raise ValueError("duplicate PAN cells in superframe configs")
     activity = activity_matrix(configs)
     u = len(activity[0])
     ordered_data = plan.ordered_data()
-    graph = build_interference_graph(lattice, cells, DATA_REUSE_METRIC)
     rows = graph.rows
-    position = {cell: p for p, cell in enumerate(graph.vertices)}
 
-    pan_at = [0] * len(cells)  # graph position -> PAN index
     cycle_masks = [0] * u
-    for k, (cell, active) in enumerate(zip(cells, activity)):
-        p = position[cell]
-        pan_at[p] = k
+    for p, active in zip(pan_positions, activity):
         for t in compress(range(u), active):
             cycle_masks[t] |= 1 << p
 

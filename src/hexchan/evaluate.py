@@ -15,12 +15,14 @@ from collections import namedtuple
 from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .coloring import data_graph_coloring
 from .errors import OrderingError
-from .dynamic_alloc import SuperframeConfig, allocate_dynamic, cycle_structure
+from .dynamic_alloc import SuperframeConfig, _allocate_on_graph, cycle_structure
+from .interference import build_interference_graph
 from .jsontext import chunk_size, flush_chunks, json_array, json_object
-from .lattice import CellIndex, Lattice
+from .lattice import DATA_REUSE_METRIC, CellIndex, Lattice
 from .spectrum import ChannelPlan
-from .static_alloc import allocate_static_data
+from .static_alloc import _data_groups
 
 SINGLE = "single"
 STATIC = "static"
@@ -111,13 +113,16 @@ def compare_schemes(
 
     Single-channel gives every PAN one data channel, static gives k_static,
     dynamic the per-cycle grant; all three follow the same duty cycles.
+    The lattice's metric-12 graph is built once: k_static is read off its
+    coloring, and the dynamic grants color PAN masks over it.
     """
     missing = [c.pan_cell for c in configs if c.pan_cell not in scenario.per_pan]
     if missing:
         cell = missing[0]
         raise ValueError(f"workload does not cover PAN ({cell.i}, {cell.j})")
-    _, k_static = allocate_static_data(lattice, plan)
-    dynamic = allocate_dynamic(lattice, configs, plan)
+    graph = build_interference_graph(lattice, DATA_REUSE_METRIC)
+    _, k_static = _data_groups(data_graph_coloring(graph), plan)
+    dynamic = _allocate_on_graph(graph, configs, plan)
     u = len(dynamic.per_cycle_chi)
     active_cycles = tuple(tuple(compress(range(u), row)) for row in dynamic.activity)
     counts_by_scheme = {

@@ -4,17 +4,18 @@ Vertices are cells; an edge joins two cells whose integer lattice metric is
 strictly below the reuse threshold (cells exactly at the reuse distance may
 share a channel, so they are not adjacent).
 
-A graph is its ordered cells plus one adjacency bitmask per cell position:
-bit q of ``rows[p]`` is set iff vertices p and q are adjacent.  A set of
-positions is a bitmask too, so subgraphs and connected components are
-masks over the rows (``component_masks``), and colorings are label lists
-in vertex order.  Lattice graphs are built by looking up the finite set of
+A graph spans every cell of its lattice: its ordered cells plus one
+adjacency bitmask per cell position, where bit q of ``rows[p]`` is set iff
+vertices p and q are adjacent.  A set of cells (the PANs active in a cycle,
+say) is a bitmask of positions too, so subgraphs and connected components
+are masks over the rows (``component_masks``), and colorings are label
+lists in vertex order.  A graph is built by looking up the finite set of
 reuse offsets around each cell, so a build is linear in the number of cells.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .lattice import CellIndex, Lattice, interference_offsets
 
@@ -77,23 +78,15 @@ class InterferenceGraph:
         return frozenset((vertices[p], vertices[q]) for p, q in self.edge_index_pairs())
 
 
-def build_interference_graph(
-    lattice: Lattice, active_cells: Iterable[CellIndex] | None, metric_threshold: int
-) -> InterferenceGraph:
-    """Graph on ``active_cells`` (default: every lattice cell), in lattice order.
+def build_interference_graph(lattice: Lattice, metric_threshold: int) -> InterferenceGraph:
+    """Graph on every lattice cell, in lattice order.
 
     Edge iff metric(a, b) < metric_threshold; the strict comparison makes
     cells exactly at the reuse distance channel-compatible.
     """
     if metric_threshold <= 0:
         raise ValueError("metric_threshold must be positive")
-    if active_cells is None:
-        vertices = lattice.cells
-    else:
-        wanted = set(active_cells)
-        for c in wanted:
-            lattice.require(c)
-        vertices = tuple(c for c in lattice.cells if c in wanted)
+    vertices = lattice.cells
     # Cell (i, j) is keyed by the integer i * stride + j; the stride exceeds
     # twice the largest |j| a lookup can reach, so keys never collide.
     offsets = interference_offsets(metric_threshold)

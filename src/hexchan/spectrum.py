@@ -17,7 +17,7 @@ scenario config and overrides the defaults.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CapacityError, InvalidDomainTableError
 
@@ -137,7 +137,3 @@ def partition_channels(
     unassigned = tuple(channels[needed:])
     return groups, unassigned
 
-
-def channels_from_pairs(pairs: Iterable[tuple[int, int]]) -> frozenset[LogicalChannel]:
-    """Build a channel set from (phy_channel, code) pairs, e.g. a config table."""
-    return frozenset(LogicalChannel(phy, code) for phy, code in pairs)

@@ -54,13 +54,6 @@ def _data_groups(coloring: Coloring, plan: ChannelPlan) -> tuple[tuple[tuple[Log
     return tuple(groups[color] for color in coloring.labels), k_static
 
 
-def allocate_static_data(
-    lattice: Lattice, plan: ChannelPlan
-) -> tuple[tuple[tuple[LogicalChannel, ...], ...], int]:
-    """Per-cell data-channel groups in lattice order, and the uniform group size k_static."""
-    return _data_groups(data_graph_coloring(build_interference_graph(lattice, None, DATA_REUSE_METRIC)), plan)
-
-
 def allocate_static(lattice: Lattice, plan: ChannelPlan) -> StaticAllocation:
     """Control assignment and static data groups in one report-ready record.
 
@@ -70,10 +63,10 @@ def allocate_static(lattice: Lattice, plan: ChannelPlan) -> StaticAllocation:
     minimum coloring at any size.
     """
     if len(lattice) <= DEFAULT_VERTEX_CAP:
-        control_coloring = chromatic_coloring(build_interference_graph(lattice, None, CONTROL_REUSE_METRIC))
+        control_coloring = chromatic_coloring(build_interference_graph(lattice, CONTROL_REUSE_METRIC))
     else:
         control_coloring = pattern_coloring(lattice, CONTROL)
-    data_coloring = data_graph_coloring(build_interference_graph(lattice, None, DATA_REUSE_METRIC))
+    data_coloring = data_graph_coloring(build_interference_graph(lattice, DATA_REUSE_METRIC))
     channels = plan.ordered_control()
     control = None
     if control_coloring.num_colors <= len(channels):

@@ -27,10 +27,11 @@ from hexchan.lattice import (
     DATA_REUSE_METRIC,
     CellIndex,
     build_lattice,
+    lattice_from_cells,
     lattice_metric,
 )
 from hexchan.spectrum import channel_plan, default_domain
-from hexchan.static_alloc import allocate_static_data
+from hexchan.static_alloc import allocate_static
 
 C = CellIndex
 
@@ -42,8 +43,8 @@ def report(criterion, message):
 def test_criterion_01_fixture_chromatic_numbers():
     start = time.perf_counter()
     lat = twelve_cell_lattice()
-    chi16 = chromatic_coloring(build_interference_graph(lat, None, CONTROL_REUSE_METRIC)).num_colors
-    chi12 = chromatic_coloring(build_interference_graph(lat, None, DATA_REUSE_METRIC)).num_colors
+    chi16 = chromatic_coloring(build_interference_graph(lat, CONTROL_REUSE_METRIC)).num_colors
+    chi12 = chromatic_coloring(build_interference_graph(lat, DATA_REUSE_METRIC)).num_colors
     elapsed = time.perf_counter() - start
     assert chi16 == 4
     assert chi12 == 3
@@ -53,9 +54,8 @@ def test_criterion_01_fixture_chromatic_numbers():
 
 def test_criterion_02_cluster_and_random_oracle():
     start = time.perf_counter()
-    lat = build_lattice(3, 1.0)
     cluster = [C(0, 0), C(0, 2), C(0, -2), C(1, 1), C(1, -1), C(-1, 1), C(-1, -1)]
-    g = build_interference_graph(lat, cluster, DATA_REUSE_METRIC)
+    g = build_interference_graph(lattice_from_cells(cluster, 1.0), DATA_REUSE_METRIC)
     assert chromatic_coloring(g).num_colors == 3
     assert brute_force_chromatic(g) == 3
 
@@ -102,7 +102,7 @@ def test_criterion_04_theorem_bounds():
     for n in range(1, 7):
         lat = build_lattice(n, 1.0)
         for kind, threshold, bound in (("control", CONTROL_REUSE_METRIC, 4), ("data", DATA_REUSE_METRIC, 3)):
-            graph = build_interference_graph(lat, None, threshold)
+            graph = build_interference_graph(lat, threshold)
             pattern = pattern_coloring(lat, kind)
             assert pattern.num_colors <= bound
             assert verify_coloring(graph, pattern)
@@ -113,12 +113,12 @@ def test_criterion_04_theorem_bounds():
 
 def test_criterion_05_k_static_per_domain(tmp_path):
     lat = twelve_cell_lattice()
-    _, k_eu = allocate_static_data(lat, channel_plan(default_domain("Europe")))
-    _, k_jp = allocate_static_data(lat, channel_plan(default_domain("Japan")))
-    _, k_us = allocate_static_data(lat, channel_plan(default_domain("US")))
+    k_eu = allocate_static(lat, channel_plan(default_domain("Europe"))).k_static
+    k_jp = allocate_static(lat, channel_plan(default_domain("Japan"))).k_static
+    k_us = allocate_static(lat, channel_plan(default_domain("US"))).k_static
     assert (k_eu, k_jp, k_us) == (4, 6, 8)
 
-    _, k_us28 = allocate_static_data(lat, channel_plan(default_domain("US"), us_data_card=28))
+    k_us28 = allocate_static(lat, channel_plan(default_domain("US"), us_data_card=28)).k_static
     assert k_us28 == 9
     cfg = tmp_path / "us28.json"
     cfg.write_text(json.dumps({
@@ -192,7 +192,7 @@ def test_criterion_09_randomized_property_suite():
         u = cs.u_cycles
         act = activity_matrix(configs)
         alloc = allocate_dynamic(lat, configs, plan)
-        _, k_static = allocate_static_data(lat, plan)
+        k_static = allocate_static(lat, plan).k_static
         cells = [c.pan_cell for c in configs]
 
         for t in range(u):
@@ -227,7 +227,7 @@ def test_criterion_09_randomized_property_suite():
         # with SO = BO everywhere, every cycle reduces to the static groups
         flat = [SuperframeConfig(pan_cell=cell, so=1, bo=1) for cell in lat.cells]
         flat_alloc = allocate_dynamic(lat, flat, plan)
-        groups = dict(zip(lat.cells, allocate_static_data(lat, plan)[0]))
+        groups = dict(zip(lat.cells, allocate_static(lat, plan).data_groups))
         for k, cfg in enumerate(flat):
             for grant in flat_alloc.channels[k]:
                 assert grant == groups[cfg.pan_cell]

@@ -8,13 +8,14 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import roadmap_config
+from conftest import TEST_CONFIG_DIR, roadmap_config
 
 import hexchan
 from hexchan import cli
 from hexchan.cli import main
 from hexchan.config import MAX_CELLS, MAX_PAN_CYCLES, MAX_REQUESTS_PER_PAN, MAX_SLOTS_PER_REQUEST, load_config
 from hexchan.errors import ConfigError
+from hexchan.interference import build_interference_graph
 from hexchan.lattice import build_lattice
 
 
@@ -278,6 +279,26 @@ def test_evaluate_command_reference(tmp_path, reference_config_path):
     assert {"3", "4", "6"} == dynamics
     summary = json.loads((out / "evaluation_summary.json").read_text())
     assert summary["computed_dynamic_peak"] == 14
+
+
+@pytest.mark.parametrize(
+    "command, thresholds",
+    [("lattice", [16, 12]), ("static", [16, 12]), ("dynamic", [12]), ("evaluate", [12])],
+)
+def test_each_command_builds_each_interference_graph_once(tmp_path, monkeypatch, command, thresholds):
+    # evaluate reads its static share and its dynamic grants off one
+    # metric-12 graph of the whole lattice
+    built = []
+
+    def counting(lattice, *args):
+        built.append((len(lattice), args[-1]))
+        return build_interference_graph(lattice, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hexchan") and hasattr(module, "build_interference_graph"):
+            monkeypatch.setattr(module, "build_interference_graph", counting)
+    assert main([command, "--config", str(TEST_CONFIG_DIR / "roadmap-n4.json"), "--out", str(tmp_path)]) == 0
+    assert built == [(41, threshold) for threshold in thresholds]
 
 
 def test_evaluate_rejects_empty_workload(tmp_path, reference_config_path):
@@ -734,6 +755,16 @@ def test_duplicate_channel_in_a_custom_table_exits_1(tmp_path, reference_config_
     proc = run_cli_process(tmp_path, "static", write_config(tmp_path, doc))
     assert proc.returncode == 1
     assert proc.stderr == "error: domain.channels[1]: duplicate channel (phy_channel 4, code 7)\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_channel_out_of_range_in_a_custom_table_names_its_entry(tmp_path, reference_config_path):
+    doc = json.loads(Path(reference_config_path).read_text())
+    pairs = [(4, 7), (4, 8), (7, 7), (7, 8), (0, 1), (16, 1)]
+    doc["domain"] = {"name": "lab", "channels": [{"phy_channel": phy, "code": code} for phy, code in pairs]}
+    proc = run_cli_process(tmp_path, "static", write_config(tmp_path, doc))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: domain.channels[5]: phy_channel 16 outside 0..15\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -44,9 +44,8 @@ def random_graph(rng, n, p):
 
 
 def cluster_graph():
-    lat = build_lattice(3, 1.0)
     cells = [C(0, 0), C(0, 2), C(0, -2), C(1, 1), C(1, -1), C(-1, 1), C(-1, -1)]
-    return build_interference_graph(lat, cells, DATA_REUSE_METRIC)
+    return build_interference_graph(lattice_from_cells(cells, 1.0), DATA_REUSE_METRIC)
 
 
 def test_complete_graph_needs_n_colors():
@@ -57,8 +56,8 @@ def test_complete_graph_needs_n_colors():
 
 def test_fixture_chromatic_numbers():
     lat = twelve_cell_lattice()
-    g16 = build_interference_graph(lat, None, CONTROL_REUSE_METRIC)
-    g12 = build_interference_graph(lat, None, DATA_REUSE_METRIC)
+    g16 = build_interference_graph(lat, CONTROL_REUSE_METRIC)
+    g12 = build_interference_graph(lat, DATA_REUSE_METRIC)
     assert chromatic_coloring(g16).num_colors == 4
     assert chromatic_coloring(g12).num_colors == 3
 
@@ -147,7 +146,7 @@ def test_solver_returns_first_coloring_in_vertex_order():
 
 
 def control_graph(cells):
-    return build_interference_graph(lattice_from_cells(cells, 1.0), None, CONTROL_REUSE_METRIC)
+    return build_interference_graph(lattice_from_cells(cells, 1.0), CONTROL_REUSE_METRIC)
 
 
 # A rhombus of four cells: every pair is at metric 4 or 12, a K4 of the
@@ -273,7 +272,7 @@ def test_pattern_colorings_proper_and_bounded(n):
     for kind, threshold, bound in ((CONTROL, CONTROL_REUSE_METRIC, 4), (DATA, DATA_REUSE_METRIC, 3)):
         col = pattern_coloring(lat, kind)
         assert col.num_colors <= bound
-        g = build_interference_graph(lat, None, threshold)
+        g = build_interference_graph(lat, threshold)
         assert verify_coloring(g, col)
 
 

@@ -24,7 +24,7 @@ from hexchan.errors import InsufficientSpectrumError, InvalidSuperframeError, No
 from hexchan.interference import build_interference_graph, component_masks, iter_bits
 from hexchan.lattice import DATA_REUSE_METRIC, CellIndex, build_lattice, lattice_from_cells, lattice_metric
 from hexchan.spectrum import EUROPE, channel_plan, default_domain
-from hexchan.static_alloc import allocate_static_data
+from hexchan.static_alloc import allocate_static
 
 C = CellIndex
 SF = SuperframeConfig
@@ -233,7 +233,7 @@ def test_per_cycle_disjointness(reference):
 
 def test_dynamic_dominates_static(reference):
     lattice, configs, plan = reference
-    _, k_static = allocate_static_data(lattice, plan)
+    k_static = allocate_static(lattice, plan).k_static
     alloc = allocate_dynamic(lattice, configs, plan)
     for row in alloc.channels:
         for grant in row:
@@ -282,7 +282,7 @@ def test_all_active_reduces_to_static(europe_plan):
     lat = build_lattice(2, 1.0)
     configs = [SF(pan_cell=cell, so=1, bo=1) for cell in lat.cells]
     alloc = allocate_dynamic(lat, configs, europe_plan)
-    groups = dict(zip(lat.cells, allocate_static_data(lat, europe_plan)[0]))
+    groups = dict(zip(lat.cells, allocate_static(lat, europe_plan).data_groups))
     for k, cfg in enumerate(configs):
         for grant in alloc.channels[k]:
             assert grant == groups[cfg.pan_cell]
@@ -380,7 +380,7 @@ def test_components_above_solver_cap(tmp_path, make_doc):
     largest = 0
     for active in grants.values():
         lat = lattice_from_cells([C(i, j) for i, j in active], 1.0)
-        graph = build_interference_graph(lat, None, DATA_REUSE_METRIC)
+        graph = build_interference_graph(lat, DATA_REUSE_METRIC)
         for comp in component_masks(graph.rows, (1 << len(graph)) - 1):
             largest = max(largest, comp.bit_count())
         for a, channels_a in active.items():
@@ -395,13 +395,13 @@ def window_graphs(n):
     lat = build_lattice(n, 1.0)
     rng = random.Random(n)
     for keep in (lat.cells, rng.sample(lat.cells, len(lat) // 2)):
-        yield build_interference_graph(lat, keep, DATA_REUSE_METRIC)
+        yield build_interference_graph(lattice_from_cells(keep, 1.0), DATA_REUSE_METRIC)
 
 
 def line_graph(length):
     # a straight line of cells is a path: bipartite, though the data pattern gives it 3 colors
     lat = lattice_from_cells([C(0, 2 * k) for k in range(length)], 1.0)
-    return build_interference_graph(lat, None, DATA_REUSE_METRIC)
+    return build_interference_graph(lat, DATA_REUSE_METRIC)
 
 
 @pytest.mark.parametrize(
@@ -413,7 +413,7 @@ def test_data_graph_coloring_is_minimal(graphs):
     for graph in graphs:
         for comp in component_masks(graph.rows, (1 << len(graph)) - 1):
             cells = [graph.vertices[p] for p in iter_bits(comp)]
-            sub = build_interference_graph(lattice_from_cells(cells, 1.0), None, DATA_REUSE_METRIC)
+            sub = build_interference_graph(lattice_from_cells(cells, 1.0), DATA_REUSE_METRIC)
             assert sub.vertices == tuple(cells)
             fast = data_graph_coloring(sub)
             assert verify_coloring(sub, fast)
@@ -429,5 +429,5 @@ def test_data_graph_coloring_is_minimal(graphs):
 def test_data_graph_coloring_above_solver_cap():
     line = line_graph(70)
     assert data_graph_coloring(line).labels == tuple(k % 2 for k in range(len(line)))
-    window = build_interference_graph(build_lattice(6, 1.0), None, DATA_REUSE_METRIC)
+    window = build_interference_graph(build_lattice(6, 1.0), DATA_REUSE_METRIC)
     assert data_graph_coloring(window).num_colors == 3

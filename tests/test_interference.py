@@ -3,13 +3,13 @@ import random
 import pytest
 from oracles import neighborhood_sets
 
-from hexchan.errors import NotInLatticeError
 from hexchan.interference import build_interference_graph, component_masks, edge_list_text, iter_bits
 from hexchan.lattice import (
     CONTROL_REUSE_METRIC,
     DATA_REUSE_METRIC,
     CellIndex,
     build_lattice,
+    lattice_from_cells,
     lattice_metric,
 )
 
@@ -27,24 +27,21 @@ def neighbors(graph, v):
 
 
 def test_single_cell_has_no_edges():
-    lat = build_lattice(2, 1.0)
-    g = build_interference_graph(lat, [C(0, 0)], CONTROL_REUSE_METRIC)
+    g = build_interference_graph(lattice_from_cells([C(0, 0)], 1.0), CONTROL_REUSE_METRIC)
     assert len(g) == 1
     assert not g.edges
 
 
 def test_no_edge_at_exact_reuse_distance():
-    lat = build_lattice(4, 1.0)
-    g = build_interference_graph(lat, [C(0, 0), C(0, 4)], CONTROL_REUSE_METRIC)
+    g = build_interference_graph(lattice_from_cells([C(0, 0), C(0, 4)], 1.0), CONTROL_REUSE_METRIC)
     assert lattice_metric(C(0, 0), C(0, 4)) == 16
     assert not g.edges
 
 
 def test_cluster_graph_shape():
     # oracle: enumerate all 21 pairs of the 7-cell cluster with the metric
-    lat = build_lattice(3, 1.0)
     cells = cluster_cells()
-    g = build_interference_graph(lat, cells, DATA_REUSE_METRIC)
+    g = build_interference_graph(lattice_from_cells(cells, 1.0), DATA_REUSE_METRIC)
     assert len(g.edges) == 12
     center = C(0, 0)
     assert len(neighbors(g, center)) == 6
@@ -56,22 +53,16 @@ def test_cluster_graph_shape():
     assert C(-1, -1) not in neighbors(g, C(1, 1))
 
 
-def test_unknown_active_cell_rejected():
-    lat = build_lattice(1, 1.0)
-    with pytest.raises(NotInLatticeError):
-        build_interference_graph(lat, [C(0, 4)], DATA_REUSE_METRIC)
-
-
 def test_threshold_monotonicity():
     lat = build_lattice(3, 1.0)
-    g12 = build_interference_graph(lat, None, DATA_REUSE_METRIC)
-    g16 = build_interference_graph(lat, None, CONTROL_REUSE_METRIC)
+    g12 = build_interference_graph(lat, DATA_REUSE_METRIC)
+    g16 = build_interference_graph(lat, CONTROL_REUSE_METRIC)
     assert g12.edges <= g16.edges
 
 
 def test_data_neighborhood_matches_g_set():
     lat = build_lattice(4, 1.0)
-    g = build_interference_graph(lat, None, DATA_REUSE_METRIC)
+    g = build_interference_graph(lat, DATA_REUSE_METRIC)
     for cell in (C(0, 0), C(1, 1), C(-1, -1)):
         _, _, g_set = neighborhood_sets(lat, cell, DATA_REUSE_METRIC)
         assert neighbors(g, cell) == g_set - {cell}
@@ -79,8 +70,8 @@ def test_data_neighborhood_matches_g_set():
 
 
 def test_connected_components_split():
-    lat = build_lattice(4, 1.0)
-    g = build_interference_graph(lat, [C(0, 0), C(1, 1), C(4, 4), C(3, -3)], DATA_REUSE_METRIC)
+    lat = lattice_from_cells([C(0, 0), C(1, 1), C(4, 4), C(3, -3)], 1.0)
+    g = build_interference_graph(lat, DATA_REUSE_METRIC)
     comps = [[g.vertices[p] for p in iter_bits(comp)] for comp in component_masks(g.rows, (1 << len(g)) - 1)]
     assert sorted(sorted((c.i, c.j) for c in comp) for comp in comps) == [
         [(0, 0), (1, 1)],
@@ -90,8 +81,7 @@ def test_connected_components_split():
 
 
 def test_edge_list_text_format():
-    lat = build_lattice(2, 1.0)
-    g = build_interference_graph(lat, [C(0, 0), C(1, 1), C(2, 0)], DATA_REUSE_METRIC)
+    g = build_interference_graph(lattice_from_cells([C(0, 0), C(1, 1), C(2, 0)], 1.0), DATA_REUSE_METRIC)
     text = edge_list_text(g)
     lines = text.strip().splitlines()
     assert len(lines) == len(g.edges)
@@ -105,7 +95,7 @@ def test_offset_build_matches_pair_scan(threshold):
     rng = random.Random(threshold)
     lat = build_lattice(5, 1.0)
     cells = rng.sample(lat.cells, 40)
-    g = build_interference_graph(lat, cells, threshold)
+    g = build_interference_graph(lattice_from_cells(cells, 1.0), threshold)
     scanned = {
         frozenset((a, b)) for k, a in enumerate(cells) for b in cells[k + 1 :] if lattice_metric(a, b) < threshold
     }

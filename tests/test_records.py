@@ -54,15 +54,15 @@ def test_logical_channel_equals_and_hashes_like_its_pair():
 def test_lengths_of_lattice_and_graph_are_their_cell_counts():
     lat = build_lattice(2, 1.0)
     assert len(lat) == len(lat.cells) == 13
-    assert len(build_interference_graph(lat, None, 16)) == 13
-    graph = build_interference_graph(lat, [C(0, 0), C(1, 1), C(2, 0)], 12)
+    assert len(build_interference_graph(lat, 16)) == 13
+    graph = build_interference_graph(lattice_from_cells([C(0, 0), C(1, 1), C(2, 0)], 1.0), 12)
     assert len(graph) == len(graph.vertices) == 3
 
 
 def test_graph_edges_are_lower_higher_position_cell_pairs():
     # The N = 1 window holds (-1, -1), (1, -1), (0, 0), (-1, 1), (1, 1) in
     # that order; each edge lists its lower-position cell first.
-    graph = build_interference_graph(build_lattice(1, 1.0), None, 16)
+    graph = build_interference_graph(build_lattice(1, 1.0), 16)
     pairs = [
         ((-1, -1), (-1, 1)), ((-1, -1), (0, 0)), ((-1, -1), (1, -1)), ((-1, 1), (1, 1)),
         ((0, 0), (-1, 1)), ((0, 0), (1, 1)), ((1, -1), (0, 0)), ((1, -1), (1, 1)),
@@ -95,7 +95,7 @@ def every_record(reference_config_path):
     cfg = load_config(reference_config_path)
     plan = cfg.plan()
     configs = cfg.superframes
-    graph = build_interference_graph(cfg.lattice, None, 12)
+    graph = build_interference_graph(cfg.lattice, 12)
     return [
         cfg,
         cfg.lattice,

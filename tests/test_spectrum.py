@@ -8,7 +8,6 @@ from hexchan.spectrum import (
     LogicalChannel,
     RegulatoryDomain,
     channel_plan,
-    channels_from_pairs,
     default_domain,
     partition_channels,
 )
@@ -83,13 +82,13 @@ def test_us_data_card_rejected_elsewhere():
 
 
 def test_plan_with_no_control_channels_fails():
-    domain = RegulatoryDomain("Custom", channels_from_pairs([(0, 1), (1, 1), (2, 1)]))
+    domain = RegulatoryDomain("Custom", frozenset({LC(0, 1), LC(1, 1), LC(2, 1)}))
     with pytest.raises(InvalidDomainTableError):
         channel_plan(domain)
 
 
 def test_custom_table_plan():
-    domain = RegulatoryDomain("Custom", channels_from_pairs([(4, 7), (4, 8), (0, 1), (1, 2)]))
+    domain = RegulatoryDomain("Custom", frozenset({LC(4, 7), LC(4, 8), LC(0, 1), LC(1, 2)}))
     plan = channel_plan(domain)
     assert plan.control_set == {LC(4, 7), LC(4, 8)}
     assert plan.data_set == {LC(0, 1), LC(1, 2)}

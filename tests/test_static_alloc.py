@@ -19,14 +19,15 @@ from hexchan.spectrum import (
     EUROPE,
     JAPAN,
     US,
+    LogicalChannel,
     RegulatoryDomain,
     channel_plan,
-    channels_from_pairs,
     default_domain,
 )
-from hexchan.static_alloc import allocate_static, allocate_static_data, static_allocation_csv
+from hexchan.static_alloc import allocate_static, static_allocation_csv
 
 C = CellIndex
+LC = LogicalChannel
 
 
 @pytest.fixture
@@ -65,7 +66,7 @@ def test_control_two_adjacent_cells(europe_plan):
 
 def test_control_insufficient_spectrum():
     lat = twelve_cell_lattice()
-    domain = RegulatoryDomain("Tiny", channels_from_pairs([(4, 7), (4, 8), (0, 1), (1, 1), (2, 1), (3, 2)]))
+    domain = RegulatoryDomain("Tiny", frozenset({LC(4, 7), LC(4, 8), LC(0, 1), LC(1, 1), LC(2, 1), LC(3, 2)}))
     plan = channel_plan(domain)
     assert len(plan.control_set) == 2  # fixture needs 4
     assert control_by_cell(lat, plan) is None
@@ -74,39 +75,35 @@ def test_control_insufficient_spectrum():
 
 def test_static_data_fixture_europe(europe_plan):
     lat = twelve_cell_lattice()
-    groups, k = allocate_static_data(lat, europe_plan)
-    assert k == 4
-    assert len(groups) == len(lat)
-    assert all(len(g) == 4 for g in groups)
     alloc = allocate_static(lat, europe_plan)
+    assert alloc.k_static == 4
+    assert len(alloc.data_groups) == len(lat)
+    assert all(len(g) == 4 for g in alloc.data_groups)
     assert alloc.chi_data == 3
     assert len(alloc.unassigned) == 2
 
 
 def test_static_data_k_by_domain():
     lat = twelve_cell_lattice()
-    _, k_japan = allocate_static_data(lat, channel_plan(default_domain(JAPAN)))
-    assert k_japan == 6
-    _, k_us = allocate_static_data(lat, channel_plan(default_domain(US)))
-    assert k_us == 8
-    _, k_us28 = allocate_static_data(lat, channel_plan(default_domain(US), us_data_card=28))
-    assert k_us28 == 9
+    assert allocate_static(lat, channel_plan(default_domain(JAPAN))).k_static == 6
+    assert allocate_static(lat, channel_plan(default_domain(US))).k_static == 8
+    assert allocate_static(lat, channel_plan(default_domain(US), us_data_card=28)).k_static == 9
 
 
 def test_static_data_single_cell(europe_plan):
     lat = build_lattice(0, 1.0)
-    groups, k = allocate_static_data(lat, europe_plan)
-    assert k == 14
-    assert set(groups[lat.cells.index(C(0, 0))]) == europe_plan.data_set
+    alloc = allocate_static(lat, europe_plan)
+    assert alloc.k_static == 14
+    assert set(alloc.data_groups[lat.cells.index(C(0, 0))]) == europe_plan.data_set
 
 
 def test_static_data_insufficient_spectrum():
     lat = twelve_cell_lattice()
-    domain = RegulatoryDomain("Tiny", channels_from_pairs([(4, 7), (4, 8), (7, 7), (7, 8), (0, 1), (1, 1)]))
+    domain = RegulatoryDomain("Tiny", frozenset({LC(4, 7), LC(4, 8), LC(7, 7), LC(7, 8), LC(0, 1), LC(1, 1)}))
     plan = channel_plan(domain)
     assert len(plan.data_set) == 2  # chi is 3, so no full group fits
     with pytest.raises(InsufficientSpectrumError):
-        allocate_static_data(lat, plan)
+        allocate_static(lat, plan)
 
 
 def test_reuse_happens_at_exact_reuse_distance(europe_plan):
@@ -127,10 +124,10 @@ def test_disjointness_on_interference_edges(europe_plan):
     alloc = allocate_static(lat, europe_plan)
     control = dict(zip(lat.cells, alloc.control))
     data_groups = dict(zip(lat.cells, alloc.data_groups))
-    g16 = build_interference_graph(lat, None, CONTROL_REUSE_METRIC)
+    g16 = build_interference_graph(lat, CONTROL_REUSE_METRIC)
     for a, b in g16.edges:
         assert control[a] != control[b]
-    g12 = build_interference_graph(lat, None, DATA_REUSE_METRIC)
+    g12 = build_interference_graph(lat, DATA_REUSE_METRIC)
     for a, b in g12.edges:
         assert not (set(data_groups[a]) & set(data_groups[b]))
 
@@ -153,7 +150,7 @@ def test_large_lattice_uses_pattern(europe_plan):
     assert alloc.chi_control <= 4
     assert alloc.chi_data <= 3
     control = dict(zip(lat.cells, alloc.control))
-    g16 = build_interference_graph(lat, None, CONTROL_REUSE_METRIC)
+    g16 = build_interference_graph(lat, CONTROL_REUSE_METRIC)
     for a, b in g16.edges:
         assert control[a] != control[b]
 
@@ -266,7 +263,7 @@ def test_sparse_static_has_no_size_cliff(layout, count, domain):
         # more colors than the minimum
         assert chi_control <= alloc.chi_control <= 4
     data_groups = dict(zip(lat.cells, alloc.data_groups))
-    g12 = build_interference_graph(lat, None, DATA_REUSE_METRIC)
+    g12 = build_interference_graph(lat, DATA_REUSE_METRIC)
     for a, b in g12.edges:
         assert not set(data_groups[a]) & set(data_groups[b])
 

@@ -45,7 +45,7 @@ from hexchan import jsontext
 from hexchan.jsontext import WRITE_CHUNK
 from hexchan.lattice import CellIndex, build_lattice
 from hexchan.spectrum import DOMAIN_NAMES, channel_plan, default_domain
-from hexchan.static_alloc import allocate_static_data
+from hexchan.static_alloc import allocate_static
 
 
 def checked(chunks, lengths):
@@ -137,7 +137,7 @@ def reference_dynamic_summary(cycles, alloc):
 def reference_schemes(lattice, configs, plan, scenario):
     """Per scheme, ({(pan, t): (channels, makespan, delay decrease)},
     max_channels): the per-(PAN, cycle) loop the per-PAN columns replaced."""
-    _, k_static = allocate_static_data(lattice, plan)
+    k_static = allocate_static(lattice, plan).k_static
     dynamic = allocate_dynamic(lattice, configs, plan)
     channels_of = {
         "single": lambda pan, t: 1,
