@@ -50,21 +50,27 @@ def _first_appearance(labels: list[int]) -> list[int]:
 
 def _two_coloring(rows: Sequence[int], mask: int) -> dict[int, int] | None:
     """BFS 2-coloring of the subgraph induced by ``mask``, or None if it has
-    an odd cycle.  Each component's lowest position takes color 0."""
+    an odd cycle.  Each component's lowest position takes color 0.
+
+    The BFS grows one layer (a bitmask) at a time and colors it by the
+    parity of its depth.  Every edge joins one layer to itself or to the
+    next, so the subgraph is bipartite iff no edge lies within a layer."""
     side: dict[int, int] = {}
-    for start in iter_bits(mask):
-        if start in side:
-            continue
-        side[start] = 0
-        queue = [start]
-        for p in queue:
-            for q in iter_bits(rows[p] & mask):
-                s = side.get(q)
-                if s is None:
-                    side[q] = 1 - side[p]
-                    queue.append(q)
-                elif s == side[p]:
+    rest = mask
+    while rest:
+        layer = rest & -rest
+        color = 0
+        while layer:
+            rest ^= layer
+            grown = 0
+            for p in iter_bits(layer):
+                row = rows[p]
+                if row & layer:
                     return None
+                side[p] = color
+                grown |= row
+            layer = grown & rest
+            color ^= 1
     return side
 
 

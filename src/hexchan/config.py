@@ -46,9 +46,13 @@ MAX_CELLS = 10_000
 # (see CHANGES.md).
 MAX_PAN_CYCLES = 1 << 17
 # Largest number of requests a PAN may serve per cycle.  Evaluation sums each
-# distinct request list once: at 9941 PANs with 1000 distinct requests each,
-# `load_config` takes 2.2 s and `compare_schemes` 0.46 s (see CHANGES.md).
+# distinct request list once.
 MAX_REQUESTS_PER_PAN = 1000
+# Largest number of requests a ``per_pan`` workload may list over all its
+# PANs, as many as MAX_PAN_CYCLES; a uniform workload shares one request
+# list.  At this bound, on the 9941 PANs of the N = 70 window, `evaluate`
+# peaks at 55 MB (see CHANGES.md).
+MAX_REQUEST_ENTRIES = 1 << 17
 # Longest request in slots; 100 x MAX_REQUESTS_PER_PAN x this < 2^53 keeps evaluation exact.
 MAX_SLOTS_PER_REQUEST = 10**9
 
@@ -282,12 +286,18 @@ def _parse_workload(doc, superframes) -> RequestScenario | None:
             raise ConfigError("must be non-empty", field="workload.per_pan")
         pans = None if superframes is None else {cfg.pan_cell for cfg in superframes}
         per_pan = {}
+        entries_left = MAX_REQUEST_ENTRIES
         cells = _entry_cells(entries, "workload.per_pan", pans, "no superframe runs a PAN at cell (%d, %d)")
         for k, entry, cell in cells:
             field = f"workload.per_pan[{k}].slots"
             slots = _expect(entry, "slots", list, field)
             if len(slots) > MAX_REQUESTS_PER_PAN:
                 raise ConfigError(f"{len(slots)} requests exceed the limit of {MAX_REQUESTS_PER_PAN}", field=field)
+            entries_left -= len(slots)
+            if entries_left < 0:
+                raise ConfigError(
+                    f"the slots lists hold more than {MAX_REQUEST_ENTRIES} requests in all", field="workload.per_pan"
+                )
             if not slots or set(map(type, slots)) != {int} or min(slots) < 1:
                 raise ConfigError("expected a non-empty list of positive integers", field=field)
             if max(slots) > MAX_SLOTS_PER_REQUEST:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import compress, repeat
+from operator import or_
 from typing import Iterator, Sequence
 
 from .coloring import data_labels
@@ -80,13 +81,18 @@ class AllocationMatrix(namedtuple("AllocationMatrix", "channels per_cycle_chi pe
     A grant is ``()`` exactly when the PAN is idle in that cycle: an active
     PAN always gets a non-empty group.  The report writers rely on this and
     render idle entries from the activity alone.
+
+    The rows share their objects: PANs of equal duty and phase hold one
+    activity tuple, and the rows of ``channels`` are the transpose of one
+    grant column per distinct set of active PANs, whose grants are the
+    shared channel groups.
     """
 
     __slots__ = ()
 
 
-# (chi, k, [(PAN index, grant)]) of one elementary cycle or one component.
-_CycleResult = tuple[int, int, list[tuple[int, tuple[LogicalChannel, ...]]]]
+# (chi, group size, [(PAN index, grant)]) of one component of active PANs.
+_ComponentResult = tuple[int, int, list[tuple[int, tuple[LogicalChannel, ...]]]]
 
 
 def cycle_structure(configs: Sequence[SuperframeConfig]) -> CycleStructure:
@@ -103,6 +109,17 @@ def cycle_structure(configs: Sequence[SuperframeConfig]) -> CycleStructure:
     return CycleStructure(bi_maj=1 << bo_max, sd_min=1 << so_min, u_cycles=1 << (bo_max - so_min))
 
 
+def _duty_runs(configs: Sequence[SuperframeConfig], sd_min: int) -> list[tuple[int, int, int]]:
+    """(P, m, t0) per config: its activity row repeats every P = BI / SD_min
+    cycles, and in each period it is active in the m = SD / SD_min cycles
+    from t0 = ceil((phase mod BI) / SD_min) on, modulo P."""
+    runs = []
+    for _, so, bo, phase in configs:
+        period = (1 << bo) // sd_min
+        runs.append((period, (1 << so) // sd_min, -(-(phase % (1 << bo)) // sd_min) % period))
+    return runs
+
+
 def activity_matrix(configs: Sequence[SuperframeConfig]) -> tuple[tuple[bool, ...], ...]:
     """Activity of every PAN over one major cycle of ``cycle_structure(configs)``.
 
@@ -114,20 +131,21 @@ def activity_matrix(configs: Sequence[SuperframeConfig]) -> tuple[tuple[bool, ..
     All durations are powers of two, so SD_min divides SD, SD divides BI
     and BI divides BI_maj: a row repeats every P = BI / SD_min cycles, and
     U is a multiple of P.  In one period the active cycles are the m = SD /
-    SD_min cycles from t0 = ceil((phase mod BI) / SD_min) on, modulo P.  So
-    each period is m True then P - m False, rotated right by t0, and the
-    row is U / P periods.
+    SD_min cycles from t0 on, modulo P (``_duty_runs``).  So each period is
+    m True then P - m False, rotated right by t0, and the row is U / P
+    periods.  PANs with equal (P, m, t0) share one row tuple.
     """
     cycles = cycle_structure(configs)
-    sd_min = cycles.sd_min
+    u = cycles.u_cycles
+    shared: dict[tuple[int, int, int], tuple[bool, ...]] = {}
     rows = []
-    for cfg in configs:
-        period = cfg.bi // sd_min
-        active = cfg.sd // sd_min
-        start = -(-(cfg.phase % cfg.bi) // sd_min) % period
-        run = [True] * active + [False] * (period - active)
-        run = run[period - start :] + run[: period - start]
-        rows.append(tuple(run * (cycles.u_cycles // period)))
+    for key in _duty_runs(configs, cycles.sd_min):
+        row = shared.get(key)
+        if row is None:
+            period, active, start = key
+            run = [True] * active + [False] * (period - active)
+            row = shared[key] = tuple((run[period - start :] + run[: period - start]) * (u // period))
+        rows.append(row)
     return tuple(rows)
 
 
@@ -145,18 +163,23 @@ def _allocate_on_graph(
     Within a cycle, each connected component of the active PANs' subgraph
     is colored with the fewest colors by ``data_labels``: its BFS
     2-coloring when bipartite, else the data pattern, so chi <= 3 and no
-    search runs.  A PAN in a component needing chi colors gets the group of
-    |data| // chi channels matching its color.  PANs in different
-    components may share channels, they are out of range of each other.
+    search runs; a single PAN takes color 0.  A PAN in a component needing
+    chi colors gets the group of |data| // chi channels matching its color.
+    PANs in different components may share channels, they are out of range
+    of each other.
 
     The work runs in index space: each PAN is a graph position, found in
     the graph's position table, and each cycle a bitmask of its active
-    PANs' positions.  Two memos live for the call.  A cycle whose active
-    mask occurred before reuses that cycle's result.  A component whose
-    position mask occurred before, in any cycle, reuses its (chi, group
-    size, [(PAN, grant)]).  A component with more colors than data channels
-    raises ``InsufficientSpectrumError`` naming the first cycle it is
-    active in.
+    PANs' positions.  Every PAN's activity repeats with its period P
+    (``_duty_runs``), so its bit is set in one period's masks per distinct
+    P, and the at most 15 period patterns are tiled over the U cycles and
+    OR-ed together.  Two memos live for the call.  Each distinct active
+    mask is allocated once, into its (chi, k, column), where the column
+    holds each PAN's grant in that cycle; the rows of ``channels`` are the
+    cycles' columns transposed.  A component whose position mask occurred
+    before, in any cycle, reuses its (chi, group size, [(PAN, grant)]).  A
+    component with more colors than data channels raises
+    ``InsufficientSpectrumError`` naming the first cycle it is active in.
     """
     position = {cell: p for p, cell in enumerate(graph.vertices)}
     pan_positions = []
@@ -165,31 +188,45 @@ def _allocate_on_graph(
         if p is None:
             raise NotInLatticeError(f"cell ({cfg.pan_cell.i}, {cfg.pan_cell.j}) is not in the lattice")
         pan_positions.append(p)
-    pan_at = dict(zip(pan_positions, range(len(configs))))  # graph position -> PAN index
-    if len(pan_at) != len(configs):
+    n = len(configs)
+    pan_at = dict(zip(pan_positions, range(n)))  # graph position -> PAN index
+    if len(pan_at) != n:
         raise ValueError("duplicate PAN cells in superframe configs")
     activity = activity_matrix(configs)
-    u = len(activity[0])
+    cycles = cycle_structure(configs)
+    u = cycles.u_cycles
     ordered_data = plan.ordered_data()
     rows = graph.rows
 
+    # Per period P, a pattern of 2P masks: a PAN's run of m cycles from t0
+    # < P ends before 2P, and folding the halves wraps it modulo P.
+    patterns: dict[int, list[int]] = {}
+    for p, (period, active, start) in zip(pan_positions, _duty_runs(configs, cycles.sd_min)):
+        pattern = patterns.get(period)
+        if pattern is None:
+            pattern = patterns[period] = [0] * (2 * period)
+        pattern[start : start + active] = map(or_, pattern[start : start + active], repeat(1 << p))
     cycle_masks = [0] * u
-    for p, active in zip(pan_positions, activity):
-        for t in compress(range(u), active):
-            cycle_masks[t] |= 1 << p
+    for period, pattern in patterns.items():
+        folded = list(map(or_, pattern[:period], pattern[period:]))
+        cycle_masks = list(map(or_, cycle_masks, folded * (u // period)))
 
     groups_by_chi: dict[int, list[tuple[LogicalChannel, ...]]] = {}
-    component_memo: dict[int, _CycleResult] = {}
-    cycle_memo: dict[int, _CycleResult] = {}
+    component_memo: dict[int, _ComponentResult] = {}
 
-    def allocate_component(t: int, comp: int) -> _CycleResult:
-        """(chi, group size, [(PAN, grant)]) of the component whose positions are ``comp``."""
-        labels = data_labels(rows, comp, graph.vertices)
-        chi = max(labels) + 1
+    def allocate_component(mask: int, comp: int) -> _ComponentResult:
+        """(chi, group size, [(PAN, grant)]) of the component whose positions
+        are ``comp``, first met in the cycles whose active positions are ``mask``."""
+        if comp & (comp - 1):
+            labels = data_labels(rows, comp, graph.vertices)
+            chi = max(labels) + 1
+        else:
+            labels = [0]
+            chi = 1
         group_size = len(ordered_data) // chi
         if group_size == 0:
             raise InsufficientSpectrumError(
-                f"cycle {t + 1}: need {chi} data channels, plan has {len(ordered_data)}"
+                f"cycle {cycle_masks.index(mask) + 1}: need {chi} data channels, plan has {len(ordered_data)}"
             )
         groups = groups_by_chi.get(chi)
         if groups is None:
@@ -197,38 +234,32 @@ def _allocate_on_graph(
             groups_by_chi[chi] = groups
         return chi, group_size, [(pan_at[p], groups[label]) for p, label in zip(iter_bits(comp), labels)]
 
-    def allocate_cycle(t: int, mask: int) -> _CycleResult:
-        """(chi, k, [(PAN, grant)]) of the cycle whose active positions are ``mask``."""
+    def allocate_cycle(mask: int) -> tuple[int, int, list[tuple[LogicalChannel, ...]]]:
+        """(chi, k, grant per PAN) of the cycles whose active positions are ``mask``."""
         chi_t = 0
         k_t = 0
-        cycle_grants = []
+        column: list[tuple[LogicalChannel, ...]] = [()] * n
         for comp in component_masks(rows, mask):
             result = component_memo.get(comp)
             if result is None:
-                result = component_memo[comp] = allocate_component(t, comp)
-            chi, group_size, comp_grants = result
-            cycle_grants.extend(comp_grants)
-            chi_t = max(chi_t, chi)
-            k_t = max(k_t, group_size)
-        return chi_t, k_t, cycle_grants
+                result = component_memo[comp] = allocate_component(mask, comp)
+            chi, group_size, grants = result
+            for k, grant in grants:
+                column[k] = grant
+            if chi > chi_t:
+                chi_t = chi
+            if group_size > k_t:
+                k_t = group_size
+        return chi_t, k_t, column
 
-    grants: list[list[tuple[LogicalChannel, ...]]] = [[()] * u for _ in configs]
-    per_cycle_chi = []
-    per_cycle_k = []
-    for t, mask in enumerate(cycle_masks):
-        result = cycle_memo.get(mask)
-        if result is None:
-            result = cycle_memo[mask] = allocate_cycle(t, mask)
-        chi_t, k_t, cycle_grants = result
-        for k, grant in cycle_grants:
-            grants[k][t] = grant
-        per_cycle_chi.append(chi_t)
-        per_cycle_k.append(k_t)
-
+    # Distinct masks in order of first appearance, so the first component
+    # short of channels is met in the earliest cycle.
+    cycle_memo = {mask: allocate_cycle(mask) for mask in dict.fromkeys(cycle_masks)}
+    per_cycle_chi, per_cycle_k, columns = zip(*map(cycle_memo.__getitem__, cycle_masks))
     return AllocationMatrix(
-        channels=tuple(tuple(row) for row in grants),
-        per_cycle_chi=tuple(per_cycle_chi),
-        per_cycle_k=tuple(per_cycle_k),
+        channels=tuple(zip(*columns)),
+        per_cycle_chi=per_cycle_chi,
+        per_cycle_k=per_cycle_k,
         activity=activity,
     )
 

@@ -30,17 +30,24 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def component_masks(rows: tuple[int, ...], mask: int) -> list[int]:
     """Connected components of the subgraph induced by ``mask``, as bitmasks,
-    ordered by their lowest position (bitmask flood fill)."""
+    ordered by their lowest position (bitmask flood fill).  ``mask`` keeps the
+    positions not reached yet: each one reached leaves it as it joins, and
+    the fill starts from the lowest position's neighbors."""
     components = []
     while mask:
-        comp = frontier = mask & -mask
+        comp = mask & -mask
+        mask ^= comp
+        frontier = rows[comp.bit_length() - 1] & mask
+        mask ^= frontier
+        comp |= frontier
         while frontier:
             low = frontier & -frontier
             frontier ^= low
-            grown = rows[low.bit_length() - 1] & mask & ~comp
-            comp |= grown
-            frontier |= grown
-        mask &= ~comp
+            grown = rows[low.bit_length() - 1] & mask
+            if grown:
+                mask ^= grown
+                comp |= grown
+                frontier |= grown
         components.append(comp)
     return components
 

@@ -13,9 +13,17 @@ from conftest import TEST_CONFIG_DIR, roadmap_config
 import hexchan
 from hexchan import cli
 from hexchan.cli import main
-from hexchan.config import MAX_CELLS, MAX_PAN_CYCLES, MAX_REQUESTS_PER_PAN, MAX_SLOTS_PER_REQUEST, load_config
+from hexchan.config import (
+    MAX_CELLS,
+    MAX_PAN_CYCLES,
+    MAX_REQUEST_ENTRIES,
+    MAX_REQUESTS_PER_PAN,
+    MAX_SLOTS_PER_REQUEST,
+    load_config,
+)
 from hexchan.errors import ConfigError
-from hexchan.interference import build_interference_graph
+from hexchan.coloring import data_labels
+from hexchan.interference import build_interference_graph, component_masks
 from hexchan.lattice import build_lattice
 
 
@@ -301,6 +309,38 @@ def test_each_command_builds_each_interference_graph_once(tmp_path, monkeypatch,
     assert built == [(41, threshold) for threshold in thresholds]
 
 
+@pytest.mark.parametrize("command", ["dynamic", "evaluate"])
+def test_each_command_colors_each_active_set_and_component_once(tmp_path, monkeypatch, command):
+    # The allocator's two memos: one flood fill per distinct set of active
+    # PANs, one data_labels call per distinct component of 2+ PANs.
+    filled, colored = [], []
+
+    def counting_fill(rows, mask):
+        filled.append(mask)
+        return component_masks(rows, mask)
+
+    def counting_labels(rows, mask, cells):
+        colored.append(mask)
+        return data_labels(rows, mask, cells)
+
+    monkeypatch.setattr("hexchan.dynamic_alloc.component_masks", counting_fill)
+    monkeypatch.setattr("hexchan.dynamic_alloc.data_labels", counting_labels)
+    path = TEST_CONFIG_DIR / "roadmap-n4.json"
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+
+    # Every cell holds a PAN, listed in lattice order, so PAN k is bit k.
+    configs = load_config(path).superframes
+    sd_min = min(cfg.sd for cfg in configs)
+    u = max(cfg.bi for cfg in configs) // sd_min
+    active_sets = {
+        sum(1 << k for k, cfg in enumerate(configs) if (t * sd_min - cfg.phase) % cfg.bi < cfg.sd) for t in range(u)
+    }
+    assert sorted(filled) == sorted(active_sets)
+    graph = build_interference_graph(build_lattice(4, 1.0), 12)
+    components = {comp for mask in active_sets for comp in component_masks(graph.rows, mask)}
+    assert sorted(colored) == sorted(comp for comp in components if comp.bit_count() > 1)
+
+
 def test_evaluate_rejects_empty_workload(tmp_path, reference_config_path):
     doc = json.loads(Path(reference_config_path).read_text())
     doc["workload"] = {"requests_per_pan": 0, "slots_per_request": 3}
@@ -371,6 +411,30 @@ def test_oversized_workload_exits_1(tmp_path, capsys, monkeypatch, reference_con
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ") and "limit of 1000" in err
+
+
+def requests_doc(pans, entries):
+    """PANs on a row of cells, one cycle each, with ``entries`` requests in all."""
+    cells = [[2 * k, 0] for k in range(pans)]
+    doc = {"lattice": {"cells": cells, "radius_R": 1.0}, "domain": "Europe"}
+    doc["superframes"] = [{"cell": cell, "SO": 0, "BO": 0} for cell in cells]
+    counts = [entries // pans + (k < entries % pans) for k in range(pans)]
+    doc["workload"] = {"per_pan": [{"cell": cell, "slots": [3] * n} for cell, n in zip(cells, counts)]}
+    return doc
+
+
+def test_per_pan_requests_over_the_entry_budget_exit_1(tmp_path):
+    pans = MAX_REQUEST_ENTRIES // MAX_REQUESTS_PER_PAN + 1
+    at_limit = load_config(write_config(tmp_path, requests_doc(pans, MAX_REQUEST_ENTRIES)))
+    assert sum(map(len, at_limit.workload.per_pan.values())) == MAX_REQUEST_ENTRIES
+    cfg = write_config(tmp_path, requests_doc(pans, MAX_REQUEST_ENTRIES + 1))
+    for command in ("lattice", "evaluate"):
+        proc = run_cli_process(tmp_path, command, cfg)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: workload.per_pan: the slots lists hold more than {MAX_REQUEST_ENTRIES} requests in all\n"
+        )
+        assert not (tmp_path / "o").exists()
 
 
 def test_workload_at_the_request_limit_shares_one_tuple(tmp_path, reference_config_path):

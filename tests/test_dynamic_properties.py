@@ -5,7 +5,8 @@ Every expected value is computed here from lattice metrics alone: the
 components of each cycle's active PANs by union of metric-12 pairs, and each
 component's chromatic number by brute force (at most 10 PANs) or by an
 independent odd-cycle check (1, 2 or 3 colors; metric-12 graphs need at
-most 3).
+most 3).  The exact grants are recomputed from the activity formula, the
+lattice order and the data pattern.
 """
 
 from conftest import graph_from_edges
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from oracles import brute_force_chromatic
 
 from hexchan.dynamic_alloc import SuperframeConfig, allocate_dynamic
-from hexchan.lattice import DATA_REUSE_METRIC, build_lattice, lattice_metric
+from hexchan.lattice import DATA_REUSE_METRIC, build_lattice, lattice_from_cells, lattice_metric
 from hexchan.spectrum import DOMAIN_NAMES, channel_plan, default_domain, partition_channels
 
 
@@ -110,3 +111,73 @@ def test_dynamic_allocation_properties(deployment):
             assert len(set(component_grants)) == chi
         assert alloc.per_cycle_chi[t] == max(chis, default=0)
         assert alloc.per_cycle_k[t] == (len(ordered) // min(chis) if chis else 0)
+
+
+@st.composite
+def mixed_period_deployments(draw):
+    """PANs on a window or on a ``lattice_from_cells`` subset of one, with
+    BO drawn per PAN, so the activity rows have several distinct periods."""
+    window = build_lattice(draw(st.integers(1, 4)), 1.0)
+    if draw(st.booleans()):
+        lattice = window
+    else:
+        lattice = lattice_from_cells(draw(st.lists(st.sampled_from(window.cells), min_size=1, unique=True)), 1.0)
+    cells = draw(st.lists(st.sampled_from(lattice.cells), min_size=1, unique=True))
+    configs = []
+    for cell in cells:
+        bo = draw(st.integers(0, 6))
+        so = draw(st.integers(0, min(bo, 2)))
+        configs.append(SuperframeConfig(pan_cell=cell, so=so, bo=bo, phase=draw(st.integers(0, 80))))
+    plan = channel_plan(default_domain(draw(st.sampled_from(DOMAIN_NAMES))))
+    return lattice, configs, plan
+
+
+def expected_channels(lattice, configs, plan):
+    """``alloc.channels`` recomputed per cycle from lattice metrics alone.
+
+    A PAN is active in cycle t when (t * SD_min - phase) mod BI < SD.  A
+    component of the active PANs (under metric < 12) with one PAN takes
+    color 0 of 1; a bipartite one its 2-coloring with its first PAN in
+    lattice order at 0; any other the data pattern (a - b) mod 3, a = i,
+    b = (j - i) / 2, renumbered by first appearance in lattice order.  A
+    PAN's grant is its color's group of the partition into chi groups of
+    |data| // chi channels.
+    """
+    so_min = min(cfg.so for cfg in configs)
+    bo_max = max(cfg.bo for cfg in configs)
+    sd_min = 1 << so_min
+    order = {cell: x for x, cell in enumerate(lattice.cells)}
+    ordered = plan.ordered_data()
+    channels = [[] for _ in configs]
+    for t in range(1 << (bo_max - so_min)):
+        active = [cfg.pan_cell for cfg in configs if (t * sd_min - cfg.phase) % cfg.bi < cfg.sd]
+        grant = {}
+        for component in metric12_components(active):
+            component.sort(key=order.__getitem__)
+            chi = odd_cycle_chromatic(component)
+            if chi == 1:
+                labels = [0]
+            elif chi == 2:
+                side = {component[0]: 0}
+                queue = [component[0]]
+                for a in queue:
+                    for b in component:
+                        if b not in side and lattice_metric(a, b) < DATA_REUSE_METRIC:
+                            side[b] = 1 - side[a]
+                            queue.append(b)
+                labels = [side[c] for c in component]
+            else:
+                first = {}
+                labels = [first.setdefault((i - (j - i) // 2) % 3, len(first)) for i, j in component]
+            groups, _ = partition_channels(ordered, chi, len(ordered) // chi)
+            grant.update((c, groups[label]) for c, label in zip(component, labels))
+        for row, cfg in zip(channels, configs):
+            row.append(grant.get(cfg.pan_cell, ()))
+    return tuple(map(tuple, channels))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(deployments(), mixed_period_deployments()))
+def test_dynamic_grants_match_the_lattice_oracle(deployment):
+    lattice, configs, plan = deployment
+    assert allocate_dynamic(lattice, configs, plan).channels == expected_channels(lattice, configs, plan)
