@@ -7,7 +7,10 @@ Metric-12 graphs are colored without search by ``data_graph_coloring``.
 a time: each gets the first k-coloring in vertex order for the smallest k
 from its greedy clique up, except that a component needing 4 colors on
 which the control pattern is proper (any metric-16 graph) gets that
-pattern.  It refuses graphs above ``DEFAULT_VERTEX_CAP`` vertices.
+pattern.  The pattern is checked first; where it is proper the clique
+sweep stops at 4, and a component with a 4-clique takes the pattern with
+no search state built.  It refuses graphs above ``DEFAULT_VERTEX_CAP``
+vertices.
 
 A ``Coloring`` is a one-field named tuple: one label per vertex position
 of the graph it colors (for ``pattern_coloring``, per cell of
@@ -74,10 +77,11 @@ def _two_coloring(rows: Sequence[int], mask: int) -> dict[int, int] | None:
     return side
 
 
-def _greedy_clique(rows: Sequence[int], mask: int) -> int:
+def _greedy_clique(rows: Sequence[int], mask: int, enough: int | None = None) -> int:
     """Largest clique grown greedily from each vertex of ``mask`` (always
     adding the candidate with the most candidate neighbors); a lower bound
-    on the chromatic number."""
+    on the chromatic number.  The sweep stops as soon as a clique of
+    ``enough`` vertices is found."""
     best = 0
     for seed in iter_bits(mask):
         size = 1
@@ -86,7 +90,10 @@ def _greedy_clique(rows: Sequence[int], mask: int) -> int:
             u = max(iter_bits(cand), key=lambda w: (rows[w] & cand).bit_count())
             size += 1
             cand &= rows[u] & ~(1 << u)
-        best = max(best, size)
+        if size > best:
+            best = size
+            if best == enough:
+                break
     return best
 
 
@@ -157,22 +164,35 @@ def _component_labels(rows: Sequence[int], comp: int, cells: Sequence[CellIndex]
     """Minimum coloring of the connected component ``comp``, as labels of
     its positions in ascending order.
 
+    The control pattern is checked first, with one bitmask per pattern
+    color: it is proper iff no color class reaches into itself.  A proper
+    pattern is a 4-coloring, so no clique has more than 4 vertices and the
+    clique sweep stops once it finds 4; the pattern is then optimal and no
+    search state is built.  Otherwise the search tries k from the clique
+    bound up, and a proper pattern still stands in for the k = 4 search.
+
     A bipartite component needs no branch of its own: its first 2-coloring
     in vertex order gives its lowest position color 0, which fixes the
     rest, and the forced-color pruning of ``_k_coloring`` finds it without
     backtracking.
     """
     positions = list(iter_bits(comp))
-    local = {p: r for r, p in enumerate(positions)}
-    adj = [sum(1 << local[q] for q in iter_bits(rows[p] & comp)) for p in positions]
     pattern = [_pattern_label(cells[p], CONTROL) for p in positions]
-    for k in itertools.count(_greedy_clique(rows, comp)):
-        if k == 4 and all(pattern[v] != pattern[w] for v in range(len(adj)) for w in iter_bits(adj[v])):
-            return _first_appearance(pattern)
-        labels = _k_coloring(adj, k)
-        if labels is not None:
-            return labels
-    raise AssertionError("unreachable")
+    classes = [0, 0, 0, 0]
+    reach = [0, 0, 0, 0]
+    for p, label in zip(positions, pattern):
+        classes[label] |= 1 << p
+        reach[label] |= rows[p]
+    proper = not any(map(int.__and__, classes, reach))
+    clique = _greedy_clique(rows, comp, 4 if proper else None)
+    if not (proper and clique == 4):
+        local = {p: r for r, p in enumerate(positions)}
+        adj = [sum(1 << local[q] for q in iter_bits(rows[p] & comp)) for p in positions]
+        for k in range(clique, 4) if proper else itertools.count(clique):
+            labels = _k_coloring(adj, k)
+            if labels is not None:
+                return labels
+    return _first_appearance(pattern)
 
 
 def chromatic_coloring(graph: InterferenceGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Coloring:
@@ -183,8 +203,12 @@ def chromatic_coloring(graph: InterferenceGraph, vertex_cap: int = DEFAULT_VERTE
     up; on a bipartite component that is its BFS 2-coloring.  Once 3 colors
     are ruled out, a component on which the control pattern is proper gets
     the pattern instead of a 4-coloring search; on metric-16 graphs that
-    search can take seconds at 64 vertices.  Deterministic for a given
-    vertex order.  Graphs above ``vertex_cap`` vertices are refused; use
+    search can take seconds at 64 vertices.  The pattern is checked before
+    anything else: where it is proper, the greedy clique sweep stops at 4
+    (a proper 4-coloring bounds every clique by 4), and a component whose
+    clique reaches 4 gets the pattern without a search, as every full
+    window with N >= 2 does.  Deterministic for a given vertex order.
+    Graphs above ``vertex_cap`` vertices are refused; use
     data_graph_coloring or pattern_coloring for lattice graphs, or raise
     the cap explicitly if you can afford the search.
     """

@@ -295,18 +295,12 @@ def activity_csv(configs: Sequence[SuperframeConfig], activity: Sequence[Sequenc
     yield from flush_chunks(pieces, size)
 
 
-def _distinct_grants(alloc: AllocationMatrix) -> dict[int, tuple[LogicalChannel, ...]]:
-    """The empty grant and every distinct grant of an active entry, keyed by ``id``.
-
-    The grants are the shared channel groups of ``allocate_dynamic``, so
-    there are few of them, and every idle entry holds ``()``.  Keying by
-    identity avoids hashing tuples of channels; ``alloc`` keeps the objects
-    alive, so the ids stay valid while it does.
-    """
-    rows = zip(alloc.channels, alloc.activity)
-    grants = {id(grant): grant for row, flags in rows for grant in compress(row, flags)}
-    grants[id(())] = ()
-    return grants
+def _widest_grant(alloc: AllocationMatrix) -> tuple[LogicalChannel, ...]:
+    """A grant whose text is at least as long as any grant's in ``alloc``:
+    as many channels as the largest grant, each of the widest text (a
+    two-digit physical channel; codes have one digit).  The writers size
+    their chunks from it without scanning the grants."""
+    return (LogicalChannel(15, 8),) * max(alloc.per_cycle_k)
 
 
 def allocation_csv(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix) -> Iterator[str]:
@@ -318,16 +312,20 @@ def allocation_csv(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix)
     # out as in ``activity_csv``, with the idle texts of the cycle's chi.
     idle, active = _pan_texts(configs, ",")
     n = len(configs)
-    tails = {
-        key: f"{len(grant)},{' '.join(ch.token() for ch in grant)}\r\n"
-        for key, grant in _distinct_grants(alloc).items()
-    }
+
+    def tail(grant: tuple[LogicalChannel, ...]) -> str:
+        return f"{len(grant)},{' '.join(ch.token() for ch in grant)}\r\n"
+
+    # Each grant's tail is rendered on first use, keyed by identity: the
+    # grants are the few shared channel groups of ``allocate_dynamic``, and
+    # ``alloc`` keeps them alive, so the ids stay valid while it does.
+    tails: dict[int, str] = {}
     header = "cycle,pan_i,pan_j,active,chi,k,channels\r\n"
     longest = (
         len(f"{len(alloc.per_cycle_chi)},")
         + max(map(len, active))
         + len(f"{max(alloc.per_cycle_chi)},")
-        + max(map(len, tails.values()))
+        + len(tail(_widest_grant(alloc)))
     )
     size = chunk_size(2, max(len(header), longest))
     idle_by_chi: dict[int, list[str]] = {}
@@ -338,14 +336,18 @@ def allocation_csv(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix)
         chi_part = f"{chi},"
         idle_texts = idle_by_chi.get(chi)
         if idle_texts is None:
-            idle_texts = idle_by_chi[chi] = [pan + chi_part + tails[id(())] for pan in idle]
+            idle_texts = idle_by_chi[chi] = [pan + chi_part + "0,\r\n" for pan in idle]
         if len(pieces) + 2 * n > size:
             yield from flush_chunks(pieces, size)
         first = len(pieces) + 1
         pieces += repeat(f"{t + 1},", 2 * n)
         pieces[first::2] = idle_texts
         for k in compress(pans, column):
-            pieces[first + 2 * k] = active[k] + chi_part + tails[id(channels[k][t])]
+            grant = channels[k][t]
+            text = tails.get(id(grant))
+            if text is None:
+                text = tails[id(grant)] = tail(grant)
+            pieces[first + 2 * k] = active[k] + chi_part + text
     yield from flush_chunks(pieces, size)
 
 
@@ -366,14 +368,23 @@ def allocation_json_doc(configs: Sequence[SuperframeConfig], alloc: AllocationMa
     def ints(values: Sequence[int], level: int) -> str:
         return json_array([str(v) for v in values], level)
 
+    def grant_text(grant: tuple[LogicalChannel, ...]) -> str:
+        return json_array([ints(ch, 5) for ch in grant], 4)
+
     # A grant sits at depth 4 of channels_per_cycle; every grant but a row's
-    # last carries the separator to the next one, and the last closes the row.
-    grants = {
-        key: json_array([ints(ch, 5) for ch in grant], 4)
-        for key, grant in _distinct_grants(alloc).items()
-    }
-    inner = {key: text + ",\n        " for key, text in grants.items()}
-    last = {key: text + "\n      ]\n    }" for key, text in grants.items()}
+    # last carries the separator to the next one, and the last closes the
+    # row.  Both pieces are rendered on a grant's first use, keyed by
+    # identity as in ``allocation_csv``.
+    row_end = "\n      ]\n    }"
+    inner: dict[int, str] = {}
+    last: dict[int, str] = {}
+
+    def render(grant: tuple[LogicalChannel, ...]) -> str:
+        text = grant_text(grant)
+        last[id(grant)] = text + row_end
+        inner[id(grant)] = piece = text + ",\n        "
+        return piece
+
     cycles = cycle_structure(configs)
     yield (
         "{\n"
@@ -394,10 +405,10 @@ def allocation_json_doc(configs: Sequence[SuperframeConfig], alloc: AllocationMa
         '      "channels_per_cycle": [\n        '
         for k, cfg in enumerate(configs)
     ]
-    size = chunk_size(1, max(max(map(len, heads)), max(map(len, last.values()))))
+    size = chunk_size(1, max(max(map(len, heads)), len(grant_text(_widest_grant(alloc)) + row_end)))
     u = len(alloc.per_cycle_chi)
     cycle_range = range(u)
-    idle_piece = inner[id(())]
+    idle_piece = render(())
     pieces: list[str] = []
     for head, row, active in zip(heads, alloc.channels, alloc.activity):
         if len(pieces) + 1 + u > size:
@@ -406,7 +417,9 @@ def allocation_json_doc(configs: Sequence[SuperframeConfig], alloc: AllocationMa
         first = len(pieces)
         pieces += repeat(idle_piece, u)
         for t in compress(cycle_range, active):
-            pieces[first + t] = inner[id(row[t])]
+            grant = row[t]
+            piece = inner.get(id(grant))
+            pieces[first + t] = render(grant) if piece is None else piece
         pieces[-1] = last[id(row[-1])]
     pieces.append("\n  ]\n}\n")
     yield from flush_chunks(pieces, size)

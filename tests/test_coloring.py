@@ -4,13 +4,19 @@ import time
 
 import pytest
 from conftest import graph_from_edges
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import brute_force_chromatic, twelve_cell_lattice, verify_coloring
 
+from hexchan import coloring
 from hexchan.coloring import (
     CONTROL,
     DATA,
     Coloring,
+    _first_appearance,
     _greedy_clique,
+    _k_coloring,
+    _pattern_label,
     _two_coloring,
     chromatic_coloring,
     pattern_coloring,
@@ -251,6 +257,110 @@ def test_four_chromatic_control_components_take_the_pattern():
             ]
             checked += 1
     assert checked
+
+
+def reference_component_labels(rows, comp, cells):
+    """The rule ``_component_labels`` replaced: the full greedy clique sweep
+    first, then the search from that bound up, with the control pattern
+    checked over every local edge when k reaches 4."""
+    positions = list(iter_bits(comp))
+    local = {p: r for r, p in enumerate(positions)}
+    adj = [sum(1 << local[q] for q in iter_bits(rows[p] & comp)) for p in positions]
+    pattern = [_pattern_label(cells[p], CONTROL) for p in positions]
+    for k in itertools.count(_greedy_clique(rows, comp)):
+        if k == 4 and all(pattern[v] != pattern[w] for v in range(len(adj)) for w in iter_bits(adj[v])):
+            return _first_appearance(pattern)
+        labels = _k_coloring(adj, k)
+        if labels is not None:
+            return labels
+
+
+def reference_chromatic_labels(g):
+    labels = [0] * len(g)
+    for comp in component_masks(g.rows, (1 << len(g)) - 1):
+        for p, label in zip(iter_bits(comp), reference_component_labels(g.rows, comp, g.vertices)):
+            labels[p] = label
+    return tuple(labels)
+
+
+@st.composite
+def lattice_graphs(draw):
+    """The interference graph of a subset of a window N <= 5, at metric 12,
+    16 or 28.  At 28 the search runs up to 7 colors, and ruling out 6 on 40
+    or more cells can take seconds, so those subsets keep at most 25 cells."""
+    window = build_lattice(draw(st.integers(0, 5)), 1.0)
+    threshold = draw(st.sampled_from((DATA_REUSE_METRIC, CONTROL_REUSE_METRIC, 28)))
+    if threshold < 28 and draw(st.booleans()):
+        cells = list(window.cells)
+    else:
+        top = 25 if threshold == 28 else len(window.cells)
+        cells = draw(st.lists(st.sampled_from(window.cells), min_size=1, max_size=top, unique=True))
+    return build_interference_graph(lattice_from_cells(cells, 1.0), threshold)
+
+
+@st.composite
+def cell_graphs(draw):
+    """A random graph on at most 12 cells of the N = 3 window, edges drawn
+    regardless of distance: the control pattern is often improper on it,
+    and cliques of 5 or more occur."""
+    cells = draw(st.lists(st.sampled_from(build_lattice(3, 1.0).cells), min_size=1, max_size=12, unique=True))
+    pairs = [(a, b) for k, a in enumerate(cells) for b in cells[k + 1 :]]
+    density = draw(st.sampled_from((0.3, 0.6, 0.9)))
+    flags = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return graph_from_edges(cells, [pair for pair, flag in zip(pairs, flags) if flag < density])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(lattice_graphs(), cell_graphs()))
+def test_pattern_first_gives_the_labels_of_the_search_first_rule(g):
+    assert chromatic_coloring(g).labels == reference_chromatic_labels(g)
+
+
+def refuse_to_search(adj, k):
+    raise AssertionError(f"searched for a {k}-coloring of {len(adj)} vertices")
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_full_windows_take_the_pattern_without_a_search(monkeypatch, n):
+    # cells (0, 0), (1, 1), (2, 0) and (1, -1) form a K4 from N = 2 on, and
+    # the control pattern is proper on every metric-16 graph
+    monkeypatch.setattr(coloring, "_k_coloring", refuse_to_search)
+    lattice = build_lattice(n, 1.0)
+    col = chromatic_coloring(build_interference_graph(lattice, CONTROL_REUSE_METRIC))
+    assert col == pattern_coloring(lattice, CONTROL)
+    assert col.num_colors == 4
+
+
+def counted_searches(monkeypatch):
+    calls = []
+
+    def counting(adj, k):
+        calls.append(k)
+        return _k_coloring(adj, k)
+
+    monkeypatch.setattr(coloring, "_k_coloring", counting)
+    return calls
+
+
+def test_the_n1_window_still_searches(monkeypatch):
+    # its largest clique is a triangle, so the pattern's 4 colors are not
+    # minimal and the search finds 3
+    calls = counted_searches(monkeypatch)
+    col = chromatic_coloring(build_interference_graph(build_lattice(1, 1.0), CONTROL_REUSE_METRIC))
+    assert col.num_colors == 3
+    assert calls == [3]
+
+
+def test_a_graph_with_a_k5_gets_five_colors(monkeypatch):
+    # the pattern has 4 colors, so it is improper on a K5 and the search
+    # runs from the clique bound
+    calls = counted_searches(monkeypatch)
+    cells = build_lattice(2, 1.0).cells[:6]
+    clique = [(a, b) for k, a in enumerate(cells[:5]) for b in cells[k + 1 : 5]]
+    g = graph_from_edges(cells, clique + [(cells[4], cells[5])])
+    col = chromatic_coloring(g)
+    assert col.num_colors == 5
+    assert calls == [5]
 
 
 def test_clique_bound_never_exceeds_chromatic():
