@@ -27,7 +27,10 @@ from .errors import SizeLimitError
 from .interference import InterferenceGraph, component_masks, iter_bits
 from .lattice import CellIndex, Lattice
 
-# The search is exponential in the worst case; refuse huge graphs instead of hanging.
+# The search is exponential in the worst case.  The cap bounds vertices, not
+# time: below it, graphs denser than metric 16 (where the control pattern
+# cannot stand in at 4 colors) can take seconds, e.g. 12 s at 55 vertices
+# of a metric-28 graph.
 DEFAULT_VERTEX_CAP = 64
 
 CONTROL = "control"
@@ -210,7 +213,9 @@ def chromatic_coloring(graph: InterferenceGraph, vertex_cap: int = DEFAULT_VERTE
     window with N >= 2 does.  Deterministic for a given vertex order.
     Graphs above ``vertex_cap`` vertices are refused; use
     data_graph_coloring or pattern_coloring for lattice graphs, or raise
-    the cap explicitly if you can afford the search.
+    the cap explicitly if you can afford the search.  The cap bounds
+    vertices, not time: below it, a graph denser than metric 16 can take
+    seconds (up to 12 s measured on 55-vertex metric-28 graphs).
     """
     n = len(graph.vertices)
     if n > vertex_cap:

@@ -189,9 +189,15 @@ def _parse_lattice(doc) -> Lattice:
             raise ConfigError("cell list must be non-empty", field="lattice.cells")
         if len(raw) > MAX_CELLS:
             raise ConfigError(f"{len(raw)} cells exceed the limit of {MAX_CELLS}", field="lattice.cells")
-        cells = [_parse_cell(c, f"lattice.cells[{k}]") for k, c in enumerate(raw)]
-        if len(set(cells)) != len(cells):
-            raise ConfigError("duplicate cells", field="lattice.cells")
+        # Built unchecked, as in ``_entry_cells``: only the error path
+        # formats a field name.
+        cells = set()
+        for k, value in enumerate(raw):
+            cell = CellIndex._make(value) if _int_pair(value) else None
+            if cell is None or sum(cell) % 2 or cell in cells:
+                field = f"lattice.cells[{k}]"
+                raise ConfigError("duplicate cell (%d, %d)" % _parse_cell(value, field), field=field)
+            cells.add(cell)
         return _finite_centers(lattice_from_cells(cells, radius_r=radius, origin=origin))
     bound = _expect(section, "index_bound_N", int, "lattice.index_bound_N")
     if bound < 0:

@@ -91,8 +91,8 @@ class AllocationMatrix(namedtuple("AllocationMatrix", "channels per_cycle_chi pe
     __slots__ = ()
 
 
-# (chi, group size, [(PAN index, grant)]) of one component of active PANs.
-_ComponentResult = tuple[int, int, list[tuple[int, tuple[LogicalChannel, ...]]]]
+# (chi, group size, [(PAN index, grant)]) of one component of 2+ active PANs.
+_Component = tuple[int, int, list[tuple[int, tuple[LogicalChannel, ...]]]]
 
 
 def cycle_structure(configs: Sequence[SuperframeConfig]) -> CycleStructure:
@@ -127,7 +127,16 @@ def activity_matrix(configs: Sequence[SuperframeConfig]) -> tuple[tuple[bool, ..
     keeps them as ``AllocationMatrix.activity``.  Entry t of a row is True
     when the PAN's active period covers elementary cycle t, that is when the
     cycle's start t * SD_min falls in [phase, phase + SD) modulo BI:
-    (t * SD_min - phase) mod BI < SD.  The rows are built in closed form.
+    (t * SD_min - phase) mod BI < SD.  The rows are built in closed form
+    by ``_activity_rows``.
+    """
+    cycles = cycle_structure(configs)
+    return _activity_rows(_duty_runs(configs, cycles.sd_min), cycles.u_cycles)
+
+
+def _activity_rows(runs: Sequence[tuple[int, int, int]], u: int) -> tuple[tuple[bool, ...], ...]:
+    """``activity_matrix`` from the PANs' duty runs over ``u`` cycles.
+
     All durations are powers of two, so SD_min divides SD, SD divides BI
     and BI divides BI_maj: a row repeats every P = BI / SD_min cycles, and
     U is a multiple of P.  In one period the active cycles are the m = SD /
@@ -135,11 +144,9 @@ def activity_matrix(configs: Sequence[SuperframeConfig]) -> tuple[tuple[bool, ..
     m True then P - m False, rotated right by t0, and the row is U / P
     periods.  PANs with equal (P, m, t0) share one row tuple.
     """
-    cycles = cycle_structure(configs)
-    u = cycles.u_cycles
     shared: dict[tuple[int, int, int], tuple[bool, ...]] = {}
     rows = []
-    for key in _duty_runs(configs, cycles.sd_min):
+    for key in runs:
         row = shared.get(key)
         if row is None:
             period, active, start = key
@@ -151,33 +158,74 @@ def activity_matrix(configs: Sequence[SuperframeConfig]) -> tuple[tuple[bool, ..
 
 def allocate_dynamic(lattice: Lattice, configs: Sequence[SuperframeConfig], plan: ChannelPlan) -> AllocationMatrix:
     """Per-PAN per-cycle channel groups over one major cycle, colored on the
-    lattice's metric-12 graph by ``_allocate_on_graph``."""
-    return _allocate_on_graph(build_interference_graph(lattice, DATA_REUSE_METRIC), configs, plan)
+    lattice's metric-12 graph.
+
+    ``_active_sets`` allocates each distinct set of active PANs once; here
+    each set becomes a grant column, with ``()`` for the idle PANs, and the
+    rows of ``channels`` are the cycles' columns transposed.  A cycle's chi
+    is the largest of its components' (1 for a single PAN) and its k the
+    largest group (the whole data set, if a PAN is on its own).
+    """
+    runs, cycle_masks, sets = _active_sets(build_interference_graph(lattice, DATA_REUSE_METRIC), configs, plan)
+    n = len(configs)
+    ordered_data = plan.ordered_data()
+    results = {}
+    for mask, (singles, multis) in sets.items():
+        column: list[tuple[LogicalChannel, ...]] = [()] * n
+        chi_t = k_t = 0
+        if singles:
+            chi_t, k_t = 1, len(ordered_data)
+            for k in singles:
+                column[k] = ordered_data
+        for chi, group_size, grants in multis:
+            if chi > chi_t:
+                chi_t = chi
+            if group_size > k_t:
+                k_t = group_size
+            for k, grant in grants:
+                column[k] = grant
+        results[mask] = chi_t, k_t, column
+    per_cycle_chi, per_cycle_k, columns = zip(*map(results.__getitem__, cycle_masks))
+    return AllocationMatrix(
+        channels=tuple(zip(*columns)),
+        per_cycle_chi=per_cycle_chi,
+        per_cycle_k=per_cycle_k,
+        activity=_activity_rows(runs, len(cycle_masks)),
+    )
 
 
-def _allocate_on_graph(
+def _active_sets(
     graph: InterferenceGraph, configs: Sequence[SuperframeConfig], plan: ChannelPlan
-) -> AllocationMatrix:
-    """``allocate_dynamic`` on ``graph``, the metric-12 graph of the PANs' lattice.
+) -> tuple[list[tuple[int, int, int]], list[int], dict[int, tuple[list[int], list[_Component]]]]:
+    """The one pass of dynamic allocation on ``graph``, the metric-12 graph
+    of the PANs' lattice, once per distinct set of active PANs.  It has two
+    readers: ``allocate_dynamic`` turns it into grant columns and rows,
+    ``compare_schemes`` into each PAN's channel counts.
+
+    Returns (runs, cycle_masks, sets).  ``runs[k]`` is PAN k's duty run
+    (P, m, t0) (``_duty_runs``) and ``cycle_masks[t]`` the graph positions
+    of the PANs active in cycle t.  ``sets`` maps each distinct mask, in
+    order of first appearance, to (singles, multis): the PANs that form a
+    component on their own and one ``_Component`` per component of two or
+    more PANs.
 
     Within a cycle, each connected component of the active PANs' subgraph
     is colored with the fewest colors by ``data_labels``: its BFS
     2-coloring when bipartite, else the data pattern, so chi <= 3 and no
-    search runs; a single PAN takes color 0.  A PAN in a component needing
-    chi colors gets the group of |data| // chi channels matching its color.
-    PANs in different components may share channels, they are out of range
-    of each other.
+    search runs.  A PAN in a component needing chi colors gets the group of
+    |data| // chi channels matching its color; a PAN on its own takes the
+    whole data set, with no coloring call and no memo entry.  PANs in
+    different components may share channels, they are out of range of each
+    other.
 
     The work runs in index space: each PAN is a graph position, found in
     the graph's position table, and each cycle a bitmask of its active
     PANs' positions.  Every PAN's activity repeats with its period P
     (``_duty_runs``), so its bit is set in one period's masks per distinct
     P, and the at most 15 period patterns are tiled over the U cycles and
-    OR-ed together.  Two memos live for the call.  Each distinct active
-    mask is allocated once, into its (chi, k, column), where the column
-    holds each PAN's grant in that cycle; the rows of ``channels`` are the
-    cycles' columns transposed.  A component whose position mask occurred
-    before, in any cycle, reuses its (chi, group size, [(PAN, grant)]).  A
+    OR-ed together.  Two memos live for the call.  Each distinct mask is
+    split into components once, and a component of 2+ PANs whose position
+    mask occurred before, in any cycle, reuses its ``_Component``.  A
     component with more colors than data channels raises
     ``InsufficientSpectrumError`` naming the first cycle it is active in.
     """
@@ -192,16 +240,16 @@ def _allocate_on_graph(
     pan_at = dict(zip(pan_positions, range(n)))  # graph position -> PAN index
     if len(pan_at) != n:
         raise ValueError("duplicate PAN cells in superframe configs")
-    activity = activity_matrix(configs)
     cycles = cycle_structure(configs)
     u = cycles.u_cycles
+    runs = _duty_runs(configs, cycles.sd_min)
     ordered_data = plan.ordered_data()
     rows = graph.rows
 
     # Per period P, a pattern of 2P masks: a PAN's run of m cycles from t0
     # < P ends before 2P, and folding the halves wraps it modulo P.
     patterns: dict[int, list[int]] = {}
-    for p, (period, active, start) in zip(pan_positions, _duty_runs(configs, cycles.sd_min)):
+    for p, (period, active, start) in zip(pan_positions, runs):
         pattern = patterns.get(period)
         if pattern is None:
             pattern = patterns[period] = [0] * (2 * period)
@@ -211,57 +259,48 @@ def _allocate_on_graph(
         folded = list(map(or_, pattern[:period], pattern[period:]))
         cycle_masks = list(map(or_, cycle_masks, folded * (u // period)))
 
-    groups_by_chi: dict[int, list[tuple[LogicalChannel, ...]]] = {}
-    component_memo: dict[int, _ComponentResult] = {}
+    def short(mask: int, chi: int) -> InsufficientSpectrumError:
+        return InsufficientSpectrumError(
+            f"cycle {cycle_masks.index(mask) + 1}: need {chi} data channels, plan has {len(ordered_data)}"
+        )
 
-    def allocate_component(mask: int, comp: int) -> _ComponentResult:
-        """(chi, group size, [(PAN, grant)]) of the component whose positions
-        are ``comp``, first met in the cycles whose active positions are ``mask``."""
-        if comp & (comp - 1):
-            labels = data_labels(rows, comp, graph.vertices)
-            chi = max(labels) + 1
-        else:
-            labels = [0]
-            chi = 1
+    groups_by_chi: dict[int, list[tuple[LogicalChannel, ...]]] = {}
+    component_memo: dict[int, _Component] = {}
+
+    def allocate_component(mask: int, comp: int) -> _Component:
+        """The ``_Component`` whose positions are ``comp``, first met in the
+        cycles whose active positions are ``mask``."""
+        labels = data_labels(rows, comp, graph.vertices)
+        chi = max(labels) + 1
         group_size = len(ordered_data) // chi
         if group_size == 0:
-            raise InsufficientSpectrumError(
-                f"cycle {cycle_masks.index(mask) + 1}: need {chi} data channels, plan has {len(ordered_data)}"
-            )
+            raise short(mask, chi)
         groups = groups_by_chi.get(chi)
         if groups is None:
             groups, _ = partition_channels(ordered_data, chi, group_size)
             groups_by_chi[chi] = groups
         return chi, group_size, [(pan_at[p], groups[label]) for p, label in zip(iter_bits(comp), labels)]
 
-    def allocate_cycle(mask: int) -> tuple[int, int, list[tuple[LogicalChannel, ...]]]:
-        """(chi, k, grant per PAN) of the cycles whose active positions are ``mask``."""
-        chi_t = 0
-        k_t = 0
-        column: list[tuple[LogicalChannel, ...]] = [()] * n
+    def allocate_set(mask: int) -> tuple[list[int], list[_Component]]:
+        """(singles, multis) of the cycles whose active positions are ``mask``."""
+        singles = []
+        multis = []
         for comp in component_masks(rows, mask):
-            result = component_memo.get(comp)
-            if result is None:
-                result = component_memo[comp] = allocate_component(mask, comp)
-            chi, group_size, grants = result
-            for k, grant in grants:
-                column[k] = grant
-            if chi > chi_t:
-                chi_t = chi
-            if group_size > k_t:
-                k_t = group_size
-        return chi_t, k_t, column
+            if comp & (comp - 1):
+                result = component_memo.get(comp)
+                if result is None:
+                    result = component_memo[comp] = allocate_component(mask, comp)
+                multis.append(result)
+            elif ordered_data:
+                singles.append(pan_at[comp.bit_length() - 1])
+            else:
+                raise short(mask, 1)
+        return singles, multis
 
     # Distinct masks in order of first appearance, so the first component
     # short of channels is met in the earliest cycle.
-    cycle_memo = {mask: allocate_cycle(mask) for mask in dict.fromkeys(cycle_masks)}
-    per_cycle_chi, per_cycle_k, columns = zip(*map(cycle_memo.__getitem__, cycle_masks))
-    return AllocationMatrix(
-        channels=tuple(zip(*columns)),
-        per_cycle_chi=per_cycle_chi,
-        per_cycle_k=per_cycle_k,
-        activity=activity,
-    )
+    sets = {mask: allocate_set(mask) for mask in dict.fromkeys(cycle_masks)}
+    return runs, cycle_masks, sets
 
 
 def _pan_texts(configs: Sequence[SuperframeConfig], suffix: str = "") -> tuple[list[str], list[str]]:

@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .coloring import data_graph_coloring
 from .errors import OrderingError
-from .dynamic_alloc import SuperframeConfig, _allocate_on_graph, cycle_structure
+from .dynamic_alloc import SuperframeConfig, _active_sets, cycle_structure
 from .interference import build_interference_graph
 from .jsontext import chunk_size, flush_chunks, json_array, json_object
 from .lattice import DATA_REUSE_METRIC, CellIndex, Lattice
 from .spectrum import ChannelPlan
-from .static_alloc import _data_groups
+from .static_alloc import _static_share
 
 SINGLE = "single"
 STATIC = "static"
@@ -113,25 +112,45 @@ def compare_schemes(
 
     Single-channel gives every PAN one data channel, static gives k_static,
     dynamic the per-cycle grant; all three follow the same duty cycles.
-    The lattice's metric-12 graph is built once: k_static is read off its
-    coloring, and the dynamic grants color PAN masks over it.
+    The lattice's metric-12 graph is built once.  k_static is |data| //
+    chi_data of its coloring, and ``_active_sets`` allocates each distinct
+    set of active PANs on it once; the dynamic counts are read off that
+    pass without building a grant.
     """
     missing = [c.pan_cell for c in configs if c.pan_cell not in scenario.per_pan]
     if missing:
         cell = missing[0]
         raise ValueError(f"workload does not cover PAN ({cell.i}, {cell.j})")
     graph = build_interference_graph(lattice, DATA_REUSE_METRIC)
-    _, k_static = _data_groups(data_graph_coloring(graph), plan)
-    dynamic = _allocate_on_graph(graph, configs, plan)
-    u = len(dynamic.per_cycle_chi)
-    active_cycles = tuple(tuple(compress(range(u), row)) for row in dynamic.activity)
+    k_static = _static_share(data_graph_coloring(graph).num_colors, plan)
+    runs, cycle_masks, sets = _active_sets(graph, configs, plan)
+    u = len(cycle_masks)
+
+    # A PAN is active in the m cycles from t0 on, modulo P, of every period
+    # (``_duty_runs``): at the offsets below t0 + m - P and from t0 on.
+    # PANs of equal run share one tuple of cycles.
+    cycles_by_run: dict[tuple[int, int, int], tuple[int, ...]] = {}
+    for run in dict.fromkeys(runs):
+        period, m, start = run
+        offsets = [*range(start + m - period), *range(start, min(start + m, period))]
+        cycles_by_run[run] = tuple([base + offset for base in range(0, u, period) for offset in offsets])
+    active_cycles = tuple(map(cycles_by_run.__getitem__, runs))
+
+    # Cycle by cycle, a PAN alone in its component gets the whole data set
+    # and the PANs of a larger component its group size.
+    whole = len(plan.data_set)
+    dynamic: list[list[int]] = [[] for _ in configs]
+    for mask in cycle_masks:
+        singles, multis = sets[mask]
+        for k in singles:
+            dynamic[k].append(whole)
+        for _, group_size, grants in multis:
+            for k, _ in grants:
+                dynamic[k].append(group_size)
     counts_by_scheme = {
         SINGLE: [(1,) * len(cycles) for cycles in active_cycles],
         STATIC: [(k_static,) * len(cycles) for cycles in active_cycles],
-        DYNAMIC: [
-            tuple(map(len, compress(grants, row)))
-            for grants, row in zip(dynamic.channels, dynamic.activity)
-        ],
+        DYNAMIC: list(map(tuple, dynamic)),
     }
 
     # (sum, max) of each distinct request list; a uniform workload shares

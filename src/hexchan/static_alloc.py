@@ -40,17 +40,25 @@ class StaticAllocation(namedtuple("StaticAllocation", "control data_groups k_sta
     __slots__ = ()
 
 
+def _static_share(chi_data: int, plan: ChannelPlan) -> int:
+    """k_static = |data| // chi_data, the size of each of the chi_data equal
+    data groups; 0 for a graph without vertices (chi_data = 0)."""
+    if chi_data == 0:
+        return 0
+    k_static = len(plan.data_set) // chi_data
+    if k_static == 0:
+        raise InsufficientSpectrumError(f"need at least {chi_data} data channels, plan has {len(plan.data_set)}")
+    return k_static
+
+
 def _data_groups(coloring: Coloring, plan: ChannelPlan) -> tuple[tuple[tuple[LogicalChannel, ...], ...], int]:
     """Color class c gets the c-th of chi equal data groups; returns the
     group of each vertex, in vertex order, and the group size k_static."""
-    ordered = plan.ordered_data()
     chi = coloring.num_colors
+    k_static = _static_share(chi, plan)
     if chi == 0:
         return (), 0
-    k_static = len(ordered) // chi
-    if k_static == 0:
-        raise InsufficientSpectrumError(f"need at least {chi} data channels, plan has {len(ordered)}")
-    groups, _ = partition_channels(ordered, chi, k_static)
+    groups, _ = partition_channels(plan.ordered_data(), chi, k_static)
     return tuple(groups[color] for color in coloring.labels), k_static
 
 

@@ -605,6 +605,17 @@ def test_cells_reject_booleans(tmp_path, capsys):
     assert reject_line(tmp_path, capsys, doc) == "error: lattice.cells[1]: expected a two-integer [i, j] pair\n"
 
 
+def test_cells_name_the_bad_entry(tmp_path, capsys):
+    doc = {"lattice": {"cells": [[0, 0], [1, 1], [2, 0], [1, 1]], "radius_R": 1.0}}
+    assert reject_line(tmp_path, capsys, doc) == "error: lattice.cells[3]: duplicate cell (1, 1)\n"
+    doc["lattice"]["cells"][3] = [1, 2]
+    assert reject_line(tmp_path, capsys, doc) == (
+        "error: lattice.cells[3]: cell index (1, 2) violates parity: i + j must be even\n"
+    )
+    doc["lattice"]["cells"][3] = [-1, 1]
+    assert load_config(write_config(tmp_path, doc)).lattice.cells == ((0, 0), (2, 0), (-1, 1), (1, 1))
+
+
 def test_per_pan_without_superframes_names_any_valid_cell(tmp_path, capsys):
     doc = minimal_lattice_doc(1)
     doc["workload"] = {"per_pan": [{"cell": [9, 1], "slots": [3]}, {"cell": [0, 0], "slots": [2, 2]}]}

@@ -15,8 +15,18 @@ from hypothesis import strategies as st
 from oracles import brute_force_chromatic
 
 from hexchan.dynamic_alloc import SuperframeConfig, allocate_dynamic
+from hexchan.errors import InsufficientSpectrumError
+from hexchan.evaluate import DYNAMIC, STATIC, RequestScenario, compare_schemes
 from hexchan.lattice import DATA_REUSE_METRIC, build_lattice, lattice_from_cells, lattice_metric
-from hexchan.spectrum import DOMAIN_NAMES, channel_plan, default_domain, partition_channels
+from hexchan.spectrum import (
+    DOMAIN_NAMES,
+    ChannelPlan,
+    LogicalChannel,
+    channel_plan,
+    default_domain,
+    partition_channels,
+)
+from hexchan.static_alloc import allocate_static
 
 
 @st.composite
@@ -181,3 +191,48 @@ def expected_channels(lattice, configs, plan):
 def test_dynamic_grants_match_the_lattice_oracle(deployment):
     lattice, configs, plan = deployment
     assert allocate_dynamic(lattice, configs, plan).channels == expected_channels(lattice, configs, plan)
+
+
+DATA_CAPABLE = [LogicalChannel(phy, code) for phy in (1, 2, 3) for code in (1, 2)]
+
+
+@st.composite
+def any_plans(draw):
+    """A built-in domain's plan, or a custom one with 0, 1 or 2 data channels."""
+    if draw(st.booleans()):
+        return channel_plan(default_domain(draw(st.sampled_from(DOMAIN_NAMES))))
+    data = draw(st.lists(st.sampled_from(DATA_CAPABLE), max_size=2, unique=True))
+    return ChannelPlan(control_set=frozenset({LogicalChannel(4, 7)}), data_set=frozenset(data))
+
+
+def insufficient(call):
+    """``(call(), None)``, or ``(None, message)`` if it raises
+    ``InsufficientSpectrumError``."""
+    try:
+        return call(), None
+    except InsufficientSpectrumError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(deployments(), mixed_period_deployments()), any_plans())
+def test_compare_schemes_reads_the_counts_of_allocate_dynamic(deployment, plan):
+    # The two readers of one dynamic pass: evaluate's dynamic counts are the
+    # sizes of allocate_dynamic's grants, cycle by cycle, and its static
+    # count is allocate_static's k_static.  Both fail alike: the static
+    # share is checked first, then the first cycle short of channels.
+    lattice, configs, _ = deployment
+    scenario = RequestScenario.uniform(cfg.pan_cell for cfg in configs)
+    static, static_error = insufficient(lambda: allocate_static(lattice, plan))
+    alloc, dynamic_error = insufficient(lambda: allocate_dynamic(lattice, configs, plan))
+    reports, error = insufficient(lambda: compare_schemes(lattice, configs, plan, scenario))
+    assert error == (static_error or dynamic_error)
+    if error is not None:
+        return
+    by_scheme = {report.scheme: report for report in reports}
+    dynamic = by_scheme[DYNAMIC]
+    for k, (row, active) in enumerate(zip(alloc.channels, alloc.activity)):
+        cycles = tuple(t for t, on in enumerate(active) if on)
+        assert dynamic.active_cycles[k] == cycles
+        assert dynamic.channel_counts[k] == tuple(len(row[t]) for t in cycles)
+        assert by_scheme[STATIC].channel_counts[k] == (static.k_static,) * len(cycles)
