@@ -16,7 +16,6 @@ from .dynamic_alloc import (
     AllocationMatrix,
     CycleStructure,
     SuperframeConfig,
-    activity_matrix,
     allocate_dynamic,
     cycle_structure,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "SchemeReport",
     "StaticAllocation",
     "SuperframeConfig",
-    "activity_matrix",
     "allocate_dynamic",
     "allocate_static",
     "build_interference_graph",

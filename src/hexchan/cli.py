@@ -130,7 +130,7 @@ def cmd_dynamic(cfg: ScenarioConfig, out_dir: Path) -> None:
     configs = cfg.require_superframes()
     plan = cfg.plan()
     alloc = allocate_dynamic(cfg.lattice, configs, plan)
-    _write(out_dir, "activity.csv", activity_csv(configs, alloc.activity))
+    _write(out_dir, "activity.csv", activity_csv(configs, alloc))
     _write(out_dir, "dynamic_allocation.csv", allocation_csv(configs, alloc))
     _write(out_dir, "dynamic_allocation.json", allocation_json_doc(configs, alloc))
     _write(out_dir, "dynamic_summary.json", (dynamic_summary_json(configs, alloc),))

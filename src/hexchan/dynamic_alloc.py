@@ -67,25 +67,20 @@ class CycleStructure(namedtuple("CycleStructure", "bi_maj sd_min u_cycles")):
     __slots__ = ()
 
 
-class AllocationMatrix(namedtuple("AllocationMatrix", "channels per_cycle_chi per_cycle_k activity")):
-    """The dynamic allocation of one run: activity and grants per PAN and cycle.
+class AllocationMatrix(namedtuple("AllocationMatrix", "channels per_cycle_chi per_cycle_k")):
+    """The dynamic allocation of one run: grants per PAN and cycle.
 
-    ``activity[pan][cycle]`` is whether the PAN is active in the elementary
-    cycle (the rows of ``activity_matrix``) and ``channels[pan][cycle]`` the
-    data channels granted to it there.  ``per_cycle_chi`` is the chromatic
-    number of the cycle's active interference graph (max over its
-    components; 0 when idle) and ``per_cycle_k`` the largest channel grant
-    in the cycle.  With the PANs' configs, this record is the whole input of
-    the dynamic report writers.
+    ``channels[pan][cycle]`` is the tuple of data channels granted to the
+    PAN in the elementary cycle.  A grant is ``()`` exactly when the PAN is
+    idle there: an active PAN always gets a non-empty group, so the grants
+    are also the activity, and the report writers read it off them.
+    ``per_cycle_chi`` is the chromatic number of the cycle's active
+    interference graph (max over its components; 0 when idle) and
+    ``per_cycle_k`` the largest channel grant in the cycle.  With the PANs'
+    configs, this record is the whole input of the dynamic report writers.
 
-    A grant is ``()`` exactly when the PAN is idle in that cycle: an active
-    PAN always gets a non-empty group.  The report writers rely on this and
-    render idle entries from the activity alone.
-
-    The rows share their objects: PANs of equal duty and phase hold one
-    activity tuple, and the rows of ``channels`` are the transpose of one
-    grant column per distinct set of active PANs, whose grants are the
-    shared channel groups.
+    The rows of ``channels`` are the transpose of one grant column per
+    distinct set of active PANs, whose grants are the shared channel groups.
     """
 
     __slots__ = ()
@@ -110,9 +105,15 @@ def cycle_structure(configs: Sequence[SuperframeConfig]) -> CycleStructure:
 
 
 def _duty_runs(configs: Sequence[SuperframeConfig], sd_min: int) -> list[tuple[int, int, int]]:
-    """(P, m, t0) per config: its activity row repeats every P = BI / SD_min
-    cycles, and in each period it is active in the m = SD / SD_min cycles
-    from t0 = ceil((phase mod BI) / SD_min) on, modulo P."""
+    """(P, m, t0) per config, its duty run over elementary cycles.
+
+    A PAN is active in cycle t when the cycle's start t * SD_min falls in
+    [phase, phase + SD) modulo BI: (t * SD_min - phase) mod BI < SD.  All
+    durations are powers of two, so SD_min divides SD, SD divides BI and BI
+    divides BI_maj: the activity repeats every P = BI / SD_min cycles, U is
+    a multiple of P, and in each period the PAN is active in the m = SD /
+    SD_min cycles from t0 = ceil((phase mod BI) / SD_min) on, modulo P
+    (``_active_intervals``)."""
     runs = []
     for _, so, bo, phase in configs:
         period = (1 << bo) // sd_min
@@ -120,40 +121,14 @@ def _duty_runs(configs: Sequence[SuperframeConfig], sd_min: int) -> list[tuple[i
     return runs
 
 
-def activity_matrix(configs: Sequence[SuperframeConfig]) -> tuple[tuple[bool, ...], ...]:
-    """Activity of every PAN over one major cycle of ``cycle_structure(configs)``.
-
-    Returns one row per PAN, indexed ``[pan][cycle]``; ``allocate_dynamic``
-    keeps them as ``AllocationMatrix.activity``.  Entry t of a row is True
-    when the PAN's active period covers elementary cycle t, that is when the
-    cycle's start t * SD_min falls in [phase, phase + SD) modulo BI:
-    (t * SD_min - phase) mod BI < SD.  The rows are built in closed form
-    by ``_activity_rows``.
-    """
-    cycles = cycle_structure(configs)
-    return _activity_rows(_duty_runs(configs, cycles.sd_min), cycles.u_cycles)
-
-
-def _activity_rows(runs: Sequence[tuple[int, int, int]], u: int) -> tuple[tuple[bool, ...], ...]:
-    """``activity_matrix`` from the PANs' duty runs over ``u`` cycles.
-
-    All durations are powers of two, so SD_min divides SD, SD divides BI
-    and BI divides BI_maj: a row repeats every P = BI / SD_min cycles, and
-    U is a multiple of P.  In one period the active cycles are the m = SD /
-    SD_min cycles from t0 on, modulo P (``_duty_runs``).  So each period is
-    m True then P - m False, rotated right by t0, and the row is U / P
-    periods.  PANs with equal (P, m, t0) share one row tuple.
-    """
-    shared: dict[tuple[int, int, int], tuple[bool, ...]] = {}
-    rows = []
-    for key in runs:
-        row = shared.get(key)
-        if row is None:
-            period, active, start = key
-            run = [True] * active + [False] * (period - active)
-            row = shared[key] = tuple((run[period - start :] + run[: period - start]) * (u // period))
-        rows.append(row)
-    return tuple(rows)
+def _active_intervals(period: int, active: int, start: int) -> list[tuple[int, int]]:
+    """The cycles [a, b) of one period of the duty run (P, m, t0) in which
+    its PAN is active: the m cycles from t0 on, modulo P, as one interval,
+    or as two, [0, t0 + m - P) then [t0, P), when the run wraps past P."""
+    end = start + active
+    if end <= period:
+        return [(start, end)]
+    return [(0, end - period), (start, period)]
 
 
 def allocate_dynamic(lattice: Lattice, configs: Sequence[SuperframeConfig], plan: ChannelPlan) -> AllocationMatrix:
@@ -162,11 +137,13 @@ def allocate_dynamic(lattice: Lattice, configs: Sequence[SuperframeConfig], plan
 
     ``_active_sets`` allocates each distinct set of active PANs once; here
     each set becomes a grant column, with ``()`` for the idle PANs, and the
-    rows of ``channels`` are the cycles' columns transposed.  A cycle's chi
-    is the largest of its components' (1 for a single PAN) and its k the
-    largest group (the whole data set, if a PAN is on its own).
+    rows of ``channels`` are the cycles' columns transposed.  So the grants
+    are the activity: PAN k is active in cycle t iff ``channels[k][t]`` is
+    non-empty.  A cycle's chi is the largest of its components' (1 for a
+    single PAN) and its k the largest group (the whole data set, if a PAN is
+    on its own).
     """
-    runs, cycle_masks, sets = _active_sets(build_interference_graph(lattice, DATA_REUSE_METRIC), configs, plan)
+    _, cycle_masks, sets = _active_sets(build_interference_graph(lattice, DATA_REUSE_METRIC), configs, plan)
     n = len(configs)
     ordered_data = plan.ordered_data()
     results = {}
@@ -190,7 +167,6 @@ def allocate_dynamic(lattice: Lattice, configs: Sequence[SuperframeConfig], plan
         channels=tuple(zip(*columns)),
         per_cycle_chi=per_cycle_chi,
         per_cycle_k=per_cycle_k,
-        activity=_activity_rows(runs, len(cycle_masks)),
     )
 
 
@@ -221,12 +197,13 @@ def _active_sets(
     The work runs in index space: each PAN is a graph position, found in
     the graph's position table, and each cycle a bitmask of its active
     PANs' positions.  Every PAN's activity repeats with its period P
-    (``_duty_runs``), so its bit is set in one period's masks per distinct
-    P, and the at most 15 period patterns are tiled over the U cycles and
-    OR-ed together.  Two memos live for the call.  Each distinct mask is
-    split into components once, and a component of 2+ PANs whose position
-    mask occurred before, in any cycle, reuses its ``_Component``.  A
-    component with more colors than data channels raises
+    (``_duty_runs``), so its bit is OR-ed into a pattern of P masks, one
+    per distinct P, over its one or two active intervals
+    (``_active_intervals``); the at most 15 period patterns are tiled over
+    the U cycles and OR-ed together.  Two memos live for the call.  Each
+    distinct mask is split into components once, and a component of 2+
+    PANs whose position mask occurred before, in any cycle, reuses its
+    ``_Component``.  A component with more colors than data channels raises
     ``InsufficientSpectrumError`` naming the first cycle it is active in.
     """
     position = {cell: p for p, cell in enumerate(graph.vertices)}
@@ -246,18 +223,18 @@ def _active_sets(
     ordered_data = plan.ordered_data()
     rows = graph.rows
 
-    # Per period P, a pattern of 2P masks: a PAN's run of m cycles from t0
-    # < P ends before 2P, and folding the halves wraps it modulo P.
+    # Per period P, a pattern of P masks with each PAN's bit over its
+    # active intervals, tiled over the U cycles.
     patterns: dict[int, list[int]] = {}
     for p, (period, active, start) in zip(pan_positions, runs):
         pattern = patterns.get(period)
         if pattern is None:
-            pattern = patterns[period] = [0] * (2 * period)
-        pattern[start : start + active] = map(or_, pattern[start : start + active], repeat(1 << p))
+            pattern = patterns[period] = [0] * period
+        for a, b in _active_intervals(period, active, start):
+            pattern[a:b] = map(or_, pattern[a:b], repeat(1 << p))
     cycle_masks = [0] * u
     for period, pattern in patterns.items():
-        folded = list(map(or_, pattern[:period], pattern[period:]))
-        cycle_masks = list(map(or_, cycle_masks, folded * (u // period)))
+        cycle_masks = list(map(or_, cycle_masks, pattern * (u // period)))
 
     def short(mask: int, chi: int) -> InsufficientSpectrumError:
         return InsufficientSpectrumError(
@@ -310,20 +287,21 @@ def _pan_texts(configs: Sequence[SuperframeConfig], suffix: str = "") -> tuple[l
     return [cell + "0" + suffix for cell in cells], [cell + "1" + suffix for cell in cells]
 
 
-def activity_csv(configs: Sequence[SuperframeConfig], activity: Sequence[Sequence[bool]]) -> Iterator[str]:
-    """Long-form activity table; cycles are printed 1-based.  Yields the
-    text in chunks of at most ``WRITE_CHUNK`` characters."""
+def activity_csv(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix) -> Iterator[str]:
+    """Long-form activity table, read off the grants of ``alloc``; cycles
+    are printed 1-based.  Yields the text in chunks of at most
+    ``WRITE_CHUNK`` characters."""
     # A line is two pieces, "cycle," and "i,j,active\r\n"; the header is a
     # line with an empty first piece.  Per cycle, the pieces list gets the
     # cycle field before each PAN's text: all PANs' idle texts are copied
-    # in, then the active PANs' texts put in place.
+    # in, then the texts of the PANs with a non-empty grant put in place.
     idle, active = _pan_texts(configs, "\r\n")
     n = len(configs)
     pans = range(n)
     header = "cycle,pan_i,pan_j,active\r\n"
-    size = chunk_size(2, max(len(header), len(f"{len(activity[0])},") + max(map(len, idle))))
+    size = chunk_size(2, max(len(header), len(f"{len(alloc.per_cycle_chi)},") + max(map(len, idle))))
     pieces = ["", header]
-    for t, column in enumerate(zip(*activity), 1):
+    for t, column in enumerate(zip(*alloc.channels), 1):
         if len(pieces) + 2 * n > size:
             yield from flush_chunks(pieces, size)
         first = len(pieces) + 1
@@ -369,9 +347,8 @@ def allocation_csv(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix)
     size = chunk_size(2, max(len(header), longest))
     idle_by_chi: dict[int, list[str]] = {}
     pans = range(n)
-    channels = alloc.channels
     pieces = ["", header]
-    for t, (chi, column) in enumerate(zip(alloc.per_cycle_chi, zip(*alloc.activity))):
+    for t, (chi, column) in enumerate(zip(alloc.per_cycle_chi, zip(*alloc.channels))):
         chi_part = f"{chi},"
         idle_texts = idle_by_chi.get(chi)
         if idle_texts is None:
@@ -382,7 +359,7 @@ def allocation_csv(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix)
         pieces += repeat(f"{t + 1},", 2 * n)
         pieces[first::2] = idle_texts
         for k in compress(pans, column):
-            grant = channels[k][t]
+            grant = column[k]
             text = tails.get(id(grant))
             if text is None:
                 text = tails[id(grant)] = tail(grant)
@@ -449,13 +426,13 @@ def allocation_json_doc(configs: Sequence[SuperframeConfig], alloc: AllocationMa
     cycle_range = range(u)
     idle_piece = render(())
     pieces: list[str] = []
-    for head, row, active in zip(heads, alloc.channels, alloc.activity):
+    for head, row in zip(heads, alloc.channels):
         if len(pieces) + 1 + u > size:
             yield from flush_chunks(pieces, size)
         pieces.append(head)
         first = len(pieces)
         pieces += repeat(idle_piece, u)
-        for t in compress(cycle_range, active):
+        for t in compress(cycle_range, row):
             grant = row[t]
             piece = inner.get(id(grant))
             pieces[first + t] = render(grant) if piece is None else piece
@@ -465,17 +442,19 @@ def allocation_json_doc(configs: Sequence[SuperframeConfig], alloc: AllocationMa
 
 
 def dynamic_summary_json(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix) -> str:
-    """The cycle structure of ``configs`` plus per-cycle active PAN count, chi and k.
+    """The cycle structure of ``configs`` plus per-cycle active PAN count
+    (the PANs with a non-empty grant), chi and k.
 
     The text is ``json.dumps(doc, indent=2) + "\n"`` of {bi_maj, sd_min,
     u_cycles, per_cycle: [{cycle, active_pans, chi, k}]} with cycles
     numbered from 1, written directly: one template is filled per cycle.
     """
     cycles = cycle_structure(configs)
+    n = len(configs)
     entry = json_object([(key, "%d") for key in ("cycle", "active_pans", "chi", "k")], 2)
     per_cycle = zip(
         range(1, len(alloc.per_cycle_chi) + 1),
-        map(sum, zip(*alloc.activity)),
+        (n - column.count(()) for column in zip(*alloc.channels)),
         alloc.per_cycle_chi,
         alloc.per_cycle_k,
     )

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .coloring import data_graph_coloring
 from .errors import OrderingError
-from .dynamic_alloc import SuperframeConfig, _active_sets, cycle_structure
+from .dynamic_alloc import SuperframeConfig, _active_intervals, _active_sets, cycle_structure
 from .interference import build_interference_graph
 from .jsontext import chunk_size, flush_chunks, json_array, json_object
 from .lattice import DATA_REUSE_METRIC, CellIndex, Lattice
@@ -115,7 +115,9 @@ def compare_schemes(
     The lattice's metric-12 graph is built once.  k_static is |data| //
     chi_data of its coloring, and ``_active_sets`` allocates each distinct
     set of active PANs on it once; the dynamic counts are read off that
-    pass without building a grant.
+    pass without building a grant.  Each PAN's active cycles are its
+    active intervals (``_active_intervals``) in every period, the same
+    intervals ``_active_sets`` builds the cycle masks from.
     """
     missing = [c.pan_cell for c in configs if c.pan_cell not in scenario.per_pan]
     if missing:
@@ -126,14 +128,12 @@ def compare_schemes(
     runs, cycle_masks, sets = _active_sets(graph, configs, plan)
     u = len(cycle_masks)
 
-    # A PAN is active in the m cycles from t0 on, modulo P, of every period
-    # (``_duty_runs``): at the offsets below t0 + m - P and from t0 on.
-    # PANs of equal run share one tuple of cycles.
+    # A PAN is active at the offsets of its active intervals in every
+    # period.  PANs of equal run share one tuple of cycles.
     cycles_by_run: dict[tuple[int, int, int], tuple[int, ...]] = {}
     for run in dict.fromkeys(runs):
-        period, m, start = run
-        offsets = [*range(start + m - period), *range(start, min(start + m, period))]
-        cycles_by_run[run] = tuple([base + offset for base in range(0, u, period) for offset in offsets])
+        offsets = [t for a, b in _active_intervals(*run) for t in range(a, b)]
+        cycles_by_run[run] = tuple([base + offset for base in range(0, u, run[0]) for offset in offsets])
     active_cycles = tuple(map(cycles_by_run.__getitem__, runs))
 
     # Cycle by cycle, a PAN alone in its component gets the whole data set
@@ -165,13 +165,14 @@ def compare_schemes(
         pan_spans.append(span)
 
     # One table per distinct (span, set of counts), shared by every PAN and
-    # scheme that has it: a PAN's table is fixed by those alone.
+    # scheme that has it: a PAN's table is fixed by those alone.  Single and
+    # static repeat one count, so its first occurrence is the whole set.
     tables: dict[tuple[tuple[int, int], frozenset[int]], dict[int, tuple[int, float]]] = {}
     reports = []
     for scheme in SCHEMES:
         outcomes = []
         for span, counts in zip(pan_spans, counts_by_scheme[scheme]):
-            key = (span, frozenset(counts))
+            key = (span, frozenset(counts if scheme == DYNAMIC else counts[:1]))
             table = tables.get(key)
             if table is None:
                 total, longest = span

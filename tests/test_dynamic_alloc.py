@@ -14,7 +14,6 @@ from hexchan.config import load_config
 from hexchan.dynamic_alloc import (
     SuperframeConfig,
     activity_csv,
-    activity_matrix,
     allocate_dynamic,
     allocation_csv,
     allocation_json_doc,
@@ -80,10 +79,19 @@ def test_cycle_structure_reference_scenario(reference):
     assert (cs.bi_maj, cs.sd_min, cs.u_cycles) == (32, 1, 32)
 
 
+def granted(configs):
+    """Per PAN and cycle, whether ``allocate_dynamic`` grants the PAN any
+    channel, on a lattice of the PANs' cells with the Europe plan."""
+    lattice = lattice_from_cells([cfg.pan_cell for cfg in configs], 1.0)
+    alloc = allocate_dynamic(lattice, configs, channel_plan(default_domain(EUROPE)))
+    return tuple(tuple(grant != () for grant in row) for row in alloc.channels)
+
+
 def test_activity_always_on_when_so_equals_bo():
-    cfg = SF(pan_cell=C(0, 0), so=2, bo=2)
-    act = activity_matrix([cfg, SF(pan_cell=C(1, 1), so=0, bo=3)])
+    cfgs = [SF(pan_cell=C(0, 0), so=2, bo=2), SF(pan_cell=C(1, 1), so=0, bo=3)]
+    act = granted(cfgs)
     assert all(act[0])
+    assert act[0] == tuple(is_active(cfgs[0], t, cycle_structure(cfgs).sd_min) for t in range(len(act[0])))
 
 
 def test_activity_pattern_so1_bo2():
@@ -91,8 +99,9 @@ def test_activity_pattern_so1_bo2():
     cfgs = [SF(pan_cell=C(0, 0), so=1, bo=2), SF(pan_cell=C(1, 1), so=0, bo=3)]
     cs = cycle_structure(cfgs)
     assert cs.sd_min == 1 and cs.u_cycles == 8
-    act = activity_matrix(cfgs)
+    act = granted(cfgs)
     assert [t for t in range(8) if act[0][t]] == [0, 1, 4, 5]
+    assert [t for t in range(8) if is_active(cfgs[0], t, cs.sd_min)] == [0, 1, 4, 5]
 
 
 def test_activity_row_sums():
@@ -104,21 +113,22 @@ def test_activity_row_sums():
         bo = rng.randint(0, 5)
         cfgs.append(SF(pan_cell=cell, so=rng.randint(0, bo), bo=bo, phase=rng.randint(0, 7)))
     cs = cycle_structure(cfgs)
-    act = activity_matrix(cfgs)
+    act = granted(cfgs)
     for k, cfg in enumerate(cfgs):
         expected = (cfg.sd // cs.sd_min) * (cs.bi_maj // cfg.bi)
         assert sum(act[k]) == expected
+        assert sum(is_active(cfg, t, cs.sd_min) for t in range(cs.u_cycles)) == expected
 
 
-def test_activity_matrix_matches_is_active():
-    # rows are tiled from one period; cover cycle counts that cut a period
+def test_grants_tiled_past_the_major_cycle_match_is_active():
+    # the grant rows repeat with the major cycle; cover cycle counts that cut a period
     rng = random.Random(5)
     cfgs = []
     for cell in build_lattice(2, 1.0).cells:
         bo = rng.randint(0, 6)
         cfgs.append(SF(pan_cell=cell, so=rng.randint(0, bo), bo=bo, phase=rng.randint(0, 70)))
     cs = cycle_structure(cfgs)
-    act = activity_matrix(cfgs)
+    act = granted(cfgs)
     assert {len(row) for row in act} == {cs.u_cycles}
     for num_cycles in (0, 1, 37, cs.u_cycles, 2 * cs.u_cycles + 5):
         tiled = tuple(tuple((row * 3)[:num_cycles]) for row in act)
@@ -139,7 +149,7 @@ def duty_cycles(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(duty_cycles(), st.data())
-def test_activity_matrix_rows_are_closed_form_of_is_active(configs, data):
+def test_grants_match_is_active_on_random_duty_cycles(configs, data):
     # A window of at most 600 cycles, anywhere in the major cycle, plus the
     # last cycle keeps the oracle fast; a PAN's period is 1 to 2^14 cycles,
     # so the window both spans short periods and cuts long ones.
@@ -147,7 +157,7 @@ def test_activity_matrix_rows_are_closed_form_of_is_active(configs, data):
     u = cs.u_cycles
     start = data.draw(st.integers(0, u - 1))
     window = list(range(start, min(u, start + data.draw(st.integers(0, 600))))) + [u - 1]
-    act = activity_matrix(configs)
+    act = granted(configs)
     assert {len(row) for row in act} == {u}
     assert [[row[t] for t in window] for row in act] == [
         [is_active(cfg, t, cs.sd_min) for t in window] for cfg in configs
@@ -156,7 +166,7 @@ def test_activity_matrix_rows_are_closed_form_of_is_active(configs, data):
 
 def test_phase_shifts_activity():
     cfgs = [SF(pan_cell=C(0, 0), so=0, bo=2, phase=1), SF(pan_cell=C(1, 1), so=0, bo=2)]
-    act = activity_matrix(cfgs)
+    act = granted(cfgs)
     assert [t for t in range(4) if act[0][t]] == [1]
     assert [t for t in range(4) if act[1][t]] == [0]
 
@@ -168,13 +178,13 @@ def test_phase_counts_base_superframe_units():
     cfgs = [SF(pan_cell=C(0, 0), so=1, bo=2, phase=0), SF(pan_cell=C(1, 1), so=1, bo=2, phase=2)]
     cs = cycle_structure(cfgs)
     assert (cs.sd_min, cs.u_cycles) == (2, 2)
-    assert activity_matrix(cfgs) == ((True, False), (False, True))
+    assert granted(cfgs) == ((True, False), (False, True))
 
 
 def test_reference_scenario_channel_counts(reference):
     lattice, configs, plan = reference
     cs = cycle_structure(configs)
-    act = activity_matrix(configs)
+    act = [[is_active(cfg, t, cs.sd_min) for t in range(cs.u_cycles)] for cfg in configs]
     alloc = allocate_dynamic(lattice, configs, plan)
     counts = {
         t: sorted({len(alloc.channels[k][t]) for k in range(len(configs)) if act[k][t]})
@@ -197,11 +207,10 @@ def test_reference_scenario_channel_counts(reference):
 def test_inactive_entries_are_empty(reference):
     lattice, configs, plan = reference
     cs = cycle_structure(configs)
-    act = activity_matrix(configs)
     alloc = allocate_dynamic(lattice, configs, plan)
-    for k in range(len(configs)):
+    for k, cfg in enumerate(configs):
         for t in range(cs.u_cycles):
-            if not act[k][t]:
+            if not is_active(cfg, t, cs.sd_min):
                 assert alloc.channels[k][t] == ()
             else:
                 assert alloc.channels[k][t]
@@ -219,7 +228,7 @@ def test_grants_stay_inside_data_set(reference):
 def test_per_cycle_disjointness(reference):
     lattice, configs, plan = reference
     cs = cycle_structure(configs)
-    act = activity_matrix(configs)
+    act = [[is_active(cfg, t, cs.sd_min) for t in range(cs.u_cycles)] for cfg in configs]
     alloc = allocate_dynamic(lattice, configs, plan)
     cells = [cfg.pan_cell for cfg in configs]
     for t in range(cs.u_cycles):
@@ -244,7 +253,7 @@ def test_dynamic_dominates_static(reference):
 def test_isolation_maximality(reference):
     lattice, configs, plan = reference
     cs = cycle_structure(configs)
-    act = activity_matrix(configs)
+    act = [[is_active(cfg, t, cs.sd_min) for t in range(cs.u_cycles)] for cfg in configs]
     alloc = allocate_dynamic(lattice, configs, plan)
     cells = [cfg.pan_cell for cfg in configs]
     for t in range(cs.u_cycles):
@@ -265,13 +274,12 @@ def test_major_cycle_periodicity(reference):
     cs = cycle_structure(configs)
     u = cs.u_cycles
     alloc = allocate_dynamic(lattice, configs, plan)
-    # activity repeats with the major cycle
-    assert [[is_active(cfg, t, cs.sd_min) for t in range(2 * u)] for cfg in configs] == [
-        list(row) * 2 for row in alloc.activity
-    ]
+    # the grants' activity repeats with the major cycle
+    act = [[grant != () for grant in row] for row in alloc.channels]
+    assert [[is_active(cfg, t, cs.sd_min) for t in range(2 * u)] for cfg in configs] == [row * 2 for row in act]
     # a cycle's grants, chi and k depend only on its active set
     first_cycle = {}
-    for t, active_set in enumerate(zip(*alloc.activity)):
+    for t, active_set in enumerate(zip(*act)):
         s = first_cycle.setdefault(active_set, t)
         assert [row[t] for row in alloc.channels] == [row[s] for row in alloc.channels]
         assert (alloc.per_cycle_chi[t], alloc.per_cycle_k[t]) == (alloc.per_cycle_chi[s], alloc.per_cycle_k[s])
@@ -337,9 +345,8 @@ def test_component_needing_more_channels_names_its_first_cycle(tmp_path, capsys,
 def test_exports_parse(reference):
     lattice, configs, plan = reference
     cs = cycle_structure(configs)
-    act = activity_matrix(configs)
     alloc = allocate_dynamic(lattice, configs, plan)
-    activity_text = "".join(activity_csv(configs, act))
+    activity_text = "".join(activity_csv(configs, alloc))
     assert activity_text.splitlines()[0] == "cycle,pan_i,pan_j,active"
     assert len(activity_text.strip().splitlines()) == 1 + cs.u_cycles * len(configs)
     alloc_text = "".join(allocation_csv(configs, alloc))
@@ -350,10 +357,13 @@ def test_exports_parse(reference):
     assert len(doc["pans"][0]["channels_per_cycle"]) == 32
 
 
-def test_allocation_carries_its_activity_matrix(reference):
+def test_grants_are_non_empty_exactly_where_the_oracle_says_active(reference):
     lattice, configs, plan = reference
+    cs = cycle_structure(configs)
     alloc = allocate_dynamic(lattice, configs, plan)
-    assert alloc.activity == activity_matrix(configs)
+    assert [[grant != () for grant in row] for row in alloc.channels] == [
+        [is_active(cfg, t, cs.sd_min) for t in range(cs.u_cycles)] for cfg in configs
+    ]
 
 
 def all_on_n6_config():

@@ -12,9 +12,9 @@ lattice order and the data pattern.
 from conftest import graph_from_edges
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_chromatic
+from oracles import brute_force_chromatic, is_active
 
-from hexchan.dynamic_alloc import SuperframeConfig, allocate_dynamic
+from hexchan.dynamic_alloc import SuperframeConfig, allocate_dynamic, cycle_structure
 from hexchan.errors import InsufficientSpectrumError
 from hexchan.evaluate import DYNAMIC, STATIC, RequestScenario, compare_schemes
 from hexchan.lattice import DATA_REUSE_METRIC, build_lattice, lattice_from_cells, lattice_metric
@@ -96,8 +96,10 @@ def test_dynamic_allocation_properties(deployment):
     alloc = allocate_dynamic(lattice, configs, plan)
 
     ordered = plan.ordered_data()
-    act = alloc.activity
-    for t in range(len(alloc.per_cycle_chi)):
+    cs = cycle_structure(configs)
+    act = [[is_active(cfg, t, cs.sd_min) for t in range(cs.u_cycles)] for cfg in configs]
+    assert len(alloc.per_cycle_chi) == cs.u_cycles
+    for t in range(cs.u_cycles):
         active = [k for k in range(len(configs)) if act[k][t]]
         # Idle entries get () and active ones a non-empty grant; the report
         # writers render idle entries without reading their grant.
@@ -231,8 +233,9 @@ def test_compare_schemes_reads_the_counts_of_allocate_dynamic(deployment, plan):
         return
     by_scheme = {report.scheme: report for report in reports}
     dynamic = by_scheme[DYNAMIC]
-    for k, (row, active) in enumerate(zip(alloc.channels, alloc.activity)):
-        cycles = tuple(t for t, on in enumerate(active) if on)
+    sd_min = cycle_structure(configs).sd_min
+    for k, (row, cfg) in enumerate(zip(alloc.channels, configs)):
+        cycles = tuple(t for t in range(len(row)) if is_active(cfg, t, sd_min))
         assert dynamic.active_cycles[k] == cycles
         assert dynamic.channel_counts[k] == tuple(len(row[t]) for t in cycles)
         assert by_scheme[STATIC].channel_counts[k] == (static.k_static,) * len(cycles)

@@ -1,5 +1,6 @@
 """Golden outputs: SHA-256 of every file the four CLI commands write for the
-bundled configs and the generated N = 4 window.
+bundled configs, the generated N = 4 window and a config of duty-cycle edge
+cases.
 
 The digests in ``golden_digests.json`` pin the CLI output byte for byte.  A
 change that alters the output on purpose says so in CHANGES.md and
@@ -20,6 +21,7 @@ DIGESTS = TESTS_DIR / "golden_digests.json"
 CONFIGS = {
     "reference-12pan": REPO_ROOT / "configs" / "reference-12pan.json",
     "block-n2": REPO_ROOT / "configs" / "block-n2.json",
+    "duty-edges": TESTS_DIR / "configs" / "duty-edges.json",
     "roadmap-n4": TESTS_DIR / "configs" / "roadmap-n4.json",
 }
 COMMANDS = ("lattice", "static", "dynamic", "evaluate")

@@ -5,13 +5,15 @@
 grant, PAN field and outcome once; the first three copy whole runs of idle
 entries.  They yield the text in chunks of at most ``WRITE_CHUNK``
 characters, which ``joined`` checks and joins.  ``dynamic_summary_json`` and
-``evaluation_summary_json`` fill one template per cycle or PAN.  The ``reference_*`` functions below are the plain
-per-entry loops (and ``json.dumps``) they replaced; the writers must produce
-the same text on every drawn deployment.  ``reference_schemes`` is
-the per-(PAN, cycle) loop that ``compare_schemes`` replaced by per-PAN
-columns; the columns must hold the same entries.  ``compare_schemes`` shares
-outcome tables between PANs and the evaluate writers key them by identity;
-equal unshared copies must give the same text.
+``evaluation_summary_json`` fill one template per cycle or PAN.  The
+``reference_*`` functions below are the plain per-entry loops (and
+``json.dumps``) they replaced; the writers must produce the same text on
+every drawn deployment.  They take each PAN's activity from the
+``is_active`` oracle, not from the allocation.  ``reference_schemes`` is the
+per-(PAN, cycle) loop that ``compare_schemes`` replaced by per-PAN columns;
+the columns must hold the same entries.  ``compare_schemes`` shares outcome
+tables between PANs and the evaluate writers key them by identity; equal
+unshared copies must give the same text.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ from itertools import chain
 from conftest import scheme_entries
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import is_active
 
 from hexchan.config import load_config
 from hexchan.dynamic_alloc import (
@@ -63,10 +66,17 @@ def joined(chunks):
     return "".join(checked(chunks, []))
 
 
-def reference_activity_csv(configs, activity):
+def oracle_activity(configs):
+    """Per PAN, whether it is active in each cycle of one major cycle, by
+    ``is_active``."""
+    cycles = cycle_structure(configs)
+    return [[is_active(cfg, t, cycles.sd_min) for t in range(cycles.u_cycles)] for cfg in configs]
+
+
+def reference_activity_csv(configs):
+    activity = oracle_activity(configs)
     lines = ["cycle,pan_i,pan_j,active"]
-    u = len(activity[0]) if activity else 0
-    for t in range(u):
+    for t in range(len(activity[0])):
         for k, cfg in enumerate(configs):
             cell = cfg.pan_cell
             lines.append(f"{t + 1},{cell.i},{cell.j},{int(activity[k][t])}")
@@ -74,6 +84,7 @@ def reference_activity_csv(configs, activity):
 
 
 def reference_allocation_csv(configs, alloc):
+    activity = oracle_activity(configs)
     lines = ["cycle,pan_i,pan_j,active,chi,k,channels"]
     for t in range(len(alloc.per_cycle_chi)):
         for k, cfg in enumerate(configs):
@@ -81,7 +92,7 @@ def reference_allocation_csv(configs, alloc):
             channels = alloc.channels[k][t]
             tokens = " ".join(ch.token() for ch in channels)
             lines.append(
-                f"{t + 1},{cell.i},{cell.j},{int(alloc.activity[k][t])},"
+                f"{t + 1},{cell.i},{cell.j},{int(activity[k][t])},"
                 f"{alloc.per_cycle_chi[t]},{len(channels)},{tokens}"
             )
     return "\r\n".join(lines) + "\r\n"
@@ -115,8 +126,8 @@ def reference_allocation_doc(configs, cycles, alloc):
     }
 
 
-def reference_dynamic_summary(cycles, alloc):
-    active_pans = [sum(column) for column in zip(*alloc.activity)]
+def reference_dynamic_summary(configs, cycles, alloc):
+    active_pans = [sum(column) for column in zip(*oracle_activity(configs))]
     summary = {
         "bi_maj": cycles.bi_maj,
         "sd_min": cycles.sd_min,
@@ -139,6 +150,7 @@ def reference_schemes(lattice, configs, plan, scenario):
     max_channels): the per-(PAN, cycle) loop the per-PAN columns replaced."""
     k_static = allocate_static(lattice, plan).k_static
     dynamic = allocate_dynamic(lattice, configs, plan)
+    activity = oracle_activity(configs)
     channels_of = {
         "single": lambda pan, t: 1,
         "static": lambda pan, t: k_static,
@@ -152,7 +164,7 @@ def reference_schemes(lattice, configs, plan, scenario):
             baseline = makespan(requests, 1)
             max_channels[pan] = 0
             for t in range(len(dynamic.per_cycle_chi)):
-                if not dynamic.activity[pan][t]:
+                if not activity[pan][t]:
                     continue
                 count = channels(pan, t)
                 slots = makespan(requests, count)
@@ -257,10 +269,10 @@ SHARED = deployment(1, "Europe", [(-1, 1, 1, 2, 0), (0, 0, 0, 2, 0)], requests=(
 def check_writers(lattice, configs, plan, scenario):
     cycles = cycle_structure(configs)
     alloc = allocate_dynamic(lattice, configs, plan)
-    assert joined(activity_csv(configs, alloc.activity)) == reference_activity_csv(configs, alloc.activity)
+    assert joined(activity_csv(configs, alloc)) == reference_activity_csv(configs)
     assert joined(allocation_csv(configs, alloc)) == reference_allocation_csv(configs, alloc)
     assert joined(allocation_json_doc(configs, alloc)) == reference_allocation_json(configs, cycles, alloc)
-    assert dynamic_summary_json(configs, alloc) == reference_dynamic_summary(cycles, alloc)
+    assert dynamic_summary_json(configs, alloc) == reference_dynamic_summary(configs, cycles, alloc)
 
     # The writers key grants by identity; a matrix whose grants share no
     # objects must give the same text.
@@ -268,7 +280,6 @@ def check_writers(lattice, configs, plan, scenario):
         channels=tuple(tuple(tuple(list(grant)) for grant in row) for row in alloc.channels),
         per_cycle_chi=alloc.per_cycle_chi,
         per_cycle_k=alloc.per_cycle_k,
-        activity=alloc.activity,
     )
     assert joined(allocation_csv(configs, unshared)) == reference_allocation_csv(configs, alloc)
     assert joined(allocation_json_doc(configs, unshared)) == reference_allocation_json(configs, cycles, alloc)
@@ -332,7 +343,9 @@ def test_sparse_example_is_mostly_idle():
     lattice, configs, plan, _ = SPARSE
     alloc = allocate_dynamic(lattice, configs, plan)
     assert sorted(set(alloc.per_cycle_chi)) == [0, 1, 2, 3]
-    assert (sum(map(sum, alloc.activity)), len(configs) * len(alloc.per_cycle_chi)) == (22, 896)
+    granted = sum(grant != () for row in alloc.channels for grant in row)
+    assert (granted, len(configs) * len(alloc.per_cycle_chi)) == (22, 896)
+    assert sum(map(sum, oracle_activity(configs))) == 22
 
 
 def test_summary_renders_a_never_active_pan_as_null():
@@ -443,7 +456,7 @@ def test_long_reports_stream_in_bounded_chunks():
     # would encode it, so neither long text is ever held whole.
     doc = reference_allocation_doc(configs, cycles, alloc)
     streams = [
-        (activity_csv(configs, alloc.activity), [reference_activity_csv(configs, alloc.activity)]),
+        (activity_csv(configs, alloc), [reference_activity_csv(configs)]),
         (allocation_csv(configs, alloc), [reference_allocation_csv(configs, alloc)]),
         (allocation_json_doc(configs, alloc), chain(json.JSONEncoder(indent=2).iterencode(doc), "\n")),
         (scheme_report_csv(configs, reports), [reference_scheme_report_csv(configs, reference_schemes(*DEEP))]),
@@ -468,7 +481,7 @@ def test_chunk_boundaries_keep_the_text(monkeypatch):
     alloc = allocate_dynamic(lattice, configs, plan)
     reports = compare_schemes(lattice, configs, plan, scenario)
     streams = [
-        (activity_csv(configs, alloc.activity), reference_activity_csv(configs, alloc.activity)),
+        (activity_csv(configs, alloc), reference_activity_csv(configs)),
         (allocation_csv(configs, alloc), reference_allocation_csv(configs, alloc)),
         (allocation_json_doc(configs, alloc), reference_allocation_json(configs, cycles, alloc)),
         (scheme_report_csv(configs, reports), reference_scheme_report_csv(configs, reference_schemes(*SPARSE))),
