@@ -37,7 +37,7 @@ from .dynamic_alloc import (
 )
 from .errors import ConfigError, HexchanError
 from .evaluate import compare_schemes, evaluation_summary_json, scheme_report_csv
-from .interference import build_interference_graph, edge_list_text
+from .interference import edge_list_text
 from .lattice import CONTROL_REUSE_METRIC, DATA_REUSE_METRIC, center_of
 from .static_alloc import allocate_static, static_allocation_csv
 
@@ -91,8 +91,7 @@ def cmd_lattice(cfg: ScenarioConfig, out_dir: Path) -> None:
         lines.append(f"{i},{j},{x!r},{y!r}")
     _write(out_dir, "cells.csv", ("\r\n".join(lines) + "\r\n",))
     for name, threshold in (("edges_control.txt", CONTROL_REUSE_METRIC), ("edges_data.txt", DATA_REUSE_METRIC)):
-        graph = build_interference_graph(lattice, threshold)
-        _write(out_dir, name, (edge_list_text(graph),))
+        _write(out_dir, name, (edge_list_text(lattice, threshold),))
 
 
 def cmd_static(cfg: ScenarioConfig, out_dir: Path) -> None:

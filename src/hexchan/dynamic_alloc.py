@@ -67,20 +67,20 @@ class CycleStructure(namedtuple("CycleStructure", "bi_maj sd_min u_cycles")):
     __slots__ = ()
 
 
-class AllocationMatrix(namedtuple("AllocationMatrix", "channels per_cycle_chi per_cycle_k")):
-    """The dynamic allocation of one run: grants per PAN and cycle.
+class AllocationMatrix(namedtuple("AllocationMatrix", "per_cycle_grants per_cycle_chi per_cycle_k")):
+    """The dynamic allocation of one run: grants per cycle and PAN.
 
-    ``channels[pan][cycle]`` is the tuple of data channels granted to the
-    PAN in the elementary cycle.  A grant is ``()`` exactly when the PAN is
-    idle there: an active PAN always gets a non-empty group, so the grants
-    are also the activity, and the report writers read it off them.
+    ``per_cycle_grants[cycle][pan]`` is the tuple of data channels granted
+    to the PAN in the elementary cycle.  A grant is ``()`` exactly when the
+    PAN is idle there: an active PAN always gets a non-empty group, so the
+    grants are also the activity, and the report writers read it off them.
     ``per_cycle_chi`` is the chromatic number of the cycle's active
     interference graph (max over its components; 0 when idle) and
     ``per_cycle_k`` the largest channel grant in the cycle.  With the PANs'
     configs, this record is the whole input of the dynamic report writers.
 
-    The rows of ``channels`` are the transpose of one grant column per
-    distinct set of active PANs, whose grants are the shared channel groups.
+    Cycles with equal sets of active PANs share one column tuple, whose
+    grants are the shared channel groups.
     """
 
     __slots__ = ()
@@ -99,8 +99,8 @@ def cycle_structure(configs: Sequence[SuperframeConfig]) -> CycleStructure:
     """
     if not configs:
         raise ValueError("need at least one superframe config")
-    _, so_values, bo_values, _ = zip(*configs)
-    so_min, bo_max = min(so_values), max(bo_values)
+    so_min = min(cfg.so for cfg in configs)
+    bo_max = max(cfg.bo for cfg in configs)
     return CycleStructure(bi_maj=1 << bo_max, sd_min=1 << so_min, u_cycles=1 << (bo_max - so_min))
 
 
@@ -132,51 +132,40 @@ def _active_intervals(period: int, active: int, start: int) -> list[tuple[int, i
 
 
 def allocate_dynamic(lattice: Lattice, configs: Sequence[SuperframeConfig], plan: ChannelPlan) -> AllocationMatrix:
-    """Per-PAN per-cycle channel groups over one major cycle, colored on the
+    """Per-cycle per-PAN channel groups over one major cycle, colored on the
     lattice's metric-12 graph.
 
     ``_active_sets`` allocates each distinct set of active PANs once; here
-    each set becomes a grant column, with ``()`` for the idle PANs, and the
-    rows of ``channels`` are the cycles' columns transposed.  So the grants
-    are the activity: PAN k is active in cycle t iff ``channels[k][t]`` is
-    non-empty.  A cycle's chi is the largest of its components' (1 for a
-    single PAN) and its k the largest group (the whole data set, if a PAN is
-    on its own).
+    each set becomes one grant column, with ``()`` for the idle PANs, which
+    every cycle with that set shares.  So the grants are the activity: PAN
+    k is active in cycle t iff ``per_cycle_grants[t][k]`` is non-empty.  A
+    cycle's chi is the largest of its components' (1 for a single PAN) and
+    its k the largest group (the whole data set, if a PAN is on its own).
     """
     _, cycle_masks, sets = _active_sets(build_interference_graph(lattice, DATA_REUSE_METRIC), configs, plan)
     n = len(configs)
     ordered_data = plan.ordered_data()
-    results = {}
+    columns, chis, ks = {}, {}, {}
     for mask, (singles, multis) in sets.items():
         column: list[tuple[LogicalChannel, ...]] = [()] * n
-        chi_t = k_t = 0
-        if singles:
-            chi_t, k_t = 1, len(ordered_data)
-            for k in singles:
-                column[k] = ordered_data
-        for chi, group_size, grants in multis:
-            if chi > chi_t:
-                chi_t = chi
-            if group_size > k_t:
-                k_t = group_size
+        for k in singles:
+            column[k] = ordered_data
+        for _, _, grants in multis:
             for k, grant in grants:
                 column[k] = grant
-        results[mask] = chi_t, k_t, column
-    per_cycle_chi, per_cycle_k, columns = zip(*map(results.__getitem__, cycle_masks))
-    return AllocationMatrix(
-        channels=tuple(zip(*columns)),
-        per_cycle_chi=per_cycle_chi,
-        per_cycle_k=per_cycle_k,
-    )
+        columns[mask] = tuple(column)
+        # Components of 2+ PANs have chi >= 2 and a smaller group than a single PAN.
+        chis[mask] = max((chi for chi, _, _ in multis), default=1 if singles else 0)
+        ks[mask] = len(ordered_data) if singles else max((size for _, size, _ in multis), default=0)
+    return AllocationMatrix._make(tuple(map(by_mask.__getitem__, cycle_masks)) for by_mask in (columns, chis, ks))
 
 
 def _active_sets(
     graph: InterferenceGraph, configs: Sequence[SuperframeConfig], plan: ChannelPlan
 ) -> tuple[list[tuple[int, int, int]], list[int], dict[int, tuple[list[int], list[_Component]]]]:
     """The one pass of dynamic allocation on ``graph``, the metric-12 graph
-    of the PANs' lattice, once per distinct set of active PANs.  It has two
-    readers: ``allocate_dynamic`` turns it into grant columns and rows,
-    ``compare_schemes`` into each PAN's channel counts.
+    of the PANs' lattice, once per distinct set of active PANs.  Its readers:
+    ``allocate_dynamic`` turns it into grant columns, ``compare_schemes`` into counts.
 
     Returns (runs, cycle_masks, sets).  ``runs[k]`` is PAN k's duty run
     (P, m, t0) (``_duty_runs``) and ``cycle_masks[t]`` the graph positions
@@ -288,8 +277,8 @@ def _pan_texts(configs: Sequence[SuperframeConfig], suffix: str = "") -> tuple[l
 
 
 def activity_csv(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix) -> Iterator[str]:
-    """Long-form activity table, read off the grants of ``alloc``; cycles
-    are printed 1-based.  Yields the text in chunks of at most
+    """Long-form activity table, read off the grant columns of ``alloc``;
+    cycles are printed 1-based.  Yields the text in chunks of at most
     ``WRITE_CHUNK`` characters."""
     # A line is two pieces, "cycle," and "i,j,active\r\n"; the header is a
     # line with an empty first piece.  Per cycle, the pieces list gets the
@@ -301,7 +290,7 @@ def activity_csv(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix) -
     header = "cycle,pan_i,pan_j,active\r\n"
     size = chunk_size(2, max(len(header), len(f"{len(alloc.per_cycle_chi)},") + max(map(len, idle))))
     pieces = ["", header]
-    for t, column in enumerate(zip(*alloc.channels), 1):
+    for t, column in enumerate(alloc.per_cycle_grants, 1):
         if len(pieces) + 2 * n > size:
             yield from flush_chunks(pieces, size)
         first = len(pieces) + 1
@@ -321,8 +310,9 @@ def _widest_grant(alloc: AllocationMatrix) -> tuple[LogicalChannel, ...]:
 
 
 def allocation_csv(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix) -> Iterator[str]:
-    """Per-cycle per-PAN grants; ``chi`` is the cycle's chromatic number.
-    Yields the text in chunks of at most ``WRITE_CHUNK`` characters."""
+    """Per-cycle per-PAN grants, read off the grant columns of ``alloc``; ``chi``
+    is the cycle's chromatic number.  Yields the text in chunks of at most
+    ``WRITE_CHUNK`` characters."""
     # A line is "cycle," + "i,j,active," + "chi," + "k,tokens\r\n", in two
     # pieces: the cycle field and the rest.  An idle line holds the empty
     # grant, so it depends on the PAN and chi alone.  The pieces are laid
@@ -348,7 +338,7 @@ def allocation_csv(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix)
     idle_by_chi: dict[int, list[str]] = {}
     pans = range(n)
     pieces = ["", header]
-    for t, (chi, column) in enumerate(zip(alloc.per_cycle_chi, zip(*alloc.channels))):
+    for t, (chi, column) in enumerate(zip(alloc.per_cycle_chi, alloc.per_cycle_grants)):
         chi_part = f"{chi},"
         idle_texts = idle_by_chi.get(chi)
         if idle_texts is None:
@@ -368,7 +358,8 @@ def allocation_csv(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix)
 
 
 def allocation_json_doc(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix) -> Iterator[str]:
-    """JSON mirror of the per-PAN per-cycle channel matrix.
+    """JSON mirror of the channel grants, one row of cycles per PAN: the one
+    report that transposes ``per_cycle_grants``.
 
     The text is ``json.dumps(doc, indent=2) + "\n"`` of the document
     {bi_maj, sd_min, u_cycles, per_cycle_chi, per_cycle_k, pans: [{pan,
@@ -422,11 +413,11 @@ def allocation_json_doc(configs: Sequence[SuperframeConfig], alloc: AllocationMa
         for k, cfg in enumerate(configs)
     ]
     size = chunk_size(1, max(max(map(len, heads)), len(grant_text(_widest_grant(alloc)) + row_end)))
-    u = len(alloc.per_cycle_chi)
+    u = len(alloc.per_cycle_grants)
     cycle_range = range(u)
     idle_piece = render(())
     pieces: list[str] = []
-    for head, row in zip(heads, alloc.channels):
+    for head, row in zip(heads, zip(*alloc.per_cycle_grants)):
         if len(pieces) + 1 + u > size:
             yield from flush_chunks(pieces, size)
         pieces.append(head)
@@ -443,7 +434,7 @@ def allocation_json_doc(configs: Sequence[SuperframeConfig], alloc: AllocationMa
 
 def dynamic_summary_json(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix) -> str:
     """The cycle structure of ``configs`` plus per-cycle active PAN count
-    (the PANs with a non-empty grant), chi and k.
+    (the PANs with a non-empty grant in the cycle's column), chi and k.
 
     The text is ``json.dumps(doc, indent=2) + "\n"`` of {bi_maj, sd_min,
     u_cycles, per_cycle: [{cycle, active_pans, chi, k}]} with cycles
@@ -453,8 +444,8 @@ def dynamic_summary_json(configs: Sequence[SuperframeConfig], alloc: AllocationM
     n = len(configs)
     entry = json_object([(key, "%d") for key in ("cycle", "active_pans", "chi", "k")], 2)
     per_cycle = zip(
-        range(1, len(alloc.per_cycle_chi) + 1),
-        (n - column.count(()) for column in zip(*alloc.channels)),
+        range(1, len(alloc.per_cycle_grants) + 1),
+        (n - column.count(()) for column in alloc.per_cycle_grants),
         alloc.per_cycle_chi,
         alloc.per_cycle_k,
     )

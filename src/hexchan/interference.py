@@ -9,8 +9,9 @@ adjacency bitmask per cell position, where bit q of ``rows[p]`` is set iff
 vertices p and q are adjacent.  A set of cells (the PANs active in a cycle,
 say) is a bitmask of positions too, so subgraphs and connected components
 are masks over the rows (``component_masks``), and colorings are label
-lists in vertex order.  A graph is built by looking up the finite set of
-reuse offsets around each cell, so a build is linear in the number of cells.
+lists in vertex order.  A build looks up the finite reuse offsets around
+each cell, so it is linear in the cell count; ``edge_list_text`` reads the
+same offsets with no graph.
 """
 
 from __future__ import annotations
@@ -74,15 +75,12 @@ class InterferenceGraph:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def edge_index_pairs(self) -> list[tuple[int, int]]:
-        """Edges as (lower, higher) vertex positions, sorted."""
-        return [(p, q) for p, row in enumerate(self.rows) for q in iter_bits(row & -(2 << p))]
-
     @property
     def edges(self) -> frozenset[tuple[CellIndex, CellIndex]]:
-        """Edges as (lower, higher)-position cell pairs, built on each read."""
-        vertices = self.vertices
-        return frozenset((vertices[p], vertices[q]) for p, q in self.edge_index_pairs())
+        """Edges as (lower, higher)-position cell pairs, built from the rows
+        on each read; no hexchan module reads it."""
+        v = self.vertices
+        return frozenset((v[p], v[q]) for p, row in enumerate(self.rows) for q in iter_bits(row & -(2 << p)))
 
 
 def build_interference_graph(lattice: Lattice, metric_threshold: int) -> InterferenceGraph:
@@ -113,8 +111,20 @@ def build_interference_graph(lattice: Lattice, metric_threshold: int) -> Interfe
     return InterferenceGraph(vertices, tuple(rows))
 
 
-def edge_list_text(graph: InterferenceGraph) -> str:
-    """Plain-text edge list, one ``i1 j1 i2 j2`` line per edge."""
-    names = [f"{i} {j}" for i, j in graph.vertices]
-    lines = [f"{names[p]} {names[q]}" for p, q in graph.edge_index_pairs()]
+def edge_list_text(lattice: Lattice, metric_threshold: int) -> str:
+    """Plain-text edge list, one ``i1 j1 i2 j2`` line per edge, read off the
+    reuse offsets with no graph built.  Cells are ordered row-major by (j,
+    i), so a cell's later neighbors are at the offsets with (dj, di) > (0,
+    0), in that order: each edge is printed once, from its earlier cell,
+    and the lines are sorted by the two cells' positions."""
+    if metric_threshold <= 0:
+        raise ValueError("metric_threshold must be positive")
+    later = sorted((dj, di) for di, dj in interference_offsets(metric_threshold) if (dj, di) > (0, 0))
+    names = {cell: f"{cell[0]} {cell[1]}" for cell in lattice.cells}
+    lines = [
+        f"{name} {other}"
+        for (i, j), name in names.items()
+        for dj, di in later
+        if (other := names.get((i + di, j + dj))) is not None
+    ]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -52,6 +52,20 @@ def boundary_f_offsets(metric_threshold):
     )
 
 
+def scanned_edge_list_text(lattice, metric_threshold):
+    """The ``i1 j1 i2 j2`` edge-list text of ``lattice`` by a scan of every
+    pair p < q of its cells in lattice order: a line per pair closer than
+    ``metric_threshold``, ordered by p, then q."""
+    cells = lattice.cells
+    lines = [
+        f"{a.i} {a.j} {b.i} {b.j}"
+        for p, a in enumerate(cells)
+        for b in cells[p + 1 :]
+        if lattice_metric(a, b) < metric_threshold
+    ]
+    return "".join(line + "\n" for line in lines)
+
+
 def verify_coloring(graph, coloring):
     """True iff no two adjacent vertices share a label."""
     labels = coloring.labels

@@ -147,9 +147,11 @@ def test_criterion_07_dynamic_channel_counts(reference_config_path):
     act = [[is_active(c, t, cs.sd_min) for t in range(cs.u_cycles)] for c in configs]
     alloc = allocate_dynamic(cfg.lattice, configs, plan)
     # a grant is non-empty exactly in the PAN's active cycles
-    assert [[grant != () for grant in row] for row in alloc.channels] == act
+    assert [[grant != () for grant in column] for column in alloc.per_cycle_grants] == [
+        [row[t] for row in act] for t in range(cs.u_cycles)
+    ]
     counts = {
-        t: {len(alloc.channels[k][t]) for k in range(len(configs)) if act[k][t]}
+        t: {len(alloc.per_cycle_grants[t][k]) for k in range(len(configs)) if act[k][t]}
         for t in range(cs.u_cycles)
     }
     actives = {t: sum(1 for k in range(len(configs)) if act[k][t]) for t in range(cs.u_cycles)}
@@ -199,9 +201,9 @@ def test_criterion_09_randomized_property_suite():
         for t in range(u):
             for a in range(len(configs)):
                 if not act[a][t]:
-                    assert alloc.channels[a][t] == ()
+                    assert alloc.per_cycle_grants[t][a] == ()
                     continue
-                grant = alloc.channels[a][t]
+                grant = alloc.per_cycle_grants[t][a]
                 # an active PAN gets a grant, never worse than the static share
                 assert grant and len(grant) >= k_static
                 isolated = True
@@ -211,7 +213,7 @@ def test_criterion_09_randomized_property_suite():
                     if lattice_metric(cells[a], cells[b]) < DATA_REUSE_METRIC:
                         isolated = False
                         # interfering actives hold disjoint channel sets
-                        assert not (set(grant) & set(alloc.channels[b][t]))
+                        assert not (set(grant) & set(alloc.per_cycle_grants[t][b]))
                 if isolated:
                     assert set(grant) == plan.data_set
         # the schedule repeats with the major cycle, and a cycle's grants,
@@ -220,15 +222,15 @@ def test_criterion_09_randomized_property_suite():
         first_cycle = {}
         for t, active_set in enumerate(zip(*act)):
             s = first_cycle.setdefault(active_set, t)
-            assert [row[t] for row in alloc.channels] == [row[s] for row in alloc.channels]
+            assert alloc.per_cycle_grants[t] == alloc.per_cycle_grants[s]
             assert (alloc.per_cycle_chi[t], alloc.per_cycle_k[t]) == (alloc.per_cycle_chi[s], alloc.per_cycle_k[s])
 
         # with SO = BO everywhere, every cycle reduces to the static groups
         flat = [SuperframeConfig(pan_cell=cell, so=1, bo=1) for cell in lat.cells]
         flat_alloc = allocate_dynamic(lat, flat, plan)
         groups = dict(zip(lat.cells, allocate_static(lat, plan).data_groups))
-        for k, cfg in enumerate(flat):
-            for grant in flat_alloc.channels[k]:
+        for column in flat_alloc.per_cycle_grants:
+            for grant, cfg in zip(column, flat, strict=True):
                 assert grant == groups[cfg.pan_cell]
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

@@ -129,10 +129,12 @@ def first_coloring_by_enumeration(g, k):
     """Lexicographically first proper coloring with colors 0..k-1 numbered by
     first appearance, by enumerating every label tuple in order."""
     n = len(g.vertices)
+    position = {v: p for p, v in enumerate(g.vertices)}
+    edges = [(position[a], position[b]) for a, b in g.edges]
     for labels in itertools.product(range(k), repeat=n):
         if any(c > max(labels[:v], default=-1) + 1 for v, c in enumerate(labels)):
             continue
-        if all(labels[a] != labels[b] for a, b in g.edge_index_pairs()):
+        if all(labels[a] != labels[b] for a, b in edges):
             return list(labels)
     return None
 

@@ -81,10 +81,11 @@ def test_cycle_structure_reference_scenario(reference):
 
 def granted(configs):
     """Per PAN and cycle, whether ``allocate_dynamic`` grants the PAN any
-    channel, on a lattice of the PANs' cells with the Europe plan."""
+    channel, on a lattice of the PANs' cells with the Europe plan: the grant
+    columns transposed into one row per PAN."""
     lattice = lattice_from_cells([cfg.pan_cell for cfg in configs], 1.0)
     alloc = allocate_dynamic(lattice, configs, channel_plan(default_domain(EUROPE)))
-    return tuple(tuple(grant != () for grant in row) for row in alloc.channels)
+    return tuple(zip(*(tuple(grant != () for grant in column) for column in alloc.per_cycle_grants)))
 
 
 def test_activity_always_on_when_so_equals_bo():
@@ -187,7 +188,7 @@ def test_reference_scenario_channel_counts(reference):
     act = [[is_active(cfg, t, cs.sd_min) for t in range(cs.u_cycles)] for cfg in configs]
     alloc = allocate_dynamic(lattice, configs, plan)
     counts = {
-        t: sorted({len(alloc.channels[k][t]) for k in range(len(configs)) if act[k][t]})
+        t: sorted({len(alloc.per_cycle_grants[t][k]) for k in range(len(configs)) if act[k][t]})
         for t in range(cs.u_cycles)
     }
     # all 12 active: 4 channels each
@@ -211,16 +212,16 @@ def test_inactive_entries_are_empty(reference):
     for k, cfg in enumerate(configs):
         for t in range(cs.u_cycles):
             if not is_active(cfg, t, cs.sd_min):
-                assert alloc.channels[k][t] == ()
+                assert alloc.per_cycle_grants[t][k] == ()
             else:
-                assert alloc.channels[k][t]
+                assert alloc.per_cycle_grants[t][k]
 
 
 def test_grants_stay_inside_data_set(reference):
     lattice, configs, plan = reference
     alloc = allocate_dynamic(lattice, configs, plan)
-    for row in alloc.channels:
-        for grant in row:
+    for column in alloc.per_cycle_grants:
+        for grant in column:
             assert set(grant) <= plan.data_set
             assert not (set(grant) & plan.control_set)
 
@@ -237,15 +238,15 @@ def test_per_cycle_disjointness(reference):
                 if not (act[a][t] and act[b][t]):
                     continue
                 if lattice_metric(cells[a], cells[b]) < DATA_REUSE_METRIC:
-                    assert not (set(alloc.channels[a][t]) & set(alloc.channels[b][t]))
+                    assert not (set(alloc.per_cycle_grants[t][a]) & set(alloc.per_cycle_grants[t][b]))
 
 
 def test_dynamic_dominates_static(reference):
     lattice, configs, plan = reference
     k_static = allocate_static(lattice, plan).k_static
     alloc = allocate_dynamic(lattice, configs, plan)
-    for row in alloc.channels:
-        for grant in row:
+    for column in alloc.per_cycle_grants:
+        for grant in column:
             if grant:
                 assert len(grant) >= k_static
 
@@ -266,7 +267,7 @@ def test_isolation_maximality(reference):
                 if m != k
             )
             if not has_active_neighbor:
-                assert set(alloc.channels[k][t]) == plan.data_set
+                assert set(alloc.per_cycle_grants[t][k]) == plan.data_set
 
 
 def test_major_cycle_periodicity(reference):
@@ -275,15 +276,17 @@ def test_major_cycle_periodicity(reference):
     u = cs.u_cycles
     alloc = allocate_dynamic(lattice, configs, plan)
     # the grants' activity repeats with the major cycle
-    act = [[grant != () for grant in row] for row in alloc.channels]
-    assert [[is_active(cfg, t, cs.sd_min) for t in range(2 * u)] for cfg in configs] == [row * 2 for row in act]
-    # a cycle's grants, chi and k depend only on its active set
+    act = [[grant != () for grant in column] for column in alloc.per_cycle_grants]
+    assert [[is_active(cfg, t, cs.sd_min) for cfg in configs] for t in range(2 * u)] == act * 2
+    # a cycle's grants, chi and k depend only on its active set, and cycles
+    # with equal active sets share one column object
     first_cycle = {}
-    for t, active_set in enumerate(zip(*act)):
+    for t, active_set in enumerate(map(tuple, act)):
         s = first_cycle.setdefault(active_set, t)
-        assert [row[t] for row in alloc.channels] == [row[s] for row in alloc.channels]
+        assert alloc.per_cycle_grants[t] is alloc.per_cycle_grants[s]
         assert (alloc.per_cycle_chi[t], alloc.per_cycle_k[t]) == (alloc.per_cycle_chi[s], alloc.per_cycle_k[s])
     assert len(first_cycle) < u
+    assert len({id(column) for column in alloc.per_cycle_grants}) == len(first_cycle)
 
 
 def test_all_active_reduces_to_static(europe_plan):
@@ -291,8 +294,8 @@ def test_all_active_reduces_to_static(europe_plan):
     configs = [SF(pan_cell=cell, so=1, bo=1) for cell in lat.cells]
     alloc = allocate_dynamic(lat, configs, europe_plan)
     groups = dict(zip(lat.cells, allocate_static(lat, europe_plan).data_groups))
-    for k, cfg in enumerate(configs):
-        for grant in alloc.channels[k]:
+    for column in alloc.per_cycle_grants:
+        for grant, cfg in zip(column, configs, strict=True):
             assert grant == groups[cfg.pan_cell]
 
 
@@ -361,8 +364,8 @@ def test_grants_are_non_empty_exactly_where_the_oracle_says_active(reference):
     lattice, configs, plan = reference
     cs = cycle_structure(configs)
     alloc = allocate_dynamic(lattice, configs, plan)
-    assert [[grant != () for grant in row] for row in alloc.channels] == [
-        [is_active(cfg, t, cs.sd_min) for t in range(cs.u_cycles)] for cfg in configs
+    assert [[grant != () for grant in column] for column in alloc.per_cycle_grants] == [
+        [is_active(cfg, t, cs.sd_min) for cfg in configs] for t in range(cs.u_cycles)
     ]
 
 

@@ -104,11 +104,11 @@ def test_dynamic_allocation_properties(deployment):
         # Idle entries get () and active ones a non-empty grant; the report
         # writers render idle entries without reading their grant.
         for k in range(len(configs)):
-            assert (alloc.channels[k][t] == ()) == (not act[k][t])
+            assert (alloc.per_cycle_grants[t][k] == ()) == (not act[k][t])
         for x, a in enumerate(active):
             for b in active[x + 1 :]:
                 if lattice_metric(configs[a].pan_cell, configs[b].pan_cell) < DATA_REUSE_METRIC:
-                    assert not set(alloc.channels[a][t]) & set(alloc.channels[b][t])
+                    assert not set(alloc.per_cycle_grants[t][a]) & set(alloc.per_cycle_grants[t][b])
         pan_of_cell = {configs[k].pan_cell: k for k in active}
         chis = []
         for component in metric12_components([configs[k].pan_cell for k in active]):
@@ -118,7 +118,7 @@ def test_dynamic_allocation_properties(deployment):
                 chi = odd_cycle_chromatic(component)
             chis.append(chi)
             groups, _ = partition_channels(ordered, chi, len(ordered) // chi)
-            component_grants = [alloc.channels[pan_of_cell[c]][t] for c in component]
+            component_grants = [alloc.per_cycle_grants[t][pan_of_cell[c]] for c in component]
             assert all(grant in groups for grant in component_grants)
             assert len(set(component_grants)) == chi
         assert alloc.per_cycle_chi[t] == max(chis, default=0)
@@ -144,8 +144,9 @@ def mixed_period_deployments(draw):
     return lattice, configs, plan
 
 
-def expected_channels(lattice, configs, plan):
-    """``alloc.channels`` recomputed per cycle from lattice metrics alone.
+def expected_grants(lattice, configs, plan):
+    """``alloc.per_cycle_grants`` recomputed per cycle from lattice metrics
+    alone.
 
     A PAN is active in cycle t when (t * SD_min - phase) mod BI < SD.  A
     component of the active PANs (under metric < 12) with one PAN takes
@@ -160,7 +161,7 @@ def expected_channels(lattice, configs, plan):
     sd_min = 1 << so_min
     order = {cell: x for x, cell in enumerate(lattice.cells)}
     ordered = plan.ordered_data()
-    channels = [[] for _ in configs]
+    columns = []
     for t in range(1 << (bo_max - so_min)):
         active = [cfg.pan_cell for cfg in configs if (t * sd_min - cfg.phase) % cfg.bi < cfg.sd]
         grant = {}
@@ -183,16 +184,15 @@ def expected_channels(lattice, configs, plan):
                 labels = [first.setdefault((i - (j - i) // 2) % 3, len(first)) for i, j in component]
             groups, _ = partition_channels(ordered, chi, len(ordered) // chi)
             grant.update((c, groups[label]) for c, label in zip(component, labels))
-        for row, cfg in zip(channels, configs):
-            row.append(grant.get(cfg.pan_cell, ()))
-    return tuple(map(tuple, channels))
+        columns.append(tuple(grant.get(cfg.pan_cell, ()) for cfg in configs))
+    return tuple(columns)
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(deployments(), mixed_period_deployments()))
 def test_dynamic_grants_match_the_lattice_oracle(deployment):
     lattice, configs, plan = deployment
-    assert allocate_dynamic(lattice, configs, plan).channels == expected_channels(lattice, configs, plan)
+    assert allocate_dynamic(lattice, configs, plan).per_cycle_grants == expected_grants(lattice, configs, plan)
 
 
 DATA_CAPABLE = [LogicalChannel(phy, code) for phy in (1, 2, 3) for code in (1, 2)]
@@ -234,8 +234,9 @@ def test_compare_schemes_reads_the_counts_of_allocate_dynamic(deployment, plan):
     by_scheme = {report.scheme: report for report in reports}
     dynamic = by_scheme[DYNAMIC]
     sd_min = cycle_structure(configs).sd_min
-    for k, (row, cfg) in enumerate(zip(alloc.channels, configs)):
-        cycles = tuple(t for t in range(len(row)) if is_active(cfg, t, sd_min))
+    columns = alloc.per_cycle_grants
+    for k, cfg in enumerate(configs):
+        cycles = tuple(t for t in range(len(columns)) if is_active(cfg, t, sd_min))
         assert dynamic.active_cycles[k] == cycles
-        assert dynamic.channel_counts[k] == tuple(len(row[t]) for t in cycles)
+        assert dynamic.channel_counts[k] == tuple(len(columns[t][k]) for t in cycles)
         assert by_scheme[STATIC].channel_counts[k] == (static.k_static,) * len(cycles)

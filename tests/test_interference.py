@@ -1,7 +1,9 @@
 import random
 
 import pytest
-from oracles import neighborhood_sets
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import neighborhood_sets, scanned_edge_list_text
 
 from hexchan.interference import build_interference_graph, component_masks, edge_list_text, iter_bits
 from hexchan.lattice import (
@@ -81,8 +83,9 @@ def test_connected_components_split():
 
 
 def test_edge_list_text_format():
-    g = build_interference_graph(lattice_from_cells([C(0, 0), C(1, 1), C(2, 0)], 1.0), DATA_REUSE_METRIC)
-    text = edge_list_text(g)
+    lattice = lattice_from_cells([C(0, 0), C(1, 1), C(2, 0)], 1.0)
+    g = build_interference_graph(lattice, DATA_REUSE_METRIC)
+    text = edge_list_text(lattice, DATA_REUSE_METRIC)
     lines = text.strip().splitlines()
     assert len(lines) == len(g.edges)
     for line in lines:
@@ -101,3 +104,28 @@ def test_offset_build_matches_pair_scan(threshold):
     }
     assert {frozenset(e) for e in g.edges} == scanned
     assert g.vertices == tuple(c for c in lat.cells if c in set(cells))
+
+
+@st.composite
+def sparse_cell_lists(draw):
+    """Up to 120 parity-valid cells, drawn in a box whose half-width sets
+    how sparse they are: from a packed block to mostly isolated cells."""
+    half = draw(st.integers(1, 24))
+    size = draw(st.integers(0, 120))
+    coords = st.tuples(st.integers(-half, half), st.integers(-half, half))
+    return [C(i, 2 * h + i % 2) for i, h in draw(st.lists(coords, min_size=size, max_size=size))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_cell_lists(), st.sampled_from([1, 4, 12, 16, 28, 49]))
+def test_edge_list_text_matches_the_pair_scan(cells, threshold):
+    # Byte equality, so a cell's later neighbors must come in position order
+    # and each edge once.
+    lattice = lattice_from_cells(cells, 1.0)
+    assert edge_list_text(lattice, threshold) == scanned_edge_list_text(lattice, threshold)
+
+
+@pytest.mark.parametrize("threshold", [0, -12])
+def test_edge_list_text_rejects_a_threshold_below_one(threshold):
+    with pytest.raises(ValueError, match="metric_threshold must be positive"):
+        edge_list_text(build_lattice(1, 1.0), threshold)

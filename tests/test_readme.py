@@ -24,7 +24,7 @@ def test_readme_library_snippet_runs(capsys):
 def test_readme_library_calls_name_existing_functions():
     # Every `name(` call in inline code under "## Library" names an attribute
     # of hexchan, of one of its modules or of a class in them; a dotted call
-    # such as `graph.edge_index_pairs()` goes by its last name.  Builtins
+    # such as `lattice.require()` goes by its last name.  Builtins
     # such as `len()` are excepted.
     modules = [hexchan] + [importlib.import_module(f"hexchan.{m.name}") for m in pkgutil.iter_modules(hexchan.__path__)]
     known = set(dir(builtins))

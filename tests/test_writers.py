@@ -89,7 +89,7 @@ def reference_allocation_csv(configs, alloc):
     for t in range(len(alloc.per_cycle_chi)):
         for k, cfg in enumerate(configs):
             cell = cfg.pan_cell
-            channels = alloc.channels[k][t]
+            channels = alloc.per_cycle_grants[t][k]
             tokens = " ".join(ch.token() for ch in channels)
             lines.append(
                 f"{t + 1},{cell.i},{cell.j},{int(activity[k][t])},"
@@ -117,7 +117,7 @@ def reference_allocation_doc(configs, cycles, alloc):
                 "BO": cfg.bo,
                 "phase": cfg.phase,
                 "channels_per_cycle": [
-                    [[ch.phy_channel, ch.code] for ch in alloc.channels[k][t]]
+                    [[ch.phy_channel, ch.code] for ch in alloc.per_cycle_grants[t][k]]
                     for t in range(len(alloc.per_cycle_chi))
                 ],
             }
@@ -154,7 +154,7 @@ def reference_schemes(lattice, configs, plan, scenario):
     channels_of = {
         "single": lambda pan, t: 1,
         "static": lambda pan, t: k_static,
-        "dynamic": lambda pan, t: len(dynamic.channels[pan][t]),
+        "dynamic": lambda pan, t: len(dynamic.per_cycle_grants[t][pan]),
     }
     schemes = {}
     for scheme, channels in channels_of.items():
@@ -274,10 +274,10 @@ def check_writers(lattice, configs, plan, scenario):
     assert joined(allocation_json_doc(configs, alloc)) == reference_allocation_json(configs, cycles, alloc)
     assert dynamic_summary_json(configs, alloc) == reference_dynamic_summary(configs, cycles, alloc)
 
-    # The writers key grants by identity; a matrix whose grants share no
-    # objects must give the same text.
+    # The writers key grants by identity; a matrix whose grants and columns
+    # share no objects must give the same text.
     unshared = AllocationMatrix(
-        channels=tuple(tuple(tuple(list(grant)) for grant in row) for row in alloc.channels),
+        per_cycle_grants=tuple(tuple(tuple(list(grant)) for grant in column) for column in alloc.per_cycle_grants),
         per_cycle_chi=alloc.per_cycle_chi,
         per_cycle_k=alloc.per_cycle_k,
     )
@@ -332,7 +332,7 @@ def test_examples_cover_edge_cases():
         pans.add(len(configs))
         cycle_counts.add(len(alloc.per_cycle_chi))
         chis.update(alloc.per_cycle_chi)
-        idle |= any(grant == () for row in alloc.channels for grant in row)
+        idle |= any(grant == () for column in alloc.per_cycle_grants for grant in column)
         negative |= any(cfg.pan_cell.i < 0 or cfg.pan_cell.j < 0 for cfg in configs)
     assert 1 in pans and 1 in cycle_counts
     assert chis == {0, 1, 2, 3}
@@ -343,7 +343,7 @@ def test_sparse_example_is_mostly_idle():
     lattice, configs, plan, _ = SPARSE
     alloc = allocate_dynamic(lattice, configs, plan)
     assert sorted(set(alloc.per_cycle_chi)) == [0, 1, 2, 3]
-    granted = sum(grant != () for row in alloc.channels for grant in row)
+    granted = sum(grant != () for column in alloc.per_cycle_grants for grant in column)
     assert (granted, len(configs) * len(alloc.per_cycle_chi)) == (22, 896)
     assert sum(map(sum, oracle_activity(configs))) == 22
 
