@@ -58,22 +58,19 @@ class RequestScenario(namedtuple("RequestScenario", "per_pan")):
         return cls(per_pan={cell: requests for cell in cells})
 
 
-class SchemeReport(namedtuple("SchemeReport", "scheme active_cycles channel_counts outcomes")):
-    """Channel counts, makespans and delay gains of one scheme, per PAN.
+class SchemeReport(namedtuple("SchemeReport", "scheme active_cycles channel_counts distinct_counts spans")):
+    """Channel counts of one scheme and the request spans they serve, per PAN.
 
     All sequences are indexed by the 0-based PAN index.  ``active_cycles[p]``
-    lists the 0-based cycles where PAN p is active, in increasing order; the
-    reports of one ``compare_schemes`` call share these tuples.
+    lists the 0-based cycles where PAN p is active, in increasing order.
     ``channel_counts[p][n]`` is the PAN's channel count in its n-th active
-    cycle (for dynamic, the size of the grant).  ``outcomes[p]`` maps every
-    count PAN p receives to (makespan in slots, delay decrease in percent
-    against the single-channel baseline): the PAN serves the same requests in
-    every active cycle, so its count fixes both; its largest count is
-    ``max(outcomes[p], default=0)``, 0 for a PAN that is never active.
-    PANs with the same request sum, request maximum and set of counts share
-    one outcome table object, across the reports of one ``compare_schemes``
-    call too; the writers render each table once, so tables must not be
-    mutated.
+    cycle (for dynamic, the size of the grant), and ``distinct_counts[p]``
+    lists those counts ascending, each once: ``(1,)`` for single,
+    ``(k_static,)`` for static, ``()`` for a PAN that is never active.
+    ``spans[p]`` is the (sum, max) of the requests PAN p serves in every
+    active cycle; with a count it fixes the makespan and delay decrease.
+    The reports of one ``compare_schemes`` call share ``active_cycles`` and
+    ``spans``.
     """
 
     __slots__ = ()
@@ -102,6 +99,15 @@ def delay_decrease_percent(baseline: int, improved: int) -> float:
     return 100.0 * (baseline - improved) / baseline
 
 
+def _outcome(span: tuple[int, int], num_channels: int) -> tuple[int, float]:
+    """(makespan in slots, delay decrease in percent) of requests of (sum,
+    max) ``span`` on ``num_channels`` channels; on one channel the makespan
+    is the sum.  Neither gets worse as the count grows."""
+    total, longest = span
+    slots = _makespan(total, longest, num_channels)
+    return slots, delay_decrease_percent(total, slots)
+
+
 def compare_schemes(
     lattice: Lattice,
     configs: Sequence[SuperframeConfig],
@@ -117,7 +123,8 @@ def compare_schemes(
     set of active PANs on it once; the dynamic counts are read off that
     pass without building a grant.  Each PAN's active cycles are its
     active intervals (``_active_intervals``) in every period, the same
-    intervals ``_active_sets`` builds the cycle masks from.
+    intervals ``_active_sets`` builds the cycle masks from.  No makespan is
+    computed here: the writers compute them from ``spans`` and the counts.
     """
     missing = [c.pan_cell for c in configs if c.pan_cell not in scenario.per_pan]
     if missing:
@@ -147,98 +154,86 @@ def compare_schemes(
         for _, group_size, grants in multis:
             for k, _ in grants:
                 dynamic[k].append(group_size)
-    counts_by_scheme = {
-        SINGLE: [(1,) * len(cycles) for cycles in active_cycles],
-        STATIC: [(k_static,) * len(cycles) for cycles in active_cycles],
-        DYNAMIC: list(map(tuple, dynamic)),
-    }
+    # Per scheme, each PAN's counts and its distinct counts, ascending.
+    columns = {}
+    for scheme, share in ((SINGLE, 1), (STATIC, k_static)):
+        only = (share,)
+        columns[scheme] = ([only * len(c) for c in active_cycles], [only if c else () for c in active_cycles])
+    columns[DYNAMIC] = (map(tuple, dynamic), [tuple(sorted(set(counts))) for counts in dynamic])
 
     # (sum, max) of each distinct request list; a uniform workload shares
     # one tuple between all PANs, so the lists are keyed by identity.
-    spans: dict[int, tuple[int, int]] = {}
-    pan_spans = []
+    by_list: dict[int, tuple[int, int]] = {}
+    spans = []
     for cfg in configs:
         requests = scenario.per_pan[cfg.pan_cell]
-        span = spans.get(id(requests))
+        span = by_list.get(id(requests))
         if span is None:
-            span = spans[id(requests)] = (sum(requests), max(requests))
-        pan_spans.append(span)
+            span = by_list[id(requests)] = (sum(requests), max(requests))
+        spans.append(span)
+    spans = tuple(spans)
+    return [
+        SchemeReport(scheme, active_cycles, tuple(counts), tuple(distinct), spans)
+        for scheme, (counts, distinct) in columns.items()
+    ]
 
-    # One table per distinct (span, set of counts), shared by every PAN and
-    # scheme that has it: a PAN's table is fixed by those alone.  Single and
-    # static repeat one count, so its first occurrence is the whole set.
-    tables: dict[tuple[tuple[int, int], frozenset[int]], dict[int, tuple[int, float]]] = {}
-    reports = []
-    for scheme in SCHEMES:
-        outcomes = []
-        for span, counts in zip(pan_spans, counts_by_scheme[scheme]):
-            key = (span, frozenset(counts if scheme == DYNAMIC else counts[:1]))
-            table = tables.get(key)
-            if table is None:
-                total, longest = span
-                baseline = _makespan(total, longest, 1)
-                table = tables[key] = {}
-                for count in sorted(key[1]):
-                    slots = _makespan(total, longest, count)
-                    table[count] = (slots, delay_decrease_percent(baseline, slots))
-            outcomes.append(table)
-        reports.append(
-            SchemeReport(
-                scheme=scheme,
-                active_cycles=active_cycles,
-                channel_counts=tuple(counts_by_scheme[scheme]),
-                outcomes=tuple(outcomes),
-            )
-        )
-    return reports
+
+class _Tails(dict):
+    """"channels,makespan,delay\r\n" texts keyed by (span, count), each
+    rendered on its first lookup."""
+
+    def __missing__(self, key: tuple[tuple[int, int], int]) -> str:
+        slots, delay = _outcome(*key)
+        text = self[key] = f"{key[1]},{slots},{delay:.4f}\r\n"
+        return text
 
 
 def scheme_report_csv(configs: Sequence[SuperframeConfig], reports: Sequence[SchemeReport]) -> Iterator[str]:
-    """One row per scheme, PAN and active cycle; cycles and PANs 1-based.
-    Yields the text in chunks of at most ``WRITE_CHUNK`` characters."""
+    """One row per scheme, PAN and active cycle; cycles and PANs 1-based,
+    makespans and delays from the PAN's span and count.  Yields the text in
+    chunks of at most ``WRITE_CHUNK`` characters."""
     # A line is "scheme,pan,i,j," + "cycle," + "channels,makespan,delay\r\n".
     # The head is rendered once per scheme and PAN, the cycle field once per
-    # cycle, and the tails once per outcome table.  A (scheme, PAN) run is
-    # one piece.  A run of one count (always, for single and static) is one
-    # join over its cycle fields with the tail and head between them; a run
-    # of several counts interleaves head, cycle field and tail by strided
-    # slices.  No run is longer than the most active cycles of a PAN times
-    # the longest line.
+    # cycle, and the tail once per (span, count) value.  A (scheme, PAN) run
+    # is one piece.  A run of one count (always, for single and static) is
+    # one join over its cycle fields with the tail and head between them; a
+    # run of several counts interleaves head, cycle field and tail by
+    # strided slices.  No run is longer than the most active cycles of a PAN
+    # times the longest line, whose tail is bounded by the digits of the
+    # largest count and request sum and the 8 of "100.0000".
     cycle_fields = [f"{t}," for t in range(1, cycle_structure(configs).u_cycles + 1)]
     pans = [f"{pan},{i},{j}," for pan, (i, j) in enumerate((cfg.pan_cell for cfg in configs), 1)]
-    tables = {id(table): table for report in reports for table in report.outcomes}
-    tails_by_table = {
-        key: {count: f"{count},{slots},{delay:.4f}\r\n" for count, (slots, delay) in table.items()}
-        for key, table in tables.items()
-    }
+    tails = _Tails()
     header = "scheme,pan,pan_i,pan_j,cycle,channels,makespan_slots,delay_decrease_percent\r\n"
     longest_line = (
         max(len(report.scheme) + 1 for report in reports)
         + max(map(len, pans))
         + len(cycle_fields[-1])
-        + max((len(tail) for tails in tails_by_table.values() for tail in tails.values()), default=0)
+        + len(str(max((counts[-1] for report in reports for counts in report.distinct_counts if counts), default=0)))
+        + len(str(max(total for report in reports for total, _ in report.spans)))
+        + len(",,100.0000\r\n")
     )
     size = chunk_size(1, max(len(header), longest_line * max(map(len, reports[0].active_cycles))))
     pieces = [header]
     for report in reports:
-        columns = zip(pans, report.active_cycles, report.channel_counts, report.outcomes)
-        for pan, cycles, counts, table in columns:
+        columns = zip(pans, report.active_cycles, report.channel_counts, report.distinct_counts, report.spans)
+        for pan, cycles, counts, distinct, span in columns:
             if not cycles:
                 continue
             if len(pieces) >= size:
                 yield from flush_chunks(pieces, size)
-            tails = tails_by_table[id(table)]
             head = f"{report.scheme},{pan}"
-            if len(tails) == 1:
-                (tail,) = tails.values()
+            if len(distinct) == 1:
+                text = tails[span, distinct[0]]
                 fields = list(map(cycle_fields.__getitem__, cycles))
                 fields[0] = head + fields[0]
-                fields[-1] += tail
-                pieces.append((tail + head).join(fields))
+                fields[-1] += text
+                pieces.append((text + head).join(fields))
             else:
+                by_count = {count: tails[span, count] for count in distinct}
                 block = [head] * (3 * len(cycles))
                 block[1::3] = map(cycle_fields.__getitem__, cycles)
-                block[2::3] = map(tails.__getitem__, counts)
+                block[2::3] = map(by_count.__getitem__, counts)
                 pieces.append("".join(block))
     yield from flush_chunks(pieces, size)
 
@@ -256,9 +251,12 @@ def evaluation_summary_json(
     max_delay_decrease_percent}], computed_dynamic_peak} (plus
     reference_dynamic_peak and peak_note for a domain with a published
     peak), where the last three per-PAN fields map each scheme to a value.
-    It is written directly.  The nine per-scheme values are rendered once per
-    distinct triple of outcome tables, keyed by identity, into a per-PAN
-    template; each PAN then fills in only its pan number and cell.
+    It is written directly.  A scheme's peak is the PAN's largest count,
+    and since makespan does not rise and delay decrease does not fall as
+    the count grows, its extremes are the outcome at that count.  The nine
+    per-scheme values are rendered once per distinct value of the PAN's
+    spans and distinct counts into a per-PAN template; each PAN then fills
+    in only its pan number and cell.
     """
     by_scheme = {r.scheme: r for r in reports}
 
@@ -276,21 +274,20 @@ def evaluation_summary_json(
         ],
         2,
     )
-    templates: dict[tuple[int, ...], str] = {}
+    templates: dict[tuple, str] = {}
     computed_peak = 0
     per_pan = []
-    columns = zip(configs, *(by_scheme[s].outcomes for s in SCHEMES))
-    for pan, (cfg, *tables) in enumerate(columns, 1):
-        key = tuple(map(id, tables))
+    keys = zip(*(by_scheme[s].spans for s in SCHEMES), *(by_scheme[s].distinct_counts for s in SCHEMES))
+    for pan, (cfg, key) in enumerate(zip(configs, keys), 1):
         template = templates.get(key)
         if template is None:
-            # Per scheme, read from the PAN's outcome table: a PAN that is
-            # never active has peak 0 and null extremes.  Floats are rendered
-            # by repr, as json does.
-            values = [max(t, default=0) for t in tables]
-            computed_peak = max(computed_peak, *values)
-            values += [min(o[0] for o in t.values()) if t else "null" for t in tables]
-            values += [repr(max(o[1] for o in t.values())) if t else "null" for t in tables]
+            # A PAN that is never active has peak 0 and null extremes.
+            # Floats are rendered by repr, as json does.
+            peaks = [counts[-1] if counts else 0 for counts in key[3:]]
+            computed_peak = max(computed_peak, *peaks)
+            outcomes = [_outcome(span, peak) if peak else None for span, peak in zip(key, peaks)]
+            values = peaks + [o[0] if o else "null" for o in outcomes]
+            values += [repr(o[1]) if o else "null" for o in outcomes]
             template = templates[key] = entry % tuple(values)
         i, j = cfg.pan_cell
         per_pan.append(template % (pan, i, j))

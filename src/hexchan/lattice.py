@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import namedtuple
 from typing import Iterable, Sequence
 
@@ -57,7 +58,8 @@ def extreme_cells(cells: Sequence[CellIndex]) -> tuple[CellIndex, ...]:
 class Lattice:
     """A finite set of cells with shared radius and Cartesian origin.
 
-    ``cells`` is ordered row-major (by j, then i) and duplicate-free, and
+    ``cells`` is strictly increasing row-major (by j, then i), so
+    duplicate-free; the constructor raises ``ValueError`` otherwise.
     ``members`` holds them as a frozenset.  ``len(lattice)`` is the cell
     count.  Lattices are immutable and equal when their radius, origin and
     cells are.
@@ -68,10 +70,10 @@ class Lattice:
     def __init__(self, radius_r: float, origin: tuple[float, float], cells: tuple[CellIndex, ...]) -> None:
         if radius_r <= 0:
             raise ValueError("radius_r must be positive")
-        members = frozenset(cells)
-        if len(members) != len(cells):
-            raise ValueError("duplicate cells in lattice")
-        for name, value in zip(self.__slots__, (radius_r, origin, cells, members)):
+        i_values, j_values = zip(*cells) if cells else ((), ())
+        if not all(map(operator.lt, zip(j_values, i_values), zip(j_values[1:], i_values[1:]))):
+            raise ValueError("lattice cells must be row-major (by j, then i) and duplicate-free")
+        for name, value in zip(self.__slots__, (radius_r, origin, cells, frozenset(cells))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value=None) -> None:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from hexchan.evaluate import delay_decrease_percent, makespan
 from hexchan.interference import InterferenceGraph
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -54,11 +55,15 @@ def block_config_path():
     return CONFIG_DIR / "block-n2.json"
 
 
-def scheme_entries(report) -> dict:
+def scheme_entries(report, configs, scenario) -> dict:
     """{(pan, cycle): (channels, makespan, delay decrease)} over the active
-    cycles of one ``SchemeReport``, read from its per-PAN columns."""
-    return {
-        (pan, t): (count, *report.outcomes[pan][count])
-        for pan, (cycles, counts) in enumerate(zip(report.active_cycles, report.channel_counts))
-        for t, count in zip(cycles, counts)
-    }
+    cycles of one ``SchemeReport``, read from its per-PAN columns, with the
+    makespan and delay decrease computed from the PAN's requests in
+    ``scenario``."""
+    entries = {}
+    for pan, (cfg, cycles, counts) in enumerate(zip(configs, report.active_cycles, report.channel_counts)):
+        requests = scenario.per_pan[cfg.pan_cell]
+        for t, count in zip(cycles, counts):
+            slots = makespan(requests, count)
+            entries[pan, t] = (count, slots, delay_decrease_percent(makespan(requests, 1), slots))
+    return entries

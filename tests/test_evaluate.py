@@ -3,6 +3,8 @@ import tracemalloc
 
 import pytest
 from conftest import roadmap_config, scheme_entries
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hexchan.config import load_config
 from hexchan.errors import OrderingError
@@ -44,22 +46,27 @@ def test_makespan_is_exact_for_any_integer():
 def test_makespan_request_length_floor():
     assert makespan([5], 100) == 5
     assert makespan([3, 3], 14) == 3
+    # exact division once the quotient clears the longest request
+    assert makespan(DEFAULT_REQUESTS, 2) == 12
+    assert makespan(DEFAULT_REQUESTS, 8) == 3
 
 
 def test_makespan_single_channel_is_total():
     assert makespan([2, 5, 1, 4], 1) == 12
 
 
-def test_makespan_monotone_in_channels():
-    prev = None
-    for c in range(1, 30):
-        m = makespan(DEFAULT_REQUESTS, c)
-        if prev is not None:
-            assert m <= prev
-        prev = m
-    # exact division once the quotient clears the longest request
-    assert makespan(DEFAULT_REQUESTS, 2) == 12
-    assert makespan(DEFAULT_REQUESTS, 8) == 3
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=12))
+@example(list(DEFAULT_REQUESTS))
+def test_makespan_monotone_in_channels(requests):
+    # The evaluation summary reads a PAN's best makespan and largest delay
+    # decrease at its largest count: neither may get worse as counts grow.
+    baseline = makespan(requests, 1)
+    slots = [makespan(requests, c) for c in range(1, 2 * len(requests) + 30)]
+    delays = [delay_decrease_percent(baseline, m) for m in slots]
+    assert all(a >= b for a, b in zip(slots, slots[1:]))
+    assert all(a <= b for a, b in zip(delays, delays[1:]))
+    assert slots[-1] == max(requests)
 
 
 def test_makespan_validation():
@@ -90,29 +97,28 @@ def test_request_scenario_validation():
 
 
 def test_compare_schemes_reference(reference):
-    reports = compare_schemes(
-        reference.lattice, reference.superframes, reference.plan(), reference.request_scenario()
-    )
+    configs, scenario = reference.superframes, reference.request_scenario()
+    reports = compare_schemes(reference.lattice, configs, reference.plan(), scenario)
     by_scheme = {r.scheme: r for r in reports}
     # peak channel counts per PAN: 1 / k_static / whole data set
-    peaks = {s: [max(table, default=0) for table in r.outcomes] for s, r in by_scheme.items()}
+    peaks = {s: [counts[-1] for counts in r.distinct_counts] for s, r in by_scheme.items()}
     assert set(peaks[SINGLE]) == {1}
     assert set(peaks[STATIC]) == {4}
     assert max(peaks[DYNAMIC]) == 14
+    assert set(reports[0].spans) == {(24, 3)}
     # PAN 11 (index 10) is isolated during some cycles: 3-slot makespan there
-    dyn = scheme_entries(by_scheme[DYNAMIC])
+    dyn = scheme_entries(by_scheme[DYNAMIC], configs, scenario)
     assert min(slots for (p, _), (_, slots, _) in dyn.items() if p == 10) == 3
     # and needs 4 slots when sharing with one interfering PAN (7 channels)
     assert any(count == 7 and slots == 4 for (p, _), (count, slots, _) in dyn.items() if p == 10)
-    assert {slots for _, slots, _ in scheme_entries(by_scheme[SINGLE]).values()} == {24}
-    assert {slots for _, slots, _ in scheme_entries(by_scheme[STATIC]).values()} == {6}
+    assert {slots for _, slots, _ in scheme_entries(by_scheme[SINGLE], configs, scenario).values()} == {24}
+    assert {slots for _, slots, _ in scheme_entries(by_scheme[STATIC], configs, scenario).values()} == {6}
 
 
 def test_scheme_ordering(reference):
-    reports = compare_schemes(
-        reference.lattice, reference.superframes, reference.plan(), reference.request_scenario()
-    )
-    single, static, dynamic = (scheme_entries(r) for r in reports)
+    configs, scenario = reference.superframes, reference.request_scenario()
+    reports = compare_schemes(reference.lattice, configs, reference.plan(), scenario)
+    single, static, dynamic = (scheme_entries(r, configs, scenario) for r in reports)
     assert single.keys() == static.keys() == dynamic.keys()
     for key in single:
         assert dynamic[key][1] <= static[key][1]

@@ -91,6 +91,11 @@ def test_lattice_keeps_its_checks():
         Lattice(0.0, (0.0, 0.0), (C(0, 0),))
     with pytest.raises(ValueError):
         Lattice(1.0, (0.0, 0.0), (C(0, 0), C(0, 0)))
+    # cells out of row-major order would misplace the edge list's lines
+    with pytest.raises(ValueError, match="row-major"):
+        Lattice(1.0, (0.0, 0.0), tuple(reversed(build_lattice(1, 1.0).cells)))
+    with pytest.raises(ValueError, match="row-major"):
+        Lattice(1.0, (0.0, 0.0), (C(1, -1), C(-1, -1)))
 
 
 def every_record(reference_config_path):

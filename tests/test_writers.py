@@ -11,9 +11,9 @@ characters, which ``joined`` checks and joins.  ``dynamic_summary_json`` and
 every drawn deployment.  They take each PAN's activity from the
 ``is_active`` oracle, not from the allocation.  ``reference_schemes`` is the
 per-(PAN, cycle) loop that ``compare_schemes`` replaced by per-PAN columns;
-the columns must hold the same entries.  ``compare_schemes`` shares outcome
-tables between PANs and the evaluate writers key them by identity; equal
-unshared copies must give the same text.
+the columns must hold the same entries.  The evaluate writers cache their
+text by each PAN's request span and counts, by value: equal copies must give
+the same text, and PANs with equal counts but different spans their own.
 """
 
 import hashlib
@@ -314,13 +314,19 @@ def test_scheme_columns_match_reference_loop(drawn):
     for report in reports:
         entries, max_channels = schemes[report.scheme]
         assert report.active_cycles is reports[0].active_cycles
-        assert scheme_entries(report) == entries
-        assert {pan: max(table, default=0) for pan, table in enumerate(report.outcomes)} == max_channels
-        # each outcome table holds exactly the counts the PAN receives
-        assert [set(table) for table in report.outcomes] == [set(counts) for counts in report.channel_counts]
+        assert report.spans is reports[0].spans
+        assert scheme_entries(report, configs, scenario) == entries
+        # the distinct counts are the counts the PAN receives, ascending, once
+        assert list(report.distinct_counts) == [tuple(sorted(set(counts))) for counts in report.channel_counts]
+        assert {pan: max(counts, default=0) for pan, counts in enumerate(report.distinct_counts)} == max_channels
+    requests = [scenario.per_pan[cfg.pan_cell] for cfg in configs]
+    assert reports[0].spans == tuple((sum(r), max(r)) for r in requests)
     if drawn is SHARED:
-        assert reports[2].channel_counts[0] == (7, 14)
-        assert reports[2].outcomes[0] == {7: (4, 83.33333333333333), 14: (3, 87.5)}
+        assert reports[2].channel_counts[0] == (7, 14) and reports[2].distinct_counts[0] == (7, 14)
+        assert [scheme_entries(reports[2], configs, scenario)[0, t] for t in (0, 1)] == [
+            (7, 4, 83.33333333333333),
+            (14, 3, 87.5),
+        ]
     summary = evaluation_summary_json(configs, plan, "custom", reports)
     assert summary == reference_evaluation_summary(configs, plan, "custom", schemes)
 
@@ -350,10 +356,10 @@ def test_sparse_example_is_mostly_idle():
 
 def test_summary_renders_a_never_active_pan_as_null():
     # compare_schemes covers one major cycle, where every PAN is active at
-    # least once; a report without outcomes for a PAN still renders as
+    # least once; a report where a PAN is never active still renders as
     # json.dumps renders None.
     lattice, configs, plan, scenario = IDLE
-    reports = [r._replace(outcomes=({},) + r.outcomes[1:]) for r in compare_schemes(lattice, configs, plan, scenario)]
+    reports = [never_active_first(r) for r in compare_schemes(lattice, configs, plan, scenario)]
     text = evaluation_summary_json(configs, plan, "Europe", reports)
     doc = json.loads(text)
     assert text == json.dumps(doc, indent=2) + "\n"
@@ -364,46 +370,80 @@ def test_summary_renders_a_never_active_pan_as_null():
     assert idle_pan["max_channels"] == dict.fromkeys(("single", "static", "dynamic"), 0)
 
 
-def unshared(reports):
-    """The reports with every outcome table replaced by an equal copy."""
-    return [r._replace(outcomes=tuple(dict(table) for table in r.outcomes)) for r in reports]
+def never_active_first(report):
+    """The report with its first PAN active in no cycle."""
+    return report._replace(
+        active_cycles=((),) + report.active_cycles[1:],
+        channel_counts=((),) + report.channel_counts[1:],
+        distinct_counts=((),) + report.distinct_counts[1:],
+    )
+
+
+def copied(reports):
+    """The reports with every span and distinct-count tuple replaced by an
+    equal copy, shared by no other PAN or report."""
+    return [
+        r._replace(
+            spans=tuple(tuple(list(span)) for span in r.spans),
+            distinct_counts=tuple(tuple(list(counts)) for counts in r.distinct_counts),
+        )
+        for r in reports
+    ]
 
 
 @settings(max_examples=40, deadline=None)
 @given(deployments())
 @example(SHARED)
 @example(SPARSE)
-def test_shared_outcome_tables_are_an_optimisation_only(drawn):
+def test_equal_copies_of_spans_and_counts_give_the_same_text(drawn):
     lattice, configs, plan, scenario = drawn
     reports = compare_schemes(lattice, configs, plan, scenario)
-    copies = unshared(reports)
+    copies = copied(reports)
     assert joined(scheme_report_csv(configs, copies)) == joined(scheme_report_csv(configs, reports))
     summary = evaluation_summary_json(configs, plan, "custom", reports)
     assert evaluation_summary_json(configs, plan, "custom", copies) == summary
-    # One table object per (request sum, request max, set of counts), across
-    # PANs and schemes.
-    tables = {}
+
+
+# Two PANs out of range of each other with the same duty cycle: they get
+# the same counts in every scheme, but PAN 1 serves 8 requests of 3 slots
+# and PAN 2 8 of 5.
+APART = deployment(2, "Europe", [(-2, 0, 0, 1, 0), (2, 0, 0, 1, 0)])[:3] + (
+    RequestScenario(per_pan={CellIndex(-2, 0): (3,) * 8, CellIndex(2, 0): (5,) * 8}),
+)
+
+
+def test_equal_counts_with_different_spans_render_their_own_outcomes():
+    lattice, configs, plan, scenario = APART
+    reports = compare_schemes(lattice, configs, plan, scenario)
     for report in reports:
-        for cfg, counts, table in zip(configs, report.channel_counts, report.outcomes):
-            requests = scenario.per_pan[cfg.pan_cell]
-            assert tables.setdefault((sum(requests), max(requests), frozenset(counts)), table) is table
-    assert len({id(table) for table in tables.values()}) == len(tables)
+        assert report.channel_counts[0] == report.channel_counts[1]
+        assert report.distinct_counts[0] == report.distinct_counts[1]
+    assert reports[0].spans == ((24, 3), (40, 5))
+    schemes = reference_schemes(lattice, configs, plan, scenario)
+    text = joined(scheme_report_csv(configs, reports))
+    assert text == reference_scheme_report_csv(configs, schemes)
+    makespans = [line.split(",")[6] for line in text.split("\r\n")[1:-1]]
+    assert makespans == ["24", "40", "6", "10", "3", "5"]
+    summary = evaluation_summary_json(configs, plan, "custom", reports)
+    assert summary == reference_evaluation_summary(configs, plan, "custom", schemes)
+    best = [entry["best_makespan"] for entry in json.loads(summary)["per_pan"]]
+    assert best == [{"single": 24, "static": 6, "dynamic": 3}, {"single": 40, "static": 10, "dynamic": 5}]
 
 
-def test_summary_keys_templates_by_all_three_tables(reference_config_path):
-    # The reference PANs share dynamic tables; give each PAN its own static
-    # table, with its own values, while the dynamic tables stay shared.
+def test_summary_keys_templates_by_all_three_schemes(reference_config_path):
+    # The reference PANs share one request list, and several share their
+    # dynamic counts; give PAN p a static count of p + 1 of its own.
     cfg = load_config(reference_config_path)
     configs, plan = cfg.superframes, cfg.plan()
     single, static, dynamic = compare_schemes(cfg.lattice, configs, plan, cfg.request_scenario())
-    assert len({id(table) for table in dynamic.outcomes}) < len(configs)
-    own = tuple(
-        {k: (slots + pan, delay) for k, (slots, delay) in table.items()} for pan, table in enumerate(static.outcomes)
+    assert len(set(dynamic.distinct_counts)) < len(configs)
+    own = static._replace(
+        channel_counts=tuple((p + 1,) * len(cycles) for p, cycles in enumerate(static.active_cycles)),
+        distinct_counts=tuple((p + 1,) for p in range(len(configs))),
     )
-    mixed = [single, static._replace(outcomes=own), dynamic]
-    text = evaluation_summary_json(configs, plan, "custom", mixed)
-    assert text == evaluation_summary_json(configs, plan, "custom", unshared(mixed))
-    assert [entry["best_makespan"]["static"] for entry in json.loads(text)["per_pan"]] == [6 + p for p in range(12)]
+    per_pan = json.loads(evaluation_summary_json(configs, plan, "custom", [single, own, dynamic]))["per_pan"]
+    assert [entry["max_channels"]["static"] for entry in per_pan] == list(range(1, 13))
+    assert [entry["best_makespan"]["static"] for entry in per_pan] == [makespan((3,) * 8, p + 1) for p in range(12)]
 
 
 def test_report_runs_of_one_count_several_counts_and_none():
@@ -423,17 +463,11 @@ def test_report_runs_of_one_count_several_counts_and_none():
         "dynamic,1,-1,1,2,14,3,87.5000",
     ]
     # a PAN that is never active has an empty run: no line, no separator
-    idle = [
-        r._replace(
-            active_cycles=((),) + r.active_cycles[1:],
-            channel_counts=((),) + r.channel_counts[1:],
-            outcomes=({},) + r.outcomes[1:],
-        )
-        for r in reports
-    ]
+    idle = [never_active_first(r) for r in reports]
     kept = [line for line in lines[:-1] if line.split(",")[1] != "1"]
     assert joined(scheme_report_csv(configs, idle)) == "\r\n".join(kept) + "\r\n"
-    none_active = [r._replace(active_cycles=((),) * 2, channel_counts=((),) * 2, outcomes=({},) * 2) for r in reports]
+    empty = ((),) * 2
+    none_active = [r._replace(active_cycles=empty, channel_counts=empty, distinct_counts=empty) for r in reports]
     assert joined(scheme_report_csv(configs, none_active)) == lines[0] + "\r\n"
 
 
