@@ -142,7 +142,7 @@ def cmd_evaluate(cfg: ScenarioConfig, out_dir: Path) -> None:
     scenario = cfg.request_scenario()
     reports = compare_schemes(cfg.lattice, configs, plan, scenario)
     _write(out_dir, "scheme_report.csv", scheme_report_csv(configs, reports))
-    _write(out_dir, "evaluation_summary.json", (evaluation_summary_json(configs, plan, cfg.domain.name, reports),))
+    _write(out_dir, "evaluation_summary.json", evaluation_summary_json(configs, plan, cfg.domain.name, reports))
 
 
 _COMMANDS = {

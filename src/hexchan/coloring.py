@@ -54,32 +54,6 @@ def _first_appearance(labels: list[int]) -> list[int]:
     return [remap.setdefault(raw, len(remap)) for raw in labels]
 
 
-def _two_coloring(rows: Sequence[int], mask: int) -> dict[int, int] | None:
-    """BFS 2-coloring of the subgraph induced by ``mask``, or None if it has
-    an odd cycle.  Each component's lowest position takes color 0.
-
-    The BFS grows one layer (a bitmask) at a time and colors it by the
-    parity of its depth.  Every edge joins one layer to itself or to the
-    next, so the subgraph is bipartite iff no edge lies within a layer."""
-    side: dict[int, int] = {}
-    rest = mask
-    while rest:
-        layer = rest & -rest
-        color = 0
-        while layer:
-            rest ^= layer
-            grown = 0
-            for p in iter_bits(layer):
-                row = rows[p]
-                if row & layer:
-                    return None
-                side[p] = color
-                grown |= row
-            layer = grown & rest
-            color ^= 1
-    return side
-
-
 def _greedy_clique(rows: Sequence[int], mask: int, enough: int | None = None) -> int:
     """Largest clique grown greedily from each vertex of ``mask`` (always
     adding the candidate with the most candidate neighbors); a lower bound
@@ -252,22 +226,54 @@ def pattern_coloring(lattice: Lattice, kind: str) -> Coloring:
     return Coloring(tuple(_first_appearance([_pattern_label(c, kind) for c in lattice.cells])))
 
 
-def data_labels(rows: Sequence[int], mask: int, cells: Sequence[CellIndex]) -> list[int]:
-    """Minimum coloring of the metric-12 graph induced by ``mask``, without search.
+def two_coloring(rows: Sequence[int], mask: int) -> tuple[int, list[int] | None]:
+    """The component of the lowest position of ``mask`` in the graph it
+    induces (``rows`` are adjacency bitmasks) and its BFS 2-coloring, the
+    position masks [even layers, odd layers], or None if an edge joins a
+    layer class to itself (each edge joins a layer to itself or the next)."""
+    # ``side`` gathers the layers of the current layer's parity, ``reach`` their rows.
+    first = mask & -mask
+    mask ^= first
+    reach = rows[first.bit_length() - 1]
+    layer = reach & mask
+    side, other, other_reach = first, 0, 0
+    while layer:
+        side, other, reach, other_reach = other, side, other_reach, reach
+        mask ^= layer
+        side |= layer
+        grown = 0
+        while layer:
+            low = layer & -layer
+            layer ^= low
+            grown |= rows[low.bit_length() - 1]
+        reach |= grown
+        layer = grown & mask
+    if side & reach or other & other_reach:
+        return side | other, None
+    return side | other, [side, other] if side & first else [other, side]
 
-    ``rows`` are adjacency bitmasks and ``cells[p]`` is the cell at position
-    p.  Returns one label per position of ``mask``, ascending, numbered by
-    first appearance.  The data pattern bounds chi <= 3 on these graphs.  A
-    bipartite graph gets its canonical BFS 2-coloring (each component's
-    first position takes color 0, which fixes the rest); any other graph
-    needs 3 colors and gets the data pattern restricted to its cells.
-    """
-    side = _two_coloring(rows, mask)
-    if side is None:
-        return _first_appearance([_pattern_label(cells[p], DATA) for p in iter_bits(mask)])
-    return [side[p] for p in iter_bits(mask)]
+
+def data_pattern_classes(mask: int, cells: Sequence[CellIndex]) -> list[int]:
+    """The data pattern on the cells at the positions of ``mask`` as color
+    classes (chi <= 3), position masks numbered by first appearance."""
+    classes: dict[int, int] = {}  # label -> positions, in order of first appearance
+    for p in iter_bits(mask):
+        label = _pattern_label(cells[p], DATA)
+        classes[label] = classes.get(label, 0) | 1 << p
+    return list(classes.values())
 
 
 def data_graph_coloring(graph: InterferenceGraph) -> Coloring:
-    """Minimum coloring of a metric-12 interference graph of any size; see ``data_labels``."""
-    return Coloring(tuple(data_labels(graph.rows, (1 << len(graph.vertices)) - 1, graph.vertices)))
+    """Minimum coloring of a metric-12 interference graph of any size,
+    without search: each component's ``two_coloring``, or, if one has an
+    odd cycle, the data pattern on the whole graph (chi <= 3)."""
+    labels = [0] * len(graph.vertices)
+    rest = (1 << len(labels)) - 1
+    while rest:
+        comp, classes = two_coloring(graph.rows, rest)
+        if classes is None:
+            return Coloring(tuple(_first_appearance([_pattern_label(c, DATA) for c in graph.vertices])))
+        rest ^= comp
+        for p in iter_bits(classes[1]):
+            labels[p] = 1
+    return Coloring(tuple(labels))

@@ -19,9 +19,9 @@ from itertools import compress, repeat
 from operator import or_
 from typing import Iterator, Sequence
 
-from .coloring import data_labels
+from .coloring import data_pattern_classes, two_coloring
 from .errors import InsufficientSpectrumError, InvalidSuperframeError, NotInLatticeError
-from .interference import InterferenceGraph, build_interference_graph, component_masks, iter_bits
+from .interference import InterferenceGraph, build_interference_graph, iter_bits
 from .jsontext import chunk_size, flush_chunks, json_array, json_object
 from .lattice import DATA_REUSE_METRIC, CellIndex, Lattice
 from .spectrum import ChannelPlan, LogicalChannel, partition_channels
@@ -145,19 +145,22 @@ def allocate_dynamic(lattice: Lattice, configs: Sequence[SuperframeConfig], plan
     _, cycle_masks, sets = _active_sets(build_interference_graph(lattice, DATA_REUSE_METRIC), configs, plan)
     n = len(configs)
     ordered_data = plan.ordered_data()
-    columns, chis, ks = {}, {}, {}
+    by_mask = {}  # mask -> (column, chi, k)
     for mask, (singles, multis) in sets.items():
         column: list[tuple[LogicalChannel, ...]] = [()] * n
-        for k in singles:
-            column[k] = ordered_data
-        for _, _, grants in multis:
-            for k, grant in grants:
-                column[k] = grant
-        columns[mask] = tuple(column)
+        for pan in singles:
+            column[pan] = ordered_data
         # Components of 2+ PANs have chi >= 2 and a smaller group than a single PAN.
-        chis[mask] = max((chi for chi, _, _ in multis), default=1 if singles else 0)
-        ks[mask] = len(ordered_data) if singles else max((size for _, size, _ in multis), default=0)
-    return AllocationMatrix._make(tuple(map(by_mask.__getitem__, cycle_masks)) for by_mask in (columns, chis, ks))
+        chi, k = (1, len(ordered_data)) if singles else (0, 0)
+        for component_chi, size, grants in multis:
+            for pan, grant in grants:
+                column[pan] = grant
+            if component_chi > chi:
+                chi = component_chi
+            if size > k:
+                k = size
+        by_mask[mask] = tuple(column), chi, k
+    return AllocationMatrix._make(zip(*map(by_mask.__getitem__, cycle_masks)))
 
 
 def _active_sets(
@@ -169,31 +172,19 @@ def _active_sets(
 
     Returns (runs, cycle_masks, sets).  ``runs[k]`` is PAN k's duty run
     (P, m, t0) (``_duty_runs``) and ``cycle_masks[t]`` the graph positions
-    of the PANs active in cycle t.  ``sets`` maps each distinct mask, in
-    order of first appearance, to (singles, multis): the PANs that form a
-    component on their own and one ``_Component`` per component of two or
-    more PANs.
+    of the PANs active in cycle t, one pattern of P masks per period tiled
+    over the U cycles.  ``sets`` maps each distinct mask, in order of first
+    appearance, to (singles, multis): the PANs alone in their component,
+    which take the whole data set, and one ``_Component`` per component of
+    two or more PANs.
 
-    Within a cycle, each connected component of the active PANs' subgraph
-    is colored with the fewest colors by ``data_labels``: its BFS
-    2-coloring when bipartite, else the data pattern, so chi <= 3 and no
-    search runs.  A PAN in a component needing chi colors gets the group of
-    |data| // chi channels matching its color; a PAN on its own takes the
-    whole data set, with no coloring call and no memo entry.  PANs in
-    different components may share channels, they are out of range of each
-    other.
-
-    The work runs in index space: each PAN is a graph position, found in
-    the graph's position table, and each cycle a bitmask of its active
-    PANs' positions.  Every PAN's activity repeats with its period P
-    (``_duty_runs``), so its bit is OR-ed into a pattern of P masks, one
-    per distinct P, over its one or two active intervals
-    (``_active_intervals``); the at most 15 period patterns are tiled over
-    the U cycles and OR-ed together.  Two memos live for the call.  Each
-    distinct mask is split into components once, and a component of 2+
-    PANs whose position mask occurred before, in any cycle, reuses its
-    ``_Component``.  A component with more colors than data channels raises
-    ``InsufficientSpectrumError`` naming the first cycle it is active in.
+    Each mask is split in one loop: a PAN with no active neighbour is a
+    single at once, any other grows its component a BFS layer at a time.  A
+    component met before reuses its grants; a new one is colored as
+    position-mask classes, its ``two_coloring`` or, with an odd cycle, the
+    data pattern (chi <= 3), and its PANs get the matching groups of |data|
+    // chi channels.  A shortfall raises ``InsufficientSpectrumError`` naming
+    its first cycle.
     """
     position = {cell: p for p, cell in enumerate(graph.vertices)}
     pan_positions = []
@@ -202,18 +193,16 @@ def _active_sets(
         if p is None:
             raise NotInLatticeError(f"cell ({cfg.pan_cell.i}, {cfg.pan_cell.j}) is not in the lattice")
         pan_positions.append(p)
-    n = len(configs)
-    pan_at = dict(zip(pan_positions, range(n)))  # graph position -> PAN index
-    if len(pan_at) != n:
-        raise ValueError("duplicate PAN cells in superframe configs")
+    pan_at = [-1] * len(position)  # graph position -> PAN index
+    for k, p in enumerate(pan_positions):
+        if pan_at[p] >= 0:
+            raise ValueError("duplicate PAN cells in superframe configs")
+        pan_at[p] = k
     cycles = cycle_structure(configs)
-    u = cycles.u_cycles
     runs = _duty_runs(configs, cycles.sd_min)
     ordered_data = plan.ordered_data()
     rows = graph.rows
 
-    # Per period P, a pattern of P masks with each PAN's bit over its
-    # active intervals, tiled over the U cycles.
     patterns: dict[int, list[int]] = {}
     for p, (period, active, start) in zip(pan_positions, runs):
         pattern = patterns.get(period)
@@ -221,140 +210,131 @@ def _active_sets(
             pattern = patterns[period] = [0] * period
         for a, b in _active_intervals(period, active, start):
             pattern[a:b] = map(or_, pattern[a:b], repeat(1 << p))
-    cycle_masks = [0] * u
-    for period, pattern in patterns.items():
-        cycle_masks = list(map(or_, cycle_masks, pattern * (u // period)))
+    # Each period (a power of two) divides the next: tile up to each in turn, then to U.
+    cycle_masks = [0]
+    for period in sorted(patterns):
+        cycle_masks = list(map(or_, cycle_masks * (period // len(cycle_masks)), patterns[period]))
+    cycle_masks *= cycles.u_cycles // len(cycle_masks)
 
     def short(mask: int, chi: int) -> InsufficientSpectrumError:
         return InsufficientSpectrumError(
             f"cycle {cycle_masks.index(mask) + 1}: need {chi} data channels, plan has {len(ordered_data)}"
         )
 
-    groups_by_chi: dict[int, list[tuple[LogicalChannel, ...]]] = {}
-    component_memo: dict[int, _Component] = {}
-
-    def allocate_component(mask: int, comp: int) -> _Component:
-        """The ``_Component`` whose positions are ``comp``, first met in the
-        cycles whose active positions are ``mask``."""
-        labels = data_labels(rows, comp, graph.vertices)
-        chi = max(labels) + 1
-        group_size = len(ordered_data) // chi
-        if group_size == 0:
-            raise short(mask, chi)
-        groups = groups_by_chi.get(chi)
-        if groups is None:
-            groups, _ = partition_channels(ordered_data, chi, group_size)
-            groups_by_chi[chi] = groups
-        return chi, group_size, [(pan_at[p], groups[label]) for p, label in zip(iter_bits(comp), labels)]
-
-    def allocate_set(mask: int) -> tuple[list[int], list[_Component]]:
-        """(singles, multis) of the cycles whose active positions are ``mask``."""
-        singles = []
-        multis = []
-        for comp in component_masks(rows, mask):
-            if comp & (comp - 1):
-                result = component_memo.get(comp)
-                if result is None:
-                    result = component_memo[comp] = allocate_component(mask, comp)
-                multis.append(result)
-            elif ordered_data:
+    groups_by_chi, component_memo, sets = {}, {}, {}
+    # Distinct masks in order of first appearance: a shortfall names its earliest cycle.
+    for mask in dict.fromkeys(cycle_masks):
+        singles, multis = [], []
+        rest = mask  # the positions no component has reached yet
+        while rest:
+            comp = rest & -rest
+            rest ^= comp
+            layer = rows[comp.bit_length() - 1] & rest
+            if not layer:
+                if not ordered_data:
+                    raise short(mask, 1)
                 singles.append(pan_at[comp.bit_length() - 1])
-            else:
-                raise short(mask, 1)
-        return singles, multis
-
-    # Distinct masks in order of first appearance, so the first component
-    # short of channels is met in the earliest cycle.
-    sets = {mask: allocate_set(mask) for mask in dict.fromkeys(cycle_masks)}
+                continue
+            while layer:  # grow the component a BFS layer at a time
+                rest ^= layer
+                comp |= layer
+                grown = 0
+                while layer:
+                    low = layer & -layer
+                    layer ^= low
+                    grown |= rows[low.bit_length() - 1]
+                layer = grown & rest
+            component = component_memo.get(comp)
+            if component is None:
+                classes = two_coloring(rows, comp)[1] or data_pattern_classes(comp, graph.vertices)
+                chi = len(classes)
+                group_size = len(ordered_data) // chi
+                if group_size == 0:
+                    raise short(mask, chi)
+                if chi not in groups_by_chi:
+                    groups_by_chi[chi] = partition_channels(ordered_data, chi, group_size)[0]
+                groups = groups_by_chi[chi]
+                grants = [(pan_at[p], group) for members, group in zip(classes, groups) for p in iter_bits(members)]
+                component = component_memo[comp] = (chi, group_size, grants)
+            multis.append(component)
+        sets[mask] = singles, multis
     return runs, cycle_masks, sets
 
 
 def _pan_texts(configs: Sequence[SuperframeConfig], suffix: str = "") -> tuple[list[str], list[str]]:
-    """Per PAN, its CSV fields "i,j,0" (idle) and, in the second list,
-    "i,j,1" (active), each followed by ``suffix``."""
+    """Per PAN, its CSV fields "i,j,0" (idle) and "i,j,1" (active), each followed by ``suffix``."""
     cells = [f"{cfg.pan_cell.i},{cfg.pan_cell.j}," for cfg in configs]
     return [cell + "0" + suffix for cell in cells], [cell + "1" + suffix for cell in cells]
 
 
+def _cycle_csv(header: str, cycles: Iterator[list[str]], lines: int) -> Iterator[str]:
+    """``header``, then each cycle t's PAN texts (t from 1) as lines "t,text",
+    one join per cycle or per slice of ``lines`` lines; uses up each list."""
+    yield header
+    for t, texts in enumerate(cycles, 1):
+        head = f"{t},"
+        for start in range(0, len(texts), lines):
+            part = texts if len(texts) <= lines else texts[start : start + lines]
+            part[0] = head + part[0]
+            part[-1] += "\r\n"
+            yield ("\r\n" + head).join(part)
+
+
 def activity_csv(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix) -> Iterator[str]:
-    """Long-form activity table, read off the grant columns of ``alloc``;
-    cycles are printed 1-based.  Yields the text in chunks of at most
-    ``WRITE_CHUNK`` characters."""
-    # A line is two pieces, "cycle," and "i,j,active\r\n"; the header is a
-    # line with an empty first piece.  Per cycle, the pieces list gets the
-    # cycle field before each PAN's text: all PANs' idle texts are copied
-    # in, then the texts of the PANs with a non-empty grant put in place.
-    idle, active = _pan_texts(configs, "\r\n")
-    n = len(configs)
-    pans = range(n)
-    header = "cycle,pan_i,pan_j,active\r\n"
-    size = chunk_size(2, max(len(header), len(f"{len(alloc.per_cycle_chi)},") + max(map(len, idle))))
-    pieces = ["", header]
-    for t, column in enumerate(alloc.per_cycle_grants, 1):
-        if len(pieces) + 2 * n > size:
-            yield from flush_chunks(pieces, size)
-        first = len(pieces) + 1
-        pieces += repeat(f"{t},", 2 * n)
-        pieces[first::2] = idle
-        for k in compress(pans, column):
-            pieces[first + 2 * k] = active[k]
-    yield from flush_chunks(pieces, size)
+    """Long-form activity table, read off the grant columns of ``alloc``: a
+    cycle is a copy of the idle texts "i,j,0" with the active "i,j,1" put in,
+    yielded as one chunk or in slices of whole lines (``_cycle_csv``)."""
+    idle, active = _pan_texts(configs)
+    pans = range(len(configs))
+    lines = chunk_size(1, len(f"{len(alloc.per_cycle_chi)},") + max(map(len, active)) + 2)
+
+    def cycles() -> Iterator[list[str]]:
+        for column in alloc.per_cycle_grants:
+            texts = idle.copy()
+            for k in compress(pans, column):
+                texts[k] = active[k]
+            yield texts
+
+    yield from _cycle_csv("cycle,pan_i,pan_j,active\r\n", cycles(), lines)
 
 
 def _widest_grant(alloc: AllocationMatrix) -> tuple[LogicalChannel, ...]:
-    """A grant whose text is at least as long as any grant's in ``alloc``:
-    as many channels as the largest grant, each of the widest text (a
-    two-digit physical channel; codes have one digit).  The writers size
-    their chunks from it without scanning the grants."""
+    """A grant with text at least as long as any grant's in ``alloc``, sizing
+    the writers' chunks without a scan: ``max(per_cycle_k)`` times "15:8"."""
     return (LogicalChannel(15, 8),) * max(alloc.per_cycle_k)
 
 
 def allocation_csv(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix) -> Iterator[str]:
     """Per-cycle per-PAN grants, read off the grant columns of ``alloc``; ``chi``
-    is the cycle's chromatic number.  Yields the text in chunks of at most
-    ``WRITE_CHUNK`` characters."""
-    # A line is "cycle," + "i,j,active," + "chi," + "k,tokens\r\n", in two
-    # pieces: the cycle field and the rest.  An idle line holds the empty
-    # grant, so it depends on the PAN and chi alone.  The pieces are laid
-    # out as in ``activity_csv``, with the idle texts of the cycle's chi.
+    is the cycle's chromatic number.  Yields the text as ``activity_csv`` does."""
+    # A cycle starts as a copy of the idle texts "i,j,0,chi,0," of its chi; an
+    # active PAN's text is "i,j,1," and its grant's "chi,k,channels", rendered
+    # once per (chi, grant) and keyed by identity: ``alloc`` keeps grants alive.
     idle, active = _pan_texts(configs, ",")
-    n = len(configs)
+    pans = range(len(configs))
 
-    def tail(grant: tuple[LogicalChannel, ...]) -> str:
-        return f"{len(grant)},{' '.join(ch.token() for ch in grant)}\r\n"
+    def grant_fields(chi: int, grant: tuple[LogicalChannel, ...]) -> str:
+        return f"{chi},{len(grant)},{' '.join(ch.token() for ch in grant)}"
 
-    # Each grant's tail is rendered on first use, keyed by identity: the
-    # grants are the few shared channel groups of ``allocate_dynamic``, and
-    # ``alloc`` keeps them alive, so the ids stay valid while it does.
-    tails: dict[int, str] = {}
-    header = "cycle,pan_i,pan_j,active,chi,k,channels\r\n"
-    longest = (
-        len(f"{len(alloc.per_cycle_chi)},")
-        + max(map(len, active))
-        + len(f"{max(alloc.per_cycle_chi)},")
-        + len(tail(_widest_grant(alloc)))
-    )
-    size = chunk_size(2, max(len(header), longest))
-    idle_by_chi: dict[int, list[str]] = {}
-    pans = range(n)
-    pieces = ["", header]
-    for t, (chi, column) in enumerate(zip(alloc.per_cycle_chi, alloc.per_cycle_grants)):
-        chi_part = f"{chi},"
-        idle_texts = idle_by_chi.get(chi)
-        if idle_texts is None:
-            idle_texts = idle_by_chi[chi] = [pan + chi_part + "0,\r\n" for pan in idle]
-        if len(pieces) + 2 * n > size:
-            yield from flush_chunks(pieces, size)
-        first = len(pieces) + 1
-        pieces += repeat(f"{t + 1},", 2 * n)
-        pieces[first::2] = idle_texts
-        for k in compress(pans, column):
-            grant = column[k]
-            text = tails.get(id(grant))
-            if text is None:
-                text = tails[id(grant)] = tail(grant)
-            pieces[first + 2 * k] = active[k] + chi_part + text
-    yield from flush_chunks(pieces, size)
+    widest = grant_fields(max(alloc.per_cycle_chi), _widest_grant(alloc))
+    lines = chunk_size(1, len(f"{len(alloc.per_cycle_chi)},") + max(map(len, active)) + len(widest) + 2)
+
+    def cycles() -> Iterator[list[str]]:
+        by_chi: dict[int, tuple[list[str], dict[int, str]]] = {}
+        for chi, column in zip(alloc.per_cycle_chi, alloc.per_cycle_grants):
+            if chi not in by_chi:
+                by_chi[chi] = ([pan + f"{chi},0," for pan in idle], {})
+            idle_texts, fields = by_chi[chi]
+            texts = idle_texts.copy()
+            for k in compress(pans, column):
+                grant = column[k]
+                text = fields.get(id(grant))
+                if text is None:
+                    text = fields[id(grant)] = grant_fields(chi, grant)
+                texts[k] = active[k] + text
+            yield texts
+
+    yield from _cycle_csv("cycle,pan_i,pan_j,active,chi,k,channels\r\n", cycles(), lines)
 
 
 def allocation_json_doc(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix) -> Iterator[str]:

@@ -243,7 +243,7 @@ def evaluation_summary_json(
     plan: ChannelPlan,
     domain_name: str,
     reports: Sequence[SchemeReport],
-) -> str:
+) -> Iterator[str]:
     """Per-PAN peaks and best makespans per scheme, plus the domain peaks.
 
     The text is ``json.dumps(doc, indent=2) + "\n"`` of {domain,
@@ -251,50 +251,21 @@ def evaluation_summary_json(
     max_delay_decrease_percent}], computed_dynamic_peak} (plus
     reference_dynamic_peak and peak_note for a domain with a published
     peak), where the last three per-PAN fields map each scheme to a value.
-    It is written directly.  A scheme's peak is the PAN's largest count,
-    and since makespan does not rise and delay decrease does not fall as
-    the count grows, its extremes are the outcome at that count.  The nine
-    per-scheme values are rendered once per distinct value of the PAN's
-    spans and distinct counts into a per-PAN template; each PAN then fills
-    in only its pan number and cell.
+    It is written directly: cut at two marks for per-PAN entries into head,
+    separator and tail, with one chunk per entry between head and tail.
+    A scheme's peak is the PAN's largest count, and since makespan does not
+    rise and delay decrease does not fall as the count grows, its extremes
+    are the outcome at that count.  The nine per-scheme values are rendered
+    once per distinct value of the PAN's spans and distinct counts into a
+    per-PAN template; each PAN then fills in only its pan number and cell.
     """
     by_scheme = {r.scheme: r for r in reports}
-
-    def per_scheme(level: int) -> str:
-        return json_object([(s, "%s") for s in SCHEMES], level)
-
-    # "%%d" survives the first fill (the nine values) as the "%d" of the second.
-    entry = json_object(
-        [
-            ("pan", "%%d"),
-            ("cell", json_array(["%%d", "%%d"], 3)),
-            ("max_channels", per_scheme(3)),
-            ("best_makespan", per_scheme(3)),
-            ("max_delay_decrease_percent", per_scheme(3)),
-        ],
-        2,
-    )
-    templates: dict[tuple, str] = {}
-    computed_peak = 0
-    per_pan = []
-    keys = zip(*(by_scheme[s].spans for s in SCHEMES), *(by_scheme[s].distinct_counts for s in SCHEMES))
-    for pan, (cfg, key) in enumerate(zip(configs, keys), 1):
-        template = templates.get(key)
-        if template is None:
-            # A PAN that is never active has peak 0 and null extremes.
-            # Floats are rendered by repr, as json does.
-            peaks = [counts[-1] if counts else 0 for counts in key[3:]]
-            computed_peak = max(computed_peak, *peaks)
-            outcomes = [_outcome(span, peak) if peak else None for span, peak in zip(key, peaks)]
-            values = peaks + [o[0] if o else "null" for o in outcomes]
-            values += [repr(o[1]) if o else "null" for o in outcomes]
-            template = templates[key] = entry % tuple(values)
-        i, j = cfg.pan_cell
-        per_pan.append(template % (pan, i, j))
+    computed_peak = max((counts[-1] for report in reports for counts in report.distinct_counts if counts), default=0)
+    mark = "\0"  # in no rendered value: json.dumps escapes a NUL
     fields = [
         ("domain", json.dumps(domain_name)),
         ("data_channels", str(len(plan.data_set))),
-        ("per_pan", json_array(per_pan, 1)),
+        ("per_pan", json_array([mark, mark], 1)),
         ("computed_dynamic_peak", str(computed_peak)),
     ]
     if domain_name in REFERENCE_DYNAMIC_PEAKS:
@@ -306,4 +277,38 @@ def evaluation_summary_json(
                 f"{domain_name}; the computed peak under the active channel table is {computed_peak}"
             )
             fields.append(("peak_note", json.dumps(note)))
-    return json_object(fields, 0) + "\n"
+    head, separator, tail = (json_object(fields, 0) + "\n").split(mark)
+    per_scheme = json_object([(s, "%s") for s in SCHEMES], 3)
+    # "%%d" survives the first fill (the nine values) as the "%d" of the
+    # second.  Each entry carries the separator before it.
+    entry = separator + json_object(
+        [
+            ("pan", "%%d"),
+            ("cell", json_array(["%%d", "%%d"], 3)),
+            ("max_channels", per_scheme),
+            ("best_makespan", per_scheme),
+            ("max_delay_decrease_percent", per_scheme),
+        ],
+        2,
+    )
+
+    def per_pan() -> Iterator[str]:
+        templates: dict[tuple, str] = {}
+        keys = zip(*(by_scheme[s].spans for s in SCHEMES), *(by_scheme[s].distinct_counts for s in SCHEMES))
+        for pan, (cfg, key) in enumerate(zip(configs, keys), 1):
+            template = templates.get(key)
+            if template is None:
+                # A PAN that is never active has peak 0 and null extremes.
+                # Floats are rendered by repr, as json does.
+                peaks = [counts[-1] if counts else 0 for counts in key[3:]]
+                outcomes = [_outcome(span, peak) if peak else None for span, peak in zip(key, peaks)]
+                values = peaks + [o[0] if o else "null" for o in outcomes]
+                values += [repr(o[1]) if o else "null" for o in outcomes]
+                template = templates[key] = entry % tuple(values)
+            i, j = cfg.pan_cell
+            text = template % (pan, i, j)
+            yield text[len(separator) :] if pan == 1 else text
+
+    yield head
+    yield from per_pan()
+    yield tail

@@ -6,9 +6,8 @@ from the pieces, instead of building a dict for the pure-Python indenting
 encoder.  ``level`` is the nesting depth of the container: 0 for the
 document itself, 1 for a value of a top-level key, and so on.
 
-The reports that grow with PANs x cycles are yielded in chunks of at most
-``WRITE_CHUNK`` characters, joined by ``flush_chunks`` from a list of
-pieces, so no report is ever held whole.
+The reports that grow with PANs x cycles or PANs are yielded in chunks of
+at most ``WRITE_CHUNK`` characters, so no report is ever held whole.
 """
 
 from __future__ import annotations
@@ -41,15 +40,18 @@ def flush_chunks(pieces: list[str], size: int) -> Iterator[str]:
     pieces.clear()
 
 
-def _container(items: Sequence[str], level: int, brackets: str) -> str:
+def _container(items: list[str], level: int, brackets: str) -> str:
+    # One join: the first and last item take the brackets and their padding.
     if not items:
         return brackets
     pad = "\n" + "  " * (level + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
+    items[0] = brackets[0] + pad + items[0]
+    items[-1] += "\n" + "  " * level + brackets[1]
+    return ("," + pad).join(items)
 
 
-def json_array(items: Sequence[str], level: int) -> str:
-    """Pre-rendered ``items`` as a JSON array nested ``level`` deep."""
+def json_array(items: list[str], level: int) -> str:
+    """Pre-rendered ``items`` as a JSON array nested ``level`` deep; uses up the list."""
     return _container(items, level, "[]")
 
 

@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from conftest import TEST_CONFIG_DIR, roadmap_config
@@ -22,8 +24,9 @@ from hexchan.config import (
     load_config,
 )
 from hexchan.errors import ConfigError
-from hexchan.coloring import data_labels
-from hexchan.interference import build_interference_graph, component_masks
+from hexchan.coloring import two_coloring
+from hexchan.dynamic_alloc import _active_sets
+from hexchan.interference import build_interference_graph, component_masks, iter_bits
 from hexchan.lattice import build_lattice
 
 
@@ -312,20 +315,28 @@ def test_each_command_builds_each_interference_graph_once(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("command", ["dynamic", "evaluate"])
 def test_each_command_colors_each_active_set_and_component_once(tmp_path, monkeypatch, command):
-    # The allocator's two memos: one flood fill per distinct set of active
-    # PANs, one data_labels call per distinct component of 2+ PANs.
-    filled, colored = [], []
+    # The allocation pass splits each distinct set of active PANs once, in
+    # one loop that reads the adjacency row of each of its positions once,
+    # and colors each distinct component of 2+ PANs once with two_coloring,
+    # which reads each of its rows once more.  The pass runs on a view of
+    # the graph whose rows count their reads.
+    reads, colored = Counter(), []
 
-    def counting_fill(rows, mask):
-        filled.append(mask)
-        return component_masks(rows, mask)
+    class CountingRows(tuple):
+        def __getitem__(self, p):
+            reads[p] += 1
+            return tuple.__getitem__(self, p)
 
-    def counting_labels(rows, mask, cells):
+    def counting_pass(graph, configs, plan):
+        return _active_sets(SimpleNamespace(vertices=graph.vertices, rows=CountingRows(graph.rows)), configs, plan)
+
+    def counting_two_coloring(rows, mask):
         colored.append(mask)
-        return data_labels(rows, mask, cells)
+        return two_coloring(rows, mask)
 
-    monkeypatch.setattr("hexchan.dynamic_alloc.component_masks", counting_fill)
-    monkeypatch.setattr("hexchan.dynamic_alloc.data_labels", counting_labels)
+    monkeypatch.setattr("hexchan.dynamic_alloc._active_sets", counting_pass)
+    monkeypatch.setattr("hexchan.evaluate._active_sets", counting_pass)
+    monkeypatch.setattr("hexchan.dynamic_alloc.two_coloring", counting_two_coloring)
     path = TEST_CONFIG_DIR / "roadmap-n4.json"
     assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
 
@@ -336,10 +347,10 @@ def test_each_command_colors_each_active_set_and_component_once(tmp_path, monkey
     active_sets = {
         sum(1 << k for k, cfg in enumerate(configs) if (t * sd_min - cfg.phase) % cfg.bi < cfg.sd) for t in range(u)
     }
-    assert sorted(filled) == sorted(active_sets)
     graph = build_interference_graph(build_lattice(4, 1.0), 12)
-    components = {comp for mask in active_sets for comp in component_masks(graph.rows, mask)}
-    assert sorted(colored) == sorted(comp for comp in components if comp.bit_count() > 1)
+    components = [comp for mask in active_sets for comp in component_masks(graph.rows, mask) if comp.bit_count() > 1]
+    assert sorted(colored) == sorted(set(components))
+    assert reads == Counter(p for comp in [*active_sets, *colored] for p in iter_bits(comp))
 
 
 def test_evaluate_rejects_empty_workload(tmp_path, reference_config_path):

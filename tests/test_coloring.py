@@ -17,8 +17,8 @@ from hexchan.coloring import (
     _greedy_clique,
     _k_coloring,
     _pattern_label,
-    _two_coloring,
     chromatic_coloring,
+    data_graph_coloring,
     pattern_coloring,
 )
 from hexchan.errors import SizeLimitError
@@ -229,10 +229,16 @@ def test_bipartite_control_components_get_their_two_coloring():
         g = control_graph(cells)
         col = chromatic_coloring(g)
         for comp in component_masks(g.rows, (1 << len(g.vertices)) - 1):
-            side = _two_coloring(g.rows, comp)
-            if side is None:
+            # data_graph_coloring gives a bipartite graph of any metric its
+            # BFS 2-coloring, the lowest position at 0; any other graph gets
+            # the data pattern, which has 3 colors or is not proper here
+            cells = [g.vertices[p] for p in iter_bits(comp)]
+            edges = [(g.vertices[p], g.vertices[q]) for p in iter_bits(comp) for q in iter_bits(g.rows[p] & comp)]
+            sub = graph_from_edges(cells, edges)
+            bfs = data_graph_coloring(sub)
+            if bfs.num_colors > 2 or not verify_coloring(sub, bfs):
                 continue
-            assert [col.labels[p] for p in iter_bits(comp)] == [side[p] for p in iter_bits(comp)]
+            assert [col.labels[p] for p in iter_bits(comp)] == list(bfs.labels)
             checked.add(comp.bit_count())
     # singletons, pairs and larger trees or even cycles all occur
     assert {1, 2} < checked and max(checked) > 2

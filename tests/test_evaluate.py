@@ -158,7 +158,7 @@ def test_report_exports(reference):
     assert any(line.startswith("single,") and ",24," in line for line in lines[1:])
     assert any(line.startswith("static,") and ",6," in line for line in lines[1:])
     assert any(line.startswith("dynamic,") and line.endswith("87.5000") for line in lines[1:])
-    summary = json.loads(evaluation_summary_json(configs, plan, "Europe", reports))
+    summary = json.loads("".join(evaluation_summary_json(configs, plan, "Europe", reports)))
     assert summary["computed_dynamic_peak"] == 14
     assert summary["reference_dynamic_peak"] == 14
     assert "peak_note" not in summary
@@ -174,7 +174,7 @@ def test_japan_peak_note(reference):
 
     plan = channel_plan(default_domain(JAPAN))
     reports = compare_schemes(reference.lattice, reference.superframes, plan, reference.request_scenario())
-    summary = json.loads(evaluation_summary_json(reference.superframes, plan, "Japan", reports))
+    summary = json.loads("".join(evaluation_summary_json(reference.superframes, plan, "Japan", reports)))
     assert summary["computed_dynamic_peak"] == 20
     assert summary["reference_dynamic_peak"] == 18
     assert "peak_note" in summary

@@ -327,7 +327,7 @@ def test_scheme_columns_match_reference_loop(drawn):
             (7, 4, 83.33333333333333),
             (14, 3, 87.5),
         ]
-    summary = evaluation_summary_json(configs, plan, "custom", reports)
+    summary = joined(evaluation_summary_json(configs, plan, "custom", reports))
     assert summary == reference_evaluation_summary(configs, plan, "custom", schemes)
 
 
@@ -360,7 +360,7 @@ def test_summary_renders_a_never_active_pan_as_null():
     # json.dumps renders None.
     lattice, configs, plan, scenario = IDLE
     reports = [never_active_first(r) for r in compare_schemes(lattice, configs, plan, scenario)]
-    text = evaluation_summary_json(configs, plan, "Europe", reports)
+    text = joined(evaluation_summary_json(configs, plan, "Europe", reports))
     doc = json.loads(text)
     assert text == json.dumps(doc, indent=2) + "\n"
     idle_pan = doc["per_pan"][0]
@@ -400,8 +400,8 @@ def test_equal_copies_of_spans_and_counts_give_the_same_text(drawn):
     reports = compare_schemes(lattice, configs, plan, scenario)
     copies = copied(reports)
     assert joined(scheme_report_csv(configs, copies)) == joined(scheme_report_csv(configs, reports))
-    summary = evaluation_summary_json(configs, plan, "custom", reports)
-    assert evaluation_summary_json(configs, plan, "custom", copies) == summary
+    summary = joined(evaluation_summary_json(configs, plan, "custom", reports))
+    assert joined(evaluation_summary_json(configs, plan, "custom", copies)) == summary
 
 
 # Two PANs out of range of each other with the same duty cycle: they get
@@ -424,7 +424,7 @@ def test_equal_counts_with_different_spans_render_their_own_outcomes():
     assert text == reference_scheme_report_csv(configs, schemes)
     makespans = [line.split(",")[6] for line in text.split("\r\n")[1:-1]]
     assert makespans == ["24", "40", "6", "10", "3", "5"]
-    summary = evaluation_summary_json(configs, plan, "custom", reports)
+    summary = joined(evaluation_summary_json(configs, plan, "custom", reports))
     assert summary == reference_evaluation_summary(configs, plan, "custom", schemes)
     best = [entry["best_makespan"] for entry in json.loads(summary)["per_pan"]]
     assert best == [{"single": 24, "static": 6, "dynamic": 3}, {"single": 40, "static": 10, "dynamic": 5}]
@@ -441,7 +441,7 @@ def test_summary_keys_templates_by_all_three_schemes(reference_config_path):
         channel_counts=tuple((p + 1,) * len(cycles) for p, cycles in enumerate(static.active_cycles)),
         distinct_counts=tuple((p + 1,) for p in range(len(configs))),
     )
-    per_pan = json.loads(evaluation_summary_json(configs, plan, "custom", [single, own, dynamic]))["per_pan"]
+    per_pan = json.loads(joined(evaluation_summary_json(configs, plan, "custom", [single, own, dynamic])))["per_pan"]
     assert [entry["max_channels"]["static"] for entry in per_pan] == list(range(1, 13))
     assert [entry["best_makespan"]["static"] for entry in per_pan] == [makespan((3,) * 8, p + 1) for p in range(12)]
 
@@ -506,21 +506,43 @@ def test_long_reports_stream_in_bounded_chunks():
 
 
 def test_chunk_boundaries_keep_the_text(monkeypatch):
-    # With a bound of 300 characters the SPARSE reports are cut at many unit
-    # boundaries; a unit longer than the bound (a 24-channel grant in the
-    # JSON) comes alone.
-    monkeypatch.setattr(jsontext, "WRITE_CHUNK", 300)
+    # At 8 characters every line and unit is longer than the bound, so each
+    # comes alone; at 300 the SPARSE cycles with a 24-channel grant are cut
+    # between PAN lines; at 4096 each cycle is one chunk.  A chunk of the
+    # cycle-major CSVs holds whole lines and passes the bound only as a
+    # single line.
     lattice, configs, plan, scenario = SPARSE
     cycles = cycle_structure(configs)
     alloc = allocate_dynamic(lattice, configs, plan)
     reports = compare_schemes(lattice, configs, plan, scenario)
-    streams = [
-        (activity_csv(configs, alloc), reference_activity_csv(configs)),
-        (allocation_csv(configs, alloc), reference_allocation_csv(configs, alloc)),
-        (allocation_json_doc(configs, alloc), reference_allocation_json(configs, cycles, alloc)),
-        (scheme_report_csv(configs, reports), reference_scheme_report_csv(configs, reference_schemes(*SPARSE))),
-    ]
-    for chunks, reference in streams:
-        chunks = list(chunks)
-        assert len(chunks) > 10 and all(chunks)
-        assert "".join(chunks) == reference
+    schemes = reference_schemes(*SPARSE)
+    # The summary comes as its head, one chunk per PAN entry and its tail.
+    summary = list(evaluation_summary_json(configs, plan, "custom", reports))
+    assert "".join(summary) == reference_evaluation_summary(configs, plan, "custom", schemes)
+    assert len(summary) == len(configs) + 2
+    for bound in (8, 300, 4096):
+        monkeypatch.setattr(jsontext, "WRITE_CHUNK", bound)
+        streams = [
+            (activity_csv(configs, alloc), reference_activity_csv(configs)),
+            (allocation_csv(configs, alloc), reference_allocation_csv(configs, alloc)),
+            (allocation_json_doc(configs, alloc), reference_allocation_json(configs, cycles, alloc)),
+            (scheme_report_csv(configs, reports), reference_scheme_report_csv(configs, schemes)),
+        ]
+        cut_cycles = []
+        for k, (chunks, reference) in enumerate(streams):
+            chunks = list(chunks)
+            assert all(chunks) and len(chunks) > (10 if bound <= 300 else 1)
+            assert "".join(chunks) == reference
+            if k > 1:
+                continue
+            lines = [chunk.split("\r\n")[:-1] for chunk in chunks]
+            assert all(chunk.endswith("\r\n") for chunk in chunks)
+            assert all(len(chunk) <= bound or len(held) == 1 for chunk, held in zip(chunks, lines))
+            if bound == 8:
+                assert all(len(held) == 1 for held in lines)
+            # A cycle is cut where a chunk starts with the cycle the one before ended with.
+            cut_cycles.append(sum(a[-1].split(",")[0] == b[0].split(",")[0] for a, b in zip(lines, lines[1:])))
+        if bound == 300:
+            assert cut_cycles[1] > 0
+        if bound == 4096:
+            assert cut_cycles == [0, 0]
