@@ -12,6 +12,11 @@ sweep stops at 4, and a component with a 4-clique takes the pattern with
 no search state built.  It refuses graphs above ``DEFAULT_VERTEX_CAP``
 vertices.
 
+``two_coloring`` is the one component walk: it grows the component of a
+mask's lowest position by BFS layers, which are also its 2-coloring.
+``data_graph_coloring``, ``chromatic_coloring`` (which keeps only the
+component) and the dynamic allocation step through components with it.
+
 A ``Coloring`` is a one-field named tuple: one label per vertex position
 of the graph it colors (for ``pattern_coloring``, per cell of
 ``lattice.cells``), numbered by first appearance.
@@ -24,7 +29,7 @@ from collections import namedtuple
 from typing import Sequence
 
 from .errors import SizeLimitError
-from .interference import InterferenceGraph, component_masks, iter_bits
+from .interference import InterferenceGraph, iter_bits
 from .lattice import CellIndex, Lattice
 
 # The search is exponential in the worst case.  The cap bounds vertices, not
@@ -175,18 +180,18 @@ def _component_labels(rows: Sequence[int], comp: int, cells: Sequence[CellIndex]
 def chromatic_coloring(graph: InterferenceGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Coloring:
     """Proper coloring with exactly the chromatic number of colors.
 
-    Each connected component is colored on its own, with the first
-    k-coloring in vertex order for the smallest k from its greedy clique
-    up; on a bipartite component that is its BFS 2-coloring.  Once 3 colors
-    are ruled out, a component on which the control pattern is proper gets
-    the pattern instead of a 4-coloring search; on metric-16 graphs that
-    search can take seconds at 64 vertices.  The pattern is checked before
-    anything else: where it is proper, the greedy clique sweep stops at 4
-    (a proper 4-coloring bounds every clique by 4), and a component whose
-    clique reaches 4 gets the pattern without a search, as every full
-    window with N >= 2 does.  Deterministic for a given vertex order.
-    Graphs above ``vertex_cap`` vertices are refused; use
-    data_graph_coloring or pattern_coloring for lattice graphs, or raise
+    Each connected component, as ``two_coloring`` grows it, is colored on
+    its own, with the first k-coloring in vertex order for the smallest k
+    from its greedy clique up; on a bipartite component that is its BFS
+    2-coloring.  Once 3 colors are ruled out, a component on which the
+    control pattern is proper gets the pattern instead of a 4-coloring
+    search; on metric-16 graphs that search can take seconds at 64 vertices.
+    The pattern is checked before anything else: where it is proper, the
+    greedy clique sweep stops at 4 (a proper 4-coloring bounds every clique
+    by 4), and a component whose clique reaches 4 gets the pattern without a
+    search, as every full window with N >= 2 does.  Deterministic for a
+    given vertex order.  Graphs above ``vertex_cap`` vertices are refused;
+    use data_graph_coloring or pattern_coloring for lattice graphs, or raise
     the cap explicitly if you can afford the search.  The cap bounds
     vertices, not time: below it, a graph denser than metric 16 can take
     seconds (up to 12 s measured on 55-vertex metric-28 graphs).
@@ -200,7 +205,10 @@ def chromatic_coloring(graph: InterferenceGraph, vertex_cap: int = DEFAULT_VERTE
     # Each component numbers its colors by first appearance, so the merged
     # labels are numbered that way too.
     labels = [0] * n
-    for comp in component_masks(graph.rows, (1 << n) - 1):
+    rest = (1 << n) - 1
+    while rest:
+        comp = two_coloring(graph.rows, rest)[0]
+        rest ^= comp
         for p, label in zip(iter_bits(comp), _component_labels(graph.rows, comp, graph.vertices)):
             labels[p] = label
     return Coloring(tuple(labels))
@@ -229,26 +237,26 @@ def pattern_coloring(lattice: Lattice, kind: str) -> Coloring:
 def two_coloring(rows: Sequence[int], mask: int) -> tuple[int, list[int] | None]:
     """The component of the lowest position of ``mask`` in the graph it
     induces (``rows`` are adjacency bitmasks) and its BFS 2-coloring, the
-    position masks [even layers, odd layers], or None if an edge joins a
-    layer class to itself (each edge joins a layer to itself or the next)."""
-    # ``side`` gathers the layers of the current layer's parity, ``reach`` their rows.
+    position masks [even layers, odd layers], or None if an edge joins two
+    positions of one layer (an odd cycle; every edge joins a layer to
+    itself or the next, so no other edge stays inside a class)."""
+    # ``side`` gathers the layers of the current layer's parity, so the
+    # current layer's rows meet it only inside that layer.
     first = mask & -mask
     mask ^= first
-    reach = rows[first.bit_length() - 1]
-    layer = reach & mask
-    side, other, other_reach = first, 0, 0
+    layer = rows[first.bit_length() - 1] & mask
+    side, other, clash = first, 0, 0
     while layer:
-        side, other, reach, other_reach = other, side, other_reach, reach
         mask ^= layer
-        side |= layer
+        side, other = other | layer, side
         grown = 0
         while layer:
             low = layer & -layer
             layer ^= low
             grown |= rows[low.bit_length() - 1]
-        reach |= grown
+        clash |= grown & side
         layer = grown & mask
-    if side & reach or other & other_reach:
+    if clash:
         return side | other, None
     return side | other, [side, other] if side & first else [other, side]
 

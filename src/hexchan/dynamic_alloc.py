@@ -179,12 +179,13 @@ def _active_sets(
     two or more PANs.
 
     Each mask is split in one loop: a PAN with no active neighbour is a
-    single at once, any other grows its component a BFS layer at a time.  A
-    component met before reuses its grants; a new one is colored as
-    position-mask classes, its ``two_coloring`` or, with an odd cycle, the
-    data pattern (chi <= 3), and its PANs get the matching groups of |data|
-    // chi channels.  A shortfall raises ``InsufficientSpectrumError`` naming
-    its first cycle.
+    single at once; from any other, one ``two_coloring`` call grows its
+    component, whose BFS layers are also its coloring.  A component met
+    before reuses its grants; a new one is colored as position-mask
+    classes, its two-coloring or, with an odd cycle, the data pattern (chi
+    <= 3), and its PANs get the matching groups of |data| // chi channels.
+    A shortfall raises ``InsufficientSpectrumError`` naming its first
+    cycle.
     """
     position = {cell: p for p, cell in enumerate(graph.vertices)}
     pan_positions = []
@@ -227,26 +228,19 @@ def _active_sets(
         singles, multis = [], []
         rest = mask  # the positions no component has reached yet
         while rest:
-            comp = rest & -rest
-            rest ^= comp
-            layer = rows[comp.bit_length() - 1] & rest
-            if not layer:
+            low = rest & -rest
+            p = low.bit_length() - 1
+            if not rows[p] & rest:  # no active neighbour
                 if not ordered_data:
                     raise short(mask, 1)
-                singles.append(pan_at[comp.bit_length() - 1])
+                rest ^= low
+                singles.append(pan_at[p])
                 continue
-            while layer:  # grow the component a BFS layer at a time
-                rest ^= layer
-                comp |= layer
-                grown = 0
-                while layer:
-                    low = layer & -layer
-                    layer ^= low
-                    grown |= rows[low.bit_length() - 1]
-                layer = grown & rest
+            comp, classes = two_coloring(rows, rest)
+            rest ^= comp
             component = component_memo.get(comp)
             if component is None:
-                classes = two_coloring(rows, comp)[1] or data_pattern_classes(comp, graph.vertices)
+                classes = classes or data_pattern_classes(comp, graph.vertices)
                 chi = len(classes)
                 group_size = len(ordered_data) // chi
                 if group_size == 0:

@@ -8,10 +8,10 @@ A graph spans every cell of its lattice: its ordered cells plus one
 adjacency bitmask per cell position, where bit q of ``rows[p]`` is set iff
 vertices p and q are adjacent.  A set of cells (the PANs active in a cycle,
 say) is a bitmask of positions too, so subgraphs and connected components
-are masks over the rows (``component_masks``), and colorings are label
-lists in vertex order.  A build looks up the finite reuse offsets around
-each cell, so it is linear in the cell count; ``edge_list_text`` reads the
-same offsets with no graph.
+are masks over the rows (``coloring.two_coloring`` grows a component), and
+colorings are label lists in vertex order.  A build looks up the finite
+reuse offsets around each cell, so it is linear in the cell count;
+``edge_list_text`` reads the same offsets with no graph.
 """
 
 from __future__ import annotations
@@ -27,30 +27,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def component_masks(rows: tuple[int, ...], mask: int) -> list[int]:
-    """Connected components of the subgraph induced by ``mask``, as bitmasks,
-    ordered by their lowest position (bitmask flood fill).  ``mask`` keeps the
-    positions not reached yet: each one reached leaves it as it joins, and
-    the fill starts from the lowest position's neighbors."""
-    components = []
-    while mask:
-        comp = mask & -mask
-        mask ^= comp
-        frontier = rows[comp.bit_length() - 1] & mask
-        mask ^= frontier
-        comp |= frontier
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            grown = rows[low.bit_length() - 1] & mask
-            if grown:
-                mask ^= grown
-                comp |= grown
-                frontier |= grown
-        components.append(comp)
-    return components
 
 
 class InterferenceGraph:

@@ -51,15 +51,18 @@ def _static_share(chi_data: int, plan: ChannelPlan) -> int:
     return k_static
 
 
-def _data_groups(coloring: Coloring, plan: ChannelPlan) -> tuple[tuple[tuple[LogicalChannel, ...], ...], int]:
+def _data_groups(
+    coloring: Coloring, plan: ChannelPlan
+) -> tuple[tuple[tuple[LogicalChannel, ...], ...], int, tuple[LogicalChannel, ...]]:
     """Color class c gets the c-th of chi equal data groups; returns the
-    group of each vertex, in vertex order, and the group size k_static."""
+    group of each vertex, in vertex order, the group size k_static and the
+    unassigned tail (every data channel when there are no vertices)."""
     chi = coloring.num_colors
     k_static = _static_share(chi, plan)
     if chi == 0:
-        return (), 0
-    groups, _ = partition_channels(plan.ordered_data(), chi, k_static)
-    return tuple(groups[color] for color in coloring.labels), k_static
+        return (), 0, plan.ordered_data()
+    groups, unassigned = partition_channels(plan.ordered_data(), chi, k_static)
+    return tuple(groups[color] for color in coloring.labels), k_static, unassigned
 
 
 def allocate_static(lattice: Lattice, plan: ChannelPlan) -> StaticAllocation:
@@ -79,14 +82,14 @@ def allocate_static(lattice: Lattice, plan: ChannelPlan) -> StaticAllocation:
     control = None
     if control_coloring.num_colors <= len(channels):
         control = tuple(channels[color] for color in control_coloring.labels)
-    data_groups, k_static = _data_groups(data_coloring, plan)
+    data_groups, k_static, unassigned = _data_groups(data_coloring, plan)
     return StaticAllocation(
         control=control,
         data_groups=data_groups,
         k_static=k_static,
         chi_control=control_coloring.num_colors,
         chi_data=data_coloring.num_colors,
-        unassigned=plan.ordered_data()[k_static * data_coloring.num_colors :],
+        unassigned=unassigned,
     )
 
 

@@ -66,6 +66,27 @@ def scanned_edge_list_text(lattice, metric_threshold):
     return "".join(line + "\n" for line in lines)
 
 
+def components(rows, mask):
+    """Connected components of the subgraph that the positions of ``mask``
+    induce in the adjacency rows ``rows``, as position bitmasks ordered by
+    their lowest position: a depth-first search over a set of positions."""
+    left = {p for p in range(len(rows)) if mask >> p & 1}
+    found = []
+    for start in sorted(left):
+        if start not in left:
+            continue
+        left.remove(start)
+        stack, comp = [start], 0
+        while stack:
+            p = stack.pop()
+            comp |= 1 << p
+            reached = [q for q in left if rows[p] >> q & 1]
+            left.difference_update(reached)
+            stack += reached
+        found.append(comp)
+    return found
+
+
 def verify_coloring(graph, coloring):
     """True iff no two adjacent vertices share a label."""
     labels = coloring.labels

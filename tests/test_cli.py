@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 from conftest import TEST_CONFIG_DIR, roadmap_config
+from oracles import components
 
 import hexchan
 from hexchan import cli
@@ -26,7 +27,7 @@ from hexchan.config import (
 from hexchan.errors import ConfigError
 from hexchan.coloring import two_coloring
 from hexchan.dynamic_alloc import _active_sets
-from hexchan.interference import build_interference_graph, component_masks, iter_bits
+from hexchan.interference import build_interference_graph, iter_bits
 from hexchan.lattice import build_lattice
 
 
@@ -316,11 +317,12 @@ def test_each_command_builds_each_interference_graph_once(tmp_path, monkeypatch,
 @pytest.mark.parametrize("command", ["dynamic", "evaluate"])
 def test_each_command_colors_each_active_set_and_component_once(tmp_path, monkeypatch, command):
     # The allocation pass splits each distinct set of active PANs once, in
-    # one loop that reads the adjacency row of each of its positions once,
-    # and colors each distinct component of 2+ PANs once with two_coloring,
-    # which reads each of its rows once more.  The pass runs on a view of
-    # the graph whose rows count their reads.
-    reads, colored = Counter(), []
+    # one loop that reads the adjacency row of each of its positions once.
+    # A PAN with an active neighbour starts one two_coloring call, which
+    # grows and colors its component and reads the starting row once more;
+    # a component met before reuses its _Component object.  The pass runs
+    # on a view of the graph whose rows count their reads.
+    reads, grown, passes = Counter(), [], []
 
     class CountingRows(tuple):
         def __getitem__(self, p):
@@ -328,11 +330,14 @@ def test_each_command_colors_each_active_set_and_component_once(tmp_path, monkey
             return tuple.__getitem__(self, p)
 
     def counting_pass(graph, configs, plan):
-        return _active_sets(SimpleNamespace(vertices=graph.vertices, rows=CountingRows(graph.rows)), configs, plan)
+        view = SimpleNamespace(vertices=graph.vertices, rows=CountingRows(graph.rows))
+        passes.append(_active_sets(view, configs, plan))
+        return passes[-1]
 
     def counting_two_coloring(rows, mask):
-        colored.append(mask)
-        return two_coloring(rows, mask)
+        found = two_coloring(rows, mask)
+        grown.append(found[0])
+        return found
 
     monkeypatch.setattr("hexchan.dynamic_alloc._active_sets", counting_pass)
     monkeypatch.setattr("hexchan.evaluate._active_sets", counting_pass)
@@ -348,9 +353,14 @@ def test_each_command_colors_each_active_set_and_component_once(tmp_path, monkey
         sum(1 << k for k, cfg in enumerate(configs) if (t * sd_min - cfg.phase) % cfg.bi < cfg.sd) for t in range(u)
     }
     graph = build_interference_graph(build_lattice(4, 1.0), 12)
-    components = [comp for mask in active_sets for comp in component_masks(graph.rows, mask) if comp.bit_count() > 1]
-    assert sorted(colored) == sorted(set(components))
-    assert reads == Counter(p for comp in [*active_sets, *colored] for p in iter_bits(comp))
+    multis = [comp for mask in active_sets for comp in components(graph.rows, mask) if comp.bit_count() > 1]
+    assert len(passes) == 1 and len(set(multis)) < len(multis)
+    assert sorted(grown) == sorted(multis)
+    objects = {id(c): sum(1 << pan for pan, _ in c[2]) for _, found in passes[0][2].values() for c in found}
+    assert sorted(objects.values()) == sorted(set(multis))
+    assert reads == Counter(p for mask in active_sets for p in iter_bits(mask)) + Counter(
+        (comp & -comp).bit_length() - 1 for comp in multis
+    )
 
 
 def test_evaluate_rejects_empty_workload(tmp_path, reference_config_path):

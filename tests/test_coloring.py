@@ -6,7 +6,7 @@ import pytest
 from conftest import graph_from_edges
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_chromatic, twelve_cell_lattice, verify_coloring
+from oracles import brute_force_chromatic, components, twelve_cell_lattice, verify_coloring
 
 from hexchan import coloring
 from hexchan.coloring import (
@@ -20,9 +20,10 @@ from hexchan.coloring import (
     chromatic_coloring,
     data_graph_coloring,
     pattern_coloring,
+    two_coloring,
 )
 from hexchan.errors import SizeLimitError
-from hexchan.interference import build_interference_graph, component_masks, iter_bits
+from hexchan.interference import build_interference_graph, iter_bits
 from hexchan.lattice import (
     CONTROL_REUSE_METRIC,
     DATA_REUSE_METRIC,
@@ -146,7 +147,7 @@ def test_solver_returns_first_coloring_in_vertex_order():
     checked = 0
     while checked < 60:
         g = random_graph(rng, rng.randint(3, 8), rng.uniform(0.3, 0.8))
-        if len(component_masks(g.rows, (1 << len(g)) - 1)) != 1 or brute_force_chromatic(g) < 3:
+        if len(components(g.rows, (1 << len(g)) - 1)) != 1 or brute_force_chromatic(g) < 3:
             continue
         col = chromatic_coloring(g)
         assert list(col.labels) == first_coloring_by_enumeration(g, col.num_colors)
@@ -228,7 +229,7 @@ def test_bipartite_control_components_get_their_two_coloring():
     for cells in subsets:
         g = control_graph(cells)
         col = chromatic_coloring(g)
-        for comp in component_masks(g.rows, (1 << len(g.vertices)) - 1):
+        for comp in components(g.rows, (1 << len(g.vertices)) - 1):
             # data_graph_coloring gives a bipartite graph of any metric its
             # BFS 2-coloring, the lowest position at 0; any other graph gets
             # the data pattern, which has 3 colors or is not proper here
@@ -244,6 +245,34 @@ def test_bipartite_control_components_get_their_two_coloring():
     assert {1, 2} < checked and max(checked) > 2
 
 
+@pytest.mark.parametrize("threshold", [DATA_REUSE_METRIC, CONTROL_REUSE_METRIC])
+def test_two_coloring_grows_and_colors_the_component_of_the_lowest_position(threshold):
+    # random masks over random subsets of small windows; the component and
+    # its odd cycles are checked against the oracles, which share no code
+    # with two_coloring
+    rng = random.Random(threshold)
+    odd_seen = set()
+    for _ in range(200):
+        window = build_lattice(rng.randint(1, 3), 1.0)
+        cells = rng.sample(window.cells, rng.randint(1, len(window)))
+        g = build_interference_graph(lattice_from_cells(cells, 1.0), threshold)
+        mask = sum(1 << p for p in range(len(g)) if rng.random() < 0.6) or 1 << rng.randrange(len(g))
+        low = (mask & -mask).bit_length() - 1
+        comp, classes = two_coloring(g.rows, mask)
+        assert comp == components(g.rows, mask)[0]
+        positions = list(iter_bits(comp))
+        edges = [(g.vertices[p], g.vertices[q]) for p in positions for q in iter_bits(g.rows[p] & comp) if p < q]
+        odd = brute_force_chromatic(graph_from_edges([g.vertices[p] for p in positions], edges)) > 2
+        assert (classes is None) == odd
+        odd_seen.add(odd)
+        if classes is not None:
+            first, second = classes
+            assert first | second == comp and not first & second
+            assert first >> low & 1
+            assert not any(g.rows[p] & side for side in classes for p in iter_bits(side))
+    assert odd_seen == {False, True}
+
+
 def test_four_chromatic_control_components_take_the_pattern():
     # a metric-16 component with a K4 needs 4 colors; it gets the control
     # pattern 2*(i mod 2) + ((j - i)/2 mod 2), numbered by first appearance
@@ -253,7 +282,7 @@ def test_four_chromatic_control_components_take_the_pattern():
     for _ in range(20):
         g = control_graph(rng.sample(window.cells, 64))
         col = chromatic_coloring(g)
-        for comp in component_masks(g.rows, (1 << len(g)) - 1):
+        for comp in components(g.rows, (1 << len(g)) - 1):
             cells = [g.vertices[p] for p in iter_bits(comp)]
             if _greedy_clique(g.rows, comp) < 4:
                 continue
@@ -285,7 +314,7 @@ def reference_component_labels(rows, comp, cells):
 
 def reference_chromatic_labels(g):
     labels = [0] * len(g)
-    for comp in component_masks(g.rows, (1 << len(g)) - 1):
+    for comp in components(g.rows, (1 << len(g)) - 1):
         for p, label in zip(iter_bits(comp), reference_component_labels(g.rows, comp, g.vertices)):
             labels[p] = label
     return tuple(labels)

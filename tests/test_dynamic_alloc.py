@@ -6,7 +6,7 @@ import pytest
 from conftest import roadmap_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import is_active, verify_coloring
+from oracles import components, is_active, verify_coloring
 
 from hexchan.cli import main
 from hexchan.coloring import DEFAULT_VERTEX_CAP, chromatic_coloring, data_graph_coloring
@@ -20,7 +20,7 @@ from hexchan.dynamic_alloc import (
     cycle_structure,
 )
 from hexchan.errors import InsufficientSpectrumError, InvalidSuperframeError, NotInLatticeError
-from hexchan.interference import build_interference_graph, component_masks, iter_bits
+from hexchan.interference import build_interference_graph, iter_bits
 from hexchan.lattice import DATA_REUSE_METRIC, CellIndex, build_lattice, lattice_from_cells, lattice_metric
 from hexchan.spectrum import EUROPE, channel_plan, default_domain
 from hexchan.static_alloc import allocate_static
@@ -394,7 +394,7 @@ def test_components_above_solver_cap(tmp_path, make_doc):
     for active in grants.values():
         lat = lattice_from_cells([C(i, j) for i, j in active], 1.0)
         graph = build_interference_graph(lat, DATA_REUSE_METRIC)
-        for comp in component_masks(graph.rows, (1 << len(graph)) - 1):
+        for comp in components(graph.rows, (1 << len(graph)) - 1):
             largest = max(largest, comp.bit_count())
         for a, channels_a in active.items():
             assert channels_a
@@ -424,7 +424,7 @@ def line_graph(length):
 )
 def test_data_graph_coloring_is_minimal(graphs):
     for graph in graphs:
-        for comp in component_masks(graph.rows, (1 << len(graph)) - 1):
+        for comp in components(graph.rows, (1 << len(graph)) - 1):
             cells = [graph.vertices[p] for p in iter_bits(comp)]
             sub = build_interference_graph(lattice_from_cells(cells, 1.0), DATA_REUSE_METRIC)
             assert sub.vertices == tuple(cells)

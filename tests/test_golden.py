@@ -1,6 +1,7 @@
 """Golden outputs: SHA-256 of every file the four CLI commands write for the
-bundled configs, the generated N = 4 window and a config of duty-cycle edge
-cases.
+bundled configs, the generated N = 4 window, a config of duty-cycle edge
+cases and one of sparse components (edgeless, bipartite and odd-cycle
+control components; bipartite data components only).
 
 The digests in ``golden_digests.json`` pin the CLI output byte for byte.  A
 change that alters the output on purpose says so in CHANGES.md and
@@ -23,6 +24,7 @@ CONFIGS = {
     "block-n2": REPO_ROOT / "configs" / "block-n2.json",
     "duty-edges": TESTS_DIR / "configs" / "duty-edges.json",
     "roadmap-n4": TESTS_DIR / "configs" / "roadmap-n4.json",
+    "sparse-components": TESTS_DIR / "configs" / "sparse-components.json",
 }
 COMMANDS = ("lattice", "static", "dynamic", "evaluate")
 

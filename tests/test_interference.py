@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import neighborhood_sets, scanned_edge_list_text
+from oracles import components, neighborhood_sets, scanned_edge_list_text
 
-from hexchan.interference import build_interference_graph, component_masks, edge_list_text, iter_bits
+from hexchan.coloring import two_coloring
+from hexchan.interference import build_interference_graph, edge_list_text, iter_bits
 from hexchan.lattice import (
     CONTROL_REUSE_METRIC,
     DATA_REUSE_METRIC,
@@ -74,7 +75,14 @@ def test_data_neighborhood_matches_g_set():
 def test_connected_components_split():
     lat = lattice_from_cells([C(0, 0), C(1, 1), C(4, 4), C(3, -3)], 1.0)
     g = build_interference_graph(lat, DATA_REUSE_METRIC)
-    comps = [[g.vertices[p] for p in iter_bits(comp)] for comp in component_masks(g.rows, (1 << len(g)) - 1)]
+    # two_coloring grows the component of the lowest position left
+    masks, rest = [], (1 << len(g)) - 1
+    while rest:
+        comp = two_coloring(g.rows, rest)[0]
+        masks.append(comp)
+        rest ^= comp
+    assert masks == components(g.rows, (1 << len(g)) - 1)
+    comps = [[g.vertices[p] for p in iter_bits(comp)] for comp in masks]
     assert sorted(sorted((c.i, c.j) for c in comp) for comp in comps) == [
         [(0, 0), (1, 1)],
         [(3, -3)],
