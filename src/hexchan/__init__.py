@@ -9,6 +9,7 @@ single-channel vs. static vs. dynamic multi-channel operation.
 from .coloring import (
     Coloring,
     chromatic_coloring,
+    control_coloring,
     data_graph_coloring,
     pattern_coloring,
 )
@@ -26,7 +27,7 @@ from .evaluate import (
     delay_decrease_percent,
     makespan,
 )
-from .interference import InterferenceGraph, build_interference_graph
+from .interference import interference_rows
 from .lattice import (
     CONTROL_REUSE_METRIC,
     DATA_REUSE_METRIC,
@@ -57,7 +58,6 @@ __all__ = [
     "CONTROL_REUSE_METRIC",
     "CycleStructure",
     "DATA_REUSE_METRIC",
-    "InterferenceGraph",
     "Lattice",
     "LogicalChannel",
     "RegulatoryDomain",
@@ -67,16 +67,17 @@ __all__ = [
     "SuperframeConfig",
     "allocate_dynamic",
     "allocate_static",
-    "build_interference_graph",
     "build_lattice",
     "center_of",
     "channel_plan",
     "chromatic_coloring",
     "compare_schemes",
+    "control_coloring",
     "cycle_structure",
     "data_graph_coloring",
     "default_domain",
     "delay_decrease_percent",
+    "interference_rows",
     "lattice_from_cells",
     "lattice_metric",
     "makespan",

@@ -1,16 +1,18 @@
 """Vertex coloring: exact minimum coloring and closed-form periodic colorings.
 
-Every interference graph here needs few colors: the data pattern colors any
-metric-12 graph with 3 and the control pattern any metric-16 graph with 4.
-Metric-12 graphs are colored without search by ``data_graph_coloring``.
-``chromatic_coloring`` colors any graph exactly, one connected component at
-a time: each gets the first k-coloring in vertex order for the smallest k
-from its greedy clique up, except that a component needing 4 colors on
-which the control pattern is proper (any metric-16 graph) gets that
-pattern.  The pattern is checked first; where it is proper the clique
-sweep stops at 4, and a component with a 4-clique takes the pattern with
-no search state built.  It refuses graphs above ``DEFAULT_VERTEX_CAP``
-vertices.
+A graph is its adjacency rows (``interference_rows``) on the cells they
+index.  Every interference graph here needs few colors: the data pattern
+colors any metric-12 graph with 3 and the control pattern any metric-16
+graph with 4.  Metric-12 graphs are colored without search by
+``data_graph_coloring``.  ``chromatic_coloring`` colors any graph exactly,
+one connected component at a time: each gets the first k-coloring in vertex
+order for the smallest k from its greedy clique up, except that a component
+needing 4 colors on which the control pattern is proper (any metric-16
+graph) gets that pattern.  The pattern is checked first; where it is proper
+the clique sweep stops at 4, and a component with a 4-clique takes the
+pattern with no search state built.  It refuses graphs above
+``DEFAULT_VERTEX_CAP`` vertices; ``control_coloring``, the static control
+rule, is the one caller that knows the cap and takes the pattern above it.
 
 ``two_coloring`` is the one component walk: it grows the component of a
 mask's lowest position by BFS layers, which are also its 2-coloring.
@@ -18,8 +20,8 @@ mask's lowest position by BFS layers, which are also its 2-coloring.
 component) and the dynamic allocation step through components with it.
 
 A ``Coloring`` is a one-field named tuple: one label per vertex position
-of the graph it colors (for ``pattern_coloring``, per cell of
-``lattice.cells``), numbered by first appearance.
+of the graph it colors (for ``pattern_coloring`` and ``control_coloring``,
+per cell of ``lattice.cells``), numbered by first appearance.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from collections import namedtuple
 from typing import Sequence
 
 from .errors import SizeLimitError
-from .interference import InterferenceGraph, iter_bits
-from .lattice import CellIndex, Lattice
+from .interference import interference_rows, iter_bits
+from .lattice import CONTROL_REUSE_METRIC, CellIndex, Lattice
 
 # The search is exponential in the worst case.  The cap bounds vertices, not
 # time: below it, graphs denser than metric 16 (where the control pattern
@@ -177,7 +179,9 @@ def _component_labels(rows: Sequence[int], comp: int, cells: Sequence[CellIndex]
     return _first_appearance(pattern)
 
 
-def chromatic_coloring(graph: InterferenceGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Coloring:
+def chromatic_coloring(
+    rows: Sequence[int], cells: Sequence[CellIndex], vertex_cap: int = DEFAULT_VERTEX_CAP
+) -> Coloring:
     """Proper coloring with exactly the chromatic number of colors.
 
     Each connected component, as ``two_coloring`` grows it, is colored on
@@ -191,12 +195,12 @@ def chromatic_coloring(graph: InterferenceGraph, vertex_cap: int = DEFAULT_VERTE
     by 4), and a component whose clique reaches 4 gets the pattern without a
     search, as every full window with N >= 2 does.  Deterministic for a
     given vertex order.  Graphs above ``vertex_cap`` vertices are refused;
-    use data_graph_coloring or pattern_coloring for lattice graphs, or raise
+    use data_graph_coloring or control_coloring for lattice graphs, or raise
     the cap explicitly if you can afford the search.  The cap bounds
     vertices, not time: below it, a graph denser than metric 16 can take
     seconds (up to 12 s measured on 55-vertex metric-28 graphs).
     """
-    n = len(graph.vertices)
+    n = len(rows)
     if n > vertex_cap:
         raise SizeLimitError(
             f"{n} vertices exceeds the exact-solver cap of {vertex_cap}; "
@@ -207,9 +211,9 @@ def chromatic_coloring(graph: InterferenceGraph, vertex_cap: int = DEFAULT_VERTE
     labels = [0] * n
     rest = (1 << n) - 1
     while rest:
-        comp = two_coloring(graph.rows, rest)[0]
+        comp = two_coloring(rows, rest)[0]
         rest ^= comp
-        for p, label in zip(iter_bits(comp), _component_labels(graph.rows, comp, graph.vertices)):
+        for p, label in zip(iter_bits(comp), _component_labels(rows, comp, cells)):
             labels[p] = label
     return Coloring(tuple(labels))
 
@@ -232,6 +236,16 @@ def pattern_coloring(lattice: Lattice, kind: str) -> Coloring:
     if kind not in (CONTROL, DATA):
         raise ValueError(f"kind must be {CONTROL!r} or {DATA!r}")
     return Coloring(tuple(_first_appearance([_pattern_label(c, kind) for c in lattice.cells])))
+
+
+def control_coloring(lattice: Lattice) -> Coloring:
+    """The static control coloring of ``lattice.cells``: the metric-16
+    graph colored exactly (``chromatic_coloring``) up to
+    ``DEFAULT_VERTEX_CAP`` cells, and the closed-form control pattern,
+    proper but not always minimal, above it."""
+    if len(lattice) > DEFAULT_VERTEX_CAP:
+        return pattern_coloring(lattice, CONTROL)
+    return chromatic_coloring(interference_rows(lattice, CONTROL_REUSE_METRIC), lattice.cells)
 
 
 def two_coloring(rows: Sequence[int], mask: int) -> tuple[int, list[int] | None]:
@@ -271,16 +285,16 @@ def data_pattern_classes(mask: int, cells: Sequence[CellIndex]) -> list[int]:
     return list(classes.values())
 
 
-def data_graph_coloring(graph: InterferenceGraph) -> Coloring:
+def data_graph_coloring(rows: Sequence[int], cells: Sequence[CellIndex]) -> Coloring:
     """Minimum coloring of a metric-12 interference graph of any size,
     without search: each component's ``two_coloring``, or, if one has an
-    odd cycle, the data pattern on the whole graph (chi <= 3)."""
-    labels = [0] * len(graph.vertices)
+    odd cycle, the data pattern on ``cells`` (chi <= 3)."""
+    labels = [0] * len(rows)
     rest = (1 << len(labels)) - 1
     while rest:
-        comp, classes = two_coloring(graph.rows, rest)
+        comp, classes = two_coloring(rows, rest)
         if classes is None:
-            return Coloring(tuple(_first_appearance([_pattern_label(c, DATA) for c in graph.vertices])))
+            return Coloring(tuple(_first_appearance([_pattern_label(c, DATA) for c in cells])))
         rest ^= comp
         for p in iter_bits(classes[1]):
             labels[p] = 1

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 from .coloring import data_pattern_classes, two_coloring
 from .errors import InsufficientSpectrumError, InvalidSuperframeError, NotInLatticeError
-from .interference import InterferenceGraph, build_interference_graph, iter_bits
+from .interference import interference_rows, iter_bits
 from .jsontext import chunk_size, flush_chunks, json_array, json_object
 from .lattice import DATA_REUSE_METRIC, CellIndex, Lattice
 from .spectrum import ChannelPlan, LogicalChannel, partition_channels
@@ -142,7 +142,7 @@ def allocate_dynamic(lattice: Lattice, configs: Sequence[SuperframeConfig], plan
     cycle's chi is the largest of its components' (1 for a single PAN) and
     its k the largest group (the whole data set, if a PAN is on its own).
     """
-    _, cycle_masks, sets = _active_sets(build_interference_graph(lattice, DATA_REUSE_METRIC), configs, plan)
+    _, cycle_masks, sets = _active_sets(interference_rows(lattice, DATA_REUSE_METRIC), lattice.cells, configs, plan)
     n = len(configs)
     ordered_data = plan.ordered_data()
     by_mask = {}  # mask -> (column, chi, k)
@@ -164,14 +164,14 @@ def allocate_dynamic(lattice: Lattice, configs: Sequence[SuperframeConfig], plan
 
 
 def _active_sets(
-    graph: InterferenceGraph, configs: Sequence[SuperframeConfig], plan: ChannelPlan
+    rows: Sequence[int], cells: Sequence[CellIndex], configs: Sequence[SuperframeConfig], plan: ChannelPlan
 ) -> tuple[list[tuple[int, int, int]], list[int], dict[int, tuple[list[int], list[_Component]]]]:
-    """The one pass of dynamic allocation on ``graph``, the metric-12 graph
-    of the PANs' lattice, once per distinct set of active PANs.  Its readers:
+    """The one pass of dynamic allocation on the metric-12 ``rows`` of the
+    PANs' lattice ``cells``, once per distinct set of active PANs.  Its readers:
     ``allocate_dynamic`` turns it into grant columns, ``compare_schemes`` into counts.
 
     Returns (runs, cycle_masks, sets).  ``runs[k]`` is PAN k's duty run
-    (P, m, t0) (``_duty_runs``) and ``cycle_masks[t]`` the graph positions
+    (P, m, t0) (``_duty_runs``) and ``cycle_masks[t]`` the cell positions
     of the PANs active in cycle t, one pattern of P masks per period tiled
     over the U cycles.  ``sets`` maps each distinct mask, in order of first
     appearance, to (singles, multis): the PANs alone in their component,
@@ -187,14 +187,14 @@ def _active_sets(
     A shortfall raises ``InsufficientSpectrumError`` naming its first
     cycle.
     """
-    position = {cell: p for p, cell in enumerate(graph.vertices)}
+    position = {cell: p for p, cell in enumerate(cells)}
     pan_positions = []
     for cfg in configs:
         p = position.get(cfg.pan_cell)
         if p is None:
             raise NotInLatticeError(f"cell ({cfg.pan_cell.i}, {cfg.pan_cell.j}) is not in the lattice")
         pan_positions.append(p)
-    pan_at = [-1] * len(position)  # graph position -> PAN index
+    pan_at = [-1] * len(position)  # cell position -> PAN index
     for k, p in enumerate(pan_positions):
         if pan_at[p] >= 0:
             raise ValueError("duplicate PAN cells in superframe configs")
@@ -202,7 +202,6 @@ def _active_sets(
     cycles = cycle_structure(configs)
     runs = _duty_runs(configs, cycles.sd_min)
     ordered_data = plan.ordered_data()
-    rows = graph.rows
 
     patterns: dict[int, list[int]] = {}
     for p, (period, active, start) in zip(pan_positions, runs):
@@ -240,7 +239,7 @@ def _active_sets(
             rest ^= comp
             component = component_memo.get(comp)
             if component is None:
-                classes = classes or data_pattern_classes(comp, graph.vertices)
+                classes = classes or data_pattern_classes(comp, cells)
                 chi = len(classes)
                 group_size = len(ordered_data) // chi
                 if group_size == 0:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .coloring import data_graph_coloring
 from .errors import OrderingError
 from .dynamic_alloc import SuperframeConfig, _active_intervals, _active_sets, cycle_structure
-from .interference import build_interference_graph
+from .interference import interference_rows
 from .jsontext import chunk_size, flush_chunks, json_array, json_object
 from .lattice import DATA_REUSE_METRIC, CellIndex, Lattice
 from .spectrum import ChannelPlan
@@ -118,7 +118,7 @@ def compare_schemes(
 
     Single-channel gives every PAN one data channel, static gives k_static,
     dynamic the per-cycle grant; all three follow the same duty cycles.
-    The lattice's metric-12 graph is built once.  k_static is |data| //
+    The lattice's metric-12 rows are built once.  k_static is |data| //
     chi_data of its coloring, and ``_active_sets`` allocates each distinct
     set of active PANs on it once; the dynamic counts are read off that
     pass without building a grant.  Each PAN's active cycles are its
@@ -130,9 +130,9 @@ def compare_schemes(
     if missing:
         cell = missing[0]
         raise ValueError(f"workload does not cover PAN ({cell.i}, {cell.j})")
-    graph = build_interference_graph(lattice, DATA_REUSE_METRIC)
-    k_static = _static_share(data_graph_coloring(graph).num_colors, plan)
-    runs, cycle_masks, sets = _active_sets(graph, configs, plan)
+    rows = interference_rows(lattice, DATA_REUSE_METRIC)
+    k_static = _static_share(data_graph_coloring(rows, lattice.cells).num_colors, plan)
+    runs, cycle_masks, sets = _active_sets(rows, lattice.cells, configs, plan)
     u = len(cycle_masks)
 
     # A PAN is active at the offsets of its active intervals in every

@@ -4,21 +4,21 @@ Vertices are cells; an edge joins two cells whose integer lattice metric is
 strictly below the reuse threshold (cells exactly at the reuse distance may
 share a channel, so they are not adjacent).
 
-A graph spans every cell of its lattice: its ordered cells plus one
-adjacency bitmask per cell position, where bit q of ``rows[p]`` is set iff
-vertices p and q are adjacent.  A set of cells (the PANs active in a cycle,
-say) is a bitmask of positions too, so subgraphs and connected components
-are masks over the rows (``coloring.two_coloring`` grows a component), and
-colorings are label lists in vertex order.  A build looks up the finite
-reuse offsets around each cell, so it is linear in the cell count;
-``edge_list_text`` reads the same offsets with no graph.
+A graph is its rows: one adjacency bitmask per cell of ``lattice.cells``,
+where bit q of ``rows[p]`` is set iff cells p and q are adjacent.  A set of
+cells (the PANs active in a cycle, say) is a bitmask of positions too, so
+subgraphs and connected components are masks over the rows
+(``coloring.two_coloring`` grows a component), and colorings are label
+lists in cell order.  ``interference_rows`` looks up the finite reuse
+offsets around each cell, so it is linear in the cell count;
+``edge_list_text`` reads the same offsets with no rows built.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .lattice import CellIndex, Lattice, interference_offsets
+from .lattice import Lattice, interference_offsets
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -29,51 +29,23 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class InterferenceGraph:
-    """Undirected simple graph on an ordered tuple of cells.
-
-    ``rows[p]`` is the adjacency bitmask of the cell ``vertices[p]``; the
-    rows are symmetric and have no self-loops.  ``len(graph)`` is the vertex
-    count.  Graphs are immutable.
-    """
-
-    __slots__ = ("vertices", "rows")
-
-    def __init__(self, vertices: tuple[CellIndex, ...], rows: tuple[int, ...]) -> None:
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"InterferenceGraph.{name} is read-only: graphs are immutable")
-
-    __delattr__ = __setattr__
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def edges(self) -> frozenset[tuple[CellIndex, CellIndex]]:
-        """Edges as (lower, higher)-position cell pairs, built from the rows
-        on each read; no hexchan module reads it."""
-        v = self.vertices
-        return frozenset((v[p], v[q]) for p, row in enumerate(self.rows) for q in iter_bits(row & -(2 << p)))
-
-
-def build_interference_graph(lattice: Lattice, metric_threshold: int) -> InterferenceGraph:
-    """Graph on every lattice cell, in lattice order.
+def interference_rows(lattice: Lattice, metric_threshold: int) -> tuple[int, ...]:
+    """Adjacency rows of the graph on every lattice cell, in lattice order:
+    bit q of ``rows[p]`` is set iff cells p and q of ``lattice.cells``
+    interfere.
 
     Edge iff metric(a, b) < metric_threshold; the strict comparison makes
     cells exactly at the reuse distance channel-compatible.
     """
     if metric_threshold <= 0:
         raise ValueError("metric_threshold must be positive")
-    vertices = lattice.cells
+    cells = lattice.cells
     # Cell (i, j) is keyed by the integer i * stride + j; the stride exceeds
     # twice the largest |j| a lookup can reach, so keys never collide.
     offsets = interference_offsets(metric_threshold)
     reach = max((abs(dj) for _, dj in offsets), default=0)
-    stride = 2 * (max((abs(j) for _, j in vertices), default=0) + reach) + 1
-    keys = [i * stride + j for i, j in vertices]
+    stride = 2 * (max((abs(j) for _, j in cells), default=0) + reach) + 1
+    keys = [i * stride + j for i, j in cells]
     position = {key: k for k, key in enumerate(keys)}
     deltas = [di * stride + dj for di, dj in offsets]
     rows = []
@@ -84,7 +56,7 @@ def build_interference_graph(lattice: Lattice, metric_threshold: int) -> Interfe
             if q is not None:
                 row |= 1 << q
         rows.append(row)
-    return InterferenceGraph(vertices, tuple(rows))
+    return tuple(rows)
 
 
 def edge_list_text(lattice: Lattice, metric_threshold: int) -> str:

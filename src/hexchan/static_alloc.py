@@ -1,10 +1,10 @@
 """Static channel assignment: one control channel per cell, and the baseline
 per-cell data-channel groups shared uniformly across the network.
 
-Control assignments color the metric-16 interference graph (at most 4
-colors on any lattice); data groups color the metric-12 graph (at most 3)
-and split the data set into equal groups of k_static = |data| // colors,
-one group per color class.  Leftover channels stay unassigned rather than
+Control assignments take ``coloring.control_coloring`` (at most 4 colors
+on any lattice); data groups color the metric-12 graph (at most 3) and
+split the data set into equal groups of k_static = |data| // colors, one
+group per color class.  Leftover channels stay unassigned rather than
 being spread unevenly, and are reported explicitly.  Both assignments are
 tuples in ``lattice.cells`` order, read off the colorings' label lists.
 """
@@ -13,17 +13,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .coloring import (
-    CONTROL,
-    DEFAULT_VERTEX_CAP,
-    Coloring,
-    chromatic_coloring,
-    data_graph_coloring,
-    pattern_coloring,
-)
+from .coloring import Coloring, control_coloring, data_graph_coloring
 from .errors import InsufficientSpectrumError
-from .interference import build_interference_graph
-from .lattice import CONTROL_REUSE_METRIC, DATA_REUSE_METRIC, Lattice
+from .interference import interference_rows
+from .lattice import DATA_REUSE_METRIC, Lattice
 from .spectrum import ChannelPlan, LogicalChannel, partition_channels
 
 
@@ -68,26 +61,22 @@ def _data_groups(
 def allocate_static(lattice: Lattice, plan: ChannelPlan) -> StaticAllocation:
     """Control assignment and static data groups in one report-ready record.
 
-    The metric-16 graph is colored exactly up to the solver's vertex cap and
-    by the closed-form control pattern above it; color class c gets the c-th
-    control channel in (phy, code) order.  The metric-12 graph gets a
-    minimum coloring at any size.
+    Control color class c of ``control_coloring`` gets the c-th control
+    channel in (phy, code) order.  The metric-12 graph gets a minimum
+    coloring at any size.
     """
-    if len(lattice) <= DEFAULT_VERTEX_CAP:
-        control_coloring = chromatic_coloring(build_interference_graph(lattice, CONTROL_REUSE_METRIC))
-    else:
-        control_coloring = pattern_coloring(lattice, CONTROL)
-    data_coloring = data_graph_coloring(build_interference_graph(lattice, DATA_REUSE_METRIC))
+    control_colors = control_coloring(lattice)
+    data_coloring = data_graph_coloring(interference_rows(lattice, DATA_REUSE_METRIC), lattice.cells)
     channels = plan.ordered_control()
     control = None
-    if control_coloring.num_colors <= len(channels):
-        control = tuple(channels[color] for color in control_coloring.labels)
+    if control_colors.num_colors <= len(channels):
+        control = tuple(channels[color] for color in control_colors.labels)
     data_groups, k_static, unassigned = _data_groups(data_coloring, plan)
     return StaticAllocation(
         control=control,
         data_groups=data_groups,
         k_static=k_static,
-        chi_control=control_coloring.num_colors,
+        chi_control=control_colors.num_colors,
         chi_data=data_coloring.num_colors,
         unassigned=unassigned,
     )

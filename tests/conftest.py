@@ -4,25 +4,33 @@ from pathlib import Path
 import pytest
 
 from hexchan.evaluate import delay_decrease_percent, makespan
-from hexchan.interference import InterferenceGraph
+from hexchan.interference import interference_rows
+from hexchan.lattice import lattice_from_cells
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO_ROOT / "configs"
 TEST_CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 
 
-def graph_from_edges(vertices, edges) -> InterferenceGraph:
-    """Graph on ``vertices``, in the given order, with the given edges
-    between them; for graphs a test draws itself."""
-    vertices = tuple(vertices)
-    position = {v: p for p, v in enumerate(vertices)}
-    assert len(position) == len(vertices), "duplicate vertices"
-    rows = [0] * len(vertices)
+def graph_from_edges(cells, edges):
+    """``(cells, rows)`` of the graph on ``cells``, in the given order, with
+    the given edges between them; for graphs a test draws itself."""
+    cells = tuple(cells)
+    position = {v: p for p, v in enumerate(cells)}
+    assert len(position) == len(cells), "duplicate cells"
+    rows = [0] * len(cells)
     for a, b in edges:
         assert a != b, "self-loop"
         rows[position[a]] |= 1 << position[b]
         rows[position[b]] |= 1 << position[a]
-    return InterferenceGraph(vertices, tuple(rows))
+    return cells, tuple(rows)
+
+
+def lattice_graph(cells, threshold):
+    """``(cells, rows)`` of the interference graph on ``cells``, the cells in
+    lattice order."""
+    lattice = lattice_from_cells(cells, 1.0)
+    return lattice.cells, interference_rows(lattice, threshold)
 
 
 def roadmap_config(n: int, bomax: int = 10, domain: str = "US") -> dict:

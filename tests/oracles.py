@@ -1,6 +1,6 @@
 """Test oracles and fixtures, kept apart from the code they check.
 
-They read adjacency from ``graph.rows`` or from ``lattice_metric`` alone.
+They read adjacency from a graph's ``rows`` or from ``lattice_metric`` alone.
 None of them calls a graph builder or a coloring or allocation function
 of ``hexchan``, so they share no code with what they check.
 """
@@ -87,18 +87,25 @@ def components(rows, mask):
     return found
 
 
-def verify_coloring(graph, coloring):
+def edge_set(rows, cells):
+    """Edges of the graph with adjacency ``rows`` on ``cells``, as
+    (lower, higher)-position cell pairs."""
+    n = len(rows)
+    return frozenset((cells[p], cells[q]) for p in range(n) for q in range(p + 1, n) if rows[p] >> q & 1)
+
+
+def verify_coloring(rows, coloring):
     """True iff no two adjacent vertices share a label."""
     labels = coloring.labels
-    n = len(graph.rows)
-    return all(labels[p] != labels[q] for p in range(n) for q in range(n) if graph.rows[p] >> q & 1)
+    n = len(rows)
+    return all(labels[p] != labels[q] for p in range(n) for q in range(n) if rows[p] >> q & 1)
 
 
-def brute_force_chromatic(graph):
+def brute_force_chromatic(rows):
     """Exact chromatic number by exhaustive k-coloring search, k = 0, 1, ...
     Exponential: for graphs of a dozen vertices or fewer."""
-    n = len(graph.rows)
-    earlier = [[q for q in range(p) if graph.rows[p] >> q & 1] for p in range(n)]
+    n = len(rows)
+    earlier = [[q for q in range(p) if rows[p] >> q & 1] for p in range(n)]
 
     def colorable(k):
         colors = [-1] * n

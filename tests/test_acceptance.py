@@ -20,7 +20,7 @@ from hexchan.dynamic_alloc import (
     cycle_structure,
 )
 from hexchan.evaluate import delay_decrease_percent, makespan
-from hexchan.interference import build_interference_graph
+from hexchan.interference import interference_rows
 from hexchan.lattice import (
     CONTROL_REUSE_METRIC,
     DATA_REUSE_METRIC,
@@ -42,8 +42,8 @@ def report(criterion, message):
 def test_criterion_01_fixture_chromatic_numbers():
     start = time.perf_counter()
     lat = twelve_cell_lattice()
-    chi16 = chromatic_coloring(build_interference_graph(lat, CONTROL_REUSE_METRIC)).num_colors
-    chi12 = chromatic_coloring(build_interference_graph(lat, DATA_REUSE_METRIC)).num_colors
+    chi16 = chromatic_coloring(interference_rows(lat, CONTROL_REUSE_METRIC), lat.cells).num_colors
+    chi12 = chromatic_coloring(interference_rows(lat, DATA_REUSE_METRIC), lat.cells).num_colors
     elapsed = time.perf_counter() - start
     assert chi16 == 4
     assert chi12 == 3
@@ -54,9 +54,10 @@ def test_criterion_01_fixture_chromatic_numbers():
 def test_criterion_02_cluster_and_random_oracle():
     start = time.perf_counter()
     cluster = [C(0, 0), C(0, 2), C(0, -2), C(1, 1), C(1, -1), C(-1, 1), C(-1, -1)]
-    g = build_interference_graph(lattice_from_cells(cluster, 1.0), DATA_REUSE_METRIC)
-    assert chromatic_coloring(g).num_colors == 3
-    assert brute_force_chromatic(g) == 3
+    lat = lattice_from_cells(cluster, 1.0)
+    rows = interference_rows(lat, DATA_REUSE_METRIC)
+    assert chromatic_coloring(rows, lat.cells).num_colors == 3
+    assert brute_force_chromatic(rows) == 3
 
     rng = random.Random(1618)
     for _ in range(200):
@@ -68,10 +69,10 @@ def test_criterion_02_cluster_and_random_oracle():
             for b in range(a + 1, n)
             if rng.random() < rng.uniform(0.1, 0.9)
         )
-        graph = graph_from_edges(verts, edges)
-        coloring = chromatic_coloring(graph)
-        assert verify_coloring(graph, coloring)
-        assert coloring.num_colors == brute_force_chromatic(graph)
+        _, rows = graph_from_edges(verts, edges)
+        coloring = chromatic_coloring(rows, verts)
+        assert verify_coloring(rows, coloring)
+        assert coloring.num_colors == brute_force_chromatic(rows)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report(2, f"7-cell cluster chi=3; solver matches brute force on 200 random graphs ({elapsed:.2f}s)")
@@ -101,11 +102,11 @@ def test_criterion_04_theorem_bounds():
     for n in range(1, 7):
         lat = build_lattice(n, 1.0)
         for kind, threshold, bound in (("control", CONTROL_REUSE_METRIC, 4), ("data", DATA_REUSE_METRIC, 3)):
-            graph = build_interference_graph(lat, threshold)
+            rows = interference_rows(lat, threshold)
             pattern = pattern_coloring(lat, kind)
             assert pattern.num_colors <= bound
-            assert verify_coloring(graph, pattern)
-            exact = chromatic_coloring(graph, vertex_cap=128)
+            assert verify_coloring(rows, pattern)
+            exact = chromatic_coloring(rows, lat.cells, vertex_cap=128)
             assert exact.num_colors <= bound
     report(4, "pattern colorings proper and exact chi <= 4 (control) / 3 (data) for N in 1..6")
 

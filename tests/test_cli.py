@@ -7,7 +7,6 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from conftest import TEST_CONFIG_DIR, roadmap_config
@@ -27,7 +26,7 @@ from hexchan.config import (
 from hexchan.errors import ConfigError
 from hexchan.coloring import two_coloring
 from hexchan.dynamic_alloc import _active_sets
-from hexchan.interference import build_interference_graph, iter_bits
+from hexchan.interference import interference_rows, iter_bits
 from hexchan.lattice import build_lattice
 
 
@@ -295,23 +294,33 @@ def test_evaluate_command_reference(tmp_path, reference_config_path):
 
 @pytest.mark.parametrize(
     "command, thresholds",
-    [("lattice", []), ("static", [16, 12]), ("dynamic", [12]), ("evaluate", [12])],
+    [
+        ("lattice", {41: [], 85: []}),
+        ("static", {41: [16, 12], 85: [12]}),
+        ("dynamic", {41: [12], 85: [12]}),
+        ("evaluate", {41: [12], 85: [12]}),
+    ],
 )
 def test_each_command_builds_each_interference_graph_once(tmp_path, monkeypatch, command, thresholds):
     # lattice reads its edge lists off the reuse offsets and builds no graph;
     # evaluate reads its static share and its dynamic grants off one
-    # metric-12 graph of the whole lattice
+    # metric-12 graph of the whole lattice.  Above the solver's 64-cell cap
+    # static takes the control pattern, so the N = 6 window (85 cells)
+    # builds no metric-16 rows.
     built = []
 
     def counting(lattice, *args):
         built.append((len(lattice), args[-1]))
-        return build_interference_graph(lattice, *args)
+        return interference_rows(lattice, *args)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("hexchan") and hasattr(module, "build_interference_graph"):
-            monkeypatch.setattr(module, "build_interference_graph", counting)
-    assert main([command, "--config", str(TEST_CONFIG_DIR / "roadmap-n4.json"), "--out", str(tmp_path)]) == 0
-    assert built == [(41, threshold) for threshold in thresholds]
+        if name.startswith("hexchan") and hasattr(module, "interference_rows"):
+            monkeypatch.setattr(module, "interference_rows", counting)
+    configs = {41: TEST_CONFIG_DIR / "roadmap-n4.json", 85: write_config(tmp_path, roadmap_config(6))}
+    for cells, path in configs.items():
+        built.clear()
+        assert main([command, "--config", str(path), "--out", str(tmp_path / str(cells))]) == 0
+        assert built == [(cells, threshold) for threshold in thresholds[cells]]
 
 
 @pytest.mark.parametrize("command", ["dynamic", "evaluate"])
@@ -321,7 +330,7 @@ def test_each_command_colors_each_active_set_and_component_once(tmp_path, monkey
     # A PAN with an active neighbour starts one two_coloring call, which
     # grows and colors its component and reads the starting row once more;
     # a component met before reuses its _Component object.  The pass runs
-    # on a view of the graph whose rows count their reads.
+    # on rows that count their reads.
     reads, grown, passes = Counter(), [], []
 
     class CountingRows(tuple):
@@ -329,9 +338,8 @@ def test_each_command_colors_each_active_set_and_component_once(tmp_path, monkey
             reads[p] += 1
             return tuple.__getitem__(self, p)
 
-    def counting_pass(graph, configs, plan):
-        view = SimpleNamespace(vertices=graph.vertices, rows=CountingRows(graph.rows))
-        passes.append(_active_sets(view, configs, plan))
+    def counting_pass(rows, cells, configs, plan):
+        passes.append(_active_sets(CountingRows(rows), cells, configs, plan))
         return passes[-1]
 
     def counting_two_coloring(rows, mask):
@@ -352,8 +360,8 @@ def test_each_command_colors_each_active_set_and_component_once(tmp_path, monkey
     active_sets = {
         sum(1 << k for k, cfg in enumerate(configs) if (t * sd_min - cfg.phase) % cfg.bi < cfg.sd) for t in range(u)
     }
-    graph = build_interference_graph(build_lattice(4, 1.0), 12)
-    multis = [comp for mask in active_sets for comp in components(graph.rows, mask) if comp.bit_count() > 1]
+    rows = interference_rows(build_lattice(4, 1.0), 12)
+    multis = [comp for mask in active_sets for comp in components(rows, mask) if comp.bit_count() > 1]
     assert len(passes) == 1 and len(set(multis)) < len(multis)
     assert sorted(grown) == sorted(multis)
     objects = {id(c): sum(1 << pan for pan, _ in c[2]) for _, found in passes[0][2].values() for c in found}

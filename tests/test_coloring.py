@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from conftest import graph_from_edges
+from conftest import graph_from_edges, lattice_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_chromatic, components, twelve_cell_lattice, verify_coloring
@@ -23,13 +23,12 @@ from hexchan.coloring import (
     two_coloring,
 )
 from hexchan.errors import SizeLimitError
-from hexchan.interference import build_interference_graph, iter_bits
+from hexchan.interference import interference_rows, iter_bits
 from hexchan.lattice import (
     CONTROL_REUSE_METRIC,
     DATA_REUSE_METRIC,
     CellIndex,
     build_lattice,
-    lattice_from_cells,
     lattice_metric,
 )
 
@@ -37,7 +36,8 @@ C = CellIndex
 
 
 def graph_on_indices(n, index_edges):
-    """Graph on n placeholder cells; vertex k is the cell (2k, 0)."""
+    """``(cells, rows)`` of a graph on n placeholder cells; vertex k is the
+    cell (2k, 0)."""
     verts = [C(2 * k, 0) for k in range(n)]
     return graph_from_edges(verts, [(verts[a], verts[b]) for a, b in index_edges])
 
@@ -52,86 +52,83 @@ def random_graph(rng, n, p):
 
 def cluster_graph():
     cells = [C(0, 0), C(0, 2), C(0, -2), C(1, 1), C(1, -1), C(-1, 1), C(-1, -1)]
-    return build_interference_graph(lattice_from_cells(cells, 1.0), DATA_REUSE_METRIC)
+    return lattice_graph(cells, DATA_REUSE_METRIC)
 
 
 def test_complete_graph_needs_n_colors():
     for n in (1, 2, 3, 4, 6):
-        col = chromatic_coloring(complete_graph(n))
-        assert col.num_colors == n
+        cells, rows = complete_graph(n)
+        assert chromatic_coloring(rows, cells).num_colors == n
 
 
 def test_fixture_chromatic_numbers():
     lat = twelve_cell_lattice()
-    g16 = build_interference_graph(lat, CONTROL_REUSE_METRIC)
-    g12 = build_interference_graph(lat, DATA_REUSE_METRIC)
-    assert chromatic_coloring(g16).num_colors == 4
-    assert chromatic_coloring(g12).num_colors == 3
+    assert chromatic_coloring(interference_rows(lat, CONTROL_REUSE_METRIC), lat.cells).num_colors == 4
+    assert chromatic_coloring(interference_rows(lat, DATA_REUSE_METRIC), lat.cells).num_colors == 3
 
 
 def test_cluster_graph_is_three_chromatic():
-    g = cluster_graph()
-    col = chromatic_coloring(g)
+    cells, rows = cluster_graph()
+    col = chromatic_coloring(rows, cells)
     assert col.num_colors == 3
-    assert verify_coloring(g, col)
-    assert brute_force_chromatic(g) == 3
+    assert verify_coloring(rows, col)
+    assert brute_force_chromatic(rows) == 3
 
 
 def test_edgeless_graph_one_color():
-    col = chromatic_coloring(graph_on_indices(5, []))
-    assert col.num_colors == 1
+    cells, rows = graph_on_indices(5, [])
+    assert chromatic_coloring(rows, cells).num_colors == 1
 
 
 def test_empty_graph_zero_colors():
-    col = chromatic_coloring(graph_on_indices(0, []))
+    col = chromatic_coloring((), ())
     assert col.num_colors == 0
     assert col.labels == ()
 
 
 def test_vertex_cap_enforced():
+    cells, rows = graph_on_indices(65, [])
     with pytest.raises(SizeLimitError):
-        chromatic_coloring(graph_on_indices(65, []), vertex_cap=64)
+        chromatic_coloring(rows, cells, vertex_cap=64)
     # raising the cap lets the same graph through
-    assert chromatic_coloring(graph_on_indices(65, []), vertex_cap=70).num_colors == 1
+    assert chromatic_coloring(rows, cells, vertex_cap=70).num_colors == 1
 
 
 def test_canonical_color_numbering():
-    g = complete_graph(3)
-    col = chromatic_coloring(g)
+    cells, rows = complete_graph(3)
     # colors are numbered by first appearance in vertex order
-    assert col.labels == (0, 1, 2)
+    assert chromatic_coloring(rows, cells).labels == (0, 1, 2)
 
 
 def test_determinism():
     rng = random.Random(7)
-    g = random_graph(rng, 9, 0.5)
-    assert chromatic_coloring(g) == chromatic_coloring(g)
+    cells, rows = random_graph(rng, 9, 0.5)
+    assert chromatic_coloring(rows, cells) == chromatic_coloring(rows, cells)
 
 
 def test_brute_force_known_values():
-    assert brute_force_chromatic(complete_graph(4)) == 4
+    assert brute_force_chromatic(complete_graph(4)[1]) == 4
     cycle6 = graph_on_indices(6, [(k, (k + 1) % 6) for k in range(6)])
-    assert brute_force_chromatic(cycle6) == 2
+    assert brute_force_chromatic(cycle6[1]) == 2
     cycle5 = graph_on_indices(5, [(k, (k + 1) % 5) for k in range(5)])
-    assert brute_force_chromatic(cycle5) == 3
-    assert brute_force_chromatic(graph_on_indices(0, [])) == 0
+    assert brute_force_chromatic(cycle5[1]) == 3
+    assert brute_force_chromatic(()) == 0
 
 
 def test_solver_agrees_with_brute_force():
     rng = random.Random(20260809)
     for _ in range(200):
-        g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.1, 0.9))
-        col = chromatic_coloring(g)
-        assert verify_coloring(g, col)
-        assert col.num_colors == brute_force_chromatic(g)
+        cells, rows = random_graph(rng, rng.randint(1, 10), rng.uniform(0.1, 0.9))
+        col = chromatic_coloring(rows, cells)
+        assert verify_coloring(rows, col)
+        assert col.num_colors == brute_force_chromatic(rows)
 
 
-def first_coloring_by_enumeration(g, k):
+def first_coloring_by_enumeration(rows, k):
     """Lexicographically first proper coloring with colors 0..k-1 numbered by
     first appearance, by enumerating every label tuple in order."""
-    n = len(g.vertices)
-    position = {v: p for p, v in enumerate(g.vertices)}
-    edges = [(position[a], position[b]) for a, b in g.edges]
+    n = len(rows)
+    edges = [(p, q) for p in range(n) for q in range(p + 1, n) if rows[p] >> q & 1]
     for labels in itertools.product(range(k), repeat=n):
         if any(c > max(labels[:v], default=-1) + 1 for v, c in enumerate(labels)):
             continue
@@ -146,16 +143,16 @@ def test_solver_returns_first_coloring_in_vertex_order():
     rng = random.Random(31)
     checked = 0
     while checked < 60:
-        g = random_graph(rng, rng.randint(3, 8), rng.uniform(0.3, 0.8))
-        if len(components(g.rows, (1 << len(g)) - 1)) != 1 or brute_force_chromatic(g) < 3:
+        cells, rows = random_graph(rng, rng.randint(3, 8), rng.uniform(0.3, 0.8))
+        if len(components(rows, (1 << len(rows)) - 1)) != 1 or brute_force_chromatic(rows) < 3:
             continue
-        col = chromatic_coloring(g)
-        assert list(col.labels) == first_coloring_by_enumeration(g, col.num_colors)
+        col = chromatic_coloring(rows, cells)
+        assert list(col.labels) == first_coloring_by_enumeration(rows, col.num_colors)
         checked += 1
 
 
 def control_graph(cells):
-    return build_interference_graph(lattice_from_cells(cells, 1.0), CONTROL_REUSE_METRIC)
+    return lattice_graph(cells, CONTROL_REUSE_METRIC)
 
 
 # A rhombus of four cells: every pair is at metric 4 or 12, a K4 of the
@@ -206,13 +203,13 @@ FOUR_CHROMATIC_WITHOUT_K4 = [
     ids=["isolated-plus-k4", "k4-plus-zigzag", "zigzag-and-separate-k4", "triangle-strip", "four-chromatic-without-k4"],
 )
 def test_solver_is_fast_at_64_vertices(cells, chi):
-    g = control_graph(cells)
-    assert 60 <= len(g) <= 64
+    cells, rows = control_graph(cells)
+    assert 60 <= len(rows) <= 64
     start = time.perf_counter()
-    col = chromatic_coloring(g)
+    col = chromatic_coloring(rows, cells)
     assert time.perf_counter() - start < 1.0
     assert col.num_colors == chi
-    assert verify_coloring(g, col)
+    assert verify_coloring(rows, col)
 
 
 def test_bipartite_control_components_get_their_two_coloring():
@@ -226,18 +223,18 @@ def test_bipartite_control_components_get_their_two_coloring():
     subsets.append([C(0, 4 * k) for k in range(64)])
     subsets.append([C(8 * k, 2 * s) for k in range(32) for s in range(2)])
     checked = set()
-    for cells in subsets:
-        g = control_graph(cells)
-        col = chromatic_coloring(g)
-        for comp in components(g.rows, (1 << len(g.vertices)) - 1):
+    for subset in subsets:
+        cells, rows = control_graph(subset)
+        col = chromatic_coloring(rows, cells)
+        for comp in components(rows, (1 << len(rows)) - 1):
             # data_graph_coloring gives a bipartite graph of any metric its
             # BFS 2-coloring, the lowest position at 0; any other graph gets
             # the data pattern, which has 3 colors or is not proper here
-            cells = [g.vertices[p] for p in iter_bits(comp)]
-            edges = [(g.vertices[p], g.vertices[q]) for p in iter_bits(comp) for q in iter_bits(g.rows[p] & comp)]
-            sub = graph_from_edges(cells, edges)
-            bfs = data_graph_coloring(sub)
-            if bfs.num_colors > 2 or not verify_coloring(sub, bfs):
+            sub_cells = [cells[p] for p in iter_bits(comp)]
+            edges = [(cells[p], cells[q]) for p in iter_bits(comp) for q in iter_bits(rows[p] & comp)]
+            _, sub_rows = graph_from_edges(sub_cells, edges)
+            bfs = data_graph_coloring(sub_rows, sub_cells)
+            if bfs.num_colors > 2 or not verify_coloring(sub_rows, bfs):
                 continue
             assert [col.labels[p] for p in iter_bits(comp)] == list(bfs.labels)
             checked.add(comp.bit_count())
@@ -254,22 +251,21 @@ def test_two_coloring_grows_and_colors_the_component_of_the_lowest_position(thre
     odd_seen = set()
     for _ in range(200):
         window = build_lattice(rng.randint(1, 3), 1.0)
-        cells = rng.sample(window.cells, rng.randint(1, len(window)))
-        g = build_interference_graph(lattice_from_cells(cells, 1.0), threshold)
-        mask = sum(1 << p for p in range(len(g)) if rng.random() < 0.6) or 1 << rng.randrange(len(g))
+        cells, rows = lattice_graph(rng.sample(window.cells, rng.randint(1, len(window))), threshold)
+        mask = sum(1 << p for p in range(len(rows)) if rng.random() < 0.6) or 1 << rng.randrange(len(rows))
         low = (mask & -mask).bit_length() - 1
-        comp, classes = two_coloring(g.rows, mask)
-        assert comp == components(g.rows, mask)[0]
+        comp, classes = two_coloring(rows, mask)
+        assert comp == components(rows, mask)[0]
         positions = list(iter_bits(comp))
-        edges = [(g.vertices[p], g.vertices[q]) for p in positions for q in iter_bits(g.rows[p] & comp) if p < q]
-        odd = brute_force_chromatic(graph_from_edges([g.vertices[p] for p in positions], edges)) > 2
+        edges = [(cells[p], cells[q]) for p in positions for q in iter_bits(rows[p] & comp) if p < q]
+        odd = brute_force_chromatic(graph_from_edges([cells[p] for p in positions], edges)[1]) > 2
         assert (classes is None) == odd
         odd_seen.add(odd)
         if classes is not None:
             first, second = classes
             assert first | second == comp and not first & second
             assert first >> low & 1
-            assert not any(g.rows[p] & side for side in classes for p in iter_bits(side))
+            assert not any(rows[p] & side for side in classes for p in iter_bits(side))
     assert odd_seen == {False, True}
 
 
@@ -280,17 +276,17 @@ def test_four_chromatic_control_components_take_the_pattern():
     window = build_lattice(6, 1.0)
     checked = 0
     for _ in range(20):
-        g = control_graph(rng.sample(window.cells, 64))
-        col = chromatic_coloring(g)
-        for comp in components(g.rows, (1 << len(g)) - 1):
-            cells = [g.vertices[p] for p in iter_bits(comp)]
-            if _greedy_clique(g.rows, comp) < 4:
+        cells, rows = control_graph(rng.sample(window.cells, 64))
+        col = chromatic_coloring(rows, cells)
+        for comp in components(rows, (1 << len(rows)) - 1):
+            comp_cells = [cells[p] for p in iter_bits(comp)]
+            if _greedy_clique(rows, comp) < 4:
                 continue
             first = {}
-            for c in cells:
+            for c in comp_cells:
                 first.setdefault(2 * (c.i % 2) + (c.j - c.i) // 2 % 2, len(first))
             assert [col.labels[p] for p in iter_bits(comp)] == [
-                first[2 * (c.i % 2) + (c.j - c.i) // 2 % 2] for c in cells
+                first[2 * (c.i % 2) + (c.j - c.i) // 2 % 2] for c in comp_cells
             ]
             checked += 1
     assert checked
@@ -312,19 +308,20 @@ def reference_component_labels(rows, comp, cells):
             return labels
 
 
-def reference_chromatic_labels(g):
-    labels = [0] * len(g)
-    for comp in components(g.rows, (1 << len(g)) - 1):
-        for p, label in zip(iter_bits(comp), reference_component_labels(g.rows, comp, g.vertices)):
+def reference_chromatic_labels(rows, cells):
+    labels = [0] * len(rows)
+    for comp in components(rows, (1 << len(rows)) - 1):
+        for p, label in zip(iter_bits(comp), reference_component_labels(rows, comp, cells)):
             labels[p] = label
     return tuple(labels)
 
 
 @st.composite
 def lattice_graphs(draw):
-    """The interference graph of a subset of a window N <= 5, at metric 12,
-    16 or 28.  At 28 the search runs up to 7 colors, and ruling out 6 on 40
-    or more cells can take seconds, so those subsets keep at most 25 cells."""
+    """``(cells, rows)`` of the interference graph of a subset of a window
+    N <= 5, at metric 12, 16 or 28.  At 28 the search runs up to 7 colors,
+    and ruling out 6 on 40 or more cells can take seconds, so those subsets
+    keep at most 25 cells."""
     window = build_lattice(draw(st.integers(0, 5)), 1.0)
     threshold = draw(st.sampled_from((DATA_REUSE_METRIC, CONTROL_REUSE_METRIC, 28)))
     if threshold < 28 and draw(st.booleans()):
@@ -332,14 +329,14 @@ def lattice_graphs(draw):
     else:
         top = 25 if threshold == 28 else len(window.cells)
         cells = draw(st.lists(st.sampled_from(window.cells), min_size=1, max_size=top, unique=True))
-    return build_interference_graph(lattice_from_cells(cells, 1.0), threshold)
+    return lattice_graph(cells, threshold)
 
 
 @st.composite
 def cell_graphs(draw):
-    """A random graph on at most 12 cells of the N = 3 window, edges drawn
-    regardless of distance: the control pattern is often improper on it,
-    and cliques of 5 or more occur."""
+    """``(cells, rows)`` of a random graph on at most 12 cells of the N = 3
+    window, edges drawn regardless of distance: the control pattern is often
+    improper on it, and cliques of 5 or more occur."""
     cells = draw(st.lists(st.sampled_from(build_lattice(3, 1.0).cells), min_size=1, max_size=12, unique=True))
     pairs = [(a, b) for k, a in enumerate(cells) for b in cells[k + 1 :]]
     density = draw(st.sampled_from((0.3, 0.6, 0.9)))
@@ -350,7 +347,8 @@ def cell_graphs(draw):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(lattice_graphs(), cell_graphs()))
 def test_pattern_first_gives_the_labels_of_the_search_first_rule(g):
-    assert chromatic_coloring(g).labels == reference_chromatic_labels(g)
+    cells, rows = g
+    assert chromatic_coloring(rows, cells).labels == reference_chromatic_labels(rows, cells)
 
 
 def refuse_to_search(adj, k):
@@ -363,7 +361,7 @@ def test_full_windows_take_the_pattern_without_a_search(monkeypatch, n):
     # the control pattern is proper on every metric-16 graph
     monkeypatch.setattr(coloring, "_k_coloring", refuse_to_search)
     lattice = build_lattice(n, 1.0)
-    col = chromatic_coloring(build_interference_graph(lattice, CONTROL_REUSE_METRIC))
+    col = chromatic_coloring(interference_rows(lattice, CONTROL_REUSE_METRIC), lattice.cells)
     assert col == pattern_coloring(lattice, CONTROL)
     assert col.num_colors == 4
 
@@ -383,7 +381,8 @@ def test_the_n1_window_still_searches(monkeypatch):
     # its largest clique is a triangle, so the pattern's 4 colors are not
     # minimal and the search finds 3
     calls = counted_searches(monkeypatch)
-    col = chromatic_coloring(build_interference_graph(build_lattice(1, 1.0), CONTROL_REUSE_METRIC))
+    lattice = build_lattice(1, 1.0)
+    col = chromatic_coloring(interference_rows(lattice, CONTROL_REUSE_METRIC), lattice.cells)
     assert col.num_colors == 3
     assert calls == [3]
 
@@ -394,8 +393,8 @@ def test_a_graph_with_a_k5_gets_five_colors(monkeypatch):
     calls = counted_searches(monkeypatch)
     cells = build_lattice(2, 1.0).cells[:6]
     clique = [(a, b) for k, a in enumerate(cells[:5]) for b in cells[k + 1 : 5]]
-    g = graph_from_edges(cells, clique + [(cells[4], cells[5])])
-    col = chromatic_coloring(g)
+    _, rows = graph_from_edges(cells, clique + [(cells[4], cells[5])])
+    col = chromatic_coloring(rows, cells)
     assert col.num_colors == 5
     assert calls == [5]
 
@@ -403,14 +402,14 @@ def test_a_graph_with_a_k5_gets_five_colors(monkeypatch):
 def test_clique_bound_never_exceeds_chromatic():
     rng = random.Random(99)
     for _ in range(50):
-        g = random_graph(rng, rng.randint(1, 12), 0.5)
-        assert _greedy_clique(g.rows, (1 << len(g)) - 1) <= chromatic_coloring(g).num_colors
+        cells, rows = random_graph(rng, rng.randint(1, 12), 0.5)
+        assert _greedy_clique(rows, (1 << len(rows)) - 1) <= chromatic_coloring(rows, cells).num_colors
 
 
 def test_verify_coloring_rejects_conflicts():
-    g = complete_graph(2)
+    _, rows = complete_graph(2)
     bad = Coloring(labels=(0, 0))
-    assert not verify_coloring(g, bad)
+    assert not verify_coloring(rows, bad)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -419,8 +418,7 @@ def test_pattern_colorings_proper_and_bounded(n):
     for kind, threshold, bound in ((CONTROL, CONTROL_REUSE_METRIC, 4), (DATA, DATA_REUSE_METRIC, 3)):
         col = pattern_coloring(lat, kind)
         assert col.num_colors <= bound
-        g = build_interference_graph(lat, threshold)
-        assert verify_coloring(g, col)
+        assert verify_coloring(interference_rows(lat, threshold), col)
 
 
 @pytest.mark.parametrize(

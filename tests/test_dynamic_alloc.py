@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from conftest import roadmap_config
+from conftest import lattice_graph, roadmap_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import components, is_active, verify_coloring
@@ -20,7 +20,7 @@ from hexchan.dynamic_alloc import (
     cycle_structure,
 )
 from hexchan.errors import InsufficientSpectrumError, InvalidSuperframeError, NotInLatticeError
-from hexchan.interference import build_interference_graph, iter_bits
+from hexchan.interference import interference_rows, iter_bits
 from hexchan.lattice import DATA_REUSE_METRIC, CellIndex, build_lattice, lattice_from_cells, lattice_metric
 from hexchan.spectrum import EUROPE, channel_plan, default_domain
 from hexchan.static_alloc import allocate_static
@@ -392,9 +392,8 @@ def test_components_above_solver_cap(tmp_path, make_doc):
                 grants.setdefault(int(row["cycle"]), {})[cell] = set(row["channels"].split())
     largest = 0
     for active in grants.values():
-        lat = lattice_from_cells([C(i, j) for i, j in active], 1.0)
-        graph = build_interference_graph(lat, DATA_REUSE_METRIC)
-        for comp in components(graph.rows, (1 << len(graph)) - 1):
+        rows = interference_rows(lattice_from_cells([C(i, j) for i, j in active], 1.0), DATA_REUSE_METRIC)
+        for comp in components(rows, (1 << len(rows)) - 1):
             largest = max(largest, comp.bit_count())
         for a, channels_a in active.items():
             assert channels_a
@@ -408,13 +407,12 @@ def window_graphs(n):
     lat = build_lattice(n, 1.0)
     rng = random.Random(n)
     for keep in (lat.cells, rng.sample(lat.cells, len(lat) // 2)):
-        yield build_interference_graph(lattice_from_cells(keep, 1.0), DATA_REUSE_METRIC)
+        yield lattice_graph(keep, DATA_REUSE_METRIC)
 
 
 def line_graph(length):
     # a straight line of cells is a path: bipartite, though the data pattern gives it 3 colors
-    lat = lattice_from_cells([C(0, 2 * k) for k in range(length)], 1.0)
-    return build_interference_graph(lat, DATA_REUSE_METRIC)
+    return lattice_graph([C(0, 2 * k) for k in range(length)], DATA_REUSE_METRIC)
 
 
 @pytest.mark.parametrize(
@@ -423,15 +421,14 @@ def line_graph(length):
     ids=["n1", "n2", "n3", "n6", "line"],
 )
 def test_data_graph_coloring_is_minimal(graphs):
-    for graph in graphs:
-        for comp in components(graph.rows, (1 << len(graph)) - 1):
-            cells = [graph.vertices[p] for p in iter_bits(comp)]
-            sub = build_interference_graph(lattice_from_cells(cells, 1.0), DATA_REUSE_METRIC)
-            assert sub.vertices == tuple(cells)
-            fast = data_graph_coloring(sub)
-            assert verify_coloring(sub, fast)
-            if len(sub) <= DEFAULT_VERTEX_CAP:
-                exact = chromatic_coloring(sub)
+    for cells, rows in graphs:
+        for comp in components(rows, (1 << len(rows)) - 1):
+            sub_cells, sub_rows = lattice_graph([cells[p] for p in iter_bits(comp)], DATA_REUSE_METRIC)
+            assert sub_cells == tuple(cells[p] for p in iter_bits(comp))
+            fast = data_graph_coloring(sub_rows, sub_cells)
+            assert verify_coloring(sub_rows, fast)
+            if len(sub_rows) <= DEFAULT_VERTEX_CAP:
+                exact = chromatic_coloring(sub_rows, sub_cells)
                 assert fast.num_colors == exact.num_colors
                 if exact.num_colors <= 2:
                     assert fast == exact  # a connected bipartite graph has one canonical 2-coloring
@@ -440,7 +437,7 @@ def test_data_graph_coloring_is_minimal(graphs):
 
 
 def test_data_graph_coloring_above_solver_cap():
-    line = line_graph(70)
-    assert data_graph_coloring(line).labels == tuple(k % 2 for k in range(len(line)))
-    window = build_interference_graph(build_lattice(6, 1.0), DATA_REUSE_METRIC)
-    assert data_graph_coloring(window).num_colors == 3
+    cells, rows = line_graph(70)
+    assert data_graph_coloring(rows, cells).labels == tuple(k % 2 for k in range(len(rows)))
+    window = build_lattice(6, 1.0)
+    assert data_graph_coloring(interference_rows(window, DATA_REUSE_METRIC), window.cells).num_colors == 3

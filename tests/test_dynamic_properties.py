@@ -113,7 +113,7 @@ def test_dynamic_allocation_properties(deployment):
         chis = []
         for component in metric12_components([configs[k].pan_cell for k in active]):
             if len(component) <= 10:
-                chi = brute_force_chromatic(graph_from_edges(component, metric12_edges(component)))
+                chi = brute_force_chromatic(graph_from_edges(component, metric12_edges(component))[1])
             else:
                 chi = odd_cycle_chromatic(component)
             chis.append(chi)

@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import components, neighborhood_sets, scanned_edge_list_text
+from oracles import components, edge_set, neighborhood_sets, scanned_edge_list_text
 
 from hexchan.coloring import two_coloring
-from hexchan.interference import build_interference_graph, edge_list_text, iter_bits
+from hexchan.interference import edge_list_text, interference_rows, iter_bits
 from hexchan.lattice import (
     CONTROL_REUSE_METRIC,
     DATA_REUSE_METRIC,
@@ -24,65 +24,66 @@ def cluster_cells(i=0, j=0):
     return [C(i, j), C(i, j + 2), C(i, j - 2), C(i + 1, j + 1), C(i + 1, j - 1), C(i - 1, j + 1), C(i - 1, j - 1)]
 
 
-def neighbors(graph, v):
+def lattice_edges(lattice, threshold):
+    """Edges of the lattice's interference graph, read from its rows."""
+    return edge_set(interference_rows(lattice, threshold), lattice.cells)
+
+
+def neighbors(edges, v):
     """Cells sharing an edge with ``v``, read from the edge set."""
-    return {b if a == v else a for a, b in graph.edges if v in (a, b)}
+    return {b if a == v else a for a, b in edges if v in (a, b)}
 
 
 def test_single_cell_has_no_edges():
-    g = build_interference_graph(lattice_from_cells([C(0, 0)], 1.0), CONTROL_REUSE_METRIC)
-    assert len(g) == 1
-    assert not g.edges
+    assert interference_rows(lattice_from_cells([C(0, 0)], 1.0), CONTROL_REUSE_METRIC) == (0,)
 
 
 def test_no_edge_at_exact_reuse_distance():
-    g = build_interference_graph(lattice_from_cells([C(0, 0), C(0, 4)], 1.0), CONTROL_REUSE_METRIC)
+    rows = interference_rows(lattice_from_cells([C(0, 0), C(0, 4)], 1.0), CONTROL_REUSE_METRIC)
     assert lattice_metric(C(0, 0), C(0, 4)) == 16
-    assert not g.edges
+    assert rows == (0, 0)
 
 
 def test_cluster_graph_shape():
     # oracle: enumerate all 21 pairs of the 7-cell cluster with the metric
     cells = cluster_cells()
-    g = build_interference_graph(lattice_from_cells(cells, 1.0), DATA_REUSE_METRIC)
-    assert len(g.edges) == 12
+    edges = lattice_edges(lattice_from_cells(cells, 1.0), DATA_REUSE_METRIC)
+    assert len(edges) == 12
     center = C(0, 0)
-    assert len(neighbors(g, center)) == 6
+    assert len(neighbors(edges, center)) == 6
     ring = [c for c in cells if c != center]
     for c in ring:
-        assert len(neighbors(g, c)) == 3  # center + two ring neighbors
+        assert len(neighbors(edges, c)) == 3  # center + two ring neighbors
     # opposite ring cells sit at metric >= 12 and are non-adjacent
-    assert C(0, -2) not in neighbors(g, C(0, 2))
-    assert C(-1, -1) not in neighbors(g, C(1, 1))
+    assert C(0, -2) not in neighbors(edges, C(0, 2))
+    assert C(-1, -1) not in neighbors(edges, C(1, 1))
 
 
 def test_threshold_monotonicity():
     lat = build_lattice(3, 1.0)
-    g12 = build_interference_graph(lat, DATA_REUSE_METRIC)
-    g16 = build_interference_graph(lat, CONTROL_REUSE_METRIC)
-    assert g12.edges <= g16.edges
+    assert lattice_edges(lat, DATA_REUSE_METRIC) <= lattice_edges(lat, CONTROL_REUSE_METRIC)
 
 
 def test_data_neighborhood_matches_g_set():
     lat = build_lattice(4, 1.0)
-    g = build_interference_graph(lat, DATA_REUSE_METRIC)
+    edges = lattice_edges(lat, DATA_REUSE_METRIC)
     for cell in (C(0, 0), C(1, 1), C(-1, -1)):
         _, _, g_set = neighborhood_sets(lat, cell, DATA_REUSE_METRIC)
-        assert neighbors(g, cell) == g_set - {cell}
-        assert len(neighbors(g, cell)) == 6
+        assert neighbors(edges, cell) == g_set - {cell}
+        assert len(neighbors(edges, cell)) == 6
 
 
 def test_connected_components_split():
     lat = lattice_from_cells([C(0, 0), C(1, 1), C(4, 4), C(3, -3)], 1.0)
-    g = build_interference_graph(lat, DATA_REUSE_METRIC)
+    rows = interference_rows(lat, DATA_REUSE_METRIC)
     # two_coloring grows the component of the lowest position left
-    masks, rest = [], (1 << len(g)) - 1
+    masks, rest = [], (1 << len(rows)) - 1
     while rest:
-        comp = two_coloring(g.rows, rest)[0]
+        comp = two_coloring(rows, rest)[0]
         masks.append(comp)
         rest ^= comp
-    assert masks == components(g.rows, (1 << len(g)) - 1)
-    comps = [[g.vertices[p] for p in iter_bits(comp)] for comp in masks]
+    assert masks == components(rows, (1 << len(rows)) - 1)
+    comps = [[lat.cells[p] for p in iter_bits(comp)] for comp in masks]
     assert sorted(sorted((c.i, c.j) for c in comp) for comp in comps) == [
         [(0, 0), (1, 1)],
         [(3, -3)],
@@ -92,10 +93,9 @@ def test_connected_components_split():
 
 def test_edge_list_text_format():
     lattice = lattice_from_cells([C(0, 0), C(1, 1), C(2, 0)], 1.0)
-    g = build_interference_graph(lattice, DATA_REUSE_METRIC)
     text = edge_list_text(lattice, DATA_REUSE_METRIC)
     lines = text.strip().splitlines()
-    assert len(lines) == len(g.edges)
+    assert len(lines) == len(lattice_edges(lattice, DATA_REUSE_METRIC))
     for line in lines:
         i1, j1, i2, j2 = (int(tok) for tok in line.split())
         assert lattice_metric(C(i1, j1), C(i2, j2)) < DATA_REUSE_METRIC
@@ -106,12 +106,16 @@ def test_offset_build_matches_pair_scan(threshold):
     rng = random.Random(threshold)
     lat = build_lattice(5, 1.0)
     cells = rng.sample(lat.cells, 40)
-    g = build_interference_graph(lattice_from_cells(cells, 1.0), threshold)
+    sub = lattice_from_cells(cells, 1.0)
+    rows = interference_rows(sub, threshold)
     scanned = {
         frozenset((a, b)) for k, a in enumerate(cells) for b in cells[k + 1 :] if lattice_metric(a, b) < threshold
     }
-    assert {frozenset(e) for e in g.edges} == scanned
-    assert g.vertices == tuple(c for c in lat.cells if c in set(cells))
+    assert {frozenset(e) for e in edge_set(rows, sub.cells)} == scanned
+    # the rows are symmetric, without self-loops, one per cell in lattice order
+    assert all(rows[q] >> p & 1 == rows[p] >> q & 1 for p in range(len(rows)) for q in range(p))
+    assert not any(row >> p & 1 for p, row in enumerate(rows))
+    assert sub.cells == tuple(c for c in lat.cells if c in set(cells)) and len(rows) == len(cells)
 
 
 @st.composite

@@ -1,13 +1,13 @@
-"""The package's records: named tuples, plus the slotted ``Lattice`` and
-``InterferenceGraph``.
+"""The package's records: named tuples, plus the slotted ``Lattice``.
 
 Pins what building them from tuples and slots could change silently:
-channel order and hashing, the lengths of the two slotted classes,
-the edge set of a graph, lattice equality, and that no field of any record
-can be assigned.
+channel order and hashing, the length of a lattice and of its graph rows,
+the edge set the rows hold, lattice equality, and that no field of any
+record can be assigned.
 """
 
 import pytest
+from oracles import edge_set
 
 from hexchan import (
     AllocationMatrix,
@@ -15,7 +15,6 @@ from hexchan import (
     ChannelPlan,
     Coloring,
     CycleStructure,
-    InterferenceGraph,
     Lattice,
     LogicalChannel,
     RegulatoryDomain,
@@ -24,11 +23,11 @@ from hexchan import (
     StaticAllocation,
     allocate_dynamic,
     allocate_static,
-    build_interference_graph,
     build_lattice,
     compare_schemes,
     cycle_structure,
     data_graph_coloring,
+    interference_rows,
     lattice_from_cells,
 )
 from hexchan.config import ScenarioConfig, load_config
@@ -54,25 +53,19 @@ def test_logical_channel_equals_and_hashes_like_its_pair():
 def test_lengths_of_lattice_and_graph_are_their_cell_counts():
     lat = build_lattice(2, 1.0)
     assert len(lat) == len(lat.cells) == 13
-    assert len(build_interference_graph(lat, 16)) == 13
-    graph = build_interference_graph(lattice_from_cells([C(0, 0), C(1, 1), C(2, 0)], 1.0), 12)
-    assert len(graph) == len(graph.vertices) == 3
+    assert len(interference_rows(lat, 16)) == 13
+    assert len(interference_rows(lattice_from_cells([C(0, 0), C(1, 1), C(2, 0)], 1.0), 12)) == 3
 
 
 def test_graph_edges_are_lower_higher_position_cell_pairs():
     # The N = 1 window holds (-1, -1), (1, -1), (0, 0), (-1, 1), (1, 1) in
     # that order; each edge lists its lower-position cell first.
-    graph = build_interference_graph(build_lattice(1, 1.0), 16)
+    lattice = build_lattice(1, 1.0)
     pairs = [
         ((-1, -1), (-1, 1)), ((-1, -1), (0, 0)), ((-1, -1), (1, -1)), ((-1, 1), (1, 1)),
         ((0, 0), (-1, 1)), ((0, 0), (1, 1)), ((1, -1), (0, 0)), ((1, -1), (1, 1)),
     ]
-    assert graph.edges == frozenset((C(*a), C(*b)) for a, b in pairs)
-    assert type(graph.edges) is frozenset
-    n = len(graph)
-    v = graph.vertices
-    from_rows = {(v[p], v[q]) for p in range(n) for q in range(p + 1, n) if graph.rows[p] >> q & 1}
-    assert from_rows == graph.edges
+    assert edge_set(interference_rows(lattice, 16), lattice.cells) == frozenset((C(*a), C(*b)) for a, b in pairs)
 
 
 def test_lattice_equality_is_on_radius_origin_and_cells():
@@ -103,15 +96,13 @@ def every_record(reference_config_path):
     cfg = load_config(reference_config_path)
     plan = cfg.plan()
     configs = cfg.superframes
-    graph = build_interference_graph(cfg.lattice, 12)
     return [
         cfg,
         cfg.lattice,
         cfg.domain,
         plan,
         next(iter(plan.data_set)),
-        graph,
-        data_graph_coloring(graph),
+        data_graph_coloring(interference_rows(cfg.lattice, 12), cfg.lattice.cells),
         allocate_static(cfg.lattice, plan),
         cycle_structure(configs),
         allocate_dynamic(cfg.lattice, configs, plan),
@@ -123,7 +114,7 @@ def every_record(reference_config_path):
 def test_no_field_of_a_record_can_be_assigned(reference_config_path):
     records = every_record(reference_config_path)
     assert {type(record) for record in records} == {
-        ScenarioConfig, Lattice, RegulatoryDomain, ChannelPlan, LogicalChannel, InterferenceGraph, Coloring,
+        ScenarioConfig, Lattice, RegulatoryDomain, ChannelPlan, LogicalChannel, Coloring,
         StaticAllocation, CycleStructure, AllocationMatrix, RequestScenario, SchemeReport,
     }
     for record in records:

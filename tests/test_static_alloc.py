@@ -1,12 +1,13 @@
 import pytest
 from conftest import graph_from_edges
-from oracles import brute_force_chromatic, twelve_cell_lattice
+from oracles import brute_force_chromatic, edge_set, twelve_cell_lattice
 
 from hexchan import static_alloc
+from hexchan import coloring
 from hexchan.coloring import chromatic_coloring, data_graph_coloring
 from hexchan.config import load_config
 from hexchan.errors import InsufficientSpectrumError
-from hexchan.interference import build_interference_graph
+from hexchan.interference import interference_rows
 from hexchan.lattice import (
     CONTROL_REUSE_METRIC,
     DATA_REUSE_METRIC,
@@ -124,11 +125,9 @@ def test_disjointness_on_interference_edges(europe_plan):
     alloc = allocate_static(lat, europe_plan)
     control = dict(zip(lat.cells, alloc.control))
     data_groups = dict(zip(lat.cells, alloc.data_groups))
-    g16 = build_interference_graph(lat, CONTROL_REUSE_METRIC)
-    for a, b in g16.edges:
+    for a, b in edge_set(interference_rows(lat, CONTROL_REUSE_METRIC), lat.cells):
         assert control[a] != control[b]
-    g12 = build_interference_graph(lat, DATA_REUSE_METRIC)
-    for a, b in g12.edges:
+    for a, b in edge_set(interference_rows(lat, DATA_REUSE_METRIC), lat.cells):
         assert not (set(data_groups[a]) & set(data_groups[b]))
 
 
@@ -150,8 +149,7 @@ def test_large_lattice_uses_pattern(europe_plan):
     assert alloc.chi_control <= 4
     assert alloc.chi_data <= 3
     control = dict(zip(lat.cells, alloc.control))
-    g16 = build_interference_graph(lat, CONTROL_REUSE_METRIC)
-    for a, b in g16.edges:
+    for a, b in edge_set(interference_rows(lat, CONTROL_REUSE_METRIC), lat.cells):
         assert control[a] != control[b]
 
 
@@ -187,14 +185,15 @@ def test_allocate_static_solves_each_lattice_coloring_once(monkeypatch, referenc
     cfg = load_config(reference_config_path)
     colored = []
 
-    def counting(coloring):
-        def wrapped(graph, *args, **kwargs):
-            colored.append((coloring.__name__, len(graph)))
-            return coloring(graph, *args, **kwargs)
+    def counting(solve):
+        def wrapped(rows, *args, **kwargs):
+            colored.append((solve.__name__, len(rows)))
+            return solve(rows, *args, **kwargs)
 
         return wrapped
 
-    monkeypatch.setattr(static_alloc, "chromatic_coloring", counting(chromatic_coloring))
+    # control_coloring calls chromatic_coloring up to the solver's cap
+    monkeypatch.setattr(coloring, "chromatic_coloring", counting(chromatic_coloring))
     monkeypatch.setattr(static_alloc, "data_graph_coloring", counting(data_graph_coloring))
     alloc = allocate_static(cfg.lattice, cfg.plan())
     assert colored == [("chromatic_coloring", 12), ("data_graph_coloring", 12)]
@@ -240,7 +239,7 @@ def per_component_chi(cells, threshold):
     chi = 0
     for comp in components.values():
         edges = [(a, b) for k, a in enumerate(comp) for b in comp[k + 1 :] if lattice_metric(a, b) < threshold]
-        chi = max(chi, brute_force_chromatic(graph_from_edges(comp, edges)))
+        chi = max(chi, brute_force_chromatic(graph_from_edges(comp, edges)[1]))
     return chi
 
 
@@ -263,8 +262,7 @@ def test_sparse_static_has_no_size_cliff(layout, count, domain):
         # more colors than the minimum
         assert chi_control <= alloc.chi_control <= 4
     data_groups = dict(zip(lat.cells, alloc.data_groups))
-    g12 = build_interference_graph(lat, DATA_REUSE_METRIC)
-    for a, b in g12.edges:
+    for a, b in edge_set(interference_rows(lat, DATA_REUSE_METRIC), lat.cells):
         assert not set(data_groups[a]) & set(data_groups[b])
 
 
