@@ -4,20 +4,27 @@ A graph is its adjacency rows (``interference_rows``) on the cells they
 index.  Every interference graph here needs few colors: the data pattern
 colors any metric-12 graph with 3 and the control pattern any metric-16
 graph with 4.  Metric-12 graphs are colored without search by
-``data_graph_coloring``.  ``chromatic_coloring`` colors any graph exactly,
-one connected component at a time: each gets the first k-coloring in vertex
-order for the smallest k from its greedy clique up, except that a component
-needing 4 colors on which the control pattern is proper (any metric-16
-graph) gets that pattern.  The pattern is checked first; where it is proper
-the clique sweep stops at 4, and a component with a 4-clique takes the
-pattern with no search state built.  It refuses graphs above
-``DEFAULT_VERTEX_CAP`` vertices; ``control_coloring``, the static control
-rule, is the one caller that knows the cap and takes the pattern above it.
+``data_graph_coloring``.  ``chromatic_coloring`` colors any graph of any
+size exactly, one connected component at a time:
+
+- a bipartite component gets its 2-coloring;
+- a component with a vertex whose neighborhood is not bipartite (a K4 or an
+  odd wheel) needs 4 colors, and takes the control pattern, with no search,
+  where the pattern is proper (any metric-16 graph);
+- any other gets the first k-coloring in vertex order for the smallest k
+  from 3 up, and a proper pattern stands in for the k = 4 search.
+
+The search is bounded by ``SEARCH_BUDGET`` units of work per call, not by
+time.  Past it a component takes the pattern where the pattern is proper,
+and otherwise ``SizeLimitError`` is raised.  ``control_coloring``, the
+static control rule, colors the metric-16 graph that way, or takes the
+pattern outright where the metric-12 graph alone proves it exact.
 
 ``two_coloring`` is the one component walk: it grows the component of a
 mask's lowest position by BFS layers, which are also its 2-coloring.
-``data_graph_coloring``, ``chromatic_coloring`` (which keeps only the
-component) and the dynamic allocation step through components with it.
+``data_graph_coloring``, ``chromatic_coloring`` and the dynamic allocation
+step through components with it, and the odd-wheel scan through each
+vertex's neighborhood.
 
 A ``Coloring`` is a one-field named tuple: one label per vertex position
 of the graph it colors (for ``pattern_coloring`` and ``control_coloring``,
@@ -34,11 +41,12 @@ from .errors import SizeLimitError
 from .interference import interference_rows, iter_bits
 from .lattice import CONTROL_REUSE_METRIC, CellIndex, Lattice
 
-# The search is exponential in the worst case.  The cap bounds vertices, not
-# time: below it, graphs denser than metric 16 (where the control pattern
-# cannot stand in at 4 colors) can take seconds, e.g. 12 s at 55 vertices
-# of a metric-28 graph.
-DEFAULT_VERTEX_CAP = 64
+# Work bound of the exact search in one chromatic_coloring call, in units of
+# one vertex pair or one domain entry: a searched component of n vertices
+# costs n * n for its local adjacency, each k-coloring search of it n * n for
+# its boundary lists and n per _settle call for its domain copy.  So the
+# live domain lists never hold more entries than this.
+SEARCH_BUDGET = 1 << 22
 
 CONTROL = "control"
 DATA = "data"
@@ -61,28 +69,17 @@ def _first_appearance(labels: list[int]) -> list[int]:
     return [remap.setdefault(raw, len(remap)) for raw in labels]
 
 
-def _greedy_clique(rows: Sequence[int], mask: int, enough: int | None = None) -> int:
-    """Largest clique grown greedily from each vertex of ``mask`` (always
-    adding the candidate with the most candidate neighbors); a lower bound
-    on the chromatic number.  The sweep stops as soon as a clique of
-    ``enough`` vertices is found."""
-    best = 0
-    for seed in iter_bits(mask):
-        size = 1
-        cand = rows[seed] & mask
-        while cand:
-            u = max(iter_bits(cand), key=lambda w: (rows[w] & cand).bit_count())
-            size += 1
-            cand &= rows[u] & ~(1 << u)
-        if size > best:
-            best = size
-            if best == enough:
-                break
-    return best
+def _spend(budget: list[int], units: int) -> None:
+    """Take ``units`` from the work left in ``budget[0]``; SizeLimitError
+    once it runs out."""
+    budget[0] -= units
+    if budget[0] < 0:
+        raise SizeLimitError(f"the exact coloring search ran past its budget of {SEARCH_BUDGET} units")
 
 
-def _k_coloring(adj: list[int], k: int) -> list[int] | None:
-    """First proper k-coloring in vertex order, or None.
+def _k_coloring(adj: list[int], k: int, budget: list[int]) -> list[int] | None:
+    """First proper k-coloring in vertex order, or None; each step is paid
+    from ``budget`` (``_spend``).
 
     ``adj[v]`` is the bitmask of v's neighbors.  Colors are tried lowest
     first, and a new color is only ever the next unused one, so labels come
@@ -98,6 +95,7 @@ def _k_coloring(adj: list[int], k: int) -> list[int] | None:
       failed once is not tried again.
     """
     n = len(adj)
+    _spend(budget, n * n)
     boundary = [[u for u in range(v) if adj[u] >> v] for v in range(n)]
     failed: set[tuple[int, ...]] = set()
     # One frame per colored vertex: [open colors of all vertices before it
@@ -120,6 +118,7 @@ def _k_coloring(adj: list[int], k: int) -> list[int] | None:
                 continue
             color = todo & -todo
             frame[2] = todo ^ color
+            _spend(budget, n)
             domains = _settle(adj, before, len(frames) - 1, color)
             used = max(used_before, color.bit_length())
     return [d.bit_length() - 1 for d in domains]
@@ -144,21 +143,17 @@ def _settle(adj: list[int], domains: list[int], v: int, color: int) -> list[int]
     return domains
 
 
-def _component_labels(rows: Sequence[int], comp: int, cells: Sequence[CellIndex]) -> list[int]:
-    """Minimum coloring of the connected component ``comp``, as labels of
-    its positions in ascending order.
+def _component_labels(rows: Sequence[int], comp: int, cells: Sequence[CellIndex], budget: list[int]) -> list[int]:
+    """Minimum coloring, within the budget, of the connected non-bipartite
+    component ``comp``, as labels of its positions in ascending order.
 
-    The control pattern is checked first, with one bitmask per pattern
-    color: it is proper iff no color class reaches into itself.  A proper
-    pattern is a 4-coloring, so no clique has more than 4 vertices and the
-    clique sweep stops once it finds 4; the pattern is then optimal and no
-    search state is built.  Otherwise the search tries k from the clique
-    bound up, and a proper pattern still stands in for the k = 4 search.
-
-    A bipartite component needs no branch of its own: its first 2-coloring
-    in vertex order gives its lowest position color 0, which fixes the
-    rest, and the forced-color pruning of ``_k_coloring`` finds it without
-    backtracking.
+    The control pattern is checked with one bitmask per pattern color: it
+    is proper iff no color class reaches into itself.  A vertex whose
+    neighborhood is not bipartite (a K4, an odd wheel) proves that 3
+    colors do not do, so the search starts at 4; where the pattern is
+    proper too, it is optimal and no search state is built.  Otherwise the
+    search tries k from there up, and a proper pattern stands in for the
+    k = 4 search and past the budget.
     """
     positions = list(iter_bits(comp))
     pattern = [_pattern_label(cells[p], CONTROL) for p in positions]
@@ -168,52 +163,56 @@ def _component_labels(rows: Sequence[int], comp: int, cells: Sequence[CellIndex]
         classes[label] |= 1 << p
         reach[label] |= rows[p]
     proper = not any(map(int.__and__, classes, reach))
-    clique = _greedy_clique(rows, comp, 4 if proper else None)
-    if not (proper and clique == 4):
-        local = {p: r for r, p in enumerate(positions)}
-        adj = [sum(1 << local[q] for q in iter_bits(rows[p] & comp)) for p in positions]
-        for k in range(clique, 4) if proper else itertools.count(clique):
-            labels = _k_coloring(adj, k)
-            if labels is not None:
-                return labels
+    first = 4 if any(_odd_neighborhood(rows, rows[p]) for p in positions) else 3
+    if not (proper and first == 4):
+        try:
+            _spend(budget, len(positions) ** 2)
+            local = {p: r for r, p in enumerate(positions)}
+            adj = [sum(1 << local[q] for q in iter_bits(rows[p] & comp)) for p in positions]
+            for k in range(first, 4) if proper else itertools.count(first):
+                labels = _k_coloring(adj, k, budget)
+                if labels is not None:
+                    return labels
+        except SizeLimitError:
+            if not proper:
+                raise
     return _first_appearance(pattern)
 
 
-def chromatic_coloring(
-    rows: Sequence[int], cells: Sequence[CellIndex], vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> Coloring:
-    """Proper coloring with exactly the chromatic number of colors.
+def _odd_neighborhood(rows: Sequence[int], around: int) -> bool:
+    """Whether the graph the positions of ``around`` induce has an odd cycle."""
+    while around:
+        part, classes = two_coloring(rows, around)
+        if classes is None:
+            return True
+        around ^= part
+    return False
+
+
+def chromatic_coloring(rows: Sequence[int], cells: Sequence[CellIndex]) -> Coloring:
+    """Proper coloring with the chromatic number of colors, within the search budget.
 
     Each connected component, as ``two_coloring`` grows it, is colored on
-    its own, with the first k-coloring in vertex order for the smallest k
-    from its greedy clique up; on a bipartite component that is its BFS
-    2-coloring.  Once 3 colors are ruled out, a component on which the
-    control pattern is proper gets the pattern instead of a 4-coloring
-    search; on metric-16 graphs that search can take seconds at 64 vertices.
-    The pattern is checked before anything else: where it is proper, the
-    greedy clique sweep stops at 4 (a proper 4-coloring bounds every clique
-    by 4), and a component whose clique reaches 4 gets the pattern without a
-    search, as every full window with N >= 2 does.  Deterministic for a
-    given vertex order.  Graphs above ``vertex_cap`` vertices are refused;
-    use data_graph_coloring or control_coloring for lattice graphs, or raise
-    the cap explicitly if you can afford the search.  The cap bounds
-    vertices, not time: below it, a graph denser than metric 16 can take
-    seconds (up to 12 s measured on 55-vertex metric-28 graphs).
+    its own: a bipartite one with its 2-coloring, the lowest position at 0,
+    any other by ``_component_labels``.  Deterministic for a given vertex
+    order.  Past ``SEARCH_BUDGET`` units of search work a component takes
+    the control pattern where it is proper, which colors any metric-16
+    graph with 4 colors but not always with the fewest; a graph on which it
+    is improper raises SizeLimitError.
     """
-    n = len(rows)
-    if n > vertex_cap:
-        raise SizeLimitError(
-            f"{n} vertices exceeds the exact-solver cap of {vertex_cap}; "
-            "use pattern_coloring or pass a larger vertex_cap"
-        )
     # Each component numbers its colors by first appearance, so the merged
     # labels are numbered that way too.
-    labels = [0] * n
-    rest = (1 << n) - 1
+    labels = [0] * len(rows)
+    rest = (1 << len(rows)) - 1
+    budget = [SEARCH_BUDGET]
     while rest:
-        comp = two_coloring(rows, rest)[0]
+        comp, classes = two_coloring(rows, rest)
         rest ^= comp
-        for p, label in zip(iter_bits(comp), _component_labels(rows, comp, cells)):
+        if classes is not None:
+            for p in iter_bits(classes[1]):
+                labels[p] = 1
+            continue
+        for p, label in zip(iter_bits(comp), _component_labels(rows, comp, cells, budget)):
             labels[p] = label
     return Coloring(tuple(labels))
 
@@ -238,12 +237,20 @@ def pattern_coloring(lattice: Lattice, kind: str) -> Coloring:
     return Coloring(tuple(_first_appearance([_pattern_label(c, kind) for c in lattice.cells])))
 
 
-def control_coloring(lattice: Lattice) -> Coloring:
+def control_coloring(lattice: Lattice, data_rows: Sequence[int]) -> Coloring:
     """The static control coloring of ``lattice.cells``: the metric-16
-    graph colored exactly (``chromatic_coloring``) up to
-    ``DEFAULT_VERTEX_CAP`` cells, and the closed-form control pattern,
-    proper but not always minimal, above it."""
-    if len(lattice) > DEFAULT_VERTEX_CAP:
+    graph colored exactly (``chromatic_coloring``), given the metric-12
+    rows ``data_rows``.
+
+    Data edges are control edges, and the tips of a diamond (two data
+    triangles on one edge) are at metric 12, so a diamond is a K4 of the
+    metric-16 graph.  If the data graph is connected and holds one, the
+    metric-16 graph is one component that takes the control pattern, so
+    the pattern is returned without building the metric-16 rows.
+    """
+    everything = (1 << len(data_rows)) - 1
+    diamond = any((row & data_rows[q]).bit_count() > 1 for row in data_rows for q in iter_bits(row))
+    if diamond and two_coloring(data_rows, everything)[0] == everything:
         return pattern_coloring(lattice, CONTROL)
     return chromatic_coloring(interference_rows(lattice, CONTROL_REUSE_METRIC), lattice.cells)
 

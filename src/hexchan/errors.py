@@ -22,7 +22,8 @@ class InsufficientSpectrumError(HexchanError):
 
 
 class SizeLimitError(HexchanError):
-    """An exact solver was asked for more vertices than its cap allows."""
+    """An exact coloring search ran past its work budget on a graph that
+    the control pattern does not color properly."""
 
 
 class InvalidSuperframeError(HexchanError):

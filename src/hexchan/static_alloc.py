@@ -1,11 +1,13 @@
 """Static channel assignment: one control channel per cell, and the baseline
 per-cell data-channel groups shared uniformly across the network.
 
-Control assignments take ``coloring.control_coloring`` (at most 4 colors
-on any lattice); data groups color the metric-12 graph (at most 3) and
-split the data set into equal groups of k_static = |data| // colors, one
-group per color class.  Leftover channels stay unassigned rather than
-being spread unevenly, and are reported explicitly.  Both assignments are
+Both colorings read one metric-12 graph.  Control assignments take
+``coloring.control_coloring``, a minimum coloring of the metric-16 graph
+(at most 4 colors) on any lattice; data groups color the metric-12 graph
+(at most 3) and split the data set into equal groups of k_static =
+|data| // colors, one group per color class.  Leftover channels stay
+unassigned rather than being spread unevenly, and are reported
+explicitly.  Both assignments are
 tuples in ``lattice.cells`` order, read off the colorings' label lists.
 """
 
@@ -65,8 +67,9 @@ def allocate_static(lattice: Lattice, plan: ChannelPlan) -> StaticAllocation:
     channel in (phy, code) order.  The metric-12 graph gets a minimum
     coloring at any size.
     """
-    control_colors = control_coloring(lattice)
-    data_coloring = data_graph_coloring(interference_rows(lattice, DATA_REUSE_METRIC), lattice.cells)
+    data_rows = interference_rows(lattice, DATA_REUSE_METRIC)
+    control_colors = control_coloring(lattice, data_rows)
+    data_coloring = data_graph_coloring(data_rows, lattice.cells)
     channels = plan.ordered_control()
     control = None
     if control_colors.num_colors <= len(channels):

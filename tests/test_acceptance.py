@@ -106,7 +106,7 @@ def test_criterion_04_theorem_bounds():
             pattern = pattern_coloring(lat, kind)
             assert pattern.num_colors <= bound
             assert verify_coloring(rows, pattern)
-            exact = chromatic_coloring(rows, lat.cells, vertex_cap=128)
+            exact = chromatic_coloring(rows, lat.cells)
             assert exact.num_colors <= bound
     report(4, "pattern colorings proper and exact chi <= 4 (control) / 3 (data) for N in 1..6")
 

@@ -14,10 +14,10 @@ from hexchan.coloring import (
     DATA,
     Coloring,
     _first_appearance,
-    _greedy_clique,
     _k_coloring,
     _pattern_label,
     chromatic_coloring,
+    control_coloring,
     data_graph_coloring,
     pattern_coloring,
     two_coloring,
@@ -29,6 +29,7 @@ from hexchan.lattice import (
     DATA_REUSE_METRIC,
     CellIndex,
     build_lattice,
+    lattice_from_cells,
     lattice_metric,
 )
 
@@ -86,12 +87,16 @@ def test_empty_graph_zero_colors():
     assert col.labels == ()
 
 
-def test_vertex_cap_enforced():
+def test_any_size_is_colored_and_the_search_budget_is_enforced(monkeypatch):
+    # no vertex count is refused; only search work is bounded
     cells, rows = graph_on_indices(65, [])
+    assert chromatic_coloring(rows, cells).num_colors == 1
+    # the control pattern is improper on a K6, so past the budget nothing
+    # stands in for the search
+    monkeypatch.setattr(coloring, "SEARCH_BUDGET", 35)
+    cells, rows = complete_graph(6)
     with pytest.raises(SizeLimitError):
-        chromatic_coloring(rows, cells, vertex_cap=64)
-    # raising the cap lets the same graph through
-    assert chromatic_coloring(rows, cells, vertex_cap=70).num_colors == 1
+        chromatic_coloring(rows, cells)
 
 
 def test_canonical_color_numbering():
@@ -179,7 +184,7 @@ def triangle_strip(length):
 
 
 # A 64-cell sparse list whose metric-16 graph is one K4-free component that
-# still needs 4 colors: the search must rule out 3 colors.
+# still needs 4 colors: it holds an odd wheel, which proves it.
 FOUR_CHROMATIC_WITHOUT_K4 = [
     (-12, -2), (-12, 2), (-11, -1), (-11, 5), (-10, 0), (-10, 4), (-10, 6), (-8, 2), (-8, 4),
     (-7, 3), (-7, 7), (-6, 6), (-6, 8), (-5, -3), (-5, -1), (-5, 1), (-5, 3), (-5, 5), (-4, -4),
@@ -213,9 +218,8 @@ def test_solver_is_fast_at_64_vertices(cells, chi):
 
 
 def test_bipartite_control_components_get_their_two_coloring():
-    # the solver has no bipartite branch: the first 2-coloring in vertex
-    # order of a connected bipartite component is its BFS 2-coloring with
-    # the lowest position at 0
+    # a connected bipartite component gets its BFS 2-coloring with the
+    # lowest position at 0, its only 2-coloring numbered by first appearance
     rng = random.Random(17)
     subsets = [
         rng.sample(build_lattice(n, 1.0).cells, rng.randint(30, 64)) for n in (6, 9) for _ in range(40)
@@ -269,6 +273,17 @@ def test_two_coloring_grows_and_colors_the_component_of_the_lowest_position(thre
     assert odd_seen == {False, True}
 
 
+def has_k4(rows, comp):
+    """Whether four pairwise adjacent positions of ``comp`` exist, by
+    enumeration."""
+    positions = [p for p in range(len(rows)) if comp >> p & 1]
+    return any(
+        all(rows[a] >> b & 1 for a, b in itertools.combinations(quad, 2))
+        for quad in itertools.combinations(positions, 4)
+        if all(rows[quad[0]] >> q & 1 for q in quad[1:])
+    )
+
+
 def test_four_chromatic_control_components_take_the_pattern():
     # a metric-16 component with a K4 needs 4 colors; it gets the control
     # pattern 2*(i mod 2) + ((j - i)/2 mod 2), numbered by first appearance
@@ -280,7 +295,7 @@ def test_four_chromatic_control_components_take_the_pattern():
         col = chromatic_coloring(rows, cells)
         for comp in components(rows, (1 << len(rows)) - 1):
             comp_cells = [cells[p] for p in iter_bits(comp)]
-            if _greedy_clique(rows, comp) < 4:
+            if not has_k4(rows, comp):
                 continue
             first = {}
             for c in comp_cells:
@@ -293,17 +308,17 @@ def test_four_chromatic_control_components_take_the_pattern():
 
 
 def reference_component_labels(rows, comp, cells):
-    """The rule ``_component_labels`` replaced: the full greedy clique sweep
-    first, then the search from that bound up, with the control pattern
-    checked over every local edge when k reaches 4."""
+    """The search-first rule: the search from k = 1 up, without a budget,
+    with the control pattern checked over every local edge when k reaches
+    4."""
     positions = list(iter_bits(comp))
     local = {p: r for r, p in enumerate(positions)}
     adj = [sum(1 << local[q] for q in iter_bits(rows[p] & comp)) for p in positions]
     pattern = [_pattern_label(cells[p], CONTROL) for p in positions]
-    for k in itertools.count(_greedy_clique(rows, comp)):
+    for k in itertools.count(1):
         if k == 4 and all(pattern[v] != pattern[w] for v in range(len(adj)) for w in iter_bits(adj[v])):
             return _first_appearance(pattern)
-        labels = _k_coloring(adj, k)
+        labels = _k_coloring(adj, k, [float("inf")])
         if labels is not None:
             return labels
 
@@ -351,7 +366,7 @@ def test_pattern_first_gives_the_labels_of_the_search_first_rule(g):
     assert chromatic_coloring(rows, cells).labels == reference_chromatic_labels(rows, cells)
 
 
-def refuse_to_search(adj, k):
+def refuse_to_search(adj, k, budget):
     raise AssertionError(f"searched for a {k}-coloring of {len(adj)} vertices")
 
 
@@ -369,17 +384,17 @@ def test_full_windows_take_the_pattern_without_a_search(monkeypatch, n):
 def counted_searches(monkeypatch):
     calls = []
 
-    def counting(adj, k):
+    def counting(adj, k, budget):
         calls.append(k)
-        return _k_coloring(adj, k)
+        return _k_coloring(adj, k, budget)
 
     monkeypatch.setattr(coloring, "_k_coloring", counting)
     return calls
 
 
 def test_the_n1_window_still_searches(monkeypatch):
-    # its largest clique is a triangle, so the pattern's 4 colors are not
-    # minimal and the search finds 3
+    # no cell's neighborhood holds an odd cycle, so the search starts at 3
+    # and finds a 3-coloring, fewer colors than the pattern's 4
     calls = counted_searches(monkeypatch)
     lattice = build_lattice(1, 1.0)
     col = chromatic_coloring(interference_rows(lattice, CONTROL_REUSE_METRIC), lattice.cells)
@@ -388,22 +403,84 @@ def test_the_n1_window_still_searches(monkeypatch):
 
 
 def test_a_graph_with_a_k5_gets_five_colors(monkeypatch):
-    # the pattern has 4 colors, so it is improper on a K5 and the search
-    # runs from the clique bound
+    # a K5 vertex's neighborhood is a K4, not bipartite, so the search starts
+    # at 4; the pattern has 4 colors, so it is improper on a K5 and the
+    # search goes on to 5
     calls = counted_searches(monkeypatch)
     cells = build_lattice(2, 1.0).cells[:6]
     clique = [(a, b) for k, a in enumerate(cells[:5]) for b in cells[k + 1 : 5]]
     _, rows = graph_from_edges(cells, clique + [(cells[4], cells[5])])
     col = chromatic_coloring(rows, cells)
     assert col.num_colors == 5
-    assert calls == [5]
+    assert calls == [4, 5]
 
 
-def test_clique_bound_never_exceeds_chromatic():
-    rng = random.Random(99)
-    for _ in range(50):
-        cells, rows = random_graph(rng, rng.randint(1, 12), 0.5)
-        assert _greedy_clique(rows, (1 << len(rows)) - 1) <= chromatic_coloring(rows, cells).num_colors
+# (0, 0) and the induced 7-cycle of its control neighbors around it: an odd
+# wheel, so 4 colors, though it holds no K4.
+ODD_WHEEL = [C(-1, -3), C(1, -3), C(-2, 0), C(0, 0), C(2, 0), C(-1, 1), C(0, 2), C(1, 3)]
+
+
+@pytest.mark.parametrize(
+    "cells", [ODD_WHEEL, [C(i, j) for i, j in FOUR_CHROMATIC_WITHOUT_K4]], ids=["8-cell-wheel", "64-cell"]
+)
+def test_an_odd_wheel_takes_the_pattern_without_a_search(monkeypatch, cells):
+    monkeypatch.setattr(coloring, "_k_coloring", refuse_to_search)
+    cells, rows = control_graph(cells)
+    assert not has_k4(rows, (1 << len(rows)) - 1)
+    col = chromatic_coloring(rows, cells)
+    assert col.num_colors == 4
+    assert list(col.labels) == _first_appearance([_pattern_label(c, CONTROL) for c in cells])
+    if len(rows) <= 10:
+        assert brute_force_chromatic(rows) == 4
+
+
+def test_a_66_cell_triangle_strip_gets_3_control_colors():
+    # one K4-free component without an odd wheel: the search finds 3 colors
+    lattice = lattice_from_cells(triangle_strip(66), 1.0)
+    col = control_coloring(lattice, interference_rows(lattice, DATA_REUSE_METRIC))
+    assert col.num_colors == 3
+    assert verify_coloring(interference_rows(lattice, CONTROL_REUSE_METRIC), col)
+
+
+def test_past_the_search_budget_a_lattice_component_takes_the_pattern(monkeypatch):
+    # the 66-cell strip needs a search for its 3-coloring; a budget below
+    # 66 * 66 refuses it, and the proper control pattern stands in
+    monkeypatch.setattr(coloring, "SEARCH_BUDGET", 66 * 66 - 1)
+    cells, rows = control_graph(triangle_strip(66))
+    col = chromatic_coloring(rows, cells)
+    assert col.num_colors == 4
+    assert list(col.labels) == _first_appearance([_pattern_label(c, CONTROL) for c in cells])
+
+
+def induced_rows(rows, comp):
+    positions = [p for p in range(len(rows)) if comp >> p & 1]
+    return tuple(sum(1 << r for r, q in enumerate(positions) if rows[p] >> q & 1) for p in positions)
+
+
+@st.composite
+def control_lattices(draw):
+    """A full window N <= 9 or a random subset of one, so up to 181 cells."""
+    window = build_lattice(draw(st.integers(0, 9)), 1.0)
+    if draw(st.booleans()):
+        return window
+    size = draw(st.integers(1, len(window)))
+    return lattice_from_cells(draw(st.permutations(window.cells))[:size], 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(control_lattices())
+def test_control_coloring_gives_the_exact_labels_of_the_metric_16_graph(lattice):
+    # whichever path control_coloring takes, its labels are those of the
+    # per-component rule on the metric-16 rows, and every small component
+    # gets exactly its chromatic number
+    rows = interference_rows(lattice, CONTROL_REUSE_METRIC)
+    col = control_coloring(lattice, interference_rows(lattice, DATA_REUSE_METRIC))
+    assert col == chromatic_coloring(rows, lattice.cells)
+    assert verify_coloring(rows, col) and col.num_colors <= 4
+    for comp in components(rows, (1 << len(rows)) - 1):
+        if comp.bit_count() <= 10:
+            used = {col.labels[p] for p in iter_bits(comp)}
+            assert len(used) == brute_force_chromatic(induced_rows(rows, comp))
 
 
 def test_verify_coloring_rejects_conflicts():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import components, is_active, verify_coloring
 
 from hexchan.cli import main
-from hexchan.coloring import DEFAULT_VERTEX_CAP, chromatic_coloring, data_graph_coloring
+from hexchan.coloring import chromatic_coloring, data_graph_coloring
 from hexchan.config import load_config
 from hexchan.dynamic_alloc import (
     SuperframeConfig,
@@ -378,8 +378,8 @@ def all_on_n6_config():
 
 @pytest.mark.parametrize("make_doc", [lambda: roadmap_config(6), all_on_n6_config], ids=["roadmap-n6", "n6-so1-bo2"])
 def test_components_above_solver_cap(tmp_path, make_doc):
-    # N = 6 has 85 PANs; both configs have active components above the
-    # exact solver's 64-vertex cap
+    # N = 6 has 85 PANs; both configs have active components of more than
+    # 64 PANs
     config = tmp_path / "n6.json"
     config.write_text(json.dumps(make_doc()), encoding="utf-8")
     for command in ("dynamic", "evaluate"):
@@ -400,7 +400,7 @@ def test_components_above_solver_cap(tmp_path, make_doc):
             for b, channels_b in active.items():
                 if a < b and lattice_metric(C(*a), C(*b)) < DATA_REUSE_METRIC:
                     assert not channels_a & channels_b
-    assert largest > DEFAULT_VERTEX_CAP
+    assert largest > 64
 
 
 def window_graphs(n):
@@ -427,7 +427,8 @@ def test_data_graph_coloring_is_minimal(graphs):
             assert sub_cells == tuple(cells[p] for p in iter_bits(comp))
             fast = data_graph_coloring(sub_rows, sub_cells)
             assert verify_coloring(sub_rows, fast)
-            if len(sub_rows) <= DEFAULT_VERTEX_CAP:
+            # the exact search is compared where it stays fast
+            if len(sub_rows) <= 64:
                 exact = chromatic_coloring(sub_rows, sub_cells)
                 assert fast.num_colors == exact.num_colors
                 if exact.num_colors <= 2:

@@ -15,23 +15,26 @@ import sys
 from conftest import REPO_ROOT
 
 from hexchan.cli import main
-from hexchan.coloring import DEFAULT_VERTEX_CAP
 
 COMMANDS = ("lattice", "static", "dynamic", "evaluate")
 
 
-def sparse_doc(rng, num_cells, domain):
+def scattered_cells(rng, num_cells):
     """``num_cells`` distinct parity-valid cells scattered over a box about
-    four times their count, a PAN on a random half of them with BO <= 3 (so
-    U <= 8), and a uniform workload."""
+    four times their count."""
     half = max(2, int((2 * num_cells) ** 0.5))
     cells = set()
     while len(cells) < num_cells:
         i, j = rng.randint(-half, half), rng.randint(-half, half)
         cells.add((i, j + (i + j) % 2))
-    cells = sorted(cells)
+    return sorted(cells)
+
+
+def sparse_doc(rng, cells, domain):
+    """The cells, a PAN on a random half of them with BO <= 3 (so U <= 8),
+    and a uniform workload."""
     superframes = []
-    for cell in rng.sample(cells, max(1, num_cells // 2)):
+    for cell in rng.sample(cells, max(1, len(cells) // 2)):
         bo = rng.randint(0, 3)
         superframes.append({"cell": list(cell), "SO": rng.randint(0, bo), "BO": bo, "phase": rng.randint(0, 9)})
     return {
@@ -43,17 +46,20 @@ def sparse_doc(rng, num_cells, domain):
 
 
 def test_sparse_cell_lists_pass_the_independent_checks(tmp_path, capsys):
-    # Both sides of the exact solver's vertex cap: below it static coloring
-    # may search, above it the pattern paths run.
+    # Scattered cells from 12 to 160, then 22 far-apart 3-cell paths (control
+    # chi 2, so Japan's 2 control channels are assigned) and a triangle strip
+    # (control chi 3), both of 66 cells.
     rng = random.Random(64)
-    cap = DEFAULT_VERTEX_CAP
-    sizes = (12, cap - 24, cap - 1, cap, cap + 1, cap + 36, 2 * cap + 32)
+    paths = [(8 * k + di, dj) for k in range(22) for di, dj in ((0, 0), (2, 0), (3, 1))]
+    strip = [(k, k % 2) for k in range(66)]
     manifest = []
-    for k, num_cells in enumerate(sizes):
+    for k, cells in enumerate((12, 40, 63, 64, 65, 100, 160, paths, strip)):
+        if isinstance(cells, int):
+            cells = scattered_cells(rng, cells)
         domain = ("Europe", "Japan", "US")[k % 3]
-        name = f"sparse-{k}-{num_cells}"
+        name = f"sparse-{k}-{len(cells)}"
         config = tmp_path / f"{name}.json"
-        config.write_text(json.dumps(sparse_doc(rng, num_cells, domain)), encoding="utf-8")
+        config.write_text(json.dumps(sparse_doc(rng, cells, domain)), encoding="utf-8")
         out = {}
         for command in COMMANDS:
             out[command] = str(tmp_path / name / command)

@@ -4,7 +4,7 @@ from oracles import brute_force_chromatic, edge_set, twelve_cell_lattice
 
 from hexchan import static_alloc
 from hexchan import coloring
-from hexchan.coloring import chromatic_coloring, data_graph_coloring
+from hexchan.coloring import data_graph_coloring, pattern_coloring
 from hexchan.config import load_config
 from hexchan.errors import InsufficientSpectrumError
 from hexchan.interference import interference_rows
@@ -143,7 +143,8 @@ def test_channel_accounting(name):
 
 
 def test_large_lattice_uses_pattern(europe_plan):
-    # 85 cells exceeds the exact-solver cap; allocation must still be proper
+    # the N = 6 window (85 cells) takes the control pattern without building
+    # metric-16 rows; the allocation must still be proper
     lat = build_lattice(6, 1.0)
     alloc = allocate_static(lat, europe_plan)
     assert alloc.chi_control <= 4
@@ -181,6 +182,10 @@ def test_static_csv_round_trip(europe_plan):
         assert len(fields) == len(header)
 
 
+def refuse_to_color(rows, cells):
+    raise AssertionError(f"colored a {len(rows)}-vertex graph by search")
+
+
 def test_allocate_static_solves_each_lattice_coloring_once(monkeypatch, reference_config_path):
     cfg = load_config(reference_config_path)
     colored = []
@@ -192,11 +197,13 @@ def test_allocate_static_solves_each_lattice_coloring_once(monkeypatch, referenc
 
         return wrapped
 
-    # control_coloring calls chromatic_coloring up to the solver's cap
-    monkeypatch.setattr(coloring, "chromatic_coloring", counting(chromatic_coloring))
+    # the fixture's metric-12 graph is connected and holds a diamond, so
+    # control_coloring takes the control pattern and no exact search runs
+    monkeypatch.setattr(coloring, "pattern_coloring", counting(pattern_coloring))
+    monkeypatch.setattr(coloring, "chromatic_coloring", refuse_to_color)
     monkeypatch.setattr(static_alloc, "data_graph_coloring", counting(data_graph_coloring))
     alloc = allocate_static(cfg.lattice, cfg.plan())
-    assert colored == [("chromatic_coloring", 12), ("data_graph_coloring", 12)]
+    assert colored == [("pattern_coloring", 12), ("data_graph_coloring", 12)]
     assert (alloc.chi_control, alloc.chi_data) == (4, 3)
 
 
@@ -217,6 +224,12 @@ def spaced_clusters(count):
             if len(cells) == count:
                 return cells
     return cells
+
+
+def spaced_paths(count):
+    """3-cell paths (8k, 0), (8k + 2, 0), (8k + 3, 1) of the metric-16 graph,
+    out of reach of each other; ``count`` cells in total."""
+    return [C(8 * k + di, dj) for k in range(count) for di, dj in ((0, 0), (2, 0), (3, 1))][:count]
 
 
 def per_component_chi(cells, threshold):
@@ -244,7 +257,7 @@ def per_component_chi(cells, threshold):
 
 
 @pytest.mark.parametrize("count", [60, 64, 65, 80])
-@pytest.mark.parametrize("layout", [spaced_line, spaced_clusters])
+@pytest.mark.parametrize("layout", [spaced_line, spaced_clusters, spaced_paths])
 @pytest.mark.parametrize("domain", [US, JAPAN])
 def test_sparse_static_has_no_size_cliff(layout, count, domain):
     cells = layout(count)
@@ -254,13 +267,7 @@ def test_sparse_static_has_no_size_cliff(layout, count, domain):
     chi_data = per_component_chi(cells, DATA_REUSE_METRIC)
     assert alloc.chi_data == chi_data
     assert alloc.k_static == len(plan.data_set) // chi_data
-    chi_control = per_component_chi(cells, CONTROL_REUSE_METRIC)
-    if count <= 64:
-        assert alloc.chi_control == chi_control
-    else:
-        # above the solver's cap the control pattern is proper but may use
-        # more colors than the minimum
-        assert chi_control <= alloc.chi_control <= 4
+    assert alloc.chi_control == per_component_chi(cells, CONTROL_REUSE_METRIC)
     data_groups = dict(zip(lat.cells, alloc.data_groups))
     for a, b in edge_set(interference_rows(lat, DATA_REUSE_METRIC), lat.cells):
         assert not set(data_groups[a]) & set(data_groups[b])

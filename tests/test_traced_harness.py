@@ -3,10 +3,11 @@
 The tracer wraps hexchan functions by module attribute and reads their
 arguments and results, so a change to a wrapped function's signature or
 return type can crash every traced benchmark run.  This test runs the four
-commands under an installed tracer, as a traced benchmark pass does, on a
-lattice below the exact solver's 64-cell cap and on one above it.  It runs
-in a subprocess because ``Tracer.install`` replaces module attributes for
-the rest of the process.
+commands under an installed tracer, as a traced benchmark pass does, on two
+full windows, whose static control coloring is the control pattern without
+metric-16 rows, and on sparse components, whose metric-16 graph is colored
+component by component.  It runs in a subprocess because
+``Tracer.install`` replaces module attributes for the rest of the process.
 """
 
 import json
@@ -35,12 +36,12 @@ print(json.dumps(codes))
 """
 
 
-def test_traced_commands_exit_0_below_and_above_the_solver_cap(tmp_path):
-    # roadmap-n4 has 41 cells (exact control coloring); the N = 6 window has
-    # 85 (control pattern)
+def test_traced_commands_exit_0_on_both_control_paths(tmp_path):
+    # roadmap-n4 has 41 cells and the N = 6 window 85
     window = tmp_path / "n6.json"
     window.write_text(json.dumps(roadmap_config(6)), encoding="utf-8")
     args = [str(TEST_CONFIG_DIR / "roadmap-n4.json"), str(tmp_path / "n4"), str(window), str(tmp_path / "n6")]
+    args += [str(TEST_CONFIG_DIR / "sparse-components.json"), str(tmp_path / "sparse")]
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_RUN, *args],
         capture_output=True,
@@ -50,4 +51,4 @@ def test_traced_commands_exit_0_below_and_above_the_solver_cap(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     codes = json.loads(proc.stdout.splitlines()[-1])
-    assert len(codes) == 8 and set(codes.values()) == {0}, codes
+    assert len(codes) == 12 and set(codes.values()) == {0}, codes
