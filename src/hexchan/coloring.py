@@ -15,8 +15,9 @@ size exactly, one connected component at a time:
   from 3 up, and a proper pattern stands in for the k = 4 search.
 
 The search is bounded by ``SEARCH_BUDGET`` units of work per call, not by
-time.  Past it a component takes the pattern where the pattern is proper,
-and otherwise ``SizeLimitError`` is raised.  ``control_coloring``, the
+time, and a search the budget left could not finish is not started.  Past
+the budget a component takes the pattern where the pattern is proper, and
+otherwise ``SizeLimitError`` is raised.  ``control_coloring``, the
 static control rule, colors the metric-16 graph that way, or takes the
 pattern outright where the metric-12 graph alone proves it exact.
 
@@ -153,7 +154,9 @@ def _component_labels(rows: Sequence[int], comp: int, cells: Sequence[CellIndex]
     colors do not do, so the search starts at 4; where the pattern is
     proper too, it is optimal and no search state is built.  Otherwise the
     search tries k from there up, and a proper pattern stands in for the
-    k = 4 search and past the budget.
+    k = 4 search and past the budget.  A search that finds a coloring
+    settles every vertex, so it costs at least 3 n^2 units for n vertices;
+    where less is left, the component is past the budget at once.
     """
     positions = list(iter_bits(comp))
     pattern = [_pattern_label(cells[p], CONTROL) for p in positions]
@@ -166,6 +169,8 @@ def _component_labels(rows: Sequence[int], comp: int, cells: Sequence[CellIndex]
     first = 4 if any(_odd_neighborhood(rows, rows[p]) for p in positions) else 3
     if not (proper and first == 4):
         try:
+            if 3 * len(positions) ** 2 > budget[0]:
+                raise SizeLimitError(f"the exact coloring search would run past its budget of {SEARCH_BUDGET} units")
             _spend(budget, len(positions) ** 2)
             local = {p: r for r, p in enumerate(positions)}
             adj = [sum(1 << local[q] for q in iter_bits(rows[p] & comp)) for p in positions]

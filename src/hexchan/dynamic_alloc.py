@@ -86,10 +86,6 @@ class AllocationMatrix(namedtuple("AllocationMatrix", "per_cycle_grants per_cycl
     __slots__ = ()
 
 
-# (chi, group size, [(PAN index, grant)]) of one component of 2+ active PANs.
-_Component = tuple[int, int, list[tuple[int, tuple[LogicalChannel, ...]]]]
-
-
 def cycle_structure(configs: Sequence[SuperframeConfig]) -> CycleStructure:
     """BI_maj = max beacon interval, SD_min = min active period, U = ratio.
 
@@ -139,20 +135,16 @@ def allocate_dynamic(lattice: Lattice, configs: Sequence[SuperframeConfig], plan
     each set becomes one grant column, with ``()`` for the idle PANs, which
     every cycle with that set shares.  So the grants are the activity: PAN
     k is active in cycle t iff ``per_cycle_grants[t][k]`` is non-empty.  A
-    cycle's chi is the largest of its components' (1 for a single PAN) and
-    its k the largest group (the whole data set, if a PAN is on its own).
+    cycle's chi and k are the largest of its components' chi and group
+    size, 0 when no PAN is active.
     """
     _, cycle_masks, sets = _active_sets(interference_rows(lattice, DATA_REUSE_METRIC), lattice.cells, configs, plan)
     n = len(configs)
-    ordered_data = plan.ordered_data()
     by_mask = {}  # mask -> (column, chi, k)
-    for mask, (singles, multis) in sets.items():
+    for mask, components in sets.items():
         column: list[tuple[LogicalChannel, ...]] = [()] * n
-        for pan in singles:
-            column[pan] = ordered_data
-        # Components of 2+ PANs have chi >= 2 and a smaller group than a single PAN.
-        chi, k = (1, len(ordered_data)) if singles else (0, 0)
-        for component_chi, size, grants in multis:
+        chi = k = 0
+        for component_chi, size, grants in components:
             for pan, grant in grants:
                 column[pan] = grant
             if component_chi > chi:
@@ -165,7 +157,7 @@ def allocate_dynamic(lattice: Lattice, configs: Sequence[SuperframeConfig], plan
 
 def _active_sets(
     rows: Sequence[int], cells: Sequence[CellIndex], configs: Sequence[SuperframeConfig], plan: ChannelPlan
-) -> tuple[list[tuple[int, int, int]], list[int], dict[int, tuple[list[int], list[_Component]]]]:
+) -> tuple[list[tuple[int, int, int]], list[int], dict[int, list[tuple[int, int, list]]]]:
     """The one pass of dynamic allocation on the metric-12 ``rows`` of the
     PANs' lattice ``cells``, once per distinct set of active PANs.  Its readers:
     ``allocate_dynamic`` turns it into grant columns, ``compare_schemes`` into counts.
@@ -174,37 +166,32 @@ def _active_sets(
     (P, m, t0) (``_duty_runs``) and ``cycle_masks[t]`` the cell positions
     of the PANs active in cycle t, one pattern of P masks per period tiled
     over the U cycles.  ``sets`` maps each distinct mask, in order of first
-    appearance, to (singles, multis): the PANs alone in their component,
-    which take the whole data set, and one ``_Component`` per component of
-    two or more PANs.
+    appearance, to the list of its components, in the order the split
+    finds them, each as the record (chi, group size, [(PAN index, grant)]).
 
-    Each mask is split in one loop: a PAN with no active neighbour is a
-    single at once; from any other, one ``two_coloring`` call grows its
+    Each mask is split in one loop.  A PAN with no active neighbour is a
+    component of one, chi 1, and its record, the whole data set, is built
+    once per PAN.  From any other PAN, one ``two_coloring`` call grows its
     component, whose BFS layers are also its coloring.  A component met
-    before reuses its grants; a new one is colored as position-mask
+    before reuses its record; a new one is colored as position-mask
     classes, its two-coloring or, with an odd cycle, the data pattern (chi
     <= 3), and its PANs get the matching groups of |data| // chi channels.
     A shortfall raises ``InsufficientSpectrumError`` naming its first
     cycle.
     """
-    position = {cell: p for p, cell in enumerate(cells)}
-    pan_positions = []
-    for cfg in configs:
-        p = position.get(cfg.pan_cell)
-        if p is None:
-            raise NotInLatticeError(f"cell ({cfg.pan_cell.i}, {cfg.pan_cell.j}) is not in the lattice")
-        pan_positions.append(p)
-    pan_at = [-1] * len(position)  # cell position -> PAN index
-    for k, p in enumerate(pan_positions):
-        if pan_at[p] >= 0:
-            raise ValueError("duplicate PAN cells in superframe configs")
-        pan_at[p] = k
     cycles = cycle_structure(configs)
     runs = _duty_runs(configs, cycles.sd_min)
     ordered_data = plan.ordered_data()
-
+    position = {cell: p for p, cell in enumerate(cells)}
+    pan_at = [-1] * len(position)  # cell position -> PAN index
     patterns: dict[int, list[int]] = {}
-    for p, (period, active, start) in zip(pan_positions, runs):
+    for k, (cfg, (period, active, start)) in enumerate(zip(configs, runs)):
+        p = position.get(cfg.pan_cell)
+        if p is None:
+            raise NotInLatticeError(f"cell ({cfg.pan_cell.i}, {cfg.pan_cell.j}) is not in the lattice")
+        if pan_at[p] >= 0:
+            raise ValueError("duplicate PAN cells in superframe configs")
+        pan_at[p] = k
         pattern = patterns.get(period)
         if pattern is None:
             pattern = patterns[period] = [0] * period
@@ -221,10 +208,11 @@ def _active_sets(
             f"cycle {cycle_masks.index(mask) + 1}: need {chi} data channels, plan has {len(ordered_data)}"
         )
 
+    alone = [(1, len(ordered_data), [(k, ordered_data)]) for k in range(len(configs))]
     groups_by_chi, component_memo, sets = {}, {}, {}
     # Distinct masks in order of first appearance: a shortfall names its earliest cycle.
     for mask in dict.fromkeys(cycle_masks):
-        singles, multis = [], []
+        components = sets[mask] = []
         rest = mask  # the positions no component has reached yet
         while rest:
             low = rest & -rest
@@ -233,7 +221,7 @@ def _active_sets(
                 if not ordered_data:
                     raise short(mask, 1)
                 rest ^= low
-                singles.append(pan_at[p])
+                components.append(alone[pan_at[p]])
                 continue
             comp, classes = two_coloring(rows, rest)
             rest ^= comp
@@ -249,8 +237,7 @@ def _active_sets(
                 groups = groups_by_chi[chi]
                 grants = [(pan_at[p], group) for members, group in zip(classes, groups) for p in iter_bits(members)]
                 component = component_memo[comp] = (chi, group_size, grants)
-            multis.append(component)
-        sets[mask] = singles, multis
+            components.append(component)
     return runs, cycle_masks, sets
 
 
@@ -279,7 +266,7 @@ def activity_csv(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix) -
     yielded as one chunk or in slices of whole lines (``_cycle_csv``)."""
     idle, active = _pan_texts(configs)
     pans = range(len(configs))
-    lines = chunk_size(1, len(f"{len(alloc.per_cycle_chi)},") + max(map(len, active)) + 2)
+    lines = chunk_size(len(f"{len(alloc.per_cycle_chi)},") + max(map(len, active)) + 2)
 
     def cycles() -> Iterator[list[str]]:
         for column in alloc.per_cycle_grants:
@@ -310,7 +297,7 @@ def allocation_csv(configs: Sequence[SuperframeConfig], alloc: AllocationMatrix)
         return f"{chi},{len(grant)},{' '.join(ch.token() for ch in grant)}"
 
     widest = grant_fields(max(alloc.per_cycle_chi), _widest_grant(alloc))
-    lines = chunk_size(1, len(f"{len(alloc.per_cycle_chi)},") + max(map(len, active)) + len(widest) + 2)
+    lines = chunk_size(len(f"{len(alloc.per_cycle_chi)},") + max(map(len, active)) + len(widest) + 2)
 
     def cycles() -> Iterator[list[str]]:
         by_chi: dict[int, tuple[list[str], dict[int, str]]] = {}
@@ -385,7 +372,7 @@ def allocation_json_doc(configs: Sequence[SuperframeConfig], alloc: AllocationMa
         '      "channels_per_cycle": [\n        '
         for k, cfg in enumerate(configs)
     ]
-    size = chunk_size(1, max(max(map(len, heads)), len(grant_text(_widest_grant(alloc)) + row_end)))
+    size = chunk_size(max(max(map(len, heads)), len(grant_text(_widest_grant(alloc)) + row_end)))
     u = len(alloc.per_cycle_grants)
     cycle_range = range(u)
     idle_piece = render(())

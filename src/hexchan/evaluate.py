@@ -120,16 +120,28 @@ def compare_schemes(
     dynamic the per-cycle grant; all three follow the same duty cycles.
     The lattice's metric-12 rows are built once.  k_static is |data| //
     chi_data of its coloring, and ``_active_sets`` allocates each distinct
-    set of active PANs on it once; the dynamic counts are read off that
-    pass without building a grant.  Each PAN's active cycles are its
-    active intervals (``_active_intervals``) in every period, the same
-    intervals ``_active_sets`` builds the cycle masks from.  No makespan is
-    computed here: the writers compute them from ``spans`` and the counts.
+    set of active PANs on it once.  A PAN's dynamic count in a cycle is the
+    group size of its component record in the cycle's set, read in one
+    walk over the cycles with no grant column built.  Each PAN's active
+    cycles are its active intervals (``_active_intervals``) in every
+    period, the same intervals ``_active_sets`` builds the cycle masks
+    from.  The workload's coverage is checked while its spans are read.  No
+    makespan is computed here: the writers compute them from ``spans`` and
+    the counts.
     """
-    missing = [c.pan_cell for c in configs if c.pan_cell not in scenario.per_pan]
-    if missing:
-        cell = missing[0]
-        raise ValueError(f"workload does not cover PAN ({cell.i}, {cell.j})")
+    # (sum, max) of each distinct request list; a uniform workload shares
+    # one tuple between all PANs, so the lists are keyed by identity.
+    by_list: dict[int, tuple[int, int]] = {}
+    spans = []
+    for cfg in configs:
+        requests = scenario.per_pan.get(cfg.pan_cell)
+        if requests is None:
+            raise ValueError(f"workload does not cover PAN ({cfg.pan_cell.i}, {cfg.pan_cell.j})")
+        span = by_list.get(id(requests))
+        if span is None:
+            span = by_list[id(requests)] = (sum(requests), max(requests))
+        spans.append(span)
+    spans = tuple(spans)
     rows = interference_rows(lattice, DATA_REUSE_METRIC)
     k_static = _static_share(data_graph_coloring(rows, lattice.cells).num_colors, plan)
     runs, cycle_masks, sets = _active_sets(rows, lattice.cells, configs, plan)
@@ -143,15 +155,10 @@ def compare_schemes(
         cycles_by_run[run] = tuple([base + offset for base in range(0, u, run[0]) for offset in offsets])
     active_cycles = tuple(map(cycles_by_run.__getitem__, runs))
 
-    # Cycle by cycle, a PAN alone in its component gets the whole data set
-    # and the PANs of a larger component its group size.
-    whole = len(plan.data_set)
+    # Cycle by cycle, each PAN of a component gets its group size.
     dynamic: list[list[int]] = [[] for _ in configs]
     for mask in cycle_masks:
-        singles, multis = sets[mask]
-        for k in singles:
-            dynamic[k].append(whole)
-        for _, group_size, grants in multis:
+        for _, group_size, grants in sets[mask]:
             for k, _ in grants:
                 dynamic[k].append(group_size)
     # Per scheme, each PAN's counts and its distinct counts, ascending.
@@ -161,17 +168,6 @@ def compare_schemes(
         columns[scheme] = ([only * len(c) for c in active_cycles], [only if c else () for c in active_cycles])
     columns[DYNAMIC] = (map(tuple, dynamic), [tuple(sorted(set(counts))) for counts in dynamic])
 
-    # (sum, max) of each distinct request list; a uniform workload shares
-    # one tuple between all PANs, so the lists are keyed by identity.
-    by_list: dict[int, tuple[int, int]] = {}
-    spans = []
-    for cfg in configs:
-        requests = scenario.per_pan[cfg.pan_cell]
-        span = by_list.get(id(requests))
-        if span is None:
-            span = by_list[id(requests)] = (sum(requests), max(requests))
-        spans.append(span)
-    spans = tuple(spans)
     return [
         SchemeReport(scheme, active_cycles, tuple(counts), tuple(distinct), spans)
         for scheme, (counts, distinct) in columns.items()
@@ -213,7 +209,7 @@ def scheme_report_csv(configs: Sequence[SuperframeConfig], reports: Sequence[Sch
         + len(str(max(total for report in reports for total, _ in report.spans)))
         + len(",,100.0000\r\n")
     )
-    size = chunk_size(1, max(len(header), longest_line * max(map(len, reports[0].active_cycles))))
+    size = chunk_size(max(len(header), longest_line * max(map(len, reports[0].active_cycles))))
     pieces = [header]
     for report in reports:
         columns = zip(pans, report.active_cycles, report.channel_counts, report.distinct_counts, report.spans)

@@ -19,12 +19,12 @@ from typing import Iterator, Sequence
 WRITE_CHUNK = 1 << 20
 
 
-def chunk_size(unit: int, longest: int) -> int:
-    """Pieces per chunk of a report made of units of ``unit`` pieces each,
-    none longer than ``longest`` characters: as many whole units as fit in
-    ``WRITE_CHUNK`` characters, and at least one, so only a unit longer
-    than the bound makes a longer chunk."""
-    return unit * max(1, WRITE_CHUNK // longest)
+def chunk_size(longest: int) -> int:
+    """Pieces per chunk of a report made of pieces no longer than
+    ``longest`` characters: as many as fit in ``WRITE_CHUNK`` characters,
+    and at least one, so only a piece longer than the bound makes a longer
+    chunk."""
+    return max(1, WRITE_CHUNK // longest)
 
 
 def flush_chunks(pieces: list[str], size: int) -> Iterator[str]:

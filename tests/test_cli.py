@@ -354,10 +354,11 @@ def test_each_command_builds_each_interference_graph_once(tmp_path, monkeypatch,
 def test_each_command_colors_each_active_set_and_component_once(tmp_path, monkeypatch, command):
     # The allocation pass splits each distinct set of active PANs once, in
     # one loop that reads the adjacency row of each of its positions once.
-    # A PAN with an active neighbour starts one two_coloring call, which
-    # grows and colors its component and reads the starting row once more;
-    # a component met before reuses its _Component object.  The pass runs
-    # on rows that count their reads.
+    # A PAN with no active neighbour is a component of one, whose record is
+    # built once per PAN; from any other PAN one two_coloring call grows and
+    # colors its component and reads the starting row once more, and a
+    # component met before reuses its record.  The pass runs on rows that
+    # count their reads.
     reads, grown, passes = Counter(), [], []
 
     class CountingRows(tuple):
@@ -388,11 +389,25 @@ def test_each_command_colors_each_active_set_and_component_once(tmp_path, monkey
         sum(1 << k for k, cfg in enumerate(configs) if (t * sd_min - cfg.phase) % cfg.bi < cfg.sd) for t in range(u)
     }
     rows = interference_rows(build_lattice(4, 1.0), 12)
-    multis = [comp for mask in active_sets for comp in components(rows, mask) if comp.bit_count() > 1]
+    found = {mask: components(rows, mask) for mask in active_sets}
+    multis = [comp for comps in found.values() for comp in comps if comp.bit_count() > 1]
     assert len(passes) == 1 and len(set(multis)) < len(multis)
     assert sorted(grown) == sorted(multis)
-    objects = {id(c): sum(1 << pan for pan, _ in c[2]) for _, found in passes[0][2].values() for c in found}
-    assert sorted(objects.values()) == sorted(set(multis))
+
+    # Each set is the list of its components' records, (chi, group size,
+    # [(PAN, grant)]), with chi 1 exactly for a component of one.
+    sets = passes[0][2]
+    assert sets.keys() == active_sets
+    for mask, records in sets.items():
+        pans = [sum(1 << pan for pan, _ in grants) for _, _, grants in records]
+        assert sorted(pans) == sorted(found[mask])
+        assert all((chi == 1) == (len(grants) == 1) for chi, _, grants in records)
+    records = [record for records in sets.values() for record in records]
+    shared = {id(r): sum(1 << pan for pan, _ in r[2]) for r in records if r[0] > 1}
+    assert sorted(shared.values()) == sorted(set(multis))
+    # one lone record object per PAN, reused by every set the PAN is alone in
+    lone = {id(r): r[2][0][0] for r in records if r[0] == 1}
+    assert len(set(lone.values())) == len(lone) and len(lone) < len(records) - len(multis)
     assert reads == Counter(p for mask in active_sets for p in iter_bits(mask)) + Counter(
         (comp & -comp).bit_length() - 1 for comp in multis
     )

@@ -452,6 +452,38 @@ def test_past_the_search_budget_a_lattice_component_takes_the_pattern(monkeypatc
     assert list(col.labels) == _first_appearance([_pattern_label(c, CONTROL) for c in cells])
 
 
+def test_a_search_the_budget_cannot_finish_is_not_started(monkeypatch):
+    # a search that finds a coloring of n vertices settles every one of
+    # them, so it costs at least 3 n^2 units; 3 * 1183^2 exceeds the budget,
+    # so the 1 183-cell strip takes the proper pattern with no search at all
+    monkeypatch.setattr(coloring, "_k_coloring", refuse_to_search)
+    cells, rows = control_graph(triangle_strip(1183))
+    col = chromatic_coloring(rows, cells)
+    assert list(col.labels) == _first_appearance([_pattern_label(c, CONTROL) for c in cells])
+
+
+@pytest.mark.parametrize("budget, colors", [(3 * 66 * 66, 3), (3 * 66 * 66 - 1, 4)])
+def test_no_search_that_could_finish_is_refused(monkeypatch, budget, colors):
+    # the strip's search colors each cell once, so it costs exactly 3 n^2,
+    # the bound below which a search is not started
+    monkeypatch.setattr(coloring, "SEARCH_BUDGET", budget)
+    cells, rows = control_graph(triangle_strip(66))
+    assert chromatic_coloring(rows, cells).num_colors == colors
+
+
+def test_a_search_not_started_leaves_the_budget_to_later_components():
+    # the 1 183-cell strip comes first in lattice order and spends nothing,
+    # so the far-away 66-cell strip is still searched and gets its 3 colors
+    small = [C(k, 100 + k % 2) for k in range(66)]
+    cells, rows = control_graph(triangle_strip(1183) + small)
+    col = chromatic_coloring(rows, cells)
+    alone_cells, alone_rows = control_graph(small)
+    position = {cell: p for p, cell in enumerate(cells)}
+    labels = [col.labels[position[cell]] for cell in alone_cells]
+    assert labels == list(chromatic_coloring(alone_rows, alone_cells).labels)
+    assert len(set(labels)) == 3 and col.num_colors == 4
+
+
 def induced_rows(rows, comp):
     positions = [p for p in range(len(rows)) if comp >> p & 1]
     return tuple(sum(1 << r for r, q in enumerate(positions) if rows[p] >> q & 1) for p in positions)

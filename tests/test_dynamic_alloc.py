@@ -312,6 +312,17 @@ def test_pan_cell_must_be_in_lattice(europe_plan):
         allocate_dynamic(lat, [SF(pan_cell=C(4, 4), so=0, bo=0)], europe_plan)
 
 
+def test_pans_are_checked_in_list_order(europe_plan):
+    # one walk over the PANs checks each in turn, so a duplicate listed
+    # before an off-lattice cell is the fault reported
+    lat = build_lattice(1, 1.0)
+    configs = [SF(pan_cell=C(0, 0), so=0, bo=0), SF(pan_cell=C(0, 0), so=0, bo=1), SF(pan_cell=C(4, 4), so=0, bo=0)]
+    with pytest.raises(ValueError, match="duplicate PAN cells"):
+        allocate_dynamic(lat, configs, europe_plan)
+    with pytest.raises(NotInLatticeError):
+        allocate_dynamic(lat, configs[1:], europe_plan)
+
+
 def short_spectrum_doc():
     """Three mutually interfering PANs that are first active together in
     cycle 3 of 4, on a custom table of one control and two data channels.

@@ -115,6 +115,13 @@ def test_compare_schemes_reference(reference):
     assert {slots for _, slots, _ in scheme_entries(by_scheme[STATIC], configs, scenario).values()} == {6}
 
 
+def test_compare_schemes_names_the_first_pan_the_workload_misses(reference):
+    configs = reference.superframes
+    covered = {cfg.pan_cell: DEFAULT_REQUESTS for cfg in configs[:3] + configs[4:5] + configs[6:]}
+    with pytest.raises(ValueError, match=r"workload does not cover PAN \(%d, %d\)" % configs[3].pan_cell):
+        compare_schemes(reference.lattice, configs, reference.plan(), RequestScenario(covered))
+
+
 def test_scheme_ordering(reference):
     configs, scenario = reference.superframes, reference.request_scenario()
     reports = compare_schemes(reference.lattice, configs, reference.plan(), scenario)

@@ -48,12 +48,15 @@ def sparse_doc(rng, cells, domain):
 def test_sparse_cell_lists_pass_the_independent_checks(tmp_path, capsys):
     # Scattered cells from 12 to 160, then 22 far-apart 3-cell paths (control
     # chi 2, so Japan's 2 control channels are assigned) and a triangle strip
-    # (control chi 3), both of 66 cells.
+    # (control chi 3), both of 66 cells.  Last, a 1 183-cell strip, too long
+    # for the search budget, so it takes the control pattern, and a far-away
+    # 66-cell strip that is still searched (Europe's 4 control channels).
     rng = random.Random(64)
     paths = [(8 * k + di, dj) for k in range(22) for di, dj in ((0, 0), (2, 0), (3, 1))]
     strip = [(k, k % 2) for k in range(66)]
+    two_strips = [(k, k % 2) for k in range(1183)] + [(k, 100 + k % 2) for k in range(66)]
     manifest = []
-    for k, cells in enumerate((12, 40, 63, 64, 65, 100, 160, paths, strip)):
+    for k, cells in enumerate((12, 40, 63, 64, 65, 100, 160, paths, strip, two_strips)):
         if isinstance(cells, int):
             cells = scattered_cells(rng, cells)
         domain = ("Europe", "Japan", "US")[k % 3]
