@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import stat
 import sys
@@ -38,7 +39,7 @@ from .dynamic_alloc import (
 from .errors import ConfigError, HexchanError
 from .evaluate import compare_schemes, evaluation_summary_json, scheme_report_csv
 from .interference import edge_list_text
-from .lattice import CONTROL_REUSE_METRIC, DATA_REUSE_METRIC, center_of
+from .lattice import CONTROL_REUSE_METRIC, DATA_REUSE_METRIC
 from .static_alloc import allocate_static, static_allocation_csv
 
 
@@ -84,11 +85,10 @@ def _write(out_dir: Path, name: str, chunks: Iterable[str]) -> None:
 def cmd_lattice(cfg: ScenarioConfig, out_dir: Path) -> None:
     """Cell table plus the control and data interference edge lists."""
     lattice = cfg.lattice
-    lines = ["i,j,x,y"]
-    for cell in lattice.cells:
-        x, y = center_of(lattice, cell)
-        i, j = cell
-        lines.append(f"{i},{j},{x!r},{y!r}")
+    (x0, y0), r = lattice.origin, lattice.radius_r
+    # The steps of ``center_of``, computed once, so each center is its float.
+    dx, dy = 3.0 * r / 2.0, math.sqrt(3.0) * r / 2.0
+    lines = ["i,j,x,y"] + [f"{i},{j},{x0 + i * dx!r},{y0 + j * dy!r}" for i, j in lattice.cells]
     _write(out_dir, "cells.csv", ("\r\n".join(lines) + "\r\n",))
     for name, threshold in (("edges_control.txt", CONTROL_REUSE_METRIC), ("edges_data.txt", DATA_REUSE_METRIC)):
         _write(out_dir, name, (edge_list_text(lattice, threshold),))

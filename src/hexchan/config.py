@@ -12,10 +12,12 @@ Example::
 
 The lattice may instead list explicit cells (``"cells": [[0, 0], [0, 2]]``)
 for irregular deployments, and the domain may be a custom channel table
-(``{"name": ..., "channels": [{"phy_channel": 4, "code": 7}, ...]}``).
-A ``notes`` field is allowed in every object and ignored; any other key
-outside an object's documented set is an error.  A custom table lists each
-channel once.
+(``{"name": ..., "channels": [{"phy_channel": 4, "code": 7}, ...]}``) that
+lists each channel once.  A ``notes`` field is allowed in every object and
+ignored; any other key outside an object's documented set is an error.
+The cell, superframe and per-PAN lists are checked a column at a time; when
+a check fails, a walk over the entries names the first bad one in list
+order and, within it, the first bad field.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
+from itertools import chain, repeat
+from operator import itemgetter, le, mod
 from pathlib import Path
 
-from .dynamic_alloc import SuperframeConfig, cycle_structure
+from .dynamic_alloc import MAX_BEACON_ORDER, SuperframeConfig
 from .errors import ConfigError, HexchanError
 from .evaluate import RequestScenario
 from .lattice import CellIndex, Lattice, build_lattice, center_of, extreme_cells, lattice_from_cells
@@ -89,8 +93,7 @@ class ScenarioConfig(namedtuple("ScenarioConfig", "lattice domain us_data_card s
         """Explicit workload if given, else 8 requests of 3 slots per PAN."""
         if self.workload is not None:
             return self.workload
-        cells = [cfg.pan_cell for cfg in self.require_superframes()]
-        return RequestScenario.uniform(cells)
+        return RequestScenario.uniform(cfg.pan_cell for cfg in self.require_superframes())
 
 
 def _expect(mapping, key, kind, field):
@@ -126,13 +129,8 @@ def _finite_number(value, field) -> float:
     return number
 
 
-def _int_pair(value) -> bool:
-    """Whether ``value`` is a JSON ``[i, j]`` pair of integers."""
-    return type(value) is list and len(value) == 2 and type(value[0]) is int and type(value[1]) is int
-
-
 def _parse_cell(value, field) -> CellIndex:
-    if not _int_pair(value):
+    if not (type(value) is list and len(value) == 2 and type(value[0]) is int and type(value[1]) is int):
         raise ConfigError("expected a two-integer [i, j] pair", field=field)
     try:
         return CellIndex(*value)
@@ -140,33 +138,52 @@ def _parse_cell(value, field) -> CellIndex:
         raise ConfigError(str(exc), field=field) from None
 
 
+def _columns(entries: list, where: str, **defaults) -> list:
+    """Per key of ``defaults``, the column of the object list ``where``: each
+    entry's value there, or the default.  If an entry is not an object or has
+    an unknown key, each column is ``[None]``, which every column check rejects."""
+    if set(map(type, entries)) != {dict} or not _KNOWN_KEYS[where].issuperset(chain.from_iterable(entries)):
+        return [[None]] * len(defaults)
+    return [list(map(dict.get, entries, repeat(key), repeat(default))) for key, default in defaults.items()]
+
+
+def _ints_in(values: list, low, high) -> bool:
+    """Whether ``values`` is non-empty and holds only ints, each in [low, high]."""
+    return set(map(type, values)) == {int} and low <= min(values) and max(values) <= high
+
+
+def _checked_cells(values: list, members) -> list | None:
+    """``values`` as cells if each is a new two-integer pair in ``members``
+    (None admits every parity-valid cell), else None; a pass per check."""
+    if set(map(type, values)) != {list}:
+        return None
+    cells = list(map(tuple.__new__, repeat(CellIndex), values))
+    if set(map(len, cells)) != {2} or set(map(type, chain.from_iterable(cells))) != {int}:
+        return None
+    unique = set(cells)
+    valid = members.issuperset(unique) if members is not None else not any(map(mod, map(sum, cells), repeat(2)))
+    return cells if valid and len(unique) == len(cells) else None
+
+
 def _entry_cells(entries: list, where: str, members, outside: str):
-    """``(k, entry, cell)`` per object ``entry`` of list ``where`` whose cell
-    is new and in ``members`` (None admits every cell) and whose keys are
-    known; ``outside`` is the message for a cell not in ``members``.  A
-    cell is built unchecked and is valid once found; only the error path
-    formats a field name."""
-    known = _KNOWN_KEYS[where]
+    """The error path of the object list ``where``, after a column check:
+    ``(k, entry, cell)`` per entry whose keys and cell are good, for the
+    caller to check its other fields, up to the first bad one, which raises;
+    ``outside`` names a cell not in ``members``."""
     seen = set()
     for k, entry in enumerate(entries):
-        value = entry.get("cell") if type(entry) is dict else None
-        cell = CellIndex._make(value) if _int_pair(value) else None
-        if (
-            cell is None
-            or cell in seen
-            or (cell not in members if members is not None else sum(cell) % 2)
-            or not entry.keys() <= known
-        ):
-            if type(entry) is not dict:
-                raise ConfigError("expected an object", field=f"{where}[{k}]")
-            _known_keys(entry, f"{where}[{k}]")
-            field = f"{where}[{k}].cell"
-            cell = _parse_cell(_expect(entry, "cell", list, field), field)
-            if cell in seen:
-                raise ConfigError("duplicate PAN cell (%d, %d)" % cell, field=field)
+        if type(entry) is not dict:
+            raise ConfigError("expected an object", field=f"{where}[{k}]")
+        _known_keys(entry, f"{where}[{k}]")
+        field = f"{where}[{k}].cell"
+        cell = _parse_cell(_expect(entry, "cell", list, field), field)
+        if cell in seen:
+            raise ConfigError("duplicate PAN cell (%d, %d)" % cell, field=field)
+        if members is not None and cell not in members:
             raise ConfigError(outside % cell, field=field)
         seen.add(cell)
         yield k, entry, cell
+    raise AssertionError(f"{where}: a column check failed, but no entry is bad")
 
 
 def _parse_lattice(doc) -> Lattice:
@@ -189,15 +206,14 @@ def _parse_lattice(doc) -> Lattice:
             raise ConfigError("cell list must be non-empty", field="lattice.cells")
         if len(raw) > MAX_CELLS:
             raise ConfigError(f"{len(raw)} cells exceed the limit of {MAX_CELLS}", field="lattice.cells")
-        # Built unchecked, as in ``_entry_cells``: only the error path
-        # formats a field name.
-        cells = set()
-        for k, value in enumerate(raw):
-            cell = CellIndex._make(value) if _int_pair(value) else None
-            if cell is None or sum(cell) % 2 or cell in cells:
-                field = f"lattice.cells[{k}]"
-                raise ConfigError("duplicate cell (%d, %d)" % _parse_cell(value, field), field=field)
-            cells.add(cell)
+        cells = _checked_cells(raw, None)
+        if cells is None:  # the error path: the first bad cell raises
+            cells = set()
+            for k, value in enumerate(raw):
+                cell = _parse_cell(value, f"lattice.cells[{k}]")
+                if cell in cells:
+                    raise ConfigError("duplicate cell (%d, %d)" % cell, field=f"lattice.cells[{k}]")
+                cells.add(cell)
         return _finite_centers(lattice_from_cells(cells, radius_r=radius, origin=origin))
     bound = _expect(section, "index_bound_N", int, "lattice.index_bound_N")
     if bound < 0:
@@ -254,25 +270,22 @@ def _parse_superframes(doc, lattice: Lattice):
         return None
     if not isinstance(raw, list) or not raw:
         raise ConfigError("expected a non-empty list", field="superframes")
-    configs = []
-    for k, entry, cell in _entry_cells(raw, "superframes", lattice.members, "cell (%d, %d) is not in the lattice"):
-        so, bo, phase = entry.get("SO"), entry.get("BO"), entry.get("phase", 0)
-        if type(so) is not int or type(bo) is not int or type(phase) is not int:
-            # Raises at the first bad field; a missing phase reads 0, so is never it.
-            for key in ("SO", "BO", "phase"):
-                _expect(entry, key, int, f"superframes[{k}].{key}")
-        try:
-            configs.append(SuperframeConfig(cell, so, bo, phase))
-        except HexchanError as exc:
-            raise ConfigError(str(exc), field=f"superframes[{k}]") from None
-    u_cycles = cycle_structure(configs).u_cycles
-    if len(configs) * u_cycles > MAX_PAN_CYCLES:
-        raise ConfigError(
-            f"{len(configs)} PANs x {u_cycles} elementary cycles = {len(configs) * u_cycles} "
-            f"(PAN, cycle) entries exceed the limit of {MAX_PAN_CYCLES}",
-            field="superframes",
-        )
-    return tuple(configs)
+    values, so, bo, phase = _columns(raw, "superframes", cell=None, SO=None, BO=None, phase=0)
+    cells = _checked_cells(values, lattice.members)
+    ints = set(map(type, chain(so, bo, phase))) == {int} and min(so) >= 0 and min(phase) >= 0
+    if cells is None or not (ints and max(bo) <= MAX_BEACON_ORDER and all(map(le, so, bo))):
+        for k, entry, cell in _entry_cells(raw, "superframes", lattice.members, "cell (%d, %d) is not in the lattice"):
+            keys = ("SO", "BO", "phase") if "phase" in entry else ("SO", "BO")
+            orders = [_expect(entry, key, int, f"superframes[{k}].{key}") for key in keys]
+            try:
+                SuperframeConfig(cell, *orders)
+            except HexchanError as exc:
+                raise ConfigError(str(exc), field=f"superframes[{k}]") from None
+    u_cycles = 1 << (max(bo) - min(so))
+    if len(cells) * u_cycles > MAX_PAN_CYCLES:
+        entries = f"{len(cells)} PANs x {u_cycles} elementary cycles = {len(cells) * u_cycles} (PAN, cycle) entries"
+        raise ConfigError(f"{entries} exceed the limit of {MAX_PAN_CYCLES}", field="superframes")
+    return tuple(map(tuple.__new__, repeat(SuperframeConfig), zip(cells, so, bo, phase)))
 
 
 def _parse_workload(doc, superframes) -> RequestScenario | None:
@@ -282,54 +295,54 @@ def _parse_workload(doc, superframes) -> RequestScenario | None:
     if not isinstance(raw, dict):
         raise ConfigError("expected an object", field="workload")
     _known_keys(raw, "workload")
-    if "per_pan" in raw:
-        if "requests_per_pan" in raw or "slots_per_request" in raw:
-            raise ConfigError(
-                "give either per_pan or requests_per_pan and slots_per_request, not both", field="workload"
-            )
-        entries = _expect(raw, "per_pan", list, "workload.per_pan")
-        if not entries:
-            raise ConfigError("must be non-empty", field="workload.per_pan")
-        pans = None if superframes is None else {cfg.pan_cell for cfg in superframes}
-        per_pan = {}
+    if "per_pan" not in raw:
+        count = _expect(raw, "requests_per_pan", int, "workload.requests_per_pan")
+        slots = _expect(raw, "slots_per_request", int, "workload.slots_per_request")
+        if count < 1:
+            raise ConfigError("must be positive", field="workload.requests_per_pan")
+        if count > MAX_REQUESTS_PER_PAN:
+            raise ConfigError(f"{count} exceeds the limit of {MAX_REQUESTS_PER_PAN}", field="workload.requests_per_pan")
+        if slots < 1:
+            raise ConfigError("must be positive", field="workload.slots_per_request")
+        if slots > MAX_SLOTS_PER_REQUEST:
+            raise ConfigError(f"exceeds the limit of {MAX_SLOTS_PER_REQUEST}", field="workload.slots_per_request")
+        if superframes is None:
+            raise ConfigError("uniform workload needs superframes to know the PANs", field="workload")
+        return RequestScenario.uniform([cfg.pan_cell for cfg in superframes], count=count, slots=slots)
+    if "requests_per_pan" in raw or "slots_per_request" in raw:
+        raise ConfigError("give either per_pan or requests_per_pan and slots_per_request, not both", field="workload")
+    where = "workload.per_pan"
+    entries = _expect(raw, "per_pan", list, where)
+    if not entries:
+        raise ConfigError("must be non-empty", field=where)
+    pans = None if superframes is None else frozenset(map(itemgetter(0), superframes))
+    values, slots = _columns(entries, where, cell=None, slots=None)
+    cells = _checked_cells(values, pans)
+    lengths = list(map(len, slots)) if set(map(type, slots)) == {list} else []
+    if cells is None or not (
+        _ints_in(lengths, 1, MAX_REQUESTS_PER_PAN)
+        and sum(lengths) <= MAX_REQUEST_ENTRIES
+        and _ints_in(list(chain.from_iterable(slots)), 1, MAX_SLOTS_PER_REQUEST)
+    ):
         entries_left = MAX_REQUEST_ENTRIES
-        cells = _entry_cells(entries, "workload.per_pan", pans, "no superframe runs a PAN at cell (%d, %d)")
-        for k, entry, cell in cells:
-            field = f"workload.per_pan[{k}].slots"
-            slots = _expect(entry, "slots", list, field)
-            if len(slots) > MAX_REQUESTS_PER_PAN:
-                raise ConfigError(f"{len(slots)} requests exceed the limit of {MAX_REQUESTS_PER_PAN}", field=field)
-            entries_left -= len(slots)
+        for k, entry, cell in _entry_cells(entries, where, pans, "no superframe runs a PAN at cell (%d, %d)"):
+            field = f"{where}[{k}].slots"
+            requests = _expect(entry, "slots", list, field)
+            if len(requests) > MAX_REQUESTS_PER_PAN:
+                raise ConfigError(f"{len(requests)} requests exceed the limit of {MAX_REQUESTS_PER_PAN}", field=field)
+            entries_left -= len(requests)
             if entries_left < 0:
-                raise ConfigError(
-                    f"the slots lists hold more than {MAX_REQUEST_ENTRIES} requests in all", field="workload.per_pan"
-                )
-            if not slots or set(map(type, slots)) != {int} or min(slots) < 1:
+                raise ConfigError(f"the slots lists hold more than {MAX_REQUEST_ENTRIES} requests in all", field=where)
+            if not _ints_in(requests, 1, math.inf):
                 raise ConfigError("expected a non-empty list of positive integers", field=field)
-            if max(slots) > MAX_SLOTS_PER_REQUEST:
+            if max(requests) > MAX_SLOTS_PER_REQUEST:
                 raise ConfigError(f"a request exceeds the limit of {MAX_SLOTS_PER_REQUEST} slots", field=field)
-            per_pan[cell] = tuple(slots)
-        uncovered = [cfg.pan_cell for cfg in superframes or () if cfg.pan_cell not in per_pan]
-        if uncovered:
-            cell = uncovered[0]
-            raise ConfigError(
-                f"no entry for the PAN at cell ({cell.i}, {cell.j}); list every PAN exactly once",
-                field="workload.per_pan",
-            )
-        return RequestScenario(per_pan=per_pan)
-    count = _expect(raw, "requests_per_pan", int, "workload.requests_per_pan")
-    slots = _expect(raw, "slots_per_request", int, "workload.slots_per_request")
-    if count < 1:
-        raise ConfigError("must be positive", field="workload.requests_per_pan")
-    if count > MAX_REQUESTS_PER_PAN:
-        raise ConfigError(f"{count} exceeds the limit of {MAX_REQUESTS_PER_PAN}", field="workload.requests_per_pan")
-    if slots < 1:
-        raise ConfigError("must be positive", field="workload.slots_per_request")
-    if slots > MAX_SLOTS_PER_REQUEST:
-        raise ConfigError(f"exceeds the limit of {MAX_SLOTS_PER_REQUEST}", field="workload.slots_per_request")
-    if superframes is None:
-        raise ConfigError("uniform workload needs superframes to know the PANs", field="workload")
-    return RequestScenario.uniform([cfg.pan_cell for cfg in superframes], count=count, slots=slots)
+    per_pan = dict(zip(cells, map(tuple, slots)))
+    if superframes is not None and len(per_pan) < len(superframes):
+        cell = next(cfg.pan_cell for cfg in superframes if cfg.pan_cell not in per_pan)
+        raise ConfigError("no entry for the PAN at cell (%d, %d); list every PAN exactly once" % cell, field=where)
+    # Checked above, so built unchecked.
+    return tuple.__new__(RequestScenario, (per_pan,))
 
 
 def load_config(path: str | Path, domain_override: str | None = None) -> ScenarioConfig:
@@ -375,11 +388,4 @@ def load_config(path: str | Path, domain_override: str | None = None) -> Scenari
     out_dir = doc.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("expected a path string", field="out_dir")
-    return ScenarioConfig(
-        lattice=lattice,
-        domain=domain,
-        us_data_card=us_data_card,
-        superframes=superframes,
-        workload=workload,
-        out_dir=out_dir,
-    )
+    return ScenarioConfig(lattice, domain, us_data_card, superframes, workload, out_dir)

@@ -21,6 +21,7 @@ import functools
 import math
 import operator
 from collections import namedtuple
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from .errors import NotInLatticeError
@@ -109,7 +110,8 @@ def build_lattice(index_bound_n: int, radius_r: float, origin: tuple[float, floa
     if index_bound_n < 0:
         raise ValueError("index_bound_n must be non-negative")
     n = index_bound_n
-    cells = tuple(CellIndex._make((i, j)) for j in range(-n, n + 1) for i in range(-n + (n + j) % 2, n + 1, 2))
+    rows = (zip(range(-n + (n + j) % 2, n + 1, 2), repeat(j)) for j in range(-n, n + 1))
+    cells = tuple(map(tuple.__new__, repeat(CellIndex), chain.from_iterable(rows)))
     return Lattice(radius_r=radius_r, origin=origin, cells=cells)
 
 

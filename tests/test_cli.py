@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -25,9 +26,10 @@ from hexchan.config import (
 )
 from hexchan.errors import ConfigError
 from hexchan.coloring import two_coloring
-from hexchan.dynamic_alloc import _active_sets
+from hexchan.dynamic_alloc import SuperframeConfig, _active_sets
+from hexchan.evaluate import RequestScenario
 from hexchan.interference import interference_rows, iter_bits
-from hexchan.lattice import build_lattice
+from hexchan.lattice import CellIndex, build_lattice, center_of, lattice_from_cells
 
 
 def write_config(tmp_path: Path, doc: dict, name="scenario.json") -> Path:
@@ -698,6 +700,268 @@ def test_per_pan_without_superframes_names_any_valid_cell(tmp_path, capsys):
     assert reject_line(tmp_path, capsys, doc) == (
         "error: workload.per_pan[1].cell: cell index (9, 2) violates parity: i + j must be even\n"
     )
+
+
+def reference_lists(reference_config_path):
+    """The reference config with a per_pan workload, and its three lists by name."""
+    doc, entries = per_pan_entries(reference_config_path)
+    doc["workload"] = {"per_pan": entries}
+    return doc, {"superframes": doc["superframes"], "lattice.cells": doc["lattice"]["cells"], "workload.per_pan": entries}
+
+
+# Two faults per case, in different entries and different fields, as
+# (list, {entry: edit}, stderr line after the list name): the lower entry is
+# named, whichever field each fault is in.  The reference config's cells
+# span i in 0..2 and j in 0..7, and (0, 0) is the cell of entry 0.
+TWO_FAULTS = [
+    pytest.param(
+        "superframes",
+        {2: with_value("BO", 15), 5: with_value("cell", [4, 0])},
+        "[2]: SO=2, BO=15: superframe and beacon orders are limited to 0..14",
+        id="superframes-bo-before-cell",
+    ),
+    pytest.param(
+        "superframes",
+        {2: with_value("cell", [4, 0]), 5: with_value("BO", 15)},
+        "[2].cell: cell (4, 0) is not in the lattice",
+        id="superframes-cell-before-bo",
+    ),
+    pytest.param(
+        "superframes",
+        {1: with_value("extra", 0), 4: with_value("SO", True)},
+        "[1].extra: unknown key; expected one of BO, SO, cell, notes, phase",
+        id="superframes-key-before-so",
+    ),
+    pytest.param(
+        "superframes",
+        {3: with_value("phase", -1), 6: with_value("cell", [0, 0])},
+        "[3]: SO, BO and phase must be non-negative",
+        id="superframes-phase-before-duplicate",
+    ),
+    pytest.param(
+        "superframes",
+        {3: with_value("cell", [0, 0]), 7: without("SO")},
+        "[3].cell: duplicate PAN cell (0, 0)",
+        id="superframes-duplicate-before-so",
+    ),
+    pytest.param(
+        "lattice.cells",
+        {1: lambda cell: [0, 3], 4: lambda cell: [0, 0]},
+        "[1]: cell index (0, 3) violates parity: i + j must be even",
+        id="cells-parity-before-duplicate",
+    ),
+    pytest.param(
+        "lattice.cells",
+        {2: lambda cell: [0, 0], 5: lambda cell: "1,3"},
+        "[2]: duplicate cell (0, 0)",
+        id="cells-duplicate-before-pair",
+    ),
+    pytest.param(
+        "workload.per_pan",
+        {1: with_value("slots", [3, 0]), 4: with_value("cell", [4, 0])},
+        "[1].slots: expected a non-empty list of positive integers",
+        id="per-pan-slots-before-cell",
+    ),
+    pytest.param(
+        "workload.per_pan",
+        {1: with_value("cell", [4, 0]), 4: with_value("slots", [True])},
+        "[1].cell: no superframe runs a PAN at cell (4, 0)",
+        id="per-pan-cell-before-slots",
+    ),
+    pytest.param(
+        "workload.per_pan",
+        {2: with_value("extra", 0), 3: with_value("slots", [MAX_SLOTS_PER_REQUEST + 1])},
+        "[2].extra: unknown key; expected one of cell, notes, slots",
+        id="per-pan-key-before-slots",
+    ),
+    pytest.param(
+        "workload.per_pan",
+        {0: with_value("slots", [3] * (MAX_REQUESTS_PER_PAN + 1)), 2: lambda entry: [0, 4]},
+        f"[0].slots: {MAX_REQUESTS_PER_PAN + 1} requests exceed the limit of {MAX_REQUESTS_PER_PAN}",
+        id="per-pan-count-before-object",
+    ),
+]
+
+
+@pytest.mark.parametrize("where, edits, line", TWO_FAULTS)
+def test_the_first_bad_entry_wins_across_columns(tmp_path, capsys, reference_config_path, where, edits, line):
+    doc, lists = reference_lists(reference_config_path)
+    for k, edit in edits.items():
+        lists[where][k] = edit(lists[where][k])
+    assert reject_line(tmp_path, capsys, doc) == f"error: {where}{line}\n"
+
+
+def refuse_to_walk(*args, **kwargs):
+    raise AssertionError("a valid config entered the per-entry walk")
+
+
+def window_doc(n, per_pan=False):
+    doc = minimal_lattice_doc(n)
+    cells = [[c.i, c.j] for c in build_lattice(n, 1.0).cells]
+    doc["superframes"] = [{"cell": c, "SO": k % 2, "BO": 3, "phase": k % 5} for k, c in enumerate(cells)]
+    if per_pan:
+        doc["workload"] = {"per_pan": [{"cell": c, "slots": [1 + k % 7, 3]} for k, c in enumerate(cells)]}
+    return doc
+
+
+def valid_docs(reference_config_path):
+    """Every bundled and test config, the N = 70 window with a superframe in
+    each cell, and per_pan workloads on the reference config and that window."""
+    paths = sorted(Path(reference_config_path).parent.glob("*.json")) + sorted(TEST_CONFIG_DIR.glob("*.json"))
+    docs = [json.loads(path.read_text()) for path in paths]
+    return docs + [reference_lists(reference_config_path)[0], window_doc(70), window_doc(70, per_pan=True)]
+
+
+def test_a_valid_config_never_enters_the_walk(tmp_path, monkeypatch, reference_config_path):
+    # Every error path starts with one of these two; neither may run on a valid config.
+    monkeypatch.setattr("hexchan.config._entry_cells", refuse_to_walk)
+    monkeypatch.setattr("hexchan.config._parse_cell", refuse_to_walk)
+    for doc in valid_docs(reference_config_path):
+        cfg = load_config(write_config(tmp_path, doc))
+        section = doc["lattice"]
+        if "cells" in section:
+            expected = lattice_from_cells([CellIndex(*cell) for cell in section["cells"]], 1.0)
+        else:
+            expected = build_lattice(section["index_bound_N"], 1.0)
+        assert cfg.lattice.cells == expected.cells
+        assert {type(cell) for cell in cfg.lattice.cells} == {CellIndex}
+        records = tuple(
+            SuperframeConfig(CellIndex(*sf["cell"]), sf["SO"], sf["BO"], sf.get("phase", 0)) for sf in doc["superframes"]
+        )
+        assert cfg.superframes == records
+        assert {(type(sf), type(sf.pan_cell)) for sf in cfg.superframes} == {(SuperframeConfig, CellIndex)}
+        if "per_pan" in doc.get("workload", {}):
+            per_pan = {CellIndex(*entry["cell"]): tuple(entry["slots"]) for entry in doc["workload"]["per_pan"]}
+            assert cfg.workload == RequestScenario(per_pan=per_pan)
+            assert {type(cell) for cell in cfg.workload.per_pan} == {CellIndex}
+
+
+# Single-field faults per list, as (name, edit of entry k given the list, or
+# None where the fault needs an earlier entry); each makes entry k bad.
+def set_key(key, value):
+    return lambda entries, k: {**entries[k], key: value}
+
+
+def drop_key(key):
+    return lambda entries, k: {name: value for name, value in entries[k].items() if name != key}
+
+
+def earlier_cell(entries, k):
+    return None if k == 0 else {**entries[k], "cell": list(entries[k - 1]["cell"])}
+
+
+OBJECT_FAULTS = [
+    ("not-object", lambda entries, k: [0, 0]),
+    ("null", lambda entries, k: None),
+    ("unknown-key", set_key("phse", 1)),
+    ("cell-missing", drop_key("cell")),
+    ("cell-str", set_key("cell", "0,0")),
+    ("cell-triple", set_key("cell", [0, 0, 0])),
+    ("cell-bool", set_key("cell", [True, 1])),
+    ("cell-float", set_key("cell", [0.0, 0])),
+    ("cell-odd", set_key("cell", [1, 0])),
+    ("cell-outside", set_key("cell", [20, 0])),
+    ("cell-earlier", earlier_cell),
+]
+FIELD_FAULTS = {
+    "superframes": [
+        ("so-missing", drop_key("SO")),
+        ("so-bool", set_key("SO", True)),
+        ("so-float", set_key("SO", 1.0)),
+        ("so-negative", set_key("SO", -1)),
+        ("bo-null", set_key("BO", None)),
+        ("bo-15", set_key("BO", 15)),
+        ("so-above-bo", lambda entries, k: {**entries[k], "SO": entries[k]["BO"] + 1}),
+        ("phase-str", set_key("phase", "0")),
+        ("phase-bool", set_key("phase", False)),
+        ("phase-negative", set_key("phase", -1)),
+    ],
+    "workload.per_pan": [
+        ("slots-missing", drop_key("slots")),
+        ("slots-int", set_key("slots", 3)),
+        ("slots-empty", set_key("slots", [])),
+        ("slots-zero", set_key("slots", [3, 0])),
+        ("slots-bool", set_key("slots", [True])),
+        ("slots-float", set_key("slots", [2.0])),
+        ("slots-too-long", set_key("slots", [MAX_SLOTS_PER_REQUEST + 1])),
+        ("slots-too-many", set_key("slots", [1] * (MAX_REQUESTS_PER_PAN + 1))),
+    ],
+    "lattice.cells": [
+        ("not-list", lambda cells, k: {"i": 0, "j": 0}),
+        ("null", lambda cells, k: None),
+        ("str", lambda cells, k: "0,0"),
+        ("single", lambda cells, k: [0]),
+        ("triple", lambda cells, k: [0, 0, 0]),
+        ("bool", lambda cells, k: [False, 0]),
+        ("float", lambda cells, k: [0, 0.0]),
+        ("odd", lambda cells, k: [1, 0]),
+        ("earlier", lambda cells, k: None if k == 0 else list(cells[k - 1])),
+    ],
+}
+
+
+def random_doc(rng):
+    """A valid config on a window of N <= 3: its cells as a window or a
+    shuffled list, superframes on a shuffled subset of them, and a
+    per_pan workload over those PANs in another order."""
+    n = rng.randint(0, 3)
+    doc = minimal_lattice_doc(n)
+    cells = [[c.i, c.j] for c in build_lattice(n, 1.0).cells]
+    rng.shuffle(cells)
+    if rng.random() < 0.5:
+        doc["lattice"] = {"cells": [list(cell) for cell in cells], "radius_R": 1.0}
+    pans = cells[: rng.randint(1, len(cells))]
+    doc["superframes"] = []
+    for cell in pans:
+        so = rng.randint(0, 2)
+        entry = {"cell": list(cell), "SO": so, "BO": rng.randint(so, 5)}
+        if rng.random() < 0.5:
+            entry["phase"] = rng.randint(0, 40)
+        doc["superframes"].append(entry)
+    rng.shuffle(pans)
+    doc["workload"] = {"per_pan": [{"cell": list(cell), "slots": [rng.randint(1, 9)]} for cell in pans]}
+    return doc
+
+
+def test_each_single_field_fault_names_its_entry(tmp_path):
+    rng = random.Random(29)
+    faults = {where: FIELD_FAULTS[where] + (OBJECT_FAULTS if where != "lattice.cells" else []) for where in FIELD_FAULTS}
+    cases = 0
+    while cases < 400:
+        doc = random_doc(rng)
+        lists = {"superframes": doc["superframes"], "workload.per_pan": doc["workload"]["per_pan"]}
+        if "cells" in doc["lattice"]:
+            lists["lattice.cells"] = doc["lattice"]["cells"]
+        where = rng.choice(sorted(lists))
+        entries = lists[where]
+        k = rng.randrange(len(entries))
+        name, fault = rng.choice(faults[where])
+        bad = fault(entries, k)
+        if bad is None and name != "null":
+            continue
+        entries[k] = bad
+        with pytest.raises(ConfigError) as info:
+            load_config(write_config(tmp_path, doc))
+        field = info.value.field
+        assert field == f"{where}[{k}]" or field.startswith(f"{where}[{k}]."), (name, field)
+        cases += 1
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [
+        {"index_bound_N": 3, "radius_R": 0.7, "origin": [-1.3, 4.1]},
+        {"cells": [[5, 1], [-7, 3], [0, 0], [11, -9]], "radius_R": 0.9, "origin": [1e5, -0.1]},
+    ],
+    ids=["window", "cells"],
+)
+def test_cell_table_rows_are_the_centers(tmp_path, lattice):
+    cfg = write_config(tmp_path, {"lattice": lattice})
+    out = tmp_path / "out"
+    assert main(["lattice", "--config", str(cfg), "--out", str(out)]) == 0
+    lat = load_config(cfg).lattice
+    rows = [(row["i"], row["j"], row["x"], row["y"]) for row in read_csv(out / "cells.csv")]
+    assert rows == [(str(c.i), str(c.j), *map(repr, center_of(lat, c))) for c in lat.cells]
 
 
 @pytest.mark.parametrize("slots", [10**400, 2**60 + 1, MAX_SLOTS_PER_REQUEST + 1], ids=["1e400", "2^60+1", "bound+1"])
