@@ -171,6 +171,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         cfg = load_config(args.config, domain_override=args.domain)
+        if args.command in ("dynamic", "evaluate"):
+            cfg.require_superframes()  # before the output directory is made
         out_dir = Path(args.out or cfg.out_dir or "out")
         out_dir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, out_dir)

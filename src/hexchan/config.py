@@ -32,7 +32,7 @@ from pathlib import Path
 from .dynamic_alloc import MAX_BEACON_ORDER, SuperframeConfig
 from .errors import ConfigError, HexchanError
 from .evaluate import RequestScenario
-from .lattice import CellIndex, Lattice, build_lattice, center_of, extreme_cells, lattice_from_cells
+from .lattice import CellIndex, Lattice, build_lattice, lattice_from_cells
 from .spectrum import (
     DOMAIN_NAMES,
     ChannelPlan,
@@ -214,25 +214,19 @@ def _parse_lattice(doc) -> Lattice:
                 if cell in cells:
                     raise ConfigError("duplicate cell (%d, %d)" % cell, field=f"lattice.cells[{k}]")
                 cells.add(cell)
-        return _finite_centers(lattice_from_cells(cells, radius_r=radius, origin=origin))
-    bound = _expect(section, "index_bound_N", int, "lattice.index_bound_N")
-    if bound < 0:
-        raise ConfigError("must be non-negative", field="lattice.index_bound_N")
-    num_cells = 2 * bound * bound + 2 * bound + 1
-    if num_cells > MAX_CELLS:
-        raise ConfigError(
-            f"window of {num_cells} cells exceeds the limit of {MAX_CELLS}", field="lattice.index_bound_N"
-        )
-    return _finite_centers(build_lattice(bound, radius_r=radius, origin=origin))
-
-
-def _finite_centers(lattice: Lattice) -> Lattice:
-    """``lattice``, if every cell center is a finite float.  x grows with i
-    and y with j, so the cells with extreme i and j decide."""
-    for cell in extreme_cells(lattice.cells):
-        if not all(map(math.isfinite, center_of(lattice, cell))):
-            raise ConfigError(f"the center of cell ({cell.i}, {cell.j}) overflows the float range", field="lattice")
-    return lattice
+    else:
+        bound = _expect(section, "index_bound_N", int, "lattice.index_bound_N")
+        if bound < 0:
+            raise ConfigError("must be non-negative", field="lattice.index_bound_N")
+        num_cells = 2 * bound * bound + 2 * bound + 1
+        if num_cells > MAX_CELLS:
+            raise ConfigError(
+                f"window of {num_cells} cells exceeds the limit of {MAX_CELLS}", field="lattice.index_bound_N"
+            )
+    try:  # every other check of the constructor has passed: a center is past the float range
+        return lattice_from_cells(cells, radius, origin) if "cells" in section else build_lattice(bound, radius, origin)
+    except ValueError as exc:
+        raise ConfigError(str(exc), field="lattice") from None
 
 
 def _parse_domain(doc) -> RegulatoryDomain:

@@ -22,7 +22,7 @@ import math
 import operator
 from collections import namedtuple
 from itertools import chain, repeat
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import NotInLatticeError
 
@@ -49,21 +49,14 @@ def row_major_key(cell: CellIndex) -> tuple[int, int]:
     return (cell.j, cell.i)
 
 
-def extreme_cells(cells: Sequence[CellIndex]) -> tuple[CellIndex, ...]:
-    """The first of ``cells`` with the least i, the least j, the greatest i
-    and the greatest j, in that order.  ``cells`` must be non-empty."""
-    i_values, j_values = zip(*cells)
-    return tuple(cells[values.index(extreme(values))] for extreme in (min, max) for values in (i_values, j_values))
-
-
 class Lattice:
     """A finite set of cells with shared radius and Cartesian origin.
 
     ``cells`` is strictly increasing row-major (by j, then i), so
-    duplicate-free; the constructor raises ``ValueError`` otherwise.
-    ``members`` holds them as a frozenset.  ``len(lattice)`` is the cell
-    count.  Lattices are immutable and equal when their radius, origin and
-    cells are.
+    duplicate-free, and each center (see ``center_of``) is a finite float;
+    the constructor raises ``ValueError`` otherwise.  ``members`` holds them
+    as a frozenset.  ``len(lattice)`` is the cell count.  Lattices are
+    immutable and equal when their radius, origin and cells are.
     """
 
     __slots__ = ("radius_r", "origin", "cells", "members")
@@ -74,6 +67,16 @@ class Lattice:
         i_values, j_values = zip(*cells) if cells else ((), ())
         if not all(map(operator.lt, zip(j_values, i_values), zip(j_values[1:], i_values[1:]))):
             raise ValueError("lattice cells must be row-major (by j, then i) and duplicate-free")
+        # x grows with i and y with j, so the cells of extreme i and j decide: the first with
+        # the least i, the least j, the greatest i and the greatest j, checked in that order.
+        (x0, y0), dx, dy = origin, 3.0 * radius_r / 2.0, math.sqrt(3.0) * radius_r / 2.0
+        try:
+            for pick, values in ((min, i_values), (min, j_values), (max, i_values), (max, j_values)) if cells else ():
+                i, j = cells[values.index(pick(values))]
+                if not (math.isfinite(x0 + i * dx) and math.isfinite(y0 + j * dy)):
+                    raise OverflowError
+        except OverflowError:  # also raised by an index past the float range
+            raise ValueError(f"the center of cell ({i}, {j}) overflows the float range") from None
         for name, value in zip(self.__slots__, (radius_r, origin, cells, frozenset(cells))):
             object.__setattr__(self, name, value)
 
@@ -119,8 +122,8 @@ def lattice_from_cells(
     cells: Iterable[CellIndex], radius_r: float, origin: tuple[float, float] = (0.0, 0.0)
 ) -> Lattice:
     """Lattice over an explicit cell list, for irregular deployments; cells
-    are reordered canonically."""
-    ordered = tuple(sorted(set(cells), key=row_major_key))
+    are reordered canonically, in linear time if they come in that order."""
+    ordered = tuple(sorted(dict.fromkeys(cells), key=row_major_key))
     return Lattice(radius_r=radius_r, origin=origin, cells=ordered)
 
 

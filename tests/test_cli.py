@@ -202,6 +202,14 @@ def test_dynamic_requires_superframes(tmp_path):
     assert main(["dynamic", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("command", ["dynamic", "evaluate"])
+def test_a_command_without_its_superframes_makes_no_output_directory(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, minimal_lattice_doc(1))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: superframes: command needs per-PAN superframes\n"
+    assert not (tmp_path / "o").exists()
+
+
 def one_pan_doc(so, bo):
     doc = minimal_lattice_doc(0)
     doc["superframes"] = [{"cell": [0, 0], "SO": so, "BO": bo}]
@@ -511,6 +519,18 @@ def test_per_pan_requests_over_the_entry_budget_exit_1(tmp_path):
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("slot", [0, True, MAX_SLOTS_PER_REQUEST + 1], ids=["zero", "bool", "too-long"])
+def test_the_request_budget_is_checked_before_the_slots(tmp_path, slot):
+    # The last entry both crosses the budget and holds a bad slot: the budget is named.
+    doc = requests_doc(MAX_REQUEST_ENTRIES // MAX_REQUESTS_PER_PAN + 1, MAX_REQUEST_ENTRIES + 1)
+    doc["workload"]["per_pan"][-1]["slots"][-1] = slot
+    with pytest.raises(ConfigError) as info:
+        load_config(write_config(tmp_path, doc))
+    assert str(info.value) == (
+        f"workload.per_pan: the slots lists hold more than {MAX_REQUEST_ENTRIES} requests in all"
+    )
+
+
 def test_workload_at_the_request_limit_shares_one_tuple(tmp_path, reference_config_path):
     doc = json.loads(Path(reference_config_path).read_text())
     doc["workload"] = {"requests_per_pan": MAX_REQUESTS_PER_PAN, "slots_per_request": 3}
@@ -576,6 +596,17 @@ def test_centers_overflowing_floats_exit_1(tmp_path, capsys, lattice):
     assert main(["lattice", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: lattice: the center of cell") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["lattice", "static", "dynamic", "evaluate"])
+def test_a_cell_past_the_float_range_exits_1(tmp_path, command):
+    # 10**400 has no float, so computing its center raises OverflowError
+    doc = {"lattice": {"cells": [[0, 0], [10**400, 0]], "radius_R": 1.0}, "domain": "Europe"}
+    doc["superframes"] = [{"cell": [0, 0], "SO": 0, "BO": 1}]
+    proc = run_cli_process(tmp_path, command, write_config(tmp_path, doc))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: lattice: the center of cell ({10**400}, 0) overflows the float range\n"
     assert not (tmp_path / "o").exists()
 
 

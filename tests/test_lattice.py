@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from oracles import boundary_f_offsets, distance, neighborhood_sets, twelve_cell_lattice
@@ -9,9 +10,9 @@ from hexchan.lattice import (
     CONTROL_REUSE_METRIC,
     DATA_REUSE_METRIC,
     CellIndex,
+    Lattice,
     build_lattice,
     center_of,
-    extreme_cells,
     lattice_from_cells,
     lattice_metric,
     row_major_key,
@@ -42,10 +43,24 @@ def test_cell_index_is_a_tuple_record():
     assert (1, 1) in build_lattice(1, 1.0)
 
 
-def test_extreme_cells_take_the_first_of_ties():
+def test_a_center_past_the_float_range_names_the_first_extreme_cell():
     cells = (C(0, -2), C(-1, -1), C(1, -1), C(-1, 1), C(1, 1), C(0, 2))
-    # least i, least j, greatest i, greatest j
-    assert extreme_cells(cells) == (C(-1, -1), C(0, -2), C(1, -1), C(0, 2))
+    # (radius, origin, the cell the message names)
+    for radius, origin, named in [
+        (1e308, (0.0, 0.0), (-1, -1)),  # every center: the least i comes first
+        (1e307, (-1.7e308, 0.0), (-1, -1)),  # least i, the first of a tie with (-1, 1)
+        (1e307, (0.0, -1.7e308), (0, -2)),  # least j
+        (1e307, (1.7e308, 0.0), (1, -1)),  # greatest i, the first of a tie with (1, 1)
+        (1e307, (0.0, 1.7e308), (0, 2)),  # greatest j
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"the center of cell {named} overflows the float range")):
+            Lattice(radius, origin, cells)
+    assert len(Lattice(1e307, (0.0, 0.0), cells)) == 6
+
+
+def test_an_index_past_the_float_range_overflows():
+    with pytest.raises(ValueError, match=re.escape(f"the center of cell ({2**1100}, 0) overflows the float range")):
+        lattice_from_cells([C(2**1100, 0), C(0, 0)], 1.0)
 
 
 def test_build_lattice_n0_is_origin_only():
