@@ -10,6 +10,8 @@ output directory:
 
 Exit codes: 0 success, 1 validation or domain error, 2 I/O error.
 Outputs are deterministic: the same config produces byte-identical files.
+The output directory is made with the first report, so a command that
+fails makes none.
 A rerun rewrites each report in place: a regular file at a report path
 with no other link keeps its inode and mode and is cut to the new text.
 Anything else there (a symlink, a hard-linked file, a FIFO) is removed and
@@ -49,8 +51,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _open_untruncated(file, flags: int) -> int:
-    """The opener of ``open(file, "w")`` without its ``O_TRUNC``."""
-    return os.open(file, flags & ~os.O_TRUNC, 0o666)
+    """The opener of ``open(file, "w")`` without its ``O_TRUNC``.  The first
+    report makes the output directory, so a command that fails before it
+    leaves none."""
+    try:
+        return os.open(file, flags & ~os.O_TRUNC, 0o666)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(file), exist_ok=True)
+        return os.open(file, flags & ~os.O_TRUNC, 0o666)
 
 
 def _write(out_dir: Path, name: str, chunks: Iterable[str]) -> None:
@@ -171,11 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         cfg = load_config(args.config, domain_override=args.domain)
-        if args.command in ("dynamic", "evaluate"):
-            cfg.require_superframes()  # before the output directory is made
-        out_dir = Path(args.out or cfg.out_dir or "out")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](cfg, out_dir)
+        _COMMANDS[args.command](cfg, Path(args.out or cfg.out_dir or "out"))
     except HexchanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -100,33 +100,6 @@ def cycle_structure(configs: Sequence[SuperframeConfig]) -> CycleStructure:
     return CycleStructure(bi_maj=1 << bo_max, sd_min=1 << so_min, u_cycles=1 << (bo_max - so_min))
 
 
-def _duty_runs(configs: Sequence[SuperframeConfig], sd_min: int) -> list[tuple[int, int, int]]:
-    """(P, m, t0) per config, its duty run over elementary cycles.
-
-    A PAN is active in cycle t when the cycle's start t * SD_min falls in
-    [phase, phase + SD) modulo BI: (t * SD_min - phase) mod BI < SD.  All
-    durations are powers of two, so SD_min divides SD, SD divides BI and BI
-    divides BI_maj: the activity repeats every P = BI / SD_min cycles, U is
-    a multiple of P, and in each period the PAN is active in the m = SD /
-    SD_min cycles from t0 = ceil((phase mod BI) / SD_min) on, modulo P
-    (``_active_intervals``)."""
-    runs = []
-    for _, so, bo, phase in configs:
-        period = (1 << bo) // sd_min
-        runs.append((period, (1 << so) // sd_min, -(-(phase % (1 << bo)) // sd_min) % period))
-    return runs
-
-
-def _active_intervals(period: int, active: int, start: int) -> list[tuple[int, int]]:
-    """The cycles [a, b) of one period of the duty run (P, m, t0) in which
-    its PAN is active: the m cycles from t0 on, modulo P, as one interval,
-    or as two, [0, t0 + m - P) then [t0, P), when the run wraps past P."""
-    end = start + active
-    if end <= period:
-        return [(start, end)]
-    return [(0, end - period), (start, period)]
-
-
 def allocate_dynamic(lattice: Lattice, configs: Sequence[SuperframeConfig], plan: ChannelPlan) -> AllocationMatrix:
     """Per-cycle per-PAN channel groups over one major cycle, colored on the
     lattice's metric-12 graph.
@@ -138,7 +111,7 @@ def allocate_dynamic(lattice: Lattice, configs: Sequence[SuperframeConfig], plan
     cycle's chi and k are the largest of its components' chi and group
     size, 0 when no PAN is active.
     """
-    _, cycle_masks, sets = _active_sets(interference_rows(lattice, DATA_REUSE_METRIC), lattice.cells, configs, plan)
+    cycle_masks, sets = _active_sets(interference_rows(lattice, DATA_REUSE_METRIC), lattice.cells, configs, plan)
     n = len(configs)
     by_mask = {}  # mask -> (column, chi, k)
     for mask, components in sets.items():
@@ -157,17 +130,25 @@ def allocate_dynamic(lattice: Lattice, configs: Sequence[SuperframeConfig], plan
 
 def _active_sets(
     rows: Sequence[int], cells: Sequence[CellIndex], configs: Sequence[SuperframeConfig], plan: ChannelPlan
-) -> tuple[list[tuple[int, int, int]], list[int], dict[int, list[tuple[int, int, list]]]]:
+) -> tuple[list[int], dict[int, list[tuple[int, int, list]]]]:
     """The one pass of dynamic allocation on the metric-12 ``rows`` of the
     PANs' lattice ``cells``, once per distinct set of active PANs.  Its readers:
-    ``allocate_dynamic`` turns it into grant columns, ``compare_schemes`` into counts.
+    ``allocate_dynamic`` turns it into grant columns, ``compare_schemes`` into
+    counts and active cycles.
 
-    Returns (runs, cycle_masks, sets).  ``runs[k]`` is PAN k's duty run
-    (P, m, t0) (``_duty_runs``) and ``cycle_masks[t]`` the cell positions
-    of the PANs active in cycle t, one pattern of P masks per period tiled
-    over the U cycles.  ``sets`` maps each distinct mask, in order of first
-    appearance, to the list of its components, in the order the split
-    finds them, each as the record (chi, group size, [(PAN index, grant)]).
+    Returns (cycle_masks, sets).  ``cycle_masks[t]`` holds the cell
+    positions of the PANs active in cycle t, the one record of activity.  A
+    PAN is active in cycle t when the cycle's start t * SD_min falls in
+    [phase, phase + SD) modulo BI: (t * SD_min - phase) mod BI < SD.  All
+    durations are powers of two, so SD_min divides SD, SD divides BI and BI
+    divides BI_maj: the activity repeats every P = BI / SD_min cycles, U is
+    a multiple of P, and in each period the PAN is active in the m = SD /
+    SD_min cycles from t0 = ceil((phase mod BI) / SD_min) on, modulo P: the
+    interval [t0, t0 + m), or [0, t0 + m - P) and [t0, P) when it wraps
+    past P.  Each period's pattern of P masks is tiled over the U cycles.
+    ``sets`` maps each distinct mask, in order of first appearance, to the
+    list of its components, in the order the split finds them, each as the
+    record (chi, group size, [(PAN index, grant)]).
 
     Each mask is split in one loop.  A PAN with no active neighbour is a
     component of one, chi 1, and its record, the whole data set, is built
@@ -180,22 +161,25 @@ def _active_sets(
     cycle.
     """
     cycles = cycle_structure(configs)
-    runs = _duty_runs(configs, cycles.sd_min)
+    sd_min = cycles.sd_min
     ordered_data = plan.ordered_data()
     position = {cell: p for p, cell in enumerate(cells)}
     pan_at = [-1] * len(position)  # cell position -> PAN index
     patterns: dict[int, list[int]] = {}
-    for k, (cfg, (period, active, start)) in enumerate(zip(configs, runs)):
-        p = position.get(cfg.pan_cell)
+    for k, (cell, so, bo, phase) in enumerate(configs):
+        p = position.get(cell)
         if p is None:
-            raise NotInLatticeError(f"cell ({cfg.pan_cell.i}, {cfg.pan_cell.j}) is not in the lattice")
+            raise NotInLatticeError(f"cell ({cell.i}, {cell.j}) is not in the lattice")
         if pan_at[p] >= 0:
             raise ValueError("duplicate PAN cells in superframe configs")
         pan_at[p] = k
+        period = (1 << bo) // sd_min
+        start = -(-(phase % (1 << bo)) // sd_min) % period
+        end = start + (1 << so) // sd_min
         pattern = patterns.get(period)
         if pattern is None:
             pattern = patterns[period] = [0] * period
-        for a, b in _active_intervals(period, active, start):
+        for a, b in ((start, end),) if end <= period else ((0, end - period), (start, period)):
             pattern[a:b] = map(or_, pattern[a:b], repeat(1 << p))
     # Each period (a power of two) divides the next: tile up to each in turn, then to U.
     cycle_masks = [0]
@@ -238,7 +222,7 @@ def _active_sets(
                 grants = [(pan_at[p], group) for members, group in zip(classes, groups) for p in iter_bits(members)]
                 component = component_memo[comp] = (chi, group_size, grants)
             components.append(component)
-    return runs, cycle_masks, sets
+    return cycle_masks, sets
 
 
 def _pan_texts(configs: Sequence[SuperframeConfig], suffix: str = "") -> tuple[list[str], list[str]]:

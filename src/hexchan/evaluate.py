@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .coloring import data_graph_coloring
 from .errors import OrderingError
-from .dynamic_alloc import SuperframeConfig, _active_intervals, _active_sets, cycle_structure
+from .dynamic_alloc import SuperframeConfig, _active_sets, cycle_structure
 from .interference import interference_rows
 from .jsontext import chunk_size, flush_chunks, json_array, json_object
 from .lattice import DATA_REUSE_METRIC, CellIndex, Lattice
@@ -122,12 +122,10 @@ def compare_schemes(
     chi_data of its coloring, and ``_active_sets`` allocates each distinct
     set of active PANs on it once.  A PAN's dynamic count in a cycle is the
     group size of its component record in the cycle's set, read in one
-    walk over the cycles with no grant column built.  Each PAN's active
-    cycles are its active intervals (``_active_intervals``) in every
-    period, the same intervals ``_active_sets`` builds the cycle masks
-    from.  The workload's coverage is checked while its spans are read.  No
-    makespan is computed here: the writers compute them from ``spans`` and
-    the counts.
+    walk over the cycles with no grant column built; the same walk reads
+    each PAN's active cycles off the cycle masks.  The workload's coverage
+    is checked while its spans are read.  No makespan is computed here:
+    the writers compute them from ``spans`` and the counts.
     """
     # (sum, max) of each distinct request list; a uniform workload shares
     # one tuple between all PANs, so the lists are keyed by identity.
@@ -144,23 +142,17 @@ def compare_schemes(
     spans = tuple(spans)
     rows = interference_rows(lattice, DATA_REUSE_METRIC)
     k_static = _static_share(data_graph_coloring(rows, lattice.cells).num_colors, plan)
-    runs, cycle_masks, sets = _active_sets(rows, lattice.cells, configs, plan)
-    u = len(cycle_masks)
+    cycle_masks, sets = _active_sets(rows, lattice.cells, configs, plan)
 
-    # A PAN is active at the offsets of its active intervals in every
-    # period.  PANs of equal run share one tuple of cycles.
-    cycles_by_run: dict[tuple[int, int, int], tuple[int, ...]] = {}
-    for run in dict.fromkeys(runs):
-        offsets = [t for a, b in _active_intervals(*run) for t in range(a, b)]
-        cycles_by_run[run] = tuple([base + offset for base in range(0, u, run[0]) for offset in offsets])
-    active_cycles = tuple(map(cycles_by_run.__getitem__, runs))
-
-    # Cycle by cycle, each PAN of a component gets its group size.
+    # Cycle by cycle, each PAN of a component gets the cycle and its group size.
+    active: list[list[int]] = [[] for _ in configs]
     dynamic: list[list[int]] = [[] for _ in configs]
-    for mask in cycle_masks:
+    for t, mask in enumerate(cycle_masks):
         for _, group_size, grants in sets[mask]:
             for k, _ in grants:
+                active[k].append(t)
                 dynamic[k].append(group_size)
+    active_cycles = tuple(map(tuple, active))
     # Per scheme, each PAN's counts and its distinct counts, ascending.
     columns = {}
     for scheme, share in ((SINGLE, 1), (STATIC, k_static)):

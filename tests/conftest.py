@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from pathlib import Path
 
@@ -10,6 +12,24 @@ from hexchan.lattice import lattice_from_cells
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO_ROOT / "configs"
 TEST_CONFIG_DIR = Path(__file__).resolve().parent / "configs"
+CORPUS_DIGESTS = Path(__file__).resolve().parent / "corpus_digests.json"
+
+
+def corpus_digest(lines) -> str:
+    """SHA-256 of a corpus family's outcome lines, one digest per family."""
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def expected_corpus_digest(family: str) -> str:
+    return json.loads(CORPUS_DIGESTS.read_text(encoding="utf-8"))[family]
+
+
+def write_corpus_digest(family: str, lines) -> None:
+    """Set the digest of one family in ``corpus_digests.json`` and keep the others."""
+    digests = json.loads(CORPUS_DIGESTS.read_text(encoding="utf-8"))
+    digests[family] = corpus_digest(lines)
+    CORPUS_DIGESTS.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {family} to {CORPUS_DIGESTS}")
 
 
 def graph_from_edges(cells, edges):

@@ -16,16 +16,16 @@ regenerates the digest with ``PYTHONPATH=src python tests/test_bad_configs.py``.
 """
 
 import contextlib
-import hashlib
 import io
 import json
 import random
 from pathlib import Path
 
+from conftest import corpus_digest, expected_corpus_digest, write_corpus_digest
+
 from hexchan.cli import main
 from hexchan.config import MAX_REQUEST_ENTRIES, MAX_REQUESTS_PER_PAN, MAX_SLOTS_PER_REQUEST
 
-DIGESTS = Path(__file__).resolve().parent / "corpus_digests.json"
 SEED = 22
 CASES = 400
 
@@ -299,15 +299,11 @@ def outcome_lines(tmp_path):
     return lines
 
 
-def digest(lines):
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
 def test_bad_configs_match_their_digest(tmp_path):
     lines = outcome_lines(tmp_path)
     assert [line for line in lines if not line.startswith("1 'error: ")] == []
     assert not (tmp_path / "o").exists()
-    assert digest(lines) == json.loads(DIGESTS.read_text(encoding="utf-8"))["bad-configs"]
+    assert corpus_digest(lines) == expected_corpus_digest("bad-configs")
 
 
 if __name__ == "__main__":
@@ -318,5 +314,4 @@ if __name__ == "__main__":
         lines = outcome_lines(Path(tmp))
     if "--show" in sys.argv:
         print("\n".join(lines))
-    DIGESTS.write_text(json.dumps({"bad-configs": digest(lines)}, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {DIGESTS}")
+    write_corpus_digest("bad-configs", lines)

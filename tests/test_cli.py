@@ -406,7 +406,7 @@ def test_each_command_colors_each_active_set_and_component_once(tmp_path, monkey
 
     # Each set is the list of its components' records, (chi, group size,
     # [(PAN, grant)]), with chi 1 exactly for a component of one.
-    sets = passes[0][2]
+    sets = passes[0][1]
     assert sets.keys() == active_sets
     for mask, records in sets.items():
         pans = [sum(1 << pan for pan, _ in grants) for _, _, grants in records]
@@ -1043,6 +1043,36 @@ def test_out_dir_collision_exits_2(tmp_path, reference_config_path):
     blocker.write_text("file, not a directory", encoding="utf-8")
     rc = main(["lattice", "--config", str(reference_config_path), "--out", str(blocker)])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        ("static", "need at least 3 data channels, plan has 0"),
+        ("dynamic", "cycle 1: need 1 data channels, plan has 0"),
+        ("evaluate", "need at least 3 data channels, plan has 0"),
+    ],
+)
+def test_a_failed_allocation_makes_no_output_directory(tmp_path, capsys, command, error):
+    # One channel is the control set, so the plan has no data channel; the
+    # allocation fails before the first report would make the directory.
+    doc = minimal_lattice_doc(1)
+    doc["domain"] = {"name": "lab", "channels": [{"phy_channel": 4, "code": 7}]}
+    doc["superframes"] = [{"cell": [0, 0], "SO": 0, "BO": 0}]
+    assert main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_the_first_report_makes_a_nested_output_directory(tmp_path, monkeypatch, reference_config_path):
+    out = tmp_path / "a" / "b" / "c"
+    for command in ("lattice", "static", "dynamic", "evaluate"):
+        assert main([command, "--config", str(reference_config_path), "--out", str(out)]) == 0
+    assert len(list(out.iterdir())) == 11
+    # Into a directory that exists, no report tries to make it.
+    monkeypatch.setattr("os.makedirs", refuse_to_run)
+    for command in ("lattice", "static", "dynamic", "evaluate"):
+        assert main([command, "--config", str(reference_config_path), "--out", str(out)]) == 0
 
 
 def test_repeat_runs_are_byte_identical(tmp_path, reference_config_path, block_config_path):
